@@ -71,11 +71,8 @@ def cmd_calibrate(args) -> int:
     entries = manifest["traces"]
 
     def load_and_fit(entry):
-        trace = files.read_trace_csv(
-            trace_dir / entry["file"],
-            probe_id=entry["probe_id"],
-            truth_path=trace_dir / entry.get("truth_file", ""),
-        )
+        trace = files.read_trace_csv(trace_dir / entry["file"],
+                                     probe_id=entry["probe_id"])
         return _calibrate_one(trace, calib, n_outcomes, args.method)
 
     results = {}

@@ -1,16 +1,15 @@
 """On-disk formats for the batch pipeline.
 
-Traces are CSV (one ``amplitude_mv`` column, ground truth in a
-``.truth.csv`` sidecar with a ``count`` column); count tables, POVM
-matrices, estimates and reports are JSON with explicit dimensions and
-row-major nested arrays. Every artifact embeds the hash of the producing
-config so stages refuse to mix runs. All writers are deterministic:
-sorted keys, no timestamps, repr-exact floats.
+Traces are NumPy ``.npy`` files: float64 amplitudes in mV, with ground
+truth in an int64 ``.truth.npy`` sidecar; any NumPy reads them with
+``np.load``. Count tables, POVM matrices, estimates and reports are JSON
+with explicit dimensions and row-major nested arrays. Every artifact
+embeds the hash of the producing config so stages refuse to mix runs.
+All writers are deterministic: sorted keys, no timestamps, exact floats.
 """
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 from pathlib import Path
@@ -198,48 +197,70 @@ def config_calibration(config: dict) -> dict:
 # -- traces ------------------------------------------------------------------
 
 def trace_filename(probe_id: int) -> str:
-    return f"{TRACE_PREFIX}{probe_id:03d}.csv"
+    return f"{TRACE_PREFIX}{probe_id:03d}.npy"
 
 
 def truth_filename(probe_id: int) -> str:
-    return f"{TRACE_PREFIX}{probe_id:03d}.truth.csv"
+    return f"{TRACE_PREFIX}{probe_id:03d}.truth.npy"
 
 
 def write_trace_csv(directory, trace: AmplitudeTrace):
+    """Write ``trace`` into ``directory`` as ``.npy`` files.
+
+    Amplitudes go to :func:`trace_filename` as float64 and the truth, when
+    present, to :func:`truth_filename` as int64 (the dtypes
+    :class:`AmplitudeTrace` holds). The name predates the ``.npy`` format
+    and is kept for callers that wrap it.
+    """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    with open(directory / trace_filename(trace.probe_id), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["amplitude_mv"])
-        for a in trace.amplitudes_mv:
-            writer.writerow([repr(float(a))])
+    np.save(directory / trace_filename(trace.probe_id), trace.amplitudes_mv)
     if trace.truth_counts is not None:
-        with open(directory / truth_filename(trace.probe_id), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["count"])
-            for c in trace.truth_counts:
-                writer.writerow([int(c)])
+        np.save(directory / truth_filename(trace.probe_id), trace.truth_counts)
+
+
+def _read_npy_column(path, kinds: str, what: str) -> np.ndarray:
+    """The 1-D array in the ``.npy`` file ``path``; its dtype kind is in ``kinds``."""
+    magic = np.lib.format.MAGIC_PREFIX
+    try:
+        with open(path, "rb") as fh:
+            is_npy = fh.read(len(magic)) == magic
+            fh.seek(0)
+            # Checking the magic first keeps np.load off its pickle and .npz routes.
+            arr = np.load(fh, allow_pickle=False) if is_npy else None
+    except OSError as exc:
+        raise SchemaError(f"{path}: cannot read ({exc})") from exc
+    except (ValueError, EOFError) as exc:
+        raise SchemaError(f"{path}: bad .npy data ({exc})") from exc
+    if arr is None:
+        raise SchemaError(f"{path}: not a .npy file")
+    if arr.ndim != 1:
+        raise SchemaError(f"{path}: expected a 1-D array, got shape {arr.shape}")
+    if arr.dtype.kind not in kinds:
+        raise SchemaError(f"{path}: expected {what}, got dtype {arr.dtype}")
+    return arr
 
 
 def read_trace_csv(path, probe_id: int, truth_path=None) -> AmplitudeTrace:
-    def read_column(p, name, conv):
-        with open(p, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or header[0] != name:
-                raise SchemaError(f"{p}: expected a '{name}' header column")
-            try:
-                return [conv(row[0]) for row in reader if row]
-            except (ValueError, IndexError) as exc:
-                raise SchemaError(f"{p}: bad {name} value ({exc})") from exc
+    """Read a trace written by :func:`write_trace_csv`.
 
-    amps = np.asarray(read_column(path, "amplitude_mv", float))
+    ``path`` holds the amplitudes, ``truth_path`` (optional) the truth
+    sidecar. Pickled, object, structured or non-1-D arrays, the wrong
+    dtype, a sidecar of another length and non-finite amplitudes raise
+    :class:`SchemaError`. The name predates the ``.npy`` format.
+    """
+    amps = _read_npy_column(path, "f", "float amplitudes")
     truth = None
-    if truth_path is not None and Path(truth_path).exists():
-        truth = np.asarray(read_column(truth_path, "count", int))
+    if truth_path is not None:
+        truth = _read_npy_column(truth_path, "iu", "integer counts")
         if truth.shape != amps.shape:
-            raise SchemaError(f"{truth_path}: sidecar length differs from trace")
-    return AmplitudeTrace(probe_id=probe_id, amplitudes_mv=amps, truth_counts=truth)
+            raise SchemaError(
+                f"{truth_path}: sidecar has {truth.size} events, trace has {amps.size}"
+            )
+    try:
+        return AmplitudeTrace(probe_id=probe_id, amplitudes_mv=amps, truth_counts=truth)
+    except ValueError as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
 
 
 # -- manifest and ensemble ---------------------------------------------------
@@ -271,6 +292,19 @@ def read_manifest(directory) -> dict:
     for key in ("config_hash", "seed", "config", "traces"):
         _require(manifest, key, str(path))
     validate_config(manifest["config"])
+    if not isinstance(manifest["traces"], list):
+        raise SchemaError(f"{path}: 'traces' must be a list")
+    seen = set()
+    for i, entry in enumerate(manifest["traces"]):
+        where = f"{path}: trace entry {i}"
+        if not isinstance(entry, dict):
+            raise SchemaError(f"{where} must be an object")
+        for key in ("probe_id", "file"):
+            _require(entry, key, where)
+        # A repeated id would silently replace one probe's counts with another's.
+        if not isinstance(entry["probe_id"], int) or entry["probe_id"] in seen:
+            raise SchemaError(f"{where}: probe_id must be a unique integer")
+        seen.add(entry["probe_id"])
     return manifest
 
 

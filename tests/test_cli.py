@@ -1,6 +1,5 @@
 """End-to-end tests for the five-stage command line pipeline."""
 
-import csv
 import json
 import shutil
 
@@ -190,11 +189,7 @@ def test_lineage_mismatch_exits_4(pipeline, tmp_path, capsys):
 def test_calibrate_short_trace_exits_3_unless_skipped(pipeline, tmp_path, capsys):
     sim = tmp_path / "sim"
     shutil.copytree(pipeline["sim"], sim)
-    with open(sim / files.trace_filename(2), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["amplitude_mv"])
-        for _ in range(50):
-            writer.writerow(["0.25"])
+    np.save(sim / files.trace_filename(2), np.full(50, 0.25))
     (sim / files.truth_filename(2)).unlink()
 
     rc = main(["calibrate", "--traces", str(sim), "--out", str(tmp_path / "cal")])
@@ -208,3 +203,101 @@ def test_calibrate_short_trace_exits_3_unless_skipped(pipeline, tmp_path, capsys
     assert payload["skipped_probe_ids"] == [2]
     table, _ = files.read_count_table(tmp_path / "cal" / "counts.json")
     assert table.probe_ids == (0, 1, 3, 4)
+
+
+def test_simulate_jobs_write_identical_traces(tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(_config()))
+    for jobs in ("1", "2"):
+        rc = main(["simulate", "--config", str(cfg), "--seed", "3",
+                   "--out", str(tmp_path / jobs), "--jobs", jobs])
+        assert rc == 0
+    names = sorted(p.name for p in (tmp_path / "1").glob("trace_probe_*"))
+    assert len(names) == 10
+    assert names == sorted(p.name for p in (tmp_path / "2").glob("trace_probe_*"))
+    for name in names:
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+
+def _copy_sim(pipeline, tmp_path, edit_entry=None):
+    """A copy of the pipeline's simulate output, each manifest entry edited."""
+    sim = tmp_path / "sim"
+    shutil.copytree(pipeline["sim"], sim)
+    if edit_entry is not None:
+        manifest = json.loads((sim / "manifest.json").read_text())
+        for entry in manifest["traces"]:
+            edit_entry(sim, entry)
+        (sim / "manifest.json").write_text(json.dumps(manifest))
+    return sim
+
+
+def _drop_file_field(sim, entry):
+    if entry["probe_id"] == 2:
+        del entry["file"]
+
+
+def _repeat_probe_id(sim, entry):
+    if entry["probe_id"] == 3:
+        entry["probe_id"] = 1
+
+
+def _delete_trace(sim, entry):
+    if entry["probe_id"] == 2:
+        (sim / entry["file"]).unlink()
+
+
+def _to_csv_era(sim, entry):
+    """Rewrite the trace as the one-column CSV that earlier versions wrote."""
+    amps = np.load(sim / entry["file"], allow_pickle=False)
+    (sim / entry["file"]).unlink()
+    entry["file"] = entry["file"].replace(".npy", ".csv")
+    lines = ["amplitude_mv"] + [repr(float(a)) for a in amps]
+    (sim / entry["file"]).write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("edit_entry, match", [
+    pytest.param(_drop_file_field, "trace entry 2: missing field 'file'", id="no-file"),
+    pytest.param(_repeat_probe_id, "trace entry 3: probe_id must be a unique integer",
+                 id="repeated-id"),
+    pytest.param(_delete_trace, "trace_probe_002.npy: cannot read", id="no-trace"),
+    pytest.param(_to_csv_era, "trace_probe_000.csv: not a .npy file", id="csv-era"),
+])
+def test_calibrate_bad_trace_input_exits_2(pipeline, tmp_path, capsys, jobs,
+                                           edit_entry, match):
+    sim = _copy_sim(pipeline, tmp_path, edit_entry)
+    rc = main(["calibrate", "--traces", str(sim), "--out", str(tmp_path / "cal"),
+               "--jobs", jobs])
+    assert rc == 2
+    assert match in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_calibrate_ignores_truth_sidecar(pipeline, tmp_path, jobs):
+    def drop_truth(sim, entry):
+        (sim / entry.pop("truth_file")).unlink()
+
+    sim = _copy_sim(pipeline, tmp_path, drop_truth)
+    rc = main(["calibrate", "--traces", str(sim), "--out", str(tmp_path / "cal"),
+               "--jobs", jobs])
+    assert rc == 0
+    assert ((tmp_path / "cal" / "counts.json").read_bytes()
+            == (pipeline["cal"] / "counts.json").read_bytes())
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_calibrate_nonfinite_trace_exits_2_unless_skipped(pipeline, tmp_path, capsys,
+                                                          jobs):
+    sim = _copy_sim(pipeline, tmp_path)
+    amps = np.load(sim / files.trace_filename(2))
+    amps[10] = np.nan
+    np.save(sim / files.trace_filename(2), amps)
+    argv = ["calibrate", "--traces", str(sim), "--out", str(tmp_path / "cal"),
+            "--jobs", jobs]
+
+    assert main(argv) == 2
+    assert "trace_probe_002.npy: amplitudes_mv must be finite" in capsys.readouterr().err
+
+    assert main(argv + ["--skip-failed"]) == 0
+    payload = json.loads((tmp_path / "cal" / "counts.json").read_text())
+    assert payload["skipped_probe_ids"] == [2]

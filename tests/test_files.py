@@ -2,9 +2,15 @@
 
 import json
 import math
+import pickle
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import tespovm as tp
 from tespovm import files
@@ -60,6 +66,12 @@ def test_config_reconstruction_overrides():
 def test_trace_csv_roundtrip(tmp_path):
     trace = tp.simulate_trace(tp.DetectorPhysicalConfig(), 2.0, 500, seed=1, probe_id=7)
     files.write_trace_csv(tmp_path, trace)
+    assert files.trace_filename(7) == "trace_probe_007.npy"
+    assert files.truth_filename(7) == "trace_probe_007.truth.npy"
+    # Plain NumPy reads the files without the package.
+    amps = np.load(tmp_path / files.trace_filename(7), allow_pickle=False)
+    truth = np.load(tmp_path / files.truth_filename(7), allow_pickle=False)
+    assert (amps.dtype, truth.dtype) == (np.float64, np.int64)
     back = files.read_trace_csv(
         tmp_path / files.trace_filename(7), probe_id=7,
         truth_path=tmp_path / files.truth_filename(7),
@@ -73,13 +85,68 @@ def test_trace_csv_roundtrip(tmp_path):
 
 
 def test_trace_csv_schema_errors(tmp_path):
-    bad = tmp_path / "bad.csv"
-    bad.write_text("wrong_header\n1.0\n")
-    with pytest.raises(tp.SchemaError, match="amplitude_mv"):
+    bad = tmp_path / "trace_probe_000.csv"
+    bad.write_text("amplitude_mv\n0.25\n13.1\n")
+    with pytest.raises(tp.SchemaError, match="trace_probe_000.csv: not a .npy file"):
         files.read_trace_csv(bad, probe_id=0)
-    bad.write_text("amplitude_mv\nnot_a_number\n")
-    with pytest.raises(tp.SchemaError, match="bad amplitude_mv"):
-        files.read_trace_csv(bad, probe_id=0)
+    pickled = tmp_path / "pickled.npy"
+    pickled.write_bytes(pickle.dumps(np.array([0.25, 13.1])))
+    with pytest.raises(tp.SchemaError, match="pickled.npy: not a .npy file"):
+        files.read_trace_csv(pickled, probe_id=0)
+    cut = tmp_path / "cut.npy"
+    np.save(cut, np.arange(10.0))
+    cut.write_bytes(cut.read_bytes()[:-8])
+    with pytest.raises(tp.SchemaError, match="cut.npy: bad .npy data"):
+        files.read_trace_csv(cut, probe_id=0)
+    with pytest.raises(tp.SchemaError, match="missing.npy: cannot read"):
+        files.read_trace_csv(tmp_path / "missing.npy", probe_id=0)
+
+
+_AMPS = np.array([0.4, 13.2, 25.9])
+
+
+@pytest.mark.parametrize("amps, truth, bad_file, match", [
+    pytest.param(np.array([0.4, None], dtype=object), None, "t.npy",
+                 "Object arrays cannot be loaded", id="object-array"),
+    pytest.param(_AMPS.reshape(1, 3), None, "t.npy", "1-D", id="not-1d"),
+    pytest.param(_AMPS, np.array([[0, 1, 2]]), "t.truth.npy", "1-D", id="not-1d-truth"),
+    pytest.param(np.array([0, 13, 26]), None, "t.npy", "float amplitudes",
+                 id="int-amplitudes"),
+    pytest.param(_AMPS, np.array([0.0, 1.0, 2.0]), "t.truth.npy", "integer counts",
+                 id="float-truth"),
+    pytest.param(_AMPS, np.array([0, 1]), "t.truth.npy", "sidecar has 2 events",
+                 id="short-truth"),
+    pytest.param(np.array([0.4, np.nan, 25.9]), None, "t.npy", "finite", id="nan"),
+    pytest.param(np.array([0.4, np.inf]), None, "t.npy", "finite", id="inf"),
+])
+def test_read_trace_refuses(tmp_path, amps, truth, bad_file, match):
+    np.save(tmp_path / "t.npy", amps, allow_pickle=True)
+    truth_path = None
+    if truth is not None:
+        truth_path = tmp_path / "t.truth.npy"
+        np.save(truth_path, truth)
+    with pytest.raises(tp.SchemaError, match=match) as info:
+        files.read_trace_csv(tmp_path / "t.npy", probe_id=0, truth_path=truth_path)
+    assert f"{tmp_path / bad_file}:" in str(info.value)
+
+
+_FMAX = np.finfo(np.float64).max
+_FLOAT_EDGES = np.array([
+    -0.0, 0.0, 5e-324, -5e-324, np.nextafter(np.finfo(np.float64).tiny, 0.0),
+    _FMAX, -_FMAX, np.nextafter(_FMAX, 0.0),
+])
+
+
+@settings(max_examples=50, deadline=None)
+@given(hnp.arrays(np.float64, st.integers(0, 64),
+                  elements=st.floats(allow_nan=False, allow_infinity=False)))
+@example(_FLOAT_EDGES)
+def test_trace_roundtrip_is_bitwise(amps):
+    with tempfile.TemporaryDirectory() as tmp:
+        files.write_trace_csv(tmp, tp.AmplitudeTrace(probe_id=3, amplitudes_mv=amps))
+        back = files.read_trace_csv(Path(tmp) / files.trace_filename(3), probe_id=3)
+    assert back.amplitudes_mv.dtype == np.float64
+    assert back.amplitudes_mv.tobytes() == amps.tobytes()
 
 
 def test_ensemble_roundtrip(tmp_path):
