@@ -47,9 +47,7 @@ from .photon_stats import (
     Probe,
     ProbeEnsemble,
     binomial_povm,
-    column_fidelity,
     dark_count_povm,
-    distribution_distance,
     geometric_ensemble,
     linear_prediction,
     poisson_pmf,

@@ -3,9 +3,14 @@
 For a coherent probe of mean mu, binomial thinning by a detector of
 efficiency eta gives Poisson(eta * mu) detected counts, and an added
 Poissonian background of mean gamma shifts that to Poisson(eta * mu +
-gamma). The per-probe log likelihood is evaluated through this closed
-form with the cumulative-top-bin convention; the explicit sum over
-photon numbers is kept as a cross-check route.
+gamma) (the linear-detector model). Each probe's outcome probabilities
+follow in closed form, with the last outcome cumulative; the explicit
+sum over photon numbers is kept as a cross-check route.
+
+Both estimators maximize one pooled likelihood over all probes, in eta
+alone or in (eta, gamma), by bounded L-BFGS-B with an analytic gradient.
+Standard errors come from the Fisher information at the optimum, so
+they need the raw event counts of the table.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize, stats
+from scipy.special import gammainc, gammaln, xlogy
 
 from .calibration import CountTable, GaussianMixtureFit, ThresholdSet
 from .errors import EstimationError
@@ -32,19 +38,25 @@ __all__ = [
     "dark_rate_direct",
 ]
 
-_XATOL = 1e-7
 _Z_ONE_SIDED_95 = 1.6448536269514722
+# Smallest Poisson mean the fit evaluates: the search may touch
+# eta = gamma = 0, where log(lam) and the score diverge.
+_LAM_MIN = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
 class EfficiencyEstimate:
-    """Detector parameter estimates with ensemble-spread uncertainties.
+    """Detector parameter estimates with Fisher-information uncertainties.
 
-    ``eta_se`` and ``gamma_se`` are standard errors of the mean across
-    probes; ``None`` when fewer than two probes contributed.
-    ``gamma_upper`` is a one-sided 95 percent upper bound, relevant when
-    the estimate sits at the zero boundary. Skipped probes hold NaN in
-    the per-probe arrays.
+    ``eta_hat`` and ``gamma_hat`` maximize the likelihood pooled over the
+    usable probes. ``eta_se`` and ``gamma_se`` are their standard errors
+    from the inverse Fisher information at that optimum; ``None`` when
+    the table holds probabilities without raw counts, since there is
+    then no sample size. ``gamma_upper`` is a one-sided 95 percent upper
+    bound, relevant when the estimate sits at the zero boundary.
+    ``per_probe_etas`` and ``per_probe_gammas`` are each probe's own
+    maximizer with the other parameter held at its pooled value;
+    skipped probes hold NaN.
     """
 
     eta_hat: float
@@ -74,13 +86,32 @@ class DarkRateEstimate:
     suspect: bool
 
 
-def _model_log_probs(lam: float, n_outcomes: int) -> np.ndarray:
-    """Log outcome probabilities of Poisson(lam) with a cumulative top bin."""
-    ns = np.arange(n_outcomes - 1)
+def _log_probs(lam, n_outcomes: int) -> np.ndarray:
+    """Log outcome probabilities of Poisson(lam) with a cumulative top bin.
+
+    ``lam`` holds one mean per probe; the result has shape
+    ``(n_outcomes, lam.size)``. The top bin is P(X >= N-1) =
+    ``gammainc(N-1, lam)``.
+    """
+    lam = np.atleast_1d(np.asarray(lam, dtype=float))
+    ns = np.arange(n_outcomes - 1.0)[:, None]
     with np.errstate(divide="ignore"):
-        body = stats.poisson.logpmf(ns, lam)
-        top = stats.poisson.logsf(n_outcomes - 2, lam)
-    return np.append(body, top)
+        body = xlogy(ns, lam) - lam - gammaln(ns + 1.0)
+        top = np.log(gammainc(n_outcomes - 1, lam))
+        # Deep in the lower tail gammainc underflows; its leading term,
+        # pmf(N-1), does not.
+        top = np.where(np.isneginf(top), body[-1] + np.log(lam / (n_outcomes - 1)), top)
+    return np.vstack([body, top])
+
+
+def _scores(lam: np.ndarray, log_probs: np.ndarray) -> np.ndarray:
+    """Derivatives in ``lam`` > 0 of :func:`_log_probs`.
+
+    n / lam - 1 in the body; at the top, d gammainc(N-1, lam) / d lam =
+    pmf(N-2), divided by the top probability.
+    """
+    ns = np.arange(log_probs.shape[0] - 1.0)[:, None]
+    return np.vstack([ns / lam - 1.0, np.exp(log_probs[-2] - log_probs[-1])])
 
 
 def _weighted_loglik(weights: np.ndarray, log_probs: np.ndarray) -> float:
@@ -112,7 +143,7 @@ def loglik_eta(eta: float, counts, mu: float) -> float:
         raise ValueError("counts must be a 1-D vector with >= 2 outcomes")
     if c.min() < 0:
         raise ValueError("counts must be >= 0")
-    return _weighted_loglik(c, _model_log_probs(eta * mu, c.size))
+    return _weighted_loglik(c, _log_probs(eta * mu, c.size)[:, 0])
 
 
 def loglik_eta_msum(eta: float, counts, mu: float, truncation: int) -> float:
@@ -143,178 +174,129 @@ def _check_alignment(counts: CountTable, ensemble: ProbeEnsemble):
 
 def _usable_probe(col: np.ndarray, probe) -> bool:
     if col.sum() <= 0:
-        warnings.warn(f"probe {probe.id}: no events, skipped", stacklevel=3)
+        warnings.warn(f"probe {probe.id}: no events, skipped", stacklevel=4)
         return False
     if probe.mean_photons == 0:
         warnings.warn(
             f"probe {probe.id}: mean_photons is 0, carries no efficiency "
             "information, skipped",
-            stacklevel=3,
+            stacklevel=4,
         )
         return False
     return True
 
 
-def _maximize_eta(col, mu, gamma=0.0) -> float:
-    res = optimize.minimize_scalar(
-        lambda e: -_weighted_loglik(col, _model_log_probs(e * mu + gamma, col.size)),
-        bounds=(0.0, 1.0),
-        method="bounded",
-        options={"xatol": _XATOL},
+def _maximize(cols: np.ndarray, design: np.ndarray, lower, upper, x0) -> np.ndarray:
+    """Maximize the pooled log likelihood over theta, with lam = design @ theta.
+
+    ``cols`` holds one probe's outcome weights per column and ``design``
+    one row per probe. The objective is scaled to the mean per event, so
+    the tolerances mean the same for any sample size.
+    """
+    scale = 1.0 / cols.sum()
+
+    def nll(theta):
+        lam = np.maximum(design @ theta, _LAM_MIN)
+        log_probs = _log_probs(lam, cols.shape[0])
+        dlam = (cols * _scores(lam, log_probs)).sum(axis=0)
+        return -scale * float((cols * log_probs).sum()), -scale * (design.T @ dlam)
+
+    res = optimize.minimize(
+        nll, np.clip(x0, lower, upper), jac=True, method="L-BFGS-B",
+        bounds=optimize.Bounds(lower, upper),
+        options={"ftol": 1e-15, "gtol": 1e-11, "maxiter": 1000},
     )
-    return float(res.x)
+    return res.x
 
 
-def _maximize_gamma(col, mu, eta, gamma_max) -> float:
-    if gamma_max == 0:
-        return 0.0
-    res = optimize.minimize_scalar(
-        lambda g: -_weighted_loglik(col, _model_log_probs(eta * mu + g, col.size)),
-        bounds=(0.0, gamma_max),
-        method="bounded",
-        options={"xatol": _XATOL},
+def _fit(counts: CountTable, ensemble: ProbeEnsemble, joint: bool) -> EfficiencyEstimate:
+    """Pooled fit of eta, and of gamma when ``joint``, over the usable probes."""
+    _check_alignment(counts, ensemble)
+    used = []
+    for j, probe in enumerate(ensemble.probes):
+        if _usable_probe(np.asarray(counts.column(j), dtype=float), probe):
+            used.append(j)
+    if not used:
+        raise EstimationError("no usable probes: every column was degenerate")
+    cols = np.column_stack([counts.column(j) for j in used]).astype(float)
+    mus = ensemble.mean_photons[used]
+    if joint and np.unique(mus).size < 2:
+        raise EstimationError(
+            "fitting eta and gamma needs usable probes at two or more distinct "
+            "mean photon numbers; one mu identifies only eta * mu + gamma"
+        )
+    n_outcomes, n_used = cols.shape
+
+    # Each probe's own Poisson mean, started from its censored mean count.
+    lam_j = _maximize(
+        cols, np.eye(n_used), _LAM_MIN, np.inf,
+        np.arange(n_outcomes) @ cols / cols.sum(axis=0),
     )
-    return float(res.x)
+    # The pooled fit starts from the ratio of those means to mu, at gamma = 0.
+    design = np.column_stack([mus, np.ones(n_used)]) if joint else mus[:, None]
+    upper = np.array([1.0, np.inf])[: design.shape[1]]
+    x0 = np.array([lam_j.sum() / mus.sum(), 0.0])[: design.shape[1]]
+    theta = _maximize(cols, design, 0.0, upper, x0)
+    eta_hat = float(theta[0])
+    gamma_hat = float(theta[1]) if joint else 0.0
 
+    lam = np.maximum(design @ theta, _LAM_MIN)
+    log_probs = _log_probs(lam, n_outcomes)
+    eta_se = gamma_se = None
+    if counts.counts is not None:
+        per_event = (np.exp(log_probs) * _scores(lam, log_probs) ** 2).sum(axis=0)
+        info = design.T @ ((cols.sum(axis=0) * per_event)[:, None] * design)
+        se = np.sqrt(np.diag(np.linalg.inv(info)))
+        eta_se = float(se[0])
+        gamma_se = float(se[1]) if joint else None
 
-def _spread(values: np.ndarray) -> float | None:
-    if values.size < 2:
-        return None
-    return float(values.std(ddof=1) / math.sqrt(values.size))
+    etas = np.full(counts.n_probes, np.nan)
+    etas[used] = np.clip((lam_j - gamma_hat) / mus, 0.0, 1.0)
+    gammas = np.full(counts.n_probes, np.nan)
+    gammas[used] = np.maximum(lam_j - eta_hat * mus, 0.0)
+    return EfficiencyEstimate(
+        eta_hat=eta_hat,
+        eta_se=eta_se,
+        per_probe_etas=etas,
+        loglik=_weighted_loglik(cols, log_probs),
+        gamma_hat=gamma_hat if joint else None,
+        gamma_se=gamma_se,
+        gamma_upper=None if gamma_se is None else gamma_hat + _Z_ONE_SIDED_95 * gamma_se,
+        per_probe_gammas=gammas if joint else None,
+    )
 
 
 def estimate_eta(counts: CountTable, ensemble: ProbeEnsemble) -> EfficiencyEstimate:
-    """Estimate the efficiency by per-probe ML, averaged over the ensemble.
+    """Estimate the efficiency by maximum likelihood pooled over the probes.
 
-    Each probe's likelihood is maximized over eta in [0, 1] by bounded
-    scalar search (golden section with parabolic refinement, tolerance
-    1e-7); the estimate is the mean of the per-probe maximizers and the
-    uncertainty their ensemble spread. Degenerate probes (no events, or
-    mu of zero) are skipped with a warning.
+    The dark-count rate is pinned at zero, so each probe's counts are
+    Poisson(eta * mu) with a cumulative top bin. ``eta_se`` comes from
+    the Fisher information; ``per_probe_etas`` are the single-probe
+    maximizers. Degenerate probes (no events, or mu of zero) are skipped
+    with a warning.
 
     Raises:
         EstimationError: Every probe was degenerate.
     """
-    _check_alignment(counts, ensemble)
-    etas = np.full(counts.n_probes, np.nan)
-    for j, probe in enumerate(ensemble.probes):
-        col = np.asarray(counts.column(j), dtype=float)
-        if not _usable_probe(col, probe):
-            continue
-        etas[j] = _maximize_eta(col, probe.mean_photons)
-    valid = np.isfinite(etas)
-    if not valid.any():
-        raise EstimationError("no usable probes: every column was degenerate")
-    used = etas[valid]
-    eta_hat = float(used.mean())
-    loglik = sum(
-        loglik_eta(eta_hat, counts.column(j), ensemble.probes[j].mean_photons)
-        for j in np.nonzero(valid)[0]
-    )
-    return EfficiencyEstimate(
-        eta_hat=eta_hat,
-        eta_se=_spread(used),
-        per_probe_etas=etas,
-        loglik=float(loglik),
-    )
+    return _fit(counts, ensemble, joint=False)
 
 
-def estimate_eta_gamma(
-    counts: CountTable,
-    ensemble: ProbeEnsemble,
-    gamma_max: float = 5.0,
-) -> EfficiencyEstimate:
+def estimate_eta_gamma(counts: CountTable, ensemble: ProbeEnsemble) -> EfficiencyEstimate:
     """Jointly estimate efficiency and dark-count rate.
 
     A single probe cannot separate eta from gamma (only eta * mu + gamma
-    enters its distribution), so the point of attack is the pooled
-    likelihood over all probes: alternating bounded 1-D maximizations in
-    eta and gamma to tolerance 1e-7, then a Nelder-Mead polish. Per-probe
-    spreads are taken conditionally at the pooled optimum, mirroring the
-    ensemble-spread convention of :func:`estimate_eta`; with ``gamma_max
-    == 0`` that reduces exactly to :func:`estimate_eta`.
+    enters its distribution), so both come from the likelihood pooled
+    over all probes, with eta in [0, 1] and gamma >= 0. Standard errors
+    come from the 2x2 Fisher information at the optimum, also when gamma
+    sits at its zero bound. ``per_probe_etas`` maximize each probe's
+    likelihood at the pooled gamma, ``per_probe_gammas`` at the pooled
+    eta.
+
+    Raises:
+        EstimationError: Every probe was degenerate, or the usable probes
+            share a single mean photon number.
     """
-    if gamma_max < 0:
-        raise ValueError("gamma_max must be >= 0")
-    _check_alignment(counts, ensemble)
-    cols, mus, idx = [], [], []
-    for j, probe in enumerate(ensemble.probes):
-        col = np.asarray(counts.column(j), dtype=float)
-        if _usable_probe(col, probe):
-            cols.append(col)
-            mus.append(probe.mean_photons)
-            idx.append(j)
-    if not cols:
-        raise EstimationError("no usable probes: every column was degenerate")
-
-    def pooled_nll(eta, gamma):
-        return -sum(
-            _weighted_loglik(c, _model_log_probs(eta * m + gamma, c.size))
-            for c, m in zip(cols, mus)
-        )
-
-    def argmin_eta(gamma):
-        res = optimize.minimize_scalar(
-            lambda e: pooled_nll(e, gamma),
-            bounds=(0.0, 1.0),
-            method="bounded",
-            options={"xatol": _XATOL},
-        )
-        return float(res.x)
-
-    def argmin_gamma(eta):
-        if gamma_max == 0:
-            return 0.0
-        res = optimize.minimize_scalar(
-            lambda g: pooled_nll(eta, g),
-            bounds=(0.0, gamma_max),
-            method="bounded",
-            options={"xatol": _XATOL},
-        )
-        return float(res.x)
-
-    gamma_star = 0.0
-    eta_star = argmin_eta(gamma_star)
-    for _ in range(200):
-        eta_prev, gamma_prev = eta_star, gamma_star
-        gamma_star = argmin_gamma(eta_star)
-        eta_star = argmin_eta(gamma_star)
-        if abs(eta_star - eta_prev) < _XATOL and abs(gamma_star - gamma_prev) < _XATOL:
-            break
-    if gamma_max > 0:
-        polish = optimize.minimize(
-            lambda x: pooled_nll(x[0], x[1]),
-            x0=[eta_star, gamma_star],
-            method="Nelder-Mead",
-            bounds=[(0.0, 1.0), (0.0, gamma_max)],
-            options={"xatol": 1e-9, "fatol": 1e-12, "maxiter": 4000},
-        )
-        if polish.fun <= pooled_nll(eta_star, gamma_star):
-            eta_star, gamma_star = float(polish.x[0]), float(polish.x[1])
-
-    etas = np.full(counts.n_probes, np.nan)
-    gammas = np.full(counts.n_probes, np.nan)
-    for c, m, j in zip(cols, mus, idx):
-        etas[j] = _maximize_eta(c, m, gamma=gamma_star)
-        gammas[j] = _maximize_gamma(c, m, eta_star, gamma_max)
-    used_e = etas[np.isfinite(etas)]
-    used_g = gammas[np.isfinite(gammas)]
-    eta_hat = float(used_e.mean())
-    gamma_hat = float(used_g.mean())
-    gamma_se = _spread(used_g)
-    gamma_upper = (
-        gamma_hat + _Z_ONE_SIDED_95 * gamma_se if gamma_se is not None else None
-    )
-    return EfficiencyEstimate(
-        eta_hat=eta_hat,
-        eta_se=_spread(used_e),
-        per_probe_etas=etas,
-        loglik=float(-pooled_nll(eta_hat, gamma_hat)),
-        gamma_hat=gamma_hat,
-        gamma_se=gamma_se,
-        gamma_upper=gamma_upper,
-        per_probe_gammas=gammas,
-    )
+    return _fit(counts, ensemble, joint=True)
 
 
 def dark_rate_direct(

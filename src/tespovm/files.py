@@ -1,15 +1,17 @@
 """On-disk formats for the batch pipeline.
 
 Traces are NumPy ``.npy`` files: float64 amplitudes in mV, with ground
-truth in an int64 ``.truth.npy`` sidecar; any NumPy reads them with
-``np.load``. Count tables, POVM matrices, estimates and reports are JSON
-with explicit dimensions and row-major nested arrays. Every artifact
+truth in a ``.truth.npy`` sidecar of the smallest unsigned integer type
+that holds its largest count; any NumPy reads them with ``np.load``.
+Count tables, POVM matrices, estimates and reports are JSON with
+explicit dimensions and row-major nested arrays. Every artifact
 embeds the hash of the producing config so stages refuse to mix runs.
 All writers are deterministic: sorted keys, no timestamps, exact floats.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -25,19 +27,19 @@ from .tomography import ReconstructionConfig, ReconstructionResult
 TRACE_PREFIX = "trace_probe_"
 
 
+def _field_defaults(cls, skip=()) -> dict:
+    return {f.name: f.default for f in dataclasses.fields(cls) if f.name not in skip}
+
+
 def default_config() -> dict:
-    """Pipeline defaults: the 20-probe geometric ensemble on a 13 mV grid."""
+    """Pipeline defaults: the 20-probe geometric ensemble on a 13 mV grid.
+
+    The detector and reconstruction sections are the field defaults of
+    :class:`DetectorPhysicalConfig` and :class:`ReconstructionConfig`.
+    """
     ensemble = geometric_ensemble()
     return {
-        "detector": {
-            "eta": 0.051,
-            "gamma": 0.0,
-            "baseline_mv": 0.0,
-            "peak_spacing_mv": 13.0,
-            "sigma0_mv": 2.0,
-            "sigma_slope_mv": 0.0,
-            "saturation_count": None,
-        },
+        "detector": _field_defaults(DetectorPhysicalConfig),
         "probes": [
             {
                 "id": p.id,
@@ -48,13 +50,7 @@ def default_config() -> dict:
             for p in ensemble.probes
         ],
         "calibration": {"bin_width_mv": 1.3, "max_peaks": 16},
-        "reconstruction": {
-            "truncation": 140,
-            "n_outcomes": 12,
-            "reg_weight": 1e-8,
-            "max_iters": 200_000,
-            "tol": 1e-10,
-        },
+        "reconstruction": _field_defaults(ReconstructionConfig, skip=("init_eta",)),
     }
 
 
@@ -133,17 +129,16 @@ def validate_config(config: dict):
             raise SchemaError(f"config: '{section}' must be an object")
 
 
+def _known_fields(cls, section: dict) -> dict:
+    names = {f.name for f in dataclasses.fields(cls)}
+    return {k: v for k, v in section.items() if k in names}
+
+
 def config_detector(config: dict) -> DetectorPhysicalConfig:
-    section = config.get("detector", {})
+    """The detector section; absent fields take the dataclass defaults."""
     try:
         return DetectorPhysicalConfig(
-            eta=section.get("eta", 0.051),
-            gamma=section.get("gamma", 0.0),
-            baseline_mv=section.get("baseline_mv", 0.0),
-            peak_spacing_mv=section.get("peak_spacing_mv", 13.0),
-            sigma0_mv=section.get("sigma0_mv", 2.0),
-            sigma_slope_mv=section.get("sigma_slope_mv", 0.0),
-            saturation_count=section.get("saturation_count"),
+            **_known_fields(DetectorPhysicalConfig, config.get("detector", {}))
         )
     except ValueError as exc:
         raise SchemaError(f"config: detector: {exc}") from exc
@@ -173,9 +168,8 @@ def config_ensemble(config: dict) -> ProbeEnsemble:
 def config_reconstruction(config: dict, **overrides) -> ReconstructionConfig:
     section = dict(config.get("reconstruction", {}))
     section.update({k: v for k, v in overrides.items() if v is not None})
-    known = {"truncation", "n_outcomes", "reg_weight", "max_iters", "tol", "init_eta"}
     try:
-        return ReconstructionConfig(**{k: v for k, v in section.items() if k in known})
+        return ReconstructionConfig(**_known_fields(ReconstructionConfig, section))
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"config: reconstruction: {exc}") from exc
 
@@ -208,15 +202,18 @@ def write_trace_csv(directory, trace: AmplitudeTrace):
     """Write ``trace`` into ``directory`` as ``.npy`` files.
 
     Amplitudes go to :func:`trace_filename` as float64 and the truth, when
-    present, to :func:`truth_filename` as int64 (the dtypes
-    :class:`AmplitudeTrace` holds). The name predates the ``.npy`` format
-    and is kept for callers that wrap it.
+    present, to :func:`truth_filename` in the smallest unsigned integer
+    type that holds its largest count (uint8 on the default design);
+    :class:`AmplitudeTrace` widens it back to int64 on reading. The name
+    predates the ``.npy`` format and is kept for callers that wrap it.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     np.save(directory / trace_filename(trace.probe_id), trace.amplitudes_mv)
-    if trace.truth_counts is not None:
-        np.save(directory / truth_filename(trace.probe_id), trace.truth_counts)
+    truth = trace.truth_counts
+    if truth is not None:
+        dtype = np.min_scalar_type(truth.max(initial=0))
+        np.save(directory / truth_filename(trace.probe_id), truth.astype(dtype))
 
 
 def _read_npy_column(path, kinds: str, what: str) -> np.ndarray:
@@ -383,7 +380,6 @@ def write_povm(path, result: ReconstructionResult, cfg: ReconstructionConfig,
             "config_hash": cfg_hash,
             "n_outcomes": result.povm.n_outcomes,
             "truncation": result.povm.truncation,
-            "last_outcome_cumulative": result.povm.last_outcome_cumulative,
             "entries": result.povm.entries,
             "reg_weight": cfg.reg_weight,
             "init_eta": cfg.init_eta,
@@ -404,10 +400,7 @@ def read_povm(path) -> tuple[PovmMatrix, str]:
     cfg_hash = _require(payload, "config_hash", str(path))
     entries = np.asarray(_require(payload, "entries", str(path)), dtype=float)
     try:
-        povm = PovmMatrix(
-            entries,
-            last_outcome_cumulative=payload.get("last_outcome_cumulative", True),
-        )
+        povm = PovmMatrix(entries)
     except ValueError as exc:
         raise SchemaError(f"{path}: {exc}") from exc
     return povm, cfg_hash

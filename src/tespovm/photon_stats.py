@@ -30,7 +30,6 @@ __all__ = [
     "PovmMatrix",
     "LinearDetectorModel",
     "CountDistribution",
-    "DistributionDistance",
     "geometric_ensemble",
     "poisson_pmf",
     "probe_q_matrix",
@@ -38,8 +37,6 @@ __all__ = [
     "dark_count_povm",
     "predict_distribution",
     "linear_prediction",
-    "column_fidelity",
-    "distribution_distance",
 ]
 
 # Columns of a POVM matrix and probability vectors must sum to one
@@ -196,13 +193,11 @@ class PovmMatrix:
     Attributes:
         entries: Array of shape ``(n_outcomes, truncation)``; entry
             ``[n, m]`` is P(report n | m photons). Nonnegative, each
-            column sums to one within ``COLUMN_SUM_TOL``.
-        last_outcome_cumulative: Whether the last row absorbs all
-            outcomes ``n >= n_outcomes - 1``.
+            column sums to one within ``COLUMN_SUM_TOL``. The last row
+            absorbs all outcomes ``n >= n_outcomes - 1``.
     """
 
     entries: np.ndarray
-    last_outcome_cumulative: bool = True
 
     def __post_init__(self):
         arr = np.asarray(self.entries, dtype=float)
@@ -264,15 +259,6 @@ class CountDistribution:
     @property
     def n_outcomes(self) -> int:
         return self.probs.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
-class DistributionDistance:
-    """Elementwise and summary distances between two outcome distributions."""
-
-    abs_diff: np.ndarray
-    max_abs: float
-    total_variation: float
 
 
 def poisson_pmf(mu: float, m) -> float | np.ndarray:
@@ -437,42 +423,3 @@ def linear_prediction(eta: float, mu: float, n_outcomes: int) -> CountDistributi
     body = poisson_pmf(eta * mu, np.arange(n_outcomes - 1))
     top = max(1.0 - float(body.sum()), 0.0)
     return CountDistribution(np.append(body, top))
-
-
-def _as_probs(dist) -> np.ndarray:
-    if isinstance(dist, CountDistribution):
-        return dist.probs
-    return np.asarray(dist, dtype=float)
-
-
-def column_fidelity(a: PovmMatrix, b: PovmMatrix, m: int) -> float:
-    """Bhattacharyya fidelity between column ``m`` of two POVM matrices.
-
-    F = sum_n sqrt(a[n, m] * b[n, m]); equals 1 iff the columns agree.
-    """
-    if a.entries.shape != b.entries.shape:
-        raise ValueError(
-            f"shape mismatch: {a.entries.shape} vs {b.entries.shape}"
-        )
-    if not (0 <= m < a.truncation):
-        raise ValueError(f"column {m} out of range for truncation {a.truncation}")
-    f = float(np.sqrt(a.column(m) * b.column(m)).sum())
-    return min(f, 1.0)
-
-
-def distribution_distance(p, q) -> DistributionDistance:
-    """Elementwise absolute difference plus max and total-variation summaries.
-
-    Accepts ``CountDistribution`` objects or plain probability arrays of
-    equal length. Total variation is half the L1 distance.
-    """
-    pa = _as_probs(p)
-    qa = _as_probs(q)
-    if pa.shape != qa.shape:
-        raise ValueError(f"shape mismatch: {pa.shape} vs {qa.shape}")
-    diff = np.abs(pa - qa)
-    return DistributionDistance(
-        abs_diff=diff,
-        max_abs=float(diff.max()),
-        total_variation=float(0.5 * diff.sum()),
-    )

@@ -6,6 +6,7 @@ import shutil
 import numpy as np
 import pytest
 
+import tespovm as tp
 from tespovm import files
 from tespovm.cli import main
 
@@ -146,6 +147,20 @@ def test_estimate_dark_counts_flag(pipeline, tmp_path):
     assert payload["method"] == "eta_gamma"
     assert payload["gamma_hat"] >= 0.0
     assert payload["gamma_upper"] >= payload["gamma_hat"]
+
+
+def test_estimate_dark_counts_single_mu_exits_3(tmp_path, capsys):
+    # One mean photon number identifies only eta * mu + gamma.
+    ens = tp.ProbeEnsemble(tuple(tp.Probe(id=i, mean_photons=8.0) for i in range(2)))
+    table = tp.CountTable.from_counts(np.array([[50, 40], [30, 35], [20, 25]]),
+                                      probe_ids=ens.ids)
+    files.write_count_table(tmp_path / "counts.json", table, "h", "threshold")
+    files.write_ensemble(tmp_path / "ensemble.json", ens, "h")
+    argv = ["estimate", "--counts", str(tmp_path / "counts.json"),
+            "--ensemble", str(tmp_path / "ensemble.json"), "--out", str(tmp_path)]
+    assert main(argv + ["--dark-counts"]) == 3
+    assert "distinct mean photon numbers" in capsys.readouterr().err
+    assert main(argv) == 0
 
 
 def test_missing_counts_exits_2(pipeline, tmp_path, capsys):

@@ -59,7 +59,7 @@ def test_estimate_eta_exact_probs():
     est = tp.estimate_eta(table, ens)
     assert np.abs(est.per_probe_etas - 0.051).max() < 1e-5
     assert abs(est.eta_hat - 0.051) < 1e-5
-    assert est.eta_se < 1e-5
+    assert est.eta_se is None  # probabilities only: no sample size
     assert est.loglik < 0.0
     assert est.gamma_hat is None
 
@@ -79,15 +79,17 @@ def test_estimate_eta_noisy_recovery():
 
 
 def test_estimate_eta_gamma_zero_bound_reduces_to_plain():
+    """On dark-count-free data the joint fit sits at gamma = 0 and agrees
+    with the plain fit."""
     ens = tp.geometric_ensemble(n_probes=4, mu_min=5.0, mu_max=40.0)
     cols = [_poisson_column(0.051 * p.mean_photons, 12) for p in ens.probes]
     table = tp.CountTable.from_probs(np.column_stack(cols), probe_ids=ens.ids)
     plain = tp.estimate_eta(table, ens)
-    joint = tp.estimate_eta_gamma(table, ens, gamma_max=0.0)
-    assert math.isclose(joint.eta_hat, plain.eta_hat, rel_tol=1e-10)
-    assert joint.gamma_hat == 0.0
-    assert joint.gamma_upper == 0.0
-    assert np.array_equal(joint.per_probe_gammas, np.zeros(4))
+    joint = tp.estimate_eta_gamma(table, ens)
+    assert abs(joint.eta_hat - plain.eta_hat) < 1e-7
+    assert joint.gamma_hat < 1e-6
+    assert np.abs(joint.per_probe_gammas).max() < 1e-6
+    assert np.abs(joint.per_probe_etas - plain.per_probe_etas).max() < 1e-6
 
 
 def test_estimate_eta_gamma_joint_recovery():
@@ -101,16 +103,102 @@ def test_estimate_eta_gamma_joint_recovery():
     est = tp.estimate_eta_gamma(table, ens)
     assert abs(est.eta_hat - 0.05) < 1e-4
     assert abs(est.gamma_hat - 0.3) < 1e-3
-    assert est.gamma_upper >= est.gamma_hat
-    assert est.per_probe_gammas.shape == (5,)
+    assert est.gamma_se is None and est.gamma_upper is None  # no sample size
+    assert np.abs(est.per_probe_gammas - 0.3).max() < 1e-3
+    assert np.abs(est.per_probe_etas - 0.05).max() < 1e-4
 
 
 def test_estimate_eta_gamma_validation():
+    """One mean photon number identifies only eta * mu + gamma."""
+    same_mu = tp.ProbeEnsemble(
+        tuple(tp.Probe(id=i, mean_photons=8.0) for i in range(3))
+    )
+    cols = [_poisson_column(0.1 * 8.0, 6)] * 3
+    table = tp.CountTable.from_probs(np.column_stack(cols), probe_ids=same_mu.ids)
+    with pytest.raises(tp.EstimationError, match="distinct"):
+        tp.estimate_eta_gamma(table, same_mu)
+    assert abs(tp.estimate_eta(table, same_mu).eta_hat - 0.1) < 1e-6
+    # A second mu only on a probe with no events does not help either.
     ens = tp.geometric_ensemble(n_probes=2, mu_min=2.0, mu_max=8.0)
-    cols = [_poisson_column(0.1 * p.mean_photons, 6) for p in ens.probes]
-    table = tp.CountTable.from_probs(np.column_stack(cols), probe_ids=ens.ids)
-    with pytest.raises(ValueError):
-        tp.estimate_eta_gamma(table, ens, gamma_max=-1.0)
+    counts = np.column_stack([np.zeros(6, dtype=np.int64),
+                              np.array([5, 3, 1, 1, 0, 0])])
+    table = tp.CountTable(np.column_stack([np.eye(6)[0], counts[:, 1] / 10]),
+                          counts=counts, probe_ids=ens.ids)
+    with pytest.warns(UserWarning, match="no events"):
+        with pytest.raises(tp.EstimationError, match="distinct"):
+            tp.estimate_eta_gamma(table, ens)
+
+
+def _model_draws(eta, gamma, n_draws, seed):
+    """Count tables drawn straight from the linear model on the default design."""
+    ens = tp.geometric_ensemble()
+    probs = np.column_stack(
+        [_poisson_column(eta * p.mean_photons + gamma, 12) for p in ens.probes]
+    )
+    rng = np.random.default_rng(seed)
+    for _ in range(n_draws):
+        counts = rng.multinomial(100_000, probs.T).T
+        yield ens, tp.CountTable.from_counts(counts, probe_ids=ens.ids)
+
+
+def _rms(z):
+    return float(np.sqrt(np.mean(np.square(z))))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_joint_standard_errors_cover_over_model_draws():
+    """z-scores of eta_hat and gamma_hat have unit spread over 200 draws."""
+    z_eta, z_gamma = [], []
+    for ens, table in _model_draws(0.051, 0.2, 200, seed=2024):
+        est = tp.estimate_eta_gamma(table, ens)
+        assert est.gamma_upper >= est.gamma_hat
+        z_eta.append((est.eta_hat - 0.051) / est.eta_se)
+        z_gamma.append((est.gamma_hat - 0.2) / est.gamma_se)
+    assert 0.85 <= _rms(z_eta) <= 1.15
+    assert 0.85 <= _rms(z_gamma) <= 1.15
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_dark_count_free_draws_rarely_detect_dark_counts():
+    """At gamma = 0 the one-sided 95 percent test fires in at most 10 percent
+    of the draws, and the plain fit's z-scores have unit spread."""
+    false_detections, z_eta = 0, []
+    for ens, table in _model_draws(0.051, 0.0, 200, seed=7):
+        joint = tp.estimate_eta_gamma(table, ens)
+        false_detections += joint.gamma_hat - 1.645 * joint.gamma_se > 0
+        plain = tp.estimate_eta(table, ens)
+        z_eta.append((plain.eta_hat - 0.051) / plain.eta_se)
+    assert false_detections <= 20
+    assert 0.85 <= _rms(z_eta) <= 1.15
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_fit_survives_underflowing_top_bin():
+    """With 40 outcomes, P(X >= 39) underflows near lam = 0, where the
+    search for the dim probes' means goes; the errors stay finite."""
+    ens = tp.ProbeEnsemble(tuple(
+        tp.Probe(id=i, mean_photons=m) for i, m in enumerate((1e-6, 2e-6, 1.0))
+    ))
+    counts = np.zeros((40, 3), dtype=np.int64)
+    counts[0] = (10_000, 10_000, 9_500)
+    counts[1:3, 2] = (480, 20)
+    table = tp.CountTable.from_counts(counts, probe_ids=ens.ids)
+    joint = tp.estimate_eta_gamma(table, ens)
+    plain = tp.estimate_eta(table, ens)
+    assert np.isfinite([joint.eta_se, joint.gamma_se, plain.eta_se]).all()
+    assert abs(plain.eta_hat - 0.052) < 0.005
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_fit_search_through_zero_rate_stays_finite():
+    """Tables whose search passes eta = gamma = 0, where lam = 0."""
+    ens = tp.ProbeEnsemble((tp.Probe(id=0, mean_photons=32.363),
+                            tp.Probe(id=1, mean_photons=33.535)))
+    table = tp.CountTable.from_counts(np.array([[258, 615], [49, 0], [0, 19]]),
+                                      probe_ids=ens.ids)
+    joint = tp.estimate_eta_gamma(table, ens)
+    plain = tp.estimate_eta(table, ens)
+    assert np.isfinite([joint.loglik, joint.gamma_se, plain.loglik, plain.eta_se]).all()
 
 
 def test_estimate_eta_skips_degenerate_probes():

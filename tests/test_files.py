@@ -51,6 +51,11 @@ def test_default_config_sections():
     assert calib == {"bin_width_mv": 1.3, "max_peaks": 16}
 
 
+def test_default_config_hash_is_pinned():
+    # Artifact lineage depends on this value; a default that drifts changes it.
+    assert files.config_hash(files.default_config()) == "1f7fcd1113052a69"
+
+
 def test_config_reconstruction_overrides():
     cfg = files.config_reconstruction({}, truncation=50, n_outcomes=8, reg_weight=1e-6)
     assert (cfg.truncation, cfg.n_outcomes, cfg.reg_weight) == (50, 8, 1e-6)
@@ -71,7 +76,8 @@ def test_trace_csv_roundtrip(tmp_path):
     # Plain NumPy reads the files without the package.
     amps = np.load(tmp_path / files.trace_filename(7), allow_pickle=False)
     truth = np.load(tmp_path / files.truth_filename(7), allow_pickle=False)
-    assert (amps.dtype, truth.dtype) == (np.float64, np.int64)
+    # The truth sidecar takes the smallest type that holds its largest count.
+    assert (amps.dtype, truth.dtype) == (np.float64, np.uint8)
     back = files.read_trace_csv(
         tmp_path / files.trace_filename(7), probe_id=7,
         truth_path=tmp_path / files.truth_filename(7),
@@ -82,6 +88,23 @@ def test_trace_csv_roundtrip(tmp_path):
     # Without the sidecar the truth is simply absent.
     bare = files.read_trace_csv(tmp_path / files.trace_filename(7), probe_id=7)
     assert bare.truth_counts is None
+
+
+@pytest.mark.parametrize("truth, dtype", [
+    pytest.param(np.array([0, 20, 3]), np.uint8, id="uint8"),
+    pytest.param(np.array([0, 255, 256]), np.uint16, id="uint16"),
+    pytest.param(np.array([], dtype=np.int64), np.uint8, id="empty"),
+])
+def test_truth_sidecar_roundtrip(tmp_path, truth, dtype):
+    trace = tp.AmplitudeTrace(probe_id=2, amplitudes_mv=np.zeros(truth.size),
+                              truth_counts=truth)
+    files.write_trace_csv(tmp_path, trace)
+    path = tmp_path / files.truth_filename(2)
+    assert np.load(path, allow_pickle=False).dtype == dtype
+    back = files.read_trace_csv(tmp_path / files.trace_filename(2), probe_id=2,
+                                truth_path=path)
+    assert back.truth_counts.dtype == np.int64
+    assert np.array_equal(back.truth_counts, truth)
 
 
 def test_trace_csv_schema_errors(tmp_path):
@@ -191,6 +214,12 @@ def test_povm_roundtrip(tmp_path):
     assert payload["n_iters"] == rec.n_iters
     assert payload["reg_weight"] == cfg.reg_weight
     assert payload["noise_floor"] is None
+    assert "last_outcome_cumulative" not in payload
+    # Older files carry the key; the reader ignores it.
+    payload["last_outcome_cumulative"] = True
+    files.write_json(tmp_path / "old.json", payload)
+    old, _ = files.read_povm(tmp_path / "old.json")
+    assert np.array_equal(old.entries, rec.povm.entries)
 
 
 def test_read_povm_rejects_bad_columns(tmp_path):

@@ -42,6 +42,9 @@ def test_fidelity_curve_detects_disagreement():
     assert curve.values[0] == pytest.approx(1.0)
     assert np.all(curve.values[1:] < 1.0)
     assert np.all(np.diff(curve.values[1:12]) < 0)
+    # Orthogonal columns: a perfect and a blind detector at m = 1.
+    perfect, blind = tp.binomial_povm(1.0, 12, 40), tp.binomial_povm(0.0, 12, 40)
+    assert tp.fidelity_curve(perfect, blind).values[1] == 0.0
 
 
 def test_fidelity_curve_shape_mismatch():

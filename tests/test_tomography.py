@@ -106,8 +106,7 @@ def test_reconstruct_exact_data_well_conditioned():
     assert rec.data_term < 1e-12
     assert rec.noise_floor is None
     assert np.abs(rec.povm.entries - truth.entries).max() < 1e-5
-    fids = [tp.column_fidelity(rec.povm, truth, m) for m in range(4)]
-    assert min(fids) > 0.9999
+    assert tp.fidelity_curve(rec.povm, truth).values[:4].min() > 0.9999
     # Objective is monotone under the Lipschitz step.
     assert np.all(np.diff(rec.objective_history) <= 1e-15)
 
