@@ -13,6 +13,7 @@ from .calibration import (
     ThresholdSet,
     bin_counts,
     bin_counts_by_area,
+    check_peak_labels,
     fit_peaks,
     place_thresholds,
 )

@@ -1,10 +1,16 @@
-"""Pulse-height calibration: peak fitting, thresholds, count binning.
+"""Pulse-height calibration: comb fitting, thresholds, count binning.
 
-A raw amplitude trace is histogrammed, a sum of Gaussians is fitted to
-the peak structure, decision thresholds are placed at the density minima
-between adjacent peaks, and events are binned into photon-count classes.
-The leftmost fitted peak is taken to be the zero-detection peak, so
-component index equals detected count.
+A TES puts the pulse height of ``k`` detected photons at ``baseline + k *
+spacing`` with a width ``sigma0 + k * sigma_slope``. A raw amplitude trace
+is histogrammed and that four-parameter Gaussian comb is fitted to it,
+with one nonnegative weight (expected events) per tooth. Component index
+is tooth index, counted from the lowest tooth that holds events, so it
+equals detected count when that tooth is the zero peak. Calibration
+fails loudly instead of mislabelling: a fit that does not describe its
+histogram raises, and :func:`check_peak_labels` flags the probes of a
+run whose teeth stray from the run's common scale. Events are binned
+into count classes either by thresholds at the density minima between
+adjacent teeth or by the tooth weights.
 """
 
 from __future__ import annotations
@@ -14,14 +20,17 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, signal
+from scipy import optimize, signal, special
 
 from .errors import CalibrationError, FitError
 from .photon_stats import COLUMN_SUM_TOL
 from .tes_sim import AmplitudeTrace
 
 __all__ = [
+    "DEFAULT_BIN_WIDTH_MV",
+    "DEFAULT_MAX_PEAKS",
     "MIN_EVENTS",
+    "MAX_GOODNESS",
     "WEIGHT_FLOOR_EVENTS",
     "GaussianComponent",
     "GaussianMixtureFit",
@@ -31,17 +40,29 @@ __all__ = [
     "place_thresholds",
     "bin_counts",
     "bin_counts_by_area",
+    "check_peak_labels",
 ]
 
-# Fewer events than this cannot support a mixture fit.
+# Histogram bin width and the most count classes a fit reports, unless
+# the run's config says otherwise.
+DEFAULT_BIN_WIDTH_MV = 1.3
+DEFAULT_MAX_PEAKS = 16
+
+# Fewer events than this cannot support a comb fit.
 MIN_EVENTS = 100
 
-# Fitted components carrying fewer expected events than this are pruned.
+# Comb teeth below the lowest, or above the highest, tooth carrying this
+# many expected events are dropped.
 WEIGHT_FLOOR_EVENTS = 10.0
 
+# A fit whose reduced chi-square exceeds this does not describe its
+# histogram: its peaks are unresolved or not on one comb.
+MAX_GOODNESS = 3.0
+
 _SQRT2PI = math.sqrt(2.0 * math.pi)
-_PEAK_NOISE_FLOOR = 0.01  # stage-1 height floor, fraction of global max
-_RESCAN_ABS_FLOOR = 3.0   # stage-2 height floor, counts per bin
+_PEAK_SIGMAS = 4.0  # a peak's least prominence, in sqrt(height)
+_ONE_TOOTH_WINDOW = 4.0  # half-width, in tooth widths, of a lone tooth's goodness
+_ZERO_SHARE = 0.1  # least share of a run's zero-peak events at its zero
 
 
 @dataclass(frozen=True)
@@ -57,14 +78,18 @@ class GaussianComponent:
 class GaussianMixtureFit:
     """A multi-Gaussian fit to a binned pulse-height spectrum.
 
-    Components are ordered by strictly increasing mean. ``goodness`` is
-    the reduced chi-square of the Poisson-weighted fit.
+    Components are ordered by strictly increasing mean; component ``i``
+    is the peak of ``i`` detected counts. ``goodness`` is the reduced
+    chi-square of the Poisson-weighted fit. ``spacing_mv`` is the comb
+    spacing of a :func:`fit_peaks` result with two or more teeth, and
+    ``None`` otherwise.
     """
 
     components: tuple[GaussianComponent, ...]
     goodness: float
     bin_width_mv: float
     n_events: int
+    spacing_mv: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "components", tuple(self.components))
@@ -74,12 +99,17 @@ class GaussianMixtureFit:
         if np.any(np.diff(means) <= 0):
             raise ValueError("component means must be strictly increasing")
         for c in self.components:
-            if c.weight <= 0 or c.sigma_mv <= 0:
-                raise ValueError("component weights and sigmas must be positive")
+            if c.weight < 0 or c.sigma_mv <= 0:
+                raise ValueError("component weights must be >= 0 and sigmas positive")
 
     @property
     def means(self) -> np.ndarray:
         return np.array([c.mean_mv for c in self.components])
+
+    @property
+    def baseline_mv(self) -> float:
+        """Position of the zero peak (component 0)."""
+        return self.components[0].mean_mv
 
     @property
     def n_components(self) -> int:
@@ -191,98 +221,32 @@ def _histogram(amps: np.ndarray, bin_width: float):
     return counts.astype(float), centers, edges
 
 
-def _find_peak_bins(counts: np.ndarray, max_peaks: int) -> np.ndarray:
-    """Two-stage peak search on a smoothed histogram.
-
-    Stage 1 finds prominent peaks above a 1 percent noise floor; stage 2
-    rescans with a minimum peak distance inferred from the stage-1
-    spacing and a low absolute floor, which recovers weak outer peaks
-    (the zero peak of a bright probe) without admitting valley noise.
-    """
-    smooth = np.convolve(counts, np.ones(3) / 3.0, mode="same")
-    strong, _ = signal.find_peaks(smooth, height=_PEAK_NOISE_FLOOR * smooth.max())
-    if strong.size == 0:
-        # Degenerate but legal: everything in one bin, or a monotone edge
-        # profile. Fall back to the tallest bin.
-        strong = np.array([int(np.argmax(smooth))])
-    if strong.size >= 2:
-        spacing = float(np.median(np.diff(strong)))
-        distance = max(2, int(round(0.6 * spacing)))
-        floor = max(_RESCAN_ABS_FLOOR, 5e-4 * smooth.max())
-        rescanned, _ = signal.find_peaks(smooth, height=floor, distance=distance)
-        if rescanned.size:
-            strong = rescanned
-    return strong[:max_peaks]
-
-
-def _mixture_counts(params: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    p = params.reshape(-1, 3)
-    z = (centers[None, :] - p[:, 1:2]) / p[:, 2:3]
-    return (p[:, 0:1] * np.exp(-0.5 * z * z)).sum(axis=0)
-
-
-def _fit_mixture(x0, counts, centers, edges, bin_width):
-    inv_err = 1.0 / np.sqrt(np.maximum(counts, 1.0))
-
-    def residuals(params):
-        return (_mixture_counts(params, centers) - counts) * inv_err
-
-    k = len(x0) // 3
-    span = edges[-1] - edges[0]
-    lo = np.tile([0.0, edges[0], bin_width / 4.0], k)
-    hi = np.tile([1.5 * counts.max() + 10.0, edges[-1], span / 2.0], k)
-    x0 = np.clip(x0, lo, hi)
-    res = optimize.least_squares(
-        residuals, x0, bounds=(lo, hi), max_nfev=400 * len(x0)
-    )
-    if res.status == 0:
-        raise FitError(
-            f"peak fit did not converge within the evaluation budget "
-            f"(residual norm {np.linalg.norm(res.fun):.4g})",
-            residual=float(np.linalg.norm(res.fun)),
-        )
-    return res
-
-
-def _components_from_params(params, bin_width) -> list[GaussianComponent]:
-    comps = []
-    for amp, mean, sig in params.reshape(-1, 3):
-        weight = amp * sig * _SQRT2PI / bin_width
-        comps.append(GaussianComponent(float(weight), float(mean), float(sig)))
-    comps.sort(key=lambda c: c.mean_mv)
-    return comps
-
-
-def _prune(comps: list[GaussianComponent], bin_width) -> list[GaussianComponent]:
-    kept = [c for c in comps if c.weight >= WEIGHT_FLOOR_EVENTS]
-    # Collapse collided components onto the heavier one.
-    out: list[GaussianComponent] = []
-    for c in kept:
-        if out and c.mean_mv - out[-1].mean_mv < bin_width:
-            if c.weight > out[-1].weight:
-                out[-1] = c
-        else:
-            out.append(c)
-    return out
-
-
 def fit_peaks(
     trace: AmplitudeTrace,
-    bin_width_mv: float = 1.3,
-    max_peaks: int = 16,
+    bin_width_mv: float = DEFAULT_BIN_WIDTH_MV,
+    max_peaks: int = DEFAULT_MAX_PEAKS,
 ) -> GaussianMixtureFit:
-    """Fit a sum of Gaussians to the pulse-height spectrum of a trace.
+    """Fit a Gaussian comb to the pulse-height spectrum of a trace.
 
-    The amplitude histogram (bin width ``bin_width_mv``) is scanned for
-    peaks, one Gaussian per peak is seeded, and the mixture is fitted by
-    Poisson-weighted least squares. Components carrying fewer than
-    ``WEIGHT_FLOOR_EVENTS`` expected events are pruned and the remainder
-    refitted until stable. At most the ``max_peaks`` leftmost peaks are
-    kept; higher peaks belong to the cumulative top bin anyway.
+    Tooth ``k`` sits at ``baseline + k * spacing`` with width ``sigma0 +
+    k * sigma_slope``. The prominent peaks of the histogram (bin width
+    ``bin_width_mv``) seed the spacing, and the comb reaches left to the
+    data minimum so that a weak zero peak still gets a tooth; it ends at
+    the data maximum. Poisson-weighted least squares moves the four comb
+    parameters; the tooth weights of each trial comb are its
+    nonnegative least-squares solution. Teeth below the lowest and above
+    the highest tooth holding ``WEIGHT_FLOOR_EVENTS`` events are dropped.
+    The lowest kept tooth is component 0; teeth past ``max_peaks`` fold
+    into the last component. Fewer than two prominent peaks give one
+    tooth at the sample median; its goodness counts only the bins within
+    ``_ONE_TOOTH_WINDOW`` widths of it, so an unresolved shoulder raises
+    while a weak peak a spacing away (dark counts in a no-light trace)
+    does not.
 
     Raises:
-        CalibrationError: Fewer than ``MIN_EVENTS`` events, or no usable
-            peak structure.
+        CalibrationError: Fewer than ``MIN_EVENTS`` events, no tooth
+            above the weight floor, or a reduced chi-square above
+            ``MAX_GOODNESS``.
         FitError: The nonlinear fit did not converge.
     """
     amps = np.asarray(trace.amplitudes_mv, dtype=float)
@@ -296,43 +260,117 @@ def fit_peaks(
         raise ValueError("max_peaks must be >= 1")
 
     counts, centers, edges = _histogram(amps, bin_width_mv)
-    peak_bins = _find_peak_bins(counts, max_peaks)
+    inv_err = 1.0 / np.sqrt(np.maximum(counts, 1.0))
+    target = counts * inv_err
+
+    def solve_weights(comb, teeth):
+        """Tooth weights and weighted residuals of one trial comb."""
+        base, spacing, sigma0, sigma_slope = comb
+        z = (edges[:, None] - (base + teeth * spacing)) / (sigma0 + teeth * sigma_slope)
+        design = np.diff(special.ndtr(z), axis=0) * inv_err[:, None]
+        weights, _ = optimize.nnls(design, target)
+        return weights, design @ weights - target
+
     smooth = np.convolve(counts, np.ones(3) / 3.0, mode="same")
-    widths = signal.peak_widths(smooth, peak_bins, rel_height=0.5)[0]
-    sigmas = np.clip(
-        widths * bin_width_mv / 2.355, bin_width_mv / 2.0, (edges[-1] - edges[0]) / 4.0
-    )
-    x0 = np.column_stack(
-        [np.maximum(smooth[peak_bins], 1.0), centers[peak_bins], sigmas]
-    ).ravel()
-
-    res = _fit_mixture(x0, counts, centers, edges, bin_width_mv)
-    comps = _components_from_params(res.x, bin_width_mv)
-    for _ in range(5):
-        pruned = _prune(comps, bin_width_mv)
-        if not pruned:
-            raise CalibrationError("all fitted components fell below the weight floor")
-        if len(pruned) == len(comps):
-            comps = pruned
-            break
-        x0 = np.array(
-            [[c.weight * bin_width_mv / (c.sigma_mv * _SQRT2PI), c.mean_mv, c.sigma_mv]
-             for c in pruned]
-        ).ravel()
-        res = _fit_mixture(x0, counts, centers, edges, bin_width_mv)
-        comps = _components_from_params(res.x, bin_width_mv)
-    comps = _prune(comps, bin_width_mv)
-    if not comps:
-        raise CalibrationError("all fitted components fell below the weight floor")
-
-    dof = max(1, counts.size - 3 * len(comps))
-    goodness = float(2.0 * res.cost / dof)
+    peaks, props = signal.find_peaks(smooth, height=0.0, prominence=0.0)
+    # A bump that rises only a few Poisson deviations above its
+    # surroundings is noise; one in the tail would skew the spacing.
+    peaks = peaks[props["prominences"] >= _PEAK_SIGMAS * np.sqrt(props["peak_heights"])]
+    if peaks.size >= 2:
+        # The median gap is robust to a missed peak; the whole run of
+        # peaks then refines it below the bin width.
+        first, run = centers[peaks[0]], centers[peaks[-1]] - centers[peaks[0]]
+        spacing = run / round(run / float(np.median(np.diff(centers[peaks]))))
+        base = first - math.floor((first - edges[0]) / spacing) * spacing
+        width = signal.peak_widths(smooth, peaks[:1])[0][0] * bin_width_mv / 2.355
+        x0 = [base, spacing, width, 0.0]
+        lo = [base - spacing / 2.0, spacing / 2.0, bin_width_mv / 4.0, 0.0]
+        hi = [base + spacing / 2.0, 1.5 * spacing, spacing, spacing / 2.0]
+        # Teeth centred past the histogram would only soak up tails.
+        teeth = np.arange(math.floor((edges[-1] - base) / spacing) + 1)
+        res = optimize.least_squares(
+            lambda comb: solve_weights(comb, teeth)[1], np.clip(x0, lo, hi), bounds=(lo, hi)
+        )
+        if res.status == 0:
+            norm = float(np.linalg.norm(res.fun))
+            raise FitError(f"comb fit did not converge (residual norm {norm:.4g})", norm)
+        comb, n_params = tuple(res.x), 4
+        window = slice(None)
+    else:
+        # One tooth, placed by the median and the normal-scaled median
+        # absolute deviation, which a few stray events do not drag.
+        median = float(np.median(amps))
+        mad = 1.4826 * float(np.median(np.abs(amps - median)))
+        comb, n_params = (median, 0.0, max(mad, bin_width_mv / 4.0), 0.0), 2
+        teeth = np.zeros(1)
+        window = np.abs(centers - median) <= _ONE_TOOTH_WINDOW * comb[2]
+    weights, resid = solve_weights(comb, teeth)
+    resid = resid[window]
+    goodness = float(resid @ resid) / max(1, resid.size - n_params - teeth.size)
+    if goodness > MAX_GOODNESS:
+        raise CalibrationError(
+            f"comb fit does not describe the histogram: reduced chi-square "
+            f"{goodness:.4g} > {MAX_GOODNESS} (peaks unresolved or off the comb)"
+        )
+    kept = np.nonzero(weights >= WEIGHT_FLOOR_EVENTS)[0]
+    if kept.size == 0:
+        raise CalibrationError("every comb tooth fell below the weight floor")
+    teeth, weights = teeth[kept[0]:kept[-1] + 1], weights[kept[0]:kept[-1] + 1]
+    if teeth.size > max_peaks:
+        weights = np.append(weights[:max_peaks - 1], weights[max_peaks - 1:].sum())
+        teeth = teeth[:max_peaks]
+    base, spacing, sigma0, sigma_slope = comb
     return GaussianMixtureFit(
-        components=tuple(comps),
+        components=tuple(
+            GaussianComponent(float(w), float(base + k * spacing),
+                              float(sigma0 + k * sigma_slope))
+            for w, k in zip(weights, teeth)
+        ),
         goodness=goodness,
         bin_width_mv=float(bin_width_mv),
         n_events=int(amps.size),
+        spacing_mv=float(spacing) if spacing > 0 else None,
     )
+
+
+def check_peak_labels(fits) -> dict[int, CalibrationError]:
+    """Probes whose peak labels disagree with the run's energy scale.
+
+    ``fits`` maps probe id to fit. All probes of a run see one detector,
+    so peak ``i`` belongs near ``zero + i * spacing``, where ``spacing``
+    is the median comb spacing over probes. A true zero peak is the lowest
+    peak a probe can have, while a bright probe whose zero peak fell below
+    the weight floor starts higher, however many such probes there are.
+    So ``zero`` is the median position of the lowest group of zero peaks
+    (within half a spacing) that holds ``_ZERO_SHARE`` of all zero-peak
+    events; a lone light tooth below it, fitted to tail events, is not
+    one. A probe whose lowest or highest peak is more than half a spacing
+    off has mislabelled its peaks and maps to the error saying so. Without
+    any fitted spacing there is no scale, and nothing is flagged.
+    """
+    spacings = [f.spacing_mv for f in fits.values() if f.spacing_mv is not None]
+    if not spacings:
+        return {}
+    spacing = float(np.median(spacings))
+    zeros = np.array([f.baseline_mv for f in fits.values()])
+    weights = np.array([f.components[0].weight for f in fits.values()])
+    for lowest in np.sort(zeros):
+        near = np.abs(zeros - lowest) <= 0.5 * spacing
+        if weights[near].sum() >= _ZERO_SHARE * weights.sum():
+            break
+    zero = float(np.median(zeros[near]))
+    flagged = {}
+    for pid, fit in fits.items():
+        for i in (0, fit.n_components - 1):
+            offset = fit.means[i] - (zero + i * spacing)
+            if abs(offset) > 0.5 * spacing:
+                flagged[pid] = CalibrationError(
+                    f"peak {i} at {fit.means[i]:.3f} mV lies {offset:+.3f} mV (about "
+                    f"{round(offset / spacing):+d} peaks) off the run's scale "
+                    f"{zero:.3f} + {i} x {spacing:.3f} mV"
+                )
+                break
+    return flagged
 
 
 def place_thresholds(fit: GaussianMixtureFit, xatol: float = 1e-3) -> ThresholdSet:

@@ -16,7 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from . import files
-from .calibration import CountTable, bin_counts, bin_counts_by_area, fit_peaks, place_thresholds
+from .calibration import (CountTable, bin_counts, bin_counts_by_area, check_peak_labels,
+                          fit_peaks, place_thresholds)
 from .errors import CalibrationError, EstimationError, LineageError, SchemaError
 from .estimation import estimate_eta, estimate_eta_gamma
 from .metrics import fidelity_curve, sensitivity_sweep, three_way_comparison
@@ -67,7 +68,7 @@ def cmd_calibrate(args) -> int:
     config = manifest["config"]
     cfg_hash = manifest["config_hash"]
     calib = files.config_calibration(config)
-    n_outcomes = config.get("reconstruction", {}).get("n_outcomes", 12)
+    n_outcomes = files.config_reconstruction(config).n_outcomes
     entries = manifest["traces"]
 
     def load_and_fit(entry):
@@ -91,6 +92,10 @@ def cmd_calibrate(args) -> int:
                 results[entry["probe_id"]] = load_and_fit(entry)
             except (CalibrationError, SchemaError) as exc:
                 failures[entry["probe_id"]] = exc
+    fits = {pid: result[0] for pid, result in results.items()}
+    for pid, exc in check_peak_labels(fits).items():
+        del results[pid]
+        failures[pid] = exc
 
     if failures and not args.skip_failed:
         pid, exc = next(iter(failures.items()))

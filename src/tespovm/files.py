@@ -18,7 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .calibration import CountTable, GaussianMixtureFit, ThresholdSet
+from .calibration import (DEFAULT_BIN_WIDTH_MV, DEFAULT_MAX_PEAKS, CountTable,
+                          GaussianMixtureFit, ThresholdSet)
 from .errors import LineageError, SchemaError
 from .photon_stats import Probe, ProbeEnsemble, PovmMatrix, geometric_ensemble
 from .tes_sim import AmplitudeTrace, DetectorPhysicalConfig
@@ -35,7 +36,8 @@ def default_config() -> dict:
     """Pipeline defaults: the 20-probe geometric ensemble on a 13 mV grid.
 
     The detector and reconstruction sections are the field defaults of
-    :class:`DetectorPhysicalConfig` and :class:`ReconstructionConfig`.
+    :class:`DetectorPhysicalConfig` and :class:`ReconstructionConfig`, the
+    calibration section the :func:`~tespovm.calibration.fit_peaks` defaults.
     """
     ensemble = geometric_ensemble()
     return {
@@ -49,7 +51,7 @@ def default_config() -> dict:
             }
             for p in ensemble.probes
         ],
-        "calibration": {"bin_width_mv": 1.3, "max_peaks": 16},
+        "calibration": {"bin_width_mv": DEFAULT_BIN_WIDTH_MV, "max_peaks": DEFAULT_MAX_PEAKS},
         "reconstruction": _field_defaults(ReconstructionConfig, skip=("init_eta",)),
     }
 
@@ -175,11 +177,11 @@ def config_reconstruction(config: dict, **overrides) -> ReconstructionConfig:
 
 
 def config_calibration(config: dict) -> dict:
+    """The calibration section; absent fields take the :func:`fit_peaks` defaults."""
     section = config.get("calibration", {})
-    n_outcomes = config.get("reconstruction", {}).get("n_outcomes", 12)
     out = {
-        "bin_width_mv": float(section.get("bin_width_mv", 1.3)),
-        "max_peaks": int(section.get("max_peaks", n_outcomes + 4)),
+        "bin_width_mv": float(section.get("bin_width_mv", DEFAULT_BIN_WIDTH_MV)),
+        "max_peaks": int(section.get("max_peaks", DEFAULT_MAX_PEAKS)),
     }
     if out["bin_width_mv"] <= 0:
         raise SchemaError("config: calibration: bin_width_mv must be positive")
@@ -431,6 +433,8 @@ def write_fit_report(path, fit: GaussianMixtureFit, thresholds: ThresholdSet | N
             "bin_width_mv": fit.bin_width_mv,
             "n_events": fit.n_events,
             "goodness": fit.goodness,
+            "baseline_mv": fit.baseline_mv,
+            "spacing_mv": fit.spacing_mv,
             "components": [
                 {"weight": c.weight, "mean_mv": c.mean_mv, "sigma_mv": c.sigma_mv}
                 for c in fit.components

@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import linalg
 from scipy.special import gammaln
 
 __all__ = [
@@ -385,11 +386,9 @@ def dark_count_povm(
         raise ValueError("truncation must be >= 1")
     raw = _binomial_rows(model.eta, n_outcomes - 1, truncation)
     w = poisson_pmf(model.gamma, np.arange(n_outcomes - 1))
-    body = np.zeros_like(raw)
-    for n in range(n_outcomes - 1):
-        for j in range(n + 1):
-            body[n] += w[j] * raw[n - j]
-    return PovmMatrix(_with_cumulative_top(body))
+    # Lower-triangular Toeplitz matrix: row n holds w[n], w[n-1], ..., w[0].
+    dark = linalg.toeplitz(w, np.zeros_like(w))
+    return PovmMatrix(_with_cumulative_top(dark @ raw))
 
 
 def predict_distribution(povm: PovmMatrix, mu: float) -> CountDistribution:

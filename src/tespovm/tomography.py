@@ -108,25 +108,22 @@ class ReconstructionResult:
 def project_simplex(v) -> np.ndarray:
     """Euclidean projection of a vector onto the probability simplex.
 
-    Standard sorted-threshold algorithm: the projection is
-    ``max(v - theta, 0)`` with ``theta`` chosen so the result sums to
-    one.
+    The one-column case of :func:`_project_columns`.
     """
     v = np.asarray(v, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise ValueError("v must be a nonempty 1-D vector")
     if not np.isfinite(v).all():
         raise ValueError("v must be finite")
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u)
-    ks = np.arange(1, v.size + 1)
-    k = int(np.count_nonzero(u - (css - 1.0) / ks > 0))
-    theta = (css[k - 1] - 1.0) / k
-    return np.maximum(v - theta, 0.0)
+    return _project_columns(v[:, None])[:, 0]
 
 
 def _project_columns(mat: np.ndarray) -> np.ndarray:
-    """Project every column of ``mat`` onto the probability simplex."""
+    """Project every column of ``mat`` onto the probability simplex.
+
+    Standard sorted-threshold algorithm: each projected column is
+    ``max(col - theta, 0)`` with ``theta`` chosen so it sums to one.
+    """
     n = mat.shape[0]
     u = np.sort(mat, axis=0)[::-1, :]
     css = np.cumsum(u, axis=0)

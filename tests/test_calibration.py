@@ -37,6 +37,159 @@ def test_fit_peaks_respects_max_peaks():
     assert fit.n_components <= 5
 
 
+def _area_tv(trace, fit, n_outcomes=12):
+    area = tp.bin_counts_by_area(trace, fit, n_outcomes)
+    truth = np.bincount(np.minimum(trace.truth_counts, n_outcomes - 1), minlength=n_outcomes)
+    return 0.5 * float(np.abs(area - truth).sum()) / trace.n_pulses
+
+
+def test_fit_peaks_weak_zero_peak_is_tooth_zero():
+    # At mu = 130 the zero peak holds 24 of 2e4 events: too few for the
+    # peak search, which starts at the one-photon peak. The comb reaches
+    # the zero peak from the data minimum.
+    trace = tp.simulate_trace(tp.DetectorPhysicalConfig(), 130.0, 20_000, seed=3)
+    fit = tp.fit_peaks(trace, max_peaks=40)
+    zeros = int((trace.truth_counts == 0).sum())
+    assert abs(fit.means[0]) < 0.5
+    assert abs(fit.components[0].weight - zeros) < 5.0 * np.sqrt(zeros)
+    assert abs(fit.spacing_mv - 13.0) < 0.13
+    # No tooth is centred outside the histogram of the data.
+    amps = trace.amplitudes_mv
+    assert amps.min() - fit.bin_width_mv <= fit.means[0]
+    assert fit.means[-1] <= amps.max() + fit.bin_width_mv
+    assert _area_tv(trace, fit) < 0.01
+
+
+def test_fit_peaks_single_peak_gives_one_component():
+    trace = tp.simulate_trace(tp.DetectorPhysicalConfig(), 0.0, 100_000, seed=3)
+    fit = tp.fit_peaks(trace)
+    assert fit.n_components == 1
+    assert fit.spacing_mv is None
+    assert abs(fit.baseline_mv) < 0.1
+    assert abs(fit.components[0].sigma_mv - 2.0) < 0.05
+    assert abs(fit.components[0].weight - 100_000) < 100
+
+
+@pytest.mark.parametrize("gamma", [5e-4, 1e-3])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_fit_peaks_no_light_trace_with_weak_dark_peak(gamma, seed):
+    # 40-110 dark events one spacing up are too few to seed a comb, and
+    # too far from the zero peak to count against its one-tooth fit.
+    trace = tp.simulate_trace(tp.DetectorPhysicalConfig(gamma=gamma), 0.0, 100_000, seed=seed)
+    fit = tp.fit_peaks(trace)
+    assert fit.n_components == 1
+    assert abs(fit.baseline_mv) < 0.1
+    assert fit.goodness <= tp.calibration.MAX_GOODNESS
+    dark = int((trace.truth_counts > 0).sum())
+    for thresholds in (None, tp.place_thresholds(fit)):
+        est = tp.dark_rate_direct(trace, fit, thresholds)
+        assert abs(est.rate * trace.n_pulses - dark) < 4.0 * np.sqrt(dark)
+        assert est.upper_bound > dark / trace.n_pulses
+
+
+def test_fit_peaks_folds_teeth_past_max_peaks():
+    trace = tp.simulate_trace(tp.DetectorPhysicalConfig(), 130.0, 100_000, seed=6)
+    fit = tp.fit_peaks(trace, max_peaks=5)
+    weights = np.array([c.weight for c in fit.components])
+    assert fit.n_components == 5
+    assert abs(weights.sum() - fit.n_events) < 0.01 * fit.n_events
+    top = int((trace.truth_counts >= 4).sum())
+    assert abs(weights[-1] - top) < 0.01 * top
+    assert abs(fit.means[-1] - 4 * 13.0) < 0.5
+
+
+def test_fit_peaks_raises_on_unresolved_peaks():
+    # Spacing 2.9 zero-peak widths: the one-photon peak is a shoulder, and
+    # a single tooth cannot describe the histogram.
+    detector = tp.DetectorPhysicalConfig(sigma0_mv=13.0 / 2.9)
+    trace = tp.simulate_trace(detector, 6.5, 100_000, seed=3)
+    with pytest.raises(tp.CalibrationError, match="reduced chi-square"):
+        tp.fit_peaks(trace)
+
+
+def _fit_ensemble(detector, seed):
+    traces = tp.simulate_ensemble(detector, tp.geometric_ensemble(), seed=seed, jobs=2)
+    fits, raised = {}, []
+    for trace in traces:
+        try:
+            fits[trace.probe_id] = tp.fit_peaks(trace)
+        except tp.CalibrationError:
+            raised.append(trace.probe_id)
+    return traces, fits, raised
+
+
+def test_comb_labels_widening_peaks():
+    detector = tp.DetectorPhysicalConfig(sigma_slope_mv=0.5)
+    traces, fits, raised = _fit_ensemble(detector, seed=3)
+    assert raised == []
+    assert tp.check_peak_labels(fits) == {}
+    for trace in traces:
+        fit = fits[trace.probe_id]
+        assert abs(fit.baseline_mv) < 0.5
+        assert _area_tv(trace, fit) <= 0.01
+
+
+def test_comb_low_resolution_fails_loudly_or_labels_right():
+    # Spacing/sigma0 = 2.9: every probe is flagged, raises, or is right.
+    # Threshold binning is not bounded here: overlapping peaks, not wrong
+    # labels, put it at TV 0.01-0.06.
+    detector = tp.DetectorPhysicalConfig(sigma0_mv=13.0 / 2.9)
+    traces, fits, raised = _fit_ensemble(detector, seed=3)
+    flagged = tp.check_peak_labels(fits)
+    right = []
+    for trace in traces:
+        pid = trace.probe_id
+        if pid in raised or pid in flagged:
+            continue
+        fit = fits[pid]
+        assert abs(fit.baseline_mv) < 0.5, pid
+        assert abs(fit.spacing_mv - 13.0) < 0.13, pid
+        assert _area_tv(trace, fit) <= 0.01, pid
+        right.append(pid)
+    assert len(right) >= 10
+
+
+def test_check_peak_labels():
+    def comb(base, spacing, n, with_spacing=True, weight=100.0):
+        return tp.GaussianMixtureFit(
+            components=tuple(
+                tp.GaussianComponent(weight=weight, mean_mv=base + k * spacing, sigma_mv=2.0)
+                for k in range(n)
+            ),
+            goodness=1.0,
+            bin_width_mv=1.3,
+            n_events=100 * n,
+            spacing_mv=spacing if with_spacing else None,
+        )
+
+    fits = {0: comb(0.0, 13.0, 4), 1: comb(0.2, 13.0, 6), 2: comb(13.1, 13.0, 5),
+            3: comb(0.0, 14.5, 8), 4: comb(-6.0, 13.0, 1, with_spacing=False),
+            5: comb(0.1, 12.9, 3)}
+    flagged = tp.check_peak_labels(fits)
+    # Probe 2 calls its one-photon peak zero; probe 3's top peak is 10.5 mV
+    # off the run's scale; probe 4's single peak is within tolerance.
+    assert sorted(flagged) == [2, 3]
+    assert isinstance(flagged[2], tp.CalibrationError)
+    assert "peak 0" in str(flagged[2]) and "+1 peaks" in str(flagged[2])
+    assert "peak 7" in str(flagged[3])
+    # Without a fitted spacing there is no scale to check against.
+    assert tp.check_peak_labels({4: fits[4], 5: comb(30.0, 1.0, 1, False)}) == {}
+
+    # Bright probes whose zero peak fell below the weight floor start on a
+    # light tooth. Outnumbering the right probes does not move the scale,
+    # even when the right probes' zero peaks are light too.
+    for weight in (2000.0, 40.0):
+        fits = {pid: comb(0.1 * pid, 13.0, 8, weight=weight) for pid in range(3)}
+        fits.update({pid: comb(13.0 * (pid // 3), 13.0, 16, weight=25.0)
+                     for pid in range(3, 13)})
+        assert sorted(tp.check_peak_labels(fits)) == list(range(3, 13))
+    # A light tooth below the zero peak (tail events) is flagged by itself.
+    fits = {0: comb(-13.0, 13.0, 8, weight=12.0), 1: comb(0.0, 13.0, 8),
+            2: comb(0.1, 13.0, 8)}
+    flagged = tp.check_peak_labels(fits)
+    assert sorted(flagged) == [0] and "-1 peaks" in str(flagged[0])
+
+
 def test_fit_peaks_rejects_tiny_traces():
     with pytest.raises(tp.CalibrationError, match="need at least 100"):
         tp.fit_peaks(_trace(np.zeros(50)))
@@ -197,6 +350,11 @@ def test_gaussian_mixture_fit_validation():
         tp.GaussianMixtureFit(
             components=(comp, comp), goodness=1.0, bin_width_mv=1.3, n_events=10
         )
+    # A tooth may hold no events; it may not hold a negative number.
+    zero = tp.GaussianComponent(weight=0.0, mean_mv=0.0, sigma_mv=1.0)
+    assert tp.GaussianMixtureFit(
+        components=(zero,), goodness=1.0, bin_width_mv=1.3, n_events=10
+    ).n_components == 1
     with pytest.raises(ValueError):
         tp.GaussianMixtureFit(
             components=(tp.GaussianComponent(weight=-1.0, mean_mv=0.0, sigma_mv=1.0),),

@@ -69,6 +69,46 @@ def test_pipeline_artifacts_exist(pipeline):
     assert (pipeline["val"] / "sweep.json").exists()
 
 
+def test_pipeline_fit_reports(pipeline):
+    for pid in range(5):
+        payload = json.loads((pipeline["cal"] / "fits" / f"probe_{pid:03d}.json").read_text())
+        assert payload["baseline_mv"] == payload["components"][0]["mean_mv"]
+        assert abs(payload["baseline_mv"]) < 0.5
+        assert abs(payload["spacing_mv"] - 13.0) < 0.2
+
+
+@pytest.mark.parametrize("eta, first_flagged", [(0.15, 13), (0.3, 9)])
+def test_calibrate_mislabelled_zero_peak_exits_3_unless_skipped(
+    tmp_path, capsys, eta, first_flagged
+):
+    # At 2e4 pulses the brightest probes keep fewer than WEIGHT_FLOOR_EVENTS
+    # zero-count events, so their lowest tooth is a one-photon peak or
+    # higher; the run's common scale exposes them. At eta = 0.3 they are
+    # 11 of the 20 probes.
+    config = files.default_config()
+    config["detector"]["eta"] = eta
+    for probe in config["probes"]:
+        probe["n_pulses"] = 20_000
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    sim, cal = tmp_path / "sim", tmp_path / "cal"
+    assert main(["simulate", "--config", str(cfg), "--seed", "3", "--out", str(sim)]) == 0
+
+    assert main(["calibrate", "--traces", str(sim), "--out", str(cal)]) == 3
+    err = capsys.readouterr().err
+    assert f"probe {first_flagged}: peak 0 at" in err and "off the run's scale" in err
+
+    assert main(["calibrate", "--traces", str(sim), "--out", str(cal),
+                 "--skip-failed"]) == 0
+    payload = json.loads((cal / "counts.json").read_text())
+    assert payload["skipped_probe_ids"] == list(range(first_flagged, 20))
+    assert main(["estimate", "--counts", str(cal / "counts.json"),
+                 "--ensemble", str(sim / "ensemble.json"),
+                 "--out", str(tmp_path / "est")]) == 0
+    estimate, _ = files.read_estimate(tmp_path / "est" / "estimate.json")
+    assert abs(estimate["eta_hat"] - eta) < 3.0 * estimate["eta_se"]
+
+
 def test_pipeline_povm_artifact(pipeline):
     povm, h = files.read_povm(pipeline["rec"] / "povm.json")
     assert (povm.n_outcomes, povm.truncation) == (8, 50)

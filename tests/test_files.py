@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import tespovm as tp
-from tespovm import files
+from tespovm import calibration, files
 
 
 def _small_reconstruction():
@@ -49,6 +49,18 @@ def test_default_config_sections():
     assert rec == tp.ReconstructionConfig()
     calib = files.config_calibration(config)
     assert calib == {"bin_width_mv": 1.3, "max_peaks": 16}
+
+
+def test_config_calibration_defaults_are_fit_peaks_defaults():
+    defaults = {"bin_width_mv": calibration.DEFAULT_BIN_WIDTH_MV,
+                "max_peaks": calibration.DEFAULT_MAX_PEAKS}
+    assert files.default_config()["calibration"] == defaults
+    # The outcome count no longer changes the peak cap.
+    assert files.config_calibration({"reconstruction": {"n_outcomes": 8}}) == defaults
+    calib = files.config_calibration({"calibration": {"max_peaks": 10}})
+    assert calib == {**defaults, "max_peaks": 10}
+    with pytest.raises(tp.SchemaError):
+        files.config_calibration({"calibration": {"max_peaks": 0}})
 
 
 def test_default_config_hash_is_pinned():
@@ -318,6 +330,7 @@ def test_fit_report(tmp_path):
         goodness=1.2,
         bin_width_mv=1.3,
         n_events=100,
+        spacing_mv=13.0,
     )
     cuts = tp.ThresholdSet((7.2,))
     files.write_fit_report(tmp_path / "fit.json", fit, cuts, "h")
@@ -327,6 +340,7 @@ def test_fit_report(tmp_path):
     assert len(payload["components"]) == 2
     assert payload["components"][1]["mean_mv"] == 13.0
     assert payload["n_events"] == 100
+    assert (payload["baseline_mv"], payload["spacing_mv"]) == (0.0, 13.0)
 
 
 def test_estimate_roundtrip_preserves_nan(tmp_path):

@@ -101,6 +101,22 @@ def test_dark_count_povm_gamma_zero_reduces_to_binomial():
     assert np.array_equal(dark.entries, plain.entries)
 
 
+def test_dark_count_povm_matches_convolution_loop():
+    # Reference: the row-by-row convolution the Toeplitz product replaced.
+    # Each body entry sums at most 11 nonnegative float64 terms.
+    eta, gamma, n_outcomes, truncation = 0.3, 0.7, 12, 60
+    dark = tp.dark_count_povm(tp.LinearDetectorModel(eta=eta, gamma=gamma),
+                              n_outcomes, truncation)
+    raw = tp.binomial_povm(eta, n_outcomes, truncation).entries[:-1]
+    w = tp.poisson_pmf(gamma, np.arange(n_outcomes - 1))
+    body = np.zeros_like(raw)
+    for n in range(n_outcomes - 1):
+        for j in range(n + 1):
+            body[n] += w[j] * raw[n - j]
+    np.testing.assert_allclose(dark.entries[:-1], body, rtol=1e-14, atol=1e-300)
+    np.testing.assert_allclose(dark.entries[-1], 1.0 - body.sum(axis=0), atol=1e-14)
+
+
 def test_dark_count_povm_column_stochastic():
     povm = tp.dark_count_povm(tp.LinearDetectorModel(eta=0.051, gamma=0.2), 12, 140)
     assert povm.entries.min() >= 0.0
