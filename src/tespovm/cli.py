@@ -1,14 +1,19 @@
 """Batch pipeline driver.
 
 Five stages: simulate -> calibrate -> reconstruct -> estimate ->
-validate, each reading the previous stage's artifacts. Exit codes:
-0 success, 2 schema or input validation error, 3 numerical failure,
-4 lineage mismatch (artifacts from different runs; --force overrides).
+validate, each reading the previous stage's artifacts. Only ``simulate``
+takes a config; it records it as the run config in ``ensemble.json``.
+``reconstruct`` solves with that config's reconstruction section and
+records every solver setting in ``povm.json``, which ``validate`` reuses
+for its sensitivity sweep. Exit codes: 0 success, 2 schema or input
+validation error, 3 numerical failure, 4 lineage mismatch (artifacts
+from different runs; --force overrides).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -31,14 +36,8 @@ EXIT_NUMERICAL = 3
 EXIT_LINEAGE = 4
 
 
-def _load_config(path) -> dict:
-    if path is None:
-        return files.default_config()
-    return files.load_config(path)
-
-
 def cmd_simulate(args) -> int:
-    config = _load_config(args.config)
+    config = files.load_config(args.config) if args.config else files.default_config()
     detector = files.config_detector(config)
     ensemble = files.config_ensemble(config)
     out = Path(args.out)
@@ -46,7 +45,7 @@ def cmd_simulate(args) -> int:
     for trace in traces:
         files.write_trace_csv(out, trace)
     files.write_manifest(out, config, args.seed)
-    files.write_ensemble(out / "ensemble.json", ensemble, files.config_hash(config))
+    files.write_ensemble(out / "ensemble.json", config)
     print(f"simulated {len(traces)} traces -> {out}")
     return EXIT_OK
 
@@ -76,22 +75,15 @@ def cmd_calibrate(args) -> int:
                                      probe_id=entry["probe_id"])
         return _calibrate_one(trace, calib, n_outcomes, args.method)
 
+    with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
+        futures = {e["probe_id"]: pool.submit(load_and_fit, e) for e in entries}
     results = {}
     failures = {}
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            futures = {e["probe_id"]: pool.submit(load_and_fit, e) for e in entries}
-        for pid, fut in futures.items():
-            try:
-                results[pid] = fut.result()
-            except (CalibrationError, SchemaError) as exc:
-                failures[pid] = exc
-    else:
-        for entry in entries:
-            try:
-                results[entry["probe_id"]] = load_and_fit(entry)
-            except (CalibrationError, SchemaError) as exc:
-                failures[entry["probe_id"]] = exc
+    for pid, fut in futures.items():
+        try:
+            results[pid] = fut.result()
+        except (CalibrationError, SchemaError) as exc:
+            failures[pid] = exc
     fits = {pid: result[0] for pid, result in results.items()}
     for pid, exc in check_peak_labels(fits).items():
         del results[pid]
@@ -142,33 +134,12 @@ def _aligned_ensemble(ensemble, table):
 
 def cmd_reconstruct(args) -> int:
     table, counts_hash = files.read_count_table(args.counts)
-    ensemble, ensemble_hash = files.read_ensemble(args.ensemble)
+    ensemble, ensemble_hash, config = files.read_ensemble(args.ensemble)
     files.check_lineage(counts_hash, ensemble_hash, "ensemble file", args.force)
     ensemble = _aligned_ensemble(ensemble, table)
-
-    config = _load_config(args.config) if args.config else {}
     cfg = files.config_reconstruction(
-        config,
-        truncation=args.truncation,
-        n_outcomes=args.outcomes,
-        reg_weight=args.reg_weight,
+        config, init_eta=estimate_eta(table, ensemble).eta_hat
     )
-    if cfg.n_outcomes != table.n_outcomes:
-        raise SchemaError(
-            f"count table has {table.n_outcomes} outcomes, "
-            f"reconstruction expects {cfg.n_outcomes}"
-        )
-    if cfg.init_eta is None:
-        try:
-            cfg = files.config_reconstruction(
-                config,
-                truncation=cfg.truncation,
-                n_outcomes=cfg.n_outcomes,
-                reg_weight=cfg.reg_weight,
-                init_eta=estimate_eta(table, ensemble).eta_hat,
-            )
-        except EstimationError:
-            pass
     result = reconstruct_povm(table, ensemble, cfg)
     out = Path(args.out)
     files.write_povm(out / "povm.json", result, cfg, counts_hash)
@@ -187,7 +158,7 @@ def cmd_reconstruct(args) -> int:
 
 def cmd_estimate(args) -> int:
     table, counts_hash = files.read_count_table(args.counts)
-    ensemble, ensemble_hash = files.read_ensemble(args.ensemble)
+    ensemble, ensemble_hash, _ = files.read_ensemble(args.ensemble)
     files.check_lineage(counts_hash, ensemble_hash, "ensemble file", args.force)
     ensemble = _aligned_ensemble(ensemble, table)
     if args.dark_counts:
@@ -206,9 +177,9 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    povm, povm_hash = files.read_povm(args.povm)
+    povm, povm_hash, cfg = files.read_povm(args.povm)
     table, counts_hash = files.read_count_table(args.counts)
-    ensemble, ensemble_hash = files.read_ensemble(args.ensemble)
+    ensemble, ensemble_hash, _ = files.read_ensemble(args.ensemble)
     estimate, estimate_hash = files.read_estimate(args.estimate)
     files.check_lineage(povm_hash, counts_hash, "count table", args.force)
     files.check_lineage(povm_hash, ensemble_hash, "ensemble file", args.force)
@@ -235,30 +206,11 @@ def cmd_validate(args) -> int:
         out / "comparison.json",
         {
             "config_hash": povm_hash,
-            "probes": [
-                {
-                    "probe_id": c.probe_id,
-                    "mean_photons": c.mean_photons,
-                    "measured": c.measured,
-                    "reconstructed": c.reconstructed,
-                    "linear": c.linear,
-                    "max_diff_reconstructed": c.max_diff_reconstructed,
-                    "max_diff_linear": c.max_diff_linear,
-                    "tv_reconstructed": c.tv_reconstructed,
-                    "tv_linear": c.tv_linear,
-                }
-                for c in comparisons
-            ],
+            "probes": [dataclasses.asdict(c) for c in comparisons],
         },
     )
     if args.energy_scale > 0 or args.attenuation_db > 0:
-        cfg = files.config_reconstruction(
-            {},
-            truncation=povm.truncation,
-            n_outcomes=povm.n_outcomes,
-            reg_weight=args.reg_weight,
-            init_eta=eta_hat,
-        )
+        # The recorded settings make the baseline point the reported POVM.
         sweep = sensitivity_sweep(
             table,
             ensemble,
@@ -273,14 +225,7 @@ def cmd_validate(args) -> int:
             {
                 "config_hash": povm_hash,
                 "envelope": sweep.envelope,
-                "points": [
-                    {
-                        "label": pt.label,
-                        "mu_scale": pt.mu_scale,
-                        "fidelities": pt.fidelities,
-                    }
-                    for pt in sweep.points
-                ],
+                "points": [dataclasses.asdict(pt) for pt in sweep.points],
             },
         )
     print(
@@ -316,10 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     rec.add_argument("--counts", required=True)
     rec.add_argument("--ensemble", required=True)
     rec.add_argument("--out", required=True)
-    rec.add_argument("--config")
-    rec.add_argument("--reg-weight", type=float)
-    rec.add_argument("--truncation", type=int)
-    rec.add_argument("--outcomes", type=int)
     rec.add_argument("--force", action="store_true")
     rec.set_defaults(func=cmd_reconstruct)
 
@@ -341,7 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     val.add_argument("--split", type=int, default=100)
     val.add_argument("--energy-scale", type=float, default=0.0)
     val.add_argument("--attenuation-db", type=float, default=0.0)
-    val.add_argument("--reg-weight", type=float)
     val.add_argument("--force", action="store_true")
     val.set_defaults(func=cmd_validate)
     return parser

@@ -39,18 +39,9 @@ def default_config() -> dict:
     :class:`DetectorPhysicalConfig` and :class:`ReconstructionConfig`, the
     calibration section the :func:`~tespovm.calibration.fit_peaks` defaults.
     """
-    ensemble = geometric_ensemble()
     return {
         "detector": _field_defaults(DetectorPhysicalConfig),
-        "probes": [
-            {
-                "id": p.id,
-                "mean_photons": p.mean_photons,
-                "n_pulses": p.n_pulses,
-                "attenuation_db": p.attenuation_db,
-            }
-            for p in ensemble.probes
-        ],
+        "probes": [dataclasses.asdict(p) for p in geometric_ensemble().probes],
         "calibration": {"bin_width_mv": DEFAULT_BIN_WIDTH_MV, "max_peaks": DEFAULT_MAX_PEAKS},
         "reconstruction": _field_defaults(ReconstructionConfig, skip=("init_eta",)),
     }
@@ -307,30 +298,26 @@ def read_manifest(directory) -> dict:
     return manifest
 
 
-def write_ensemble(path, ensemble: ProbeEnsemble, cfg_hash: str):
-    write_json(
-        path,
-        {
-            "config_hash": cfg_hash,
-            "probes": [
-                {
-                    "id": p.id,
-                    "mean_photons": p.mean_photons,
-                    "n_pulses": p.n_pulses,
-                    "attenuation_db": p.attenuation_db,
-                }
-                for p in ensemble.probes
-            ],
-        },
-    )
+def write_ensemble(path, config: dict):
+    """Write the run config, keyed by its hash: the probes plus every section.
+
+    Downstream stages read their settings from this one file, so a run is
+    reconstructed and validated with the config it was simulated with.
+    """
+    write_json(path, {"config_hash": config_hash(config), **config})
 
 
-def read_ensemble(path) -> tuple[ProbeEnsemble, str]:
+def read_ensemble(path) -> tuple[ProbeEnsemble, str, dict]:
+    """The probe ensemble, config hash and run config of an ``ensemble.json``.
+
+    Files that carry only probes give a config whose absent sections take
+    the defaults.
+    """
     payload = read_json(path)
     cfg_hash = _require(payload, "config_hash", str(path))
-    validate_config({"probes": _require(payload, "probes", str(path))})
-    ensemble = config_ensemble(payload)
-    return ensemble, cfg_hash
+    config = {k: v for k, v in payload.items() if k != "config_hash"}
+    validate_config(config)
+    return config_ensemble(config), cfg_hash, config
 
 
 # -- count tables ------------------------------------------------------------
@@ -376,15 +363,13 @@ def read_count_table(path) -> tuple[CountTable, str]:
 
 def write_povm(path, result: ReconstructionResult, cfg: ReconstructionConfig,
                cfg_hash: str):
+    """Write the POVM with every solver setting that produced it."""
     write_json(
         path,
         {
+            **dataclasses.asdict(cfg),
             "config_hash": cfg_hash,
-            "n_outcomes": result.povm.n_outcomes,
-            "truncation": result.povm.truncation,
             "entries": result.povm.entries,
-            "reg_weight": cfg.reg_weight,
-            "init_eta": cfg.init_eta,
             "converged": result.converged,
             "n_iters": result.n_iters,
             "stop_reason": result.stop_reason,
@@ -397,15 +382,25 @@ def write_povm(path, result: ReconstructionResult, cfg: ReconstructionConfig,
     )
 
 
-def read_povm(path) -> tuple[PovmMatrix, str]:
+def read_povm(path) -> tuple[PovmMatrix, str, ReconstructionConfig]:
+    """The POVM, config hash and solver settings of a ``povm.json``.
+
+    The shape of the matrix fixes ``n_outcomes`` and ``truncation``; other
+    settings a file lacks take the :class:`ReconstructionConfig` defaults.
+    """
     payload = read_json(path)
     cfg_hash = _require(payload, "config_hash", str(path))
     entries = np.asarray(_require(payload, "entries", str(path)), dtype=float)
     try:
         povm = PovmMatrix(entries)
-    except ValueError as exc:
+        cfg = ReconstructionConfig(**{
+            **_known_fields(ReconstructionConfig, payload),
+            "n_outcomes": povm.n_outcomes,
+            "truncation": povm.truncation,
+        })
+    except (TypeError, ValueError) as exc:
         raise SchemaError(f"{path}: {exc}") from exc
-    return povm, cfg_hash
+    return povm, cfg_hash, cfg
 
 
 def write_convergence_log(path, result: ReconstructionResult, stride: int = 100):
@@ -435,10 +430,7 @@ def write_fit_report(path, fit: GaussianMixtureFit, thresholds: ThresholdSet | N
             "goodness": fit.goodness,
             "baseline_mv": fit.baseline_mv,
             "spacing_mv": fit.spacing_mv,
-            "components": [
-                {"weight": c.weight, "mean_mv": c.mean_mv, "sigma_mv": c.sigma_mv}
-                for c in fit.components
-            ],
+            "components": [dataclasses.asdict(c) for c in fit.components],
             "thresholds_mv": list(thresholds.cut_points_mv) if thresholds else None,
         },
     )
@@ -447,18 +439,7 @@ def write_fit_report(path, fit: GaussianMixtureFit, thresholds: ThresholdSet | N
 def write_estimate(path, estimate, cfg_hash: str, method: str):
     write_json(
         path,
-        {
-            "config_hash": cfg_hash,
-            "method": method,
-            "eta_hat": estimate.eta_hat,
-            "eta_se": estimate.eta_se,
-            "per_probe_etas": estimate.per_probe_etas,
-            "gamma_hat": estimate.gamma_hat,
-            "gamma_se": estimate.gamma_se,
-            "gamma_upper": estimate.gamma_upper,
-            "per_probe_gammas": estimate.per_probe_gammas,
-            "loglik": estimate.loglik,
-        },
+        {"config_hash": cfg_hash, "method": method, **dataclasses.asdict(estimate)},
     )
 
 

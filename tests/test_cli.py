@@ -1,7 +1,10 @@
 """End-to-end tests for the five-stage command line pipeline."""
 
 import json
+import re
+import shlex
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,34 +14,33 @@ from tespovm import files
 from tespovm.cli import main
 
 
-def _config() -> dict:
+def _config(gamma: float = 0.0) -> dict:
     mus = np.geomspace(2.0, 40.0, 5)
     return {
         "probes": [
             {"id": i, "mean_photons": float(m), "n_pulses": 4000}
             for i, m in enumerate(mus)
         ],
-        "detector": {"eta": 0.051},
+        "detector": {"eta": 0.051, "gamma": gamma},
         "calibration": {"bin_width_mv": 1.3, "max_peaks": 10},
         "reconstruction": {"truncation": 50, "n_outcomes": 8, "max_iters": 30000},
     }
 
 
-@pytest.fixture(scope="module")
-def pipeline(tmp_path_factory):
-    root = tmp_path_factory.mktemp("pipeline")
+def _run_pipeline(root, config, estimate_flags=()):
+    """The five stages on ``config``; no stage after simulate sees the config."""
     cfg_path = root / "config.json"
-    cfg_path.write_text(json.dumps(_config()))
+    cfg_path.write_text(json.dumps(config))
     sim, cal, rec, est, val = (root / name for name in
                                ("sim", "cal", "rec", "est", "val"))
     steps = [
         ["simulate", "--config", str(cfg_path), "--seed", "1", "--out", str(sim)],
         ["calibrate", "--traces", str(sim), "--out", str(cal)],
         ["reconstruct", "--counts", str(cal / "counts.json"),
-         "--ensemble", str(sim / "ensemble.json"),
-         "--config", str(cfg_path), "--out", str(rec)],
+         "--ensemble", str(sim / "ensemble.json"), "--out", str(rec)],
         ["estimate", "--counts", str(cal / "counts.json"),
-         "--ensemble", str(sim / "ensemble.json"), "--out", str(est)],
+         "--ensemble", str(sim / "ensemble.json"), "--out", str(est),
+         *estimate_flags],
         ["validate", "--povm", str(rec / "povm.json"),
          "--counts", str(cal / "counts.json"),
          "--ensemble", str(sim / "ensemble.json"),
@@ -49,6 +51,11 @@ def pipeline(tmp_path_factory):
     assert codes == [0, 0, 0, 0, 0]
     return {"config": cfg_path, "sim": sim, "cal": cal, "rec": rec,
             "est": est, "val": val}
+
+
+@pytest.fixture(scope="module")
+def pipeline(tmp_path_factory):
+    return _run_pipeline(tmp_path_factory.mktemp("pipeline"), _config())
 
 
 def test_pipeline_artifacts_exist(pipeline):
@@ -110,10 +117,20 @@ def test_calibrate_mislabelled_zero_peak_exits_3_unless_skipped(
 
 
 def test_pipeline_povm_artifact(pipeline):
-    povm, h = files.read_povm(pipeline["rec"] / "povm.json")
+    povm, h, cfg = files.read_povm(pipeline["rec"] / "povm.json")
     assert (povm.n_outcomes, povm.truncation) == (8, 50)
     assert h == files.config_hash(json.loads(pipeline["config"].read_text()))
     np.testing.assert_allclose(povm.entries.sum(axis=0), 1.0, atol=1e-9)
+    estimate, _ = files.read_estimate(pipeline["est"] / "estimate.json")
+    assert cfg.init_eta == estimate["eta_hat"]
+
+
+def test_ensemble_json_is_the_run_config(pipeline):
+    payload = json.loads((pipeline["sim"] / "ensemble.json").read_text())
+    manifest = files.read_manifest(pipeline["sim"])
+    config = {k: v for k, v in payload.items() if k != "config_hash"}
+    assert config == manifest["config"] == _config()
+    assert payload["config_hash"] == files.config_hash(config) == manifest["config_hash"]
 
 
 def test_pipeline_estimate_artifact(pipeline):
@@ -194,8 +211,10 @@ def test_estimate_dark_counts_single_mu_exits_3(tmp_path, capsys):
     ens = tp.ProbeEnsemble(tuple(tp.Probe(id=i, mean_photons=8.0) for i in range(2)))
     table = tp.CountTable.from_counts(np.array([[50, 40], [30, 35], [20, 25]]),
                                       probe_ids=ens.ids)
-    files.write_count_table(tmp_path / "counts.json", table, "h", "threshold")
-    files.write_ensemble(tmp_path / "ensemble.json", ens, "h")
+    config = {"probes": [{"id": p.id, "mean_photons": p.mean_photons} for p in ens.probes]}
+    files.write_ensemble(tmp_path / "ensemble.json", config)
+    files.write_count_table(tmp_path / "counts.json", table, files.config_hash(config),
+                            "threshold")
     argv = ["estimate", "--counts", str(tmp_path / "counts.json"),
             "--ensemble", str(tmp_path / "ensemble.json"), "--out", str(tmp_path)]
     assert main(argv + ["--dark-counts"]) == 3
@@ -220,12 +239,56 @@ def test_bad_config_exits_2(tmp_path, capsys):
 
 
 def test_outcome_mismatch_exits_2(pipeline, tmp_path, capsys):
-    # Without --config the solver defaults to 12 outcomes; the table has 8.
+    # The pipeline reconstructed with no config flag, in the run config's
+    # 8 outcomes, truncation 50 and max_iters 30000, and recorded them.
+    payload = json.loads((pipeline["rec"] / "povm.json").read_text())
+    assert (payload["n_outcomes"], payload["truncation"]) == (8, 50)
+    assert payload["max_iters"] == 30000
+    assert payload["reg_weight"] == tp.ReconstructionConfig().reg_weight
+    assert payload["tol"] == tp.ReconstructionConfig().tol
+
+    # A run config of 12 outcomes disagrees with the 8-outcome table.
+    ensemble = json.loads((pipeline["sim"] / "ensemble.json").read_text())
+    ensemble["reconstruction"]["n_outcomes"] = 12
+    (tmp_path / "ensemble.json").write_text(json.dumps(ensemble))
     rc = main(["reconstruct", "--counts", str(pipeline["cal"] / "counts.json"),
-               "--ensemble", str(pipeline["sim"] / "ensemble.json"),
+               "--ensemble", str(tmp_path / "ensemble.json"),
                "--out", str(tmp_path)])
     assert rc == 2
     assert "outcomes" in capsys.readouterr().err
+    assert not (tmp_path / "povm.json").exists()
+
+
+def test_reconstruct_unfittable_table_exits_3(tmp_path, capsys):
+    # Probes of mean photon number 0 carry no efficiency information, so
+    # there is no start to solve from.
+    config = {"probes": [{"id": i, "mean_photons": 0.0} for i in range(3)]}
+    files.write_ensemble(tmp_path / "ensemble.json", config)
+    table = tp.CountTable.from_counts(np.array([[100, 90, 95]] + [[0, 10, 5]] * 11),
+                                      probe_ids=(0, 1, 2))
+    files.write_count_table(tmp_path / "counts.json", table, files.config_hash(config),
+                            "threshold")
+    with pytest.warns(UserWarning, match="no efficiency information"):
+        rc = main(["reconstruct", "--counts", str(tmp_path / "counts.json"),
+                   "--ensemble", str(tmp_path / "ensemble.json"),
+                   "--out", str(tmp_path / "rec")])
+    assert rc == 3
+    assert "no usable probes" in capsys.readouterr().err
+    assert not (tmp_path / "rec" / "povm.json").exists()
+
+
+def test_sweep_baseline_is_the_reported_povm(tmp_path):
+    # With dark counts the estimate's eta differs from the eta that
+    # reconstruct starts from; the sweep must still solve as reconstruct did.
+    run = _run_pipeline(tmp_path, _config(gamma=0.2), estimate_flags=["--dark-counts"])
+    povm = json.loads((run["rec"] / "povm.json").read_text())
+    estimate = json.loads((run["est"] / "estimate.json").read_text())
+    assert estimate["method"] == "eta_gamma"
+    assert povm["init_eta"] != estimate["eta_hat"]
+    fidelity = json.loads((run["val"] / "fidelity.json").read_text())
+    sweep = json.loads((run["val"] / "sweep.json").read_text())
+    baseline = next(pt for pt in sweep["points"] if pt["label"] == "baseline")
+    assert baseline["fidelities"] == fidelity["fidelity"]
 
 
 def test_lineage_mismatch_exits_4(pipeline, tmp_path, capsys):
@@ -356,3 +419,24 @@ def test_calibrate_nonfinite_trace_exits_2_unless_skipped(pipeline, tmp_path, ca
     assert main(argv + ["--skip-failed"]) == 0
     payload = json.loads((tmp_path / "cal" / "counts.json").read_text())
     assert payload["skipped_probe_ids"] == [2]
+
+
+def _readme_commands() -> list[list[str]]:
+    """The commands of the README's "Command line" block, one argv each."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    return [shlex.split(cmd) for cmd in block.replace("\\\n", " ").splitlines()
+            if cmd.strip()]
+
+
+def test_readme_command_block_runs(tmp_path, monkeypatch):
+    commands = _readme_commands()
+    assert [argv[:2] for argv in commands] == [
+        ["tespovm", stage] for stage in
+        ("simulate", "calibrate", "reconstruct", "estimate", "validate")
+    ]
+    (tmp_path / "config.json").write_text(json.dumps(_config()))
+    monkeypatch.chdir(tmp_path)
+    assert [main(argv[1:]) for argv in commands] == [0, 0, 0, 0, 0]
+    assert (tmp_path / "run" / "val" / "sweep.json").exists()

@@ -185,11 +185,20 @@ def test_trace_roundtrip_is_bitwise(amps):
 
 
 def test_ensemble_roundtrip(tmp_path):
-    ens = tp.geometric_ensemble(n_probes=5)
-    files.write_ensemble(tmp_path / "ensemble.json", ens, "cafe0123")
-    back, h = files.read_ensemble(tmp_path / "ensemble.json")
-    assert h == "cafe0123"
-    assert back.probes == ens.probes
+    config = files.default_config()
+    config["reconstruction"]["max_iters"] = 30000
+    files.write_ensemble(tmp_path / "ensemble.json", config)
+    back, h, run_config = files.read_ensemble(tmp_path / "ensemble.json")
+    assert h == files.config_hash(config)
+    assert run_config == config
+    assert back.probes == tp.geometric_ensemble().probes
+    assert files.config_reconstruction(run_config).max_iters == 30000
+    # Files that carry only probes give the default solver settings.
+    payload = {"config_hash": h, "probes": config["probes"][:2]}
+    files.write_json(tmp_path / "old.json", payload)
+    old, _, old_config = files.read_ensemble(tmp_path / "old.json")
+    assert old.ids == (0, 1)
+    assert files.config_reconstruction(old_config) == tp.ReconstructionConfig()
 
 
 def test_count_table_roundtrip(tmp_path):
@@ -218,26 +227,36 @@ def test_count_table_probs_only_roundtrip(tmp_path):
 def test_povm_roundtrip(tmp_path):
     rec, cfg, _, _ = _small_reconstruction()
     files.write_povm(tmp_path / "povm.json", rec, cfg, "beef")
-    povm, h = files.read_povm(tmp_path / "povm.json")
+    povm, h, back_cfg = files.read_povm(tmp_path / "povm.json")
     assert h == "beef"
     assert np.array_equal(povm.entries, rec.povm.entries)
+    assert back_cfg == cfg
     payload = json.loads((tmp_path / "povm.json").read_text())
     assert payload["stop_reason"] == rec.stop_reason
     assert payload["n_iters"] == rec.n_iters
-    assert payload["reg_weight"] == cfg.reg_weight
+    assert (payload["reg_weight"], payload["max_iters"]) == (cfg.reg_weight, 2000)
     assert payload["noise_floor"] is None
     assert "last_outcome_cumulative" not in payload
-    # Older files carry the key; the reader ignores it.
+    # Older files carry that key and lack max_iters and tol; the reader
+    # ignores the one and gives the others their defaults.
     payload["last_outcome_cumulative"] = True
+    del payload["max_iters"], payload["tol"]
     files.write_json(tmp_path / "old.json", payload)
-    old, _ = files.read_povm(tmp_path / "old.json")
+    old, _, old_cfg = files.read_povm(tmp_path / "old.json")
     assert np.array_equal(old.entries, rec.povm.entries)
+    defaults = tp.ReconstructionConfig()
+    assert (old_cfg.max_iters, old_cfg.tol) == (defaults.max_iters, defaults.tol)
+    assert (old_cfg.truncation, old_cfg.n_outcomes, old_cfg.init_eta) == (5, 3, 0.4)
 
 
 def test_read_povm_rejects_bad_columns(tmp_path):
     path = tmp_path / "povm.json"
     files.write_json(path, {"config_hash": "h", "entries": [[0.9, 0.5], [0.3, 0.5]]})
     with pytest.raises(tp.SchemaError, match="sum to 1"):
+        files.read_povm(path)
+    files.write_json(path, {"config_hash": "h", "entries": [[1.0, 0.5], [0.0, 0.5]],
+                            "max_iters": 0})
+    with pytest.raises(tp.SchemaError, match="max_iters"):
         files.read_povm(path)
 
 
