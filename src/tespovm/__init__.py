@@ -13,8 +13,8 @@ from .calibration import (
     ThresholdSet,
     bin_counts,
     bin_counts_by_area,
-    check_peak_labels,
     fit_peaks,
+    fit_run,
     place_thresholds,
 )
 from .errors import (

@@ -1,16 +1,14 @@
 """Pulse-height calibration: comb fitting, thresholds, count binning.
 
 A TES puts the pulse height of ``k`` detected photons at ``baseline + k *
-spacing`` with a width ``sigma0 + k * sigma_slope``. A raw amplitude trace
-is histogrammed and that four-parameter Gaussian comb is fitted to it,
-with one nonnegative weight (expected events) per tooth. Component index
-is tooth index, counted from the lowest tooth that holds events, so it
-equals detected count when that tooth is the zero peak. Calibration
-fails loudly instead of mislabelling: a fit that does not describe its
-histogram raises, and :func:`check_peak_labels` flags the probes of a
-run whose teeth stray from the run's common scale. Events are binned
-into count classes either by thresholds at the density minima between
-adjacent teeth or by the tooth weights.
+spacing`` with a width ``sigma0 + k * sigma_slope``. That four-parameter
+Gaussian comb is fitted once to the histograms of all traces of a run,
+which numbers its teeth, so component index is detected count in every
+probe; each trace then refits the comb to its own histogram, with one
+nonnegative weight (expected events) per tooth. A probe whose
+histogram the comb does not describe fails loudly. Events are binned
+into count classes by thresholds at the density minima between adjacent
+teeth or by the tooth weights.
 """
 
 from __future__ import annotations
@@ -37,10 +35,10 @@ __all__ = [
     "ThresholdSet",
     "CountTable",
     "fit_peaks",
+    "fit_run",
     "place_thresholds",
     "bin_counts",
     "bin_counts_by_area",
-    "check_peak_labels",
 ]
 
 # Histogram bin width and the most count classes a fit reports, unless
@@ -62,7 +60,6 @@ MAX_GOODNESS = 3.0
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 _PEAK_SIGMAS = 4.0  # a peak's least prominence, in sqrt(height)
 _ONE_TOOTH_WINDOW = 4.0  # half-width, in tooth widths, of a lone tooth's goodness
-_ZERO_SHARE = 0.1  # least share of a run's zero-peak events at its zero
 
 
 @dataclass(frozen=True)
@@ -81,8 +78,7 @@ class GaussianMixtureFit:
     Components are ordered by strictly increasing mean; component ``i``
     is the peak of ``i`` detected counts. ``goodness`` is the reduced
     chi-square of the Poisson-weighted fit. ``spacing_mv`` is the comb
-    spacing of a :func:`fit_peaks` result with two or more teeth, and
-    ``None`` otherwise.
+    spacing, and ``None`` for a one-tooth fit.
     """
 
     components: tuple[GaussianComponent, ...]
@@ -212,165 +208,232 @@ class CountTable:
         return self.probs[:, j]
 
 
-def _histogram(amps: np.ndarray, bin_width: float):
-    lo = math.floor(amps.min() / bin_width) * bin_width
-    n_bins = max(1, math.ceil((amps.max() - lo) / bin_width) + 1)
-    edges = lo + bin_width * np.arange(n_bins + 1)
-    counts, _ = np.histogram(amps, bins=edges)
-    centers = edges[:-1] + 0.5 * bin_width
-    return counts.astype(float), centers, edges
+@dataclass(eq=False)
+class _Spectrum:
+    """A trace histogrammed over its own data on the run's grid, whose bin
+    edges are multiples of the bin width, and its prominent peaks."""
+
+    amps: np.ndarray
+    bin_width: float
+
+    def __post_init__(self):
+        bw = self.bin_width
+        first = math.floor(self.amps.min() / bw)
+        self.edges = bw * (first + np.arange(math.ceil(self.amps.max() / bw - first) + 2))
+        self.counts = np.histogram(self.amps, bins=self.edges)[0].astype(float)
+        self.centers = self.edges[:-1] + 0.5 * bw
+        self.smooth = np.convolve(self.counts, np.ones(3) / 3.0, mode="same")
+        peaks, props = signal.find_peaks(self.smooth, height=0.0, prominence=0.0)
+        # A bump that rises only a few Poisson deviations above its
+        # surroundings is noise; one in the tail would skew the spacing.
+        self.peaks = peaks[props["prominences"]
+                           >= _PEAK_SIGMAS * np.sqrt(props["peak_heights"])]
+
+    def teeth(self, base, spacing) -> np.ndarray:
+        """Teeth centred within the data, which alone may hold its events
+        (one outside would only soak up tails), or else the next one up."""
+        first = max(0, math.ceil((self.edges[0] - base) / spacing))
+        return np.arange(first, max(first, math.floor((self.edges[-1] - base) / spacing)) + 1)
+
+    def mass(self, comb, teeth) -> np.ndarray:
+        """Share of each tooth's events in each bin under one trial comb."""
+        base, spacing, sigma0, sigma_slope = comb
+        z = (self.edges[:, None] - (base + teeth * spacing)) / (sigma0 + teeth * sigma_slope)
+        return np.diff(special.ndtr(z), axis=0)
+
+    def weigh(self, mass, variance):
+        """Nonnegative least-squares tooth weights, bins weighted by their
+        ``variance`` (at least 1), and the weighted residuals."""
+        inv_err = 1.0 / np.sqrt(np.maximum(variance, 1.0))
+        design = mass * inv_err[:, None]
+        target = self.counts * inv_err
+        weights, _ = optimize.nnls(design, target)
+        return weights, design @ weights - target
+
+    def residuals(self, comb, teeth) -> np.ndarray:
+        """Poisson-weighted residuals of the best tooth weights under ``comb``."""
+        return self.weigh(self.mass(comb, teeth), self.counts)[1]
 
 
-def fit_peaks(
-    trace: AmplitudeTrace,
-    bin_width_mv: float = DEFAULT_BIN_WIDTH_MV,
-    max_peaks: int = DEFAULT_MAX_PEAKS,
-) -> GaussianMixtureFit:
-    """Fit a Gaussian comb to the pulse-height spectrum of a trace.
+def fit_run(traces, bin_width_mv: float = DEFAULT_BIN_WIDTH_MV,
+            max_peaks: int = DEFAULT_MAX_PEAKS) -> tuple[dict, dict]:
+    """Fit one Gaussian comb to all traces of a run.
 
-    Tooth ``k`` sits at ``baseline + k * spacing`` with width ``sigma0 +
-    k * sigma_slope``. The prominent peaks of the histogram (bin width
-    ``bin_width_mv``) seed the spacing, and the comb reaches left to the
-    data minimum so that a weak zero peak still gets a tooth; it ends at
-    the data maximum. Poisson-weighted least squares moves the four comb
-    parameters; the tooth weights of each trial comb are its
-    nonnegative least-squares solution. Teeth below the lowest and above
-    the highest tooth holding ``WEIGHT_FLOOR_EVENTS`` events are dropped.
-    The lowest kept tooth is component 0; teeth past ``max_peaks`` fold
-    into the last component. Fewer than two prominent peaks give one
-    tooth at the sample median; its goodness counts only the bins within
-    ``_ONE_TOOTH_WINDOW`` widths of it, so an unresolved shoulder raises
-    while a weak peak a spacing away (dark counts in a no-light trace)
-    does not.
+    One detector puts tooth ``k`` at ``baseline + k * spacing`` with width
+    ``sigma0 + k * sigma_slope`` in every trace, so a tooth has one label
+    in every probe. The traces' prominent peaks on one histogram grid seed
+    the comb; one Poisson-weighted least squares over all their bins fits
+    it and numbers the teeth. Each trace of a larger run then refits the
+    comb's four parameters to its own bins from the run's comb, over the
+    teeth centred within its data and with their numbers fixed; its tooth
+    weights solve its own nonnegative least squares, last with the model's
+    bin variances. The zero tooth is the lowest to which some probe gives
+    ``WEIGHT_FLOOR_EVENTS`` events and beside which no probe holds more
+    one-count events than Poisson light allows (:func:`_admits_zero`): a
+    tooth fitted to the tail of a zero peak, or to stray events below it,
+    is not the zero. A probe's components run from it, empty or not, to
+    its highest tooth holding ``WEIGHT_FLOOR_EVENTS``; teeth past
+    ``max_peaks`` fold into the last. Without a trace of two prominent
+    peaks each trace gets one tooth at its median, whose goodness counts
+    the bins within ``_ONE_TOOTH_WINDOW`` widths: a shoulder fails, a
+    dark-count peak a spacing away does not.
+
+    Returns:
+        ``(fits, failures)`` by probe id. A probe fails with a
+        :class:`CalibrationError` when its trace has fewer than
+        ``MIN_EVENTS`` events, its refit does not converge, its reduced
+        chi-square exceeds ``MAX_GOODNESS`` or no tooth of it reaches the
+        weight floor; every probe fails when no tooth is a zero every
+        probe admits.
 
     Raises:
-        CalibrationError: Fewer than ``MIN_EVENTS`` events, no tooth
-            above the weight floor, or a reduced chi-square above
-            ``MAX_GOODNESS``.
-        FitError: The nonlinear fit did not converge.
+        FitError: The run's comb fit did not converge.
     """
-    amps = np.asarray(trace.amplitudes_mv, dtype=float)
-    if amps.size < MIN_EVENTS:
-        raise CalibrationError(
-            f"trace has {amps.size} events, need at least {MIN_EVENTS}"
-        )
     if bin_width_mv <= 0:
         raise ValueError("bin_width_mv must be positive")
     if max_peaks < 1:
         raise ValueError("max_peaks must be >= 1")
+    failures, spectra = {}, {}
+    for trace in traces:
+        pid = trace.probe_id
+        if pid in failures or pid in spectra:
+            raise ValueError(f"probe id {pid} is repeated")
+        if trace.n_pulses < MIN_EVENTS:
+            failures[pid] = CalibrationError(
+                f"trace has {trace.n_pulses} events, need at least {MIN_EVENTS}"
+            )
+        else:
+            spectra[pid] = _Spectrum(np.asarray(trace.amplitudes_mv, float), bin_width_mv)
 
-    counts, centers, edges = _histogram(amps, bin_width_mv)
-    inv_err = 1.0 / np.sqrt(np.maximum(counts, 1.0))
-    target = counts * inv_err
-
-    def solve_weights(comb, teeth):
-        """Tooth weights and weighted residuals of one trial comb."""
-        base, spacing, sigma0, sigma_slope = comb
-        z = (edges[:, None] - (base + teeth * spacing)) / (sigma0 + teeth * sigma_slope)
-        design = np.diff(special.ndtr(z), axis=0) * inv_err[:, None]
-        weights, _ = optimize.nnls(design, target)
-        return weights, design @ weights - target
-
-    smooth = np.convolve(counts, np.ones(3) / 3.0, mode="same")
-    peaks, props = signal.find_peaks(smooth, height=0.0, prominence=0.0)
-    # A bump that rises only a few Poisson deviations above its
-    # surroundings is noise; one in the tail would skew the spacing.
-    peaks = peaks[props["prominences"] >= _PEAK_SIGMAS * np.sqrt(props["peak_heights"])]
-    if peaks.size >= 2:
-        # The median gap is robust to a missed peak; the whole run of
-        # peaks then refines it below the bin width.
-        first, run = centers[peaks[0]], centers[peaks[-1]] - centers[peaks[0]]
-        spacing = run / round(run / float(np.median(np.diff(centers[peaks]))))
-        base = first - math.floor((first - edges[0]) / spacing) * spacing
-        width = signal.peak_widths(smooth, peaks[:1])[0][0] * bin_width_mv / 2.355
-        x0 = [base, spacing, width, 0.0]
+    resolved = [s.centers[s.peaks] for s in spectra.values() if s.peaks.size >= 2]
+    if resolved:
+        # The median gap between adjacent peaks of every trace is robust
+        # to a missed peak. The traces' runs of peaks, over the whole number
+        # of gaps they span, refine it; a hump split into two peaks spans none.
+        gap = float(np.median(np.concatenate([np.diff(at) for at in resolved])))
+        spans = [at[-1] - at[0] for at in resolved]
+        steps = [round(span / gap) for span in spans]
+        spacing = sum(span for span, n in zip(spans, steps) if n) / sum(steps)
+        low = min((s for s in spectra.values() if s.peaks.size),
+                  key=lambda s: s.centers[s.peaks[0]])
+        first = low.centers[low.peaks[0]]
+        start = min(s.edges[0] for s in spectra.values())
+        base = first - math.floor((first - start) / spacing) * spacing
+        # A first peak merged with its neighbour looks wider than its tooth.
+        width = signal.peak_widths(low.smooth, low.peaks[:1])[0][0] * bin_width_mv / 2.355
+        x0 = [base, spacing, min(width, spacing / 4.0), 0.0]
         lo = [base - spacing / 2.0, spacing / 2.0, bin_width_mv / 4.0, 0.0]
         hi = [base + spacing / 2.0, 1.5 * spacing, spacing, spacing / 2.0]
-        # Teeth centred past the histogram would only soak up tails.
-        teeth = np.arange(math.floor((edges[-1] - base) / spacing) + 1)
+        teeth = {pid: s.teeth(base, spacing) for pid, s in spectra.items()}
         res = optimize.least_squares(
-            lambda comb: solve_weights(comb, teeth)[1], np.clip(x0, lo, hi), bounds=(lo, hi)
+            lambda comb: np.concatenate([s.residuals(comb, teeth[pid])
+                                         for pid, s in spectra.items()]),
+            np.clip(x0, lo, hi), bounds=(lo, hi),
         )
         if res.status == 0:
-            norm = float(np.linalg.norm(res.fun))
-            raise FitError(f"comb fit did not converge (residual norm {norm:.4g})", norm)
-        comb, n_params = tuple(res.x), 4
-        window = slice(None)
+            raise FitError(f"comb fit did not converge ({res.nfev} evaluations)")
+        teeth = {pid: s.teeth(res.x[0], res.x[1]) for pid, s in spectra.items()}
+        # The run's comb numbers the teeth. Each trace then refits the comb
+        # to its own histogram from there, so that its thresholds follow its
+        # own peaks and are the same in a run as alone. Its tooth numbers
+        # stay: no tooth moves by half a spacing. A lone trace's run comb
+        # is its own already.
+        combs = dict.fromkeys(spectra, tuple(map(float, res.x)))
+        for pid, s in spectra.items() if len(spectra) > 1 else ():
+            reach = res.x[1] / 4.0 * np.array([1.0, 1.0 / max(1, teeth[pid][-1]), np.inf, np.inf])
+            own = optimize.least_squares(
+                lambda comb: s.residuals(comb, teeth[pid]),
+                res.x, bounds=(np.maximum(lo, res.x - reach), np.minimum(hi, res.x + reach)),
+            )
+            if own.status == 0:
+                failures[pid] = FitError(f"comb refit did not converge ({own.nfev} evaluations)")
+                del combs[pid]
+            else:
+                combs[pid] = tuple(map(float, own.x))
+        windows, n_params = {}, 4
     else:
-        # One tooth, placed by the median and the normal-scaled median
-        # absolute deviation, which a few stray events do not drag.
-        median = float(np.median(amps))
-        mad = 1.4826 * float(np.median(np.abs(amps - median)))
-        comb, n_params = (median, 0.0, max(mad, bin_width_mv / 4.0), 0.0), 2
-        teeth = np.zeros(1)
-        window = np.abs(centers - median) <= _ONE_TOOTH_WINDOW * comb[2]
-    weights, resid = solve_weights(comb, teeth)
-    resid = resid[window]
-    goodness = float(resid @ resid) / max(1, resid.size - n_params - teeth.size)
-    if goodness > MAX_GOODNESS:
-        raise CalibrationError(
-            f"comb fit does not describe the histogram: reduced chi-square "
-            f"{goodness:.4g} > {MAX_GOODNESS} (peaks unresolved or off the comb)"
-        )
-    kept = np.nonzero(weights >= WEIGHT_FLOOR_EVENTS)[0]
-    if kept.size == 0:
-        raise CalibrationError("every comb tooth fell below the weight floor")
-    teeth, weights = teeth[kept[0]:kept[-1] + 1], weights[kept[0]:kept[-1] + 1]
-    if teeth.size > max_peaks:
-        weights = np.append(weights[:max_peaks - 1], weights[max_peaks - 1:].sum())
-        teeth = teeth[:max_peaks]
-    base, spacing, sigma0, sigma_slope = comb
-    return GaussianMixtureFit(
-        components=tuple(
-            GaussianComponent(float(w), float(base + k * spacing),
-                              float(sigma0 + k * sigma_slope))
-            for w, k in zip(weights, teeth)
-        ),
-        goodness=goodness,
-        bin_width_mv=float(bin_width_mv),
-        n_events=int(amps.size),
-        spacing_mv=float(spacing) if spacing > 0 else None,
-    )
+        # One tooth per trace, placed by the median and the normal-scaled
+        # median absolute deviation, which a few stray events do not drag.
+        combs, windows, teeth = {}, {}, {}
+        for pid, s in spectra.items():
+            median = float(np.median(s.amps))
+            mad = 1.4826 * float(np.median(np.abs(s.amps - median)))
+            combs[pid] = (median, 0.0, max(mad, bin_width_mv / 4.0), 0.0)
+            windows[pid] = np.abs(s.centers - median) <= _ONE_TOOTH_WINDOW * combs[pid][2]
+            teeth[pid] = np.zeros(1, dtype=int)
+        n_params = 2
+
+    solved, lowest = {}, set()
+    for pid, comb in combs.items():
+        s = spectra[pid]
+        mass = s.mass(comb, teeth[pid])
+        # Counts as variances bias the weights low where counts are sparse;
+        # the fitted model's variances do not.
+        w, resid = s.weigh(mass, mass @ s.weigh(mass, s.counts)[0])
+        resid = resid[windows.get(pid, slice(None))]
+        goodness = float(resid @ resid) / max(1, resid.size - n_params - teeth[pid].size)
+        if goodness > MAX_GOODNESS:
+            failures[pid] = CalibrationError(
+                f"comb fit does not describe the histogram: reduced chi-square "
+                f"{goodness:.4g} > {MAX_GOODNESS} (peaks unresolved or off the comb)"
+            )
+            continue
+        lowest.update(teeth[pid][w >= WEIGHT_FLOOR_EVENTS][:1].tolist())
+        # Teeth below the trace's data hold none of its events.
+        solved[pid] = np.bincount(teeth[pid], w), goodness, s.amps.size
+    # A tooth proposed by one probe's tail is the zero only if every probe
+    # admits it, and a probe with a zero peak of its own admits no lower one.
+    zero = min((z for z in lowest
+                if all(_admits_zero(w, n, z) for w, _, n in solved.values())), default=None)
+
+    fits = {}
+    for pid, (w, goodness, n_events) in solved.items():
+        kept = np.flatnonzero(w >= WEIGHT_FLOOR_EVENTS)
+        if zero is None and lowest:
+            failures[pid] = CalibrationError("no tooth is a zero-count tooth every probe admits")
+            continue
+        if zero is None or kept.size == 0 or kept[-1] < zero:
+            failures[pid] = CalibrationError("every comb tooth fell below the weight floor")
+            continue
+        weights = w[zero:kept[-1] + 1]
+        if weights.size > max_peaks:
+            weights = np.append(weights[:max_peaks - 1], weights[max_peaks - 1:].sum())
+        base, spacing, sigma0, sigma_slope = combs[pid]
+        comps = [GaussianComponent(float(wk), base + k * spacing, sigma0 + k * sigma_slope)
+                 for k, wk in enumerate(weights, start=zero)]
+        fits[pid] = GaussianMixtureFit(comps, goodness, float(bin_width_mv), n_events,
+                                       spacing if spacing > 0 else None)
+    return fits, failures
 
 
-def check_peak_labels(fits) -> dict[int, CalibrationError]:
-    """Probes whose peak labels disagree with the run's energy scale.
+def _admits_zero(weights, n_events: int, zero: int) -> bool:
+    """Whether a probe's tooth weights, by tooth number, allow tooth ``zero``
+    to be its zero-count tooth.
 
-    ``fits`` maps probe id to fit. All probes of a run see one detector,
-    so peak ``i`` belongs near ``zero + i * spacing``, where ``spacing``
-    is the median comb spacing over probes. A true zero peak is the lowest
-    peak a probe can have, while a bright probe whose zero peak fell below
-    the weight floor starts higher, however many such probes there are.
-    So ``zero`` is the median position of the lowest group of zero peaks
-    (within half a spacing) that holds ``_ZERO_SHARE`` of all zero-peak
-    events; a lone light tooth below it, fitted to tail events, is not
-    one. A probe whose lowest or highest peak is more than half a spacing
-    off has mislabelled its peaks and maps to the error saying so. Without
-    any fitted spacing there is no scale, and nothing is flagged.
+    For any mixture of Poisson counts (classical light, any efficiency and
+    dark-count rate) the one-count share is at most ln(1/p0) times the
+    zero-count share p0. The bound is doubled, the zero tooth given
+    ``WEIGHT_FLOOR_EVENTS`` more events and the logarithm taken as at
+    least 1, to allow for noise.
     """
-    spacings = [f.spacing_mv for f in fits.values() if f.spacing_mv is not None]
-    if not spacings:
-        return {}
-    spacing = float(np.median(spacings))
-    zeros = np.array([f.baseline_mv for f in fits.values()])
-    weights = np.array([f.components[0].weight for f in fits.values()])
-    for lowest in np.sort(zeros):
-        near = np.abs(zeros - lowest) <= 0.5 * spacing
-        if weights[near].sum() >= _ZERO_SHARE * weights.sum():
-            break
-    zero = float(np.median(zeros[near]))
-    flagged = {}
-    for pid, fit in fits.items():
-        for i in (0, fit.n_components - 1):
-            offset = fit.means[i] - (zero + i * spacing)
-            if abs(offset) > 0.5 * spacing:
-                flagged[pid] = CalibrationError(
-                    f"peak {i} at {fit.means[i]:.3f} mV lies {offset:+.3f} mV (about "
-                    f"{round(offset / spacing):+d} peaks) off the run's scale "
-                    f"{zero:.3f} + {i} x {spacing:.3f} mV"
-                )
-                break
-    return flagged
+    w0, w1 = (weights[k] if k < weights.size else 0.0 for k in (zero, zero + 1))
+    w0 += WEIGHT_FLOOR_EVENTS
+    return w1 <= 2.0 * w0 * math.log(max(n_events / w0, math.e))
+
+
+def fit_peaks(trace: AmplitudeTrace, bin_width_mv: float = DEFAULT_BIN_WIDTH_MV,
+              max_peaks: int = DEFAULT_MAX_PEAKS) -> GaussianMixtureFit:
+    """:func:`fit_run` on a run of one trace; raises its failure.
+
+    A trace gets the same comb here, to the fit's tolerance, as in a run
+    whose zero tooth it shows itself. A bright trace whose zero peak holds too few events cannot
+    show it, and alone its lowest visible tooth is taken for zero: fit a
+    run's traces together with :func:`fit_run`.
+    """
+    fits, failures = fit_run([trace], bin_width_mv, max_peaks)
+    if failures:
+        raise failures[trace.probe_id]
+    return fits[trace.probe_id]
 
 
 def place_thresholds(fit: GaussianMixtureFit, xatol: float = 1e-3) -> ThresholdSet:
@@ -378,12 +441,16 @@ def place_thresholds(fit: GaussianMixtureFit, xatol: float = 1e-3) -> ThresholdS
 
     For each pair of adjacent component means the fitted mixture density
     is minimized on the open interval between them (tolerance ``xatol``
-    mV). If the density has no interior valley there, the midpoint is
-    used and a warning is emitted.
+    mV). Next to a component that holds no events, and wherever the
+    density has no interior valley, the midpoint is used; in the latter
+    case a warning is emitted.
     """
     cuts = []
-    means = fit.means
-    for a, b in zip(means, means[1:]):
+    means, comps = fit.means, fit.components
+    for a, b, lower, upper in zip(means, means[1:], comps, comps[1:]):
+        if lower.weight == 0 or upper.weight == 0:
+            cuts.append(0.5 * (a + b))
+            continue
         grid = np.linspace(a, b, 512)[1:-1]
         dens = fit.density(grid)
         i = int(np.argmin(dens))

@@ -21,8 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import files
-from .calibration import (CountTable, bin_counts, bin_counts_by_area, check_peak_labels,
-                          fit_peaks, place_thresholds)
+from .calibration import CountTable, bin_counts, bin_counts_by_area, fit_run, place_thresholds
 from .errors import CalibrationError, EstimationError, LineageError, SchemaError
 from .estimation import estimate_eta, estimate_eta_gamma
 from .metrics import fidelity_curve, sensitivity_sweep, three_way_comparison
@@ -50,15 +49,11 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _calibrate_one(trace, calib, n_outcomes, method):
-    fit = fit_peaks(trace, bin_width_mv=calib["bin_width_mv"],
-                    max_peaks=calib["max_peaks"])
+def _bin_one(trace, fit, n_outcomes, method):
     thresholds = place_thresholds(fit)
     if method == "area":
-        column = bin_counts_by_area(trace, fit, n_outcomes)
-    else:
-        column = bin_counts(trace, thresholds, n_outcomes)
-    return fit, thresholds, column
+        return thresholds, bin_counts_by_area(trace, fit, n_outcomes)
+    return thresholds, bin_counts(trace, thresholds, n_outcomes)
 
 
 def cmd_calibrate(args) -> int:
@@ -66,51 +61,44 @@ def cmd_calibrate(args) -> int:
     manifest = files.read_manifest(trace_dir)
     config = manifest["config"]
     cfg_hash = manifest["config_hash"]
-    calib = files.config_calibration(config)
     n_outcomes = files.config_reconstruction(config).n_outcomes
-    entries = manifest["traces"]
 
-    def load_and_fit(entry):
-        trace = files.read_trace_csv(trace_dir / entry["file"],
-                                     probe_id=entry["probe_id"])
-        return _calibrate_one(trace, calib, n_outcomes, args.method)
+    def read(entry):
+        return files.read_trace_csv(trace_dir / entry["file"], probe_id=entry["probe_id"])
 
+    traces, failures = {}, {}
     with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
-        futures = {e["probe_id"]: pool.submit(load_and_fit, e) for e in entries}
-    results = {}
-    failures = {}
-    for pid, fut in futures.items():
-        try:
-            results[pid] = fut.result()
-        except (CalibrationError, SchemaError) as exc:
-            failures[pid] = exc
-    fits = {pid: result[0] for pid, result in results.items()}
-    for pid, exc in check_peak_labels(fits).items():
-        del results[pid]
-        failures[pid] = exc
-
-    if failures and not args.skip_failed:
-        pid, exc = next(iter(failures.items()))
-        raise exc if isinstance(exc, SchemaError) else CalibrationError(
-            f"probe {pid}: {exc}"
-        )
-    if not results:
-        raise CalibrationError("every probe failed calibration")
+        futures = {e["probe_id"]: pool.submit(read, e) for e in manifest["traces"]}
+        for pid, fut in futures.items():
+            try:
+                traces[pid] = fut.result()
+            except SchemaError as exc:
+                failures[pid] = exc
+        fits, fit_failures = fit_run(traces.values(), **files.config_calibration(config))
+        failures.update(fit_failures)
+        if failures and not args.skip_failed:
+            pid = min(failures)
+            exc = failures[pid]
+            raise exc if isinstance(exc, SchemaError) else CalibrationError(
+                f"probe {pid}: {exc}")
+        if not fits:
+            raise CalibrationError("every probe failed calibration")
+        kept_ids = sorted(fits)
+        binned = {pid: pool.submit(_bin_one, traces[pid], fits[pid], n_outcomes, args.method)
+                  for pid in kept_ids}
+    results = {pid: fut.result() for pid, fut in binned.items()}
 
     out = Path(args.out)
-    kept_ids = sorted(results)
-    columns = [results[pid][2] for pid in kept_ids]
     table = CountTable.from_counts(
-        np.column_stack(columns), probe_ids=tuple(kept_ids)
+        np.column_stack([results[pid][1] for pid in kept_ids]), probe_ids=tuple(kept_ids)
     )
     files.write_count_table(
         out / "counts.json", table, cfg_hash, args.method,
         skipped_probe_ids=sorted(failures),
     )
     for pid in kept_ids:
-        fit, thresholds, _ = results[pid]
         files.write_fit_report(
-            out / "fits" / f"probe_{pid:03d}.json", fit, thresholds, cfg_hash
+            out / "fits" / f"probe_{pid:03d}.json", fits[pid], results[pid][0], cfg_hash
         )
     for pid, exc in sorted(failures.items()):
         print(f"probe {pid}: skipped ({exc})", file=sys.stderr)

@@ -10,11 +10,7 @@ class CalibrationError(RuntimeError):
 
 
 class FitError(CalibrationError):
-    """Nonlinear peak fit did not converge. Carries the last residual."""
-
-    def __init__(self, message: str, residual: float | None = None):
-        super().__init__(message)
-        self.residual = residual
+    """Nonlinear peak fit did not converge."""
 
 
 class EstimationError(RuntimeError):

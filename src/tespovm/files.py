@@ -37,7 +37,7 @@ def default_config() -> dict:
 
     The detector and reconstruction sections are the field defaults of
     :class:`DetectorPhysicalConfig` and :class:`ReconstructionConfig`, the
-    calibration section the :func:`~tespovm.calibration.fit_peaks` defaults.
+    calibration section the :func:`~tespovm.calibration.fit_run` defaults.
     """
     return {
         "detector": _field_defaults(DetectorPhysicalConfig),
@@ -168,7 +168,7 @@ def config_reconstruction(config: dict, **overrides) -> ReconstructionConfig:
 
 
 def config_calibration(config: dict) -> dict:
-    """The calibration section; absent fields take the :func:`fit_peaks` defaults."""
+    """The calibration section; absent fields take the :func:`fit_run` defaults."""
     section = config.get("calibration", {})
     out = {
         "bin_width_mv": float(section.get("bin_width_mv", DEFAULT_BIN_WIDTH_MV)),

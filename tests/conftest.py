@@ -1,6 +1,13 @@
-"""Shared pytest hooks: collects acceptance-criterion verdict lines."""
+"""Shared pytest hooks: collects acceptance-criterion verdict lines and
+sets the hypothesis profile."""
 
 import pytest
+from hypothesis import settings
+
+# Property tests draw the same examples on every run, so a failure
+# reproduces; their examples simulate whole runs, so no deadline.
+settings.register_profile("tespovm", derandomize=True, deadline=None)
+settings.load_profile("tespovm")
 
 _criterion_lines = []
 

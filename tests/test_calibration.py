@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import tespovm as tp
 
@@ -107,87 +109,111 @@ def test_fit_peaks_raises_on_unresolved_peaks():
         tp.fit_peaks(trace)
 
 
-def _fit_ensemble(detector, seed):
-    traces = tp.simulate_ensemble(detector, tp.geometric_ensemble(), seed=seed, jobs=2)
-    fits, raised = {}, []
-    for trace in traces:
-        try:
-            fits[trace.probe_id] = tp.fit_peaks(trace)
-        except tp.CalibrationError:
-            raised.append(trace.probe_id)
-    return traces, fits, raised
+def _fit_ensemble(detector, seed, n_pulses=100_000):
+    ensemble = tp.geometric_ensemble(n_pulses=n_pulses)
+    traces = tp.simulate_ensemble(detector, ensemble, seed=seed, jobs=2)
+    fits, failures = tp.fit_run(traces)
+    return traces, fits, failures
+
+
+def _worst_scale(fits):
+    """The largest distance of any probe's zero peak from 0 mV, and of its
+    spacing from 13 mV: every probe's component 0 must be the zero peak."""
+    return (max(abs(fit.baseline_mv) for fit in fits.values()),
+            max(abs(fit.spacing_mv - 13.0) for fit in fits.values()))
 
 
 def test_comb_labels_widening_peaks():
     detector = tp.DetectorPhysicalConfig(sigma_slope_mv=0.5)
-    traces, fits, raised = _fit_ensemble(detector, seed=3)
-    assert raised == []
-    assert tp.check_peak_labels(fits) == {}
+    traces, fits, failures = _fit_ensemble(detector, seed=3)
+    assert failures == {}
+    zero, spacing = _worst_scale(fits)
+    assert zero < 0.5 and spacing < 0.13
     for trace in traces:
-        fit = fits[trace.probe_id]
-        assert abs(fit.baseline_mv) < 0.5
-        assert _area_tv(trace, fit) <= 0.01
+        assert _area_tv(trace, fits[trace.probe_id]) <= 0.01
 
 
 def test_comb_low_resolution_fails_loudly_or_labels_right():
-    # Spacing/sigma0 = 2.9: every probe is flagged, raises, or is right.
-    # Threshold binning is not bounded here: overlapping peaks, not wrong
-    # labels, put it at TV 0.01-0.06.
+    # Spacing/sigma0 = 2.9: every probe raises or is right, and the run's
+    # comb labels them all. Threshold binning is not bounded here:
+    # overlapping peaks, not wrong labels, put it at TV 0.01-0.07.
     detector = tp.DetectorPhysicalConfig(sigma0_mv=13.0 / 2.9)
-    traces, fits, raised = _fit_ensemble(detector, seed=3)
-    flagged = tp.check_peak_labels(fits)
-    right = []
+    traces, fits, failures = _fit_ensemble(detector, seed=3)
+    zero, spacing = _worst_scale(fits)
+    assert zero < 0.5 and spacing < 0.13
+    right = [trace.probe_id for trace in traces if trace.probe_id in fits
+             and _area_tv(trace, fits[trace.probe_id]) <= 0.01]
+    assert sorted(right + list(failures)) == list(range(20))
+    assert len(right) == 20
+
+
+def test_fit_run_zero_tooth_ignores_tail_teeth():
+    # At spacing/sigma0 = 2.9 and 2e4 pulses the tooth below the zero
+    # peak takes 10-18 tail events in 4 probes: in probe 15, 17 events
+    # beside a zero peak of 593, more than a hundredth of it. Poisson
+    # light cannot put 593 one-count events beside 17 zero-count ones,
+    # nor probe 0's 14130 beside 2, so none of these teeth is the zero.
+    detector = tp.DetectorPhysicalConfig(sigma0_mv=13.0 / 2.9)
+    traces, fits, failures = _fit_ensemble(detector, seed=3, n_pulses=20_000)
+    assert failures == {}
+    zero, _ = _worst_scale(fits)
+    assert zero < 0.5
     for trace in traces:
-        pid = trace.probe_id
-        if pid in raised or pid in flagged:
-            continue
-        fit = fits[pid]
-        assert abs(fit.baseline_mv) < 0.5, pid
-        assert abs(fit.spacing_mv - 13.0) < 0.13, pid
-        assert _area_tv(trace, fit) <= 0.01, pid
-        right.append(pid)
-    assert len(right) >= 10
+        assert _area_tv(trace, fits[trace.probe_id]) <= 0.02, trace.probe_id
 
 
-def test_check_peak_labels():
-    def comb(base, spacing, n, with_spacing=True, weight=100.0):
-        return tp.GaussianMixtureFit(
-            components=tuple(
-                tp.GaussianComponent(weight=weight, mean_mv=base + k * spacing, sigma_mv=2.0)
-                for k in range(n)
-            ),
-            goodness=1.0,
-            bin_width_mv=1.3,
-            n_events=100 * n,
-            spacing_mv=spacing if with_spacing else None,
-        )
+def test_fit_run_bright_run_keeps_its_labels():
+    # eta = 0.9, gamma = 0.2, 2e4 pulses: only probes 0 and 1 keep 10 or
+    # more zero-count events. Every other probe takes its zero from them:
+    # fitted alone, a trace without a zero peak calls its lowest peak zero.
+    detector = tp.DetectorPhysicalConfig(eta=0.9, gamma=0.2)
+    traces, fits, failures = _fit_ensemble(detector, seed=2, n_pulses=20_000)
+    assert failures == {}
+    zero, spacing = _worst_scale(fits)
+    assert zero < 0.5 and spacing < 0.05
+    for trace in traces:
+        fit = fits[trace.probe_id]
+        assert _area_tv(trace, fit) <= 0.02, trace.probe_id
+        if trace.amplitudes_mv.min() > fit.baseline_mv + fit.spacing_mv / 2.0:
+            # No event near the zero tooth: it holds none.
+            assert fit.components[0].weight == 0.0
 
-    fits = {0: comb(0.0, 13.0, 4), 1: comb(0.2, 13.0, 6), 2: comb(13.1, 13.0, 5),
-            3: comb(0.0, 14.5, 8), 4: comb(-6.0, 13.0, 1, with_spacing=False),
-            5: comb(0.1, 12.9, 3)}
-    flagged = tp.check_peak_labels(fits)
-    # Probe 2 calls its one-photon peak zero; probe 3's top peak is 10.5 mV
-    # off the run's scale; probe 4's single peak is within tolerance.
-    assert sorted(flagged) == [2, 3]
-    assert isinstance(flagged[2], tp.CalibrationError)
-    assert "peak 0" in str(flagged[2]) and "+1 peaks" in str(flagged[2])
-    assert "peak 7" in str(flagged[3])
-    # Without a fitted spacing there is no scale to check against.
-    assert tp.check_peak_labels({4: fits[4], 5: comb(30.0, 1.0, 1, False)}) == {}
 
-    # Bright probes whose zero peak fell below the weight floor start on a
-    # light tooth. Outnumbering the right probes does not move the scale,
-    # even when the right probes' zero peaks are light too.
-    for weight in (2000.0, 40.0):
-        fits = {pid: comb(0.1 * pid, 13.0, 8, weight=weight) for pid in range(3)}
-        fits.update({pid: comb(13.0 * (pid // 3), 13.0, 16, weight=25.0)
-                     for pid in range(3, 13)})
-        assert sorted(tp.check_peak_labels(fits)) == list(range(3, 13))
-    # A light tooth below the zero peak (tail events) is flagged by itself.
-    fits = {0: comb(-13.0, 13.0, 8, weight=12.0), 1: comb(0.0, 13.0, 8),
-            2: comb(0.1, 13.0, 8)}
-    flagged = tp.check_peak_labels(fits)
-    assert sorted(flagged) == [0] and "-1 peaks" in str(flagged[0])
+def test_fit_run_failures_stay_out_of_the_scale():
+    ensemble = tp.geometric_ensemble(n_probes=4, n_pulses=20_000)
+    traces = tp.simulate_ensemble(tp.DetectorPhysicalConfig(), ensemble, seed=5)
+    fits, failures = tp.fit_run(traces)
+    assert failures == {} and sorted(fits) == [0, 1, 2, 3]
+    tiny = _trace(np.linspace(-50.0, 50.0, 50), probe_id=7)
+    with_tiny, failed = tp.fit_run([*traces, tiny])
+    assert list(failed) == [7] and "need at least 100" in str(failed[7])
+    for pid, fit in fits.items():
+        assert with_tiny[pid].components == fit.components
+    with pytest.raises(ValueError, match="repeated"):
+        tp.fit_run([traces[0], traces[0]])
+    assert tp.fit_run([]) == ({}, {})
+
+
+@settings(max_examples=20)
+@given(eta=st.floats(0.01, 0.9), gamma=st.floats(0.0, 0.5), sigma0=st.floats(1.0, 3.0),
+       sigma_slope=st.floats(0.0, 0.3), baseline=st.floats(-20.0, 20.0),
+       seed=st.integers(0, 2**32 - 1))
+@example(eta=0.9, gamma=0.2, sigma0=2.0, sigma_slope=0.0, baseline=0.0, seed=2)
+@example(eta=0.051, gamma=0.0, sigma0=13.0 / 2.9, sigma_slope=0.0, baseline=0.0, seed=3)
+def test_fit_run_labels_right_or_raises(eta, gamma, sigma0, sigma_slope, baseline, seed):
+    """Calibrated counts match the true counts, or the probe fails: never
+    wrong silently."""
+    detector = tp.DetectorPhysicalConfig(eta=eta, gamma=gamma, baseline_mv=baseline,
+                                         sigma0_mv=sigma0, sigma_slope_mv=sigma_slope)
+    ensemble = tp.geometric_ensemble(n_probes=4, n_pulses=20_000)
+    traces = tp.simulate_ensemble(detector, ensemble, seed=seed)
+    try:
+        fits, failures = tp.fit_run(traces)
+    except tp.FitError:
+        return
+    for trace in traces:
+        if trace.probe_id not in failures:
+            assert _area_tv(trace, fits[trace.probe_id]) <= 0.02, trace.probe_id
 
 
 def test_fit_peaks_rejects_tiny_traces():
@@ -362,3 +388,45 @@ def test_gaussian_mixture_fit_validation():
             bin_width_mv=1.3,
             n_events=10,
         )
+
+
+@pytest.mark.parametrize("probe", [0, 3])
+def test_fit_run_stray_cluster_below_zero_moves_no_label(probe):
+    # 300 stray events one spacing below the zero peak of one probe: of
+    # probe 0, beside its 14 000 zero-count events, or of probe 3 (mu =
+    # 130), whose zero tooth holds about 30. Either way the other probes'
+    # zero peaks rule the cluster out as the zero, and no label moves.
+    ensemble = tp.geometric_ensemble(n_probes=4, n_pulses=20_000)
+    traces = tp.simulate_ensemble(tp.DetectorPhysicalConfig(), ensemble, seed=5)
+    stray = np.random.default_rng(0).normal(-13.0, 2.0, 300)
+    traces[probe] = _trace(np.append(traces[probe].amplitudes_mv, stray), probe_id=probe)
+    fits, failures = tp.fit_run(traces)
+    assert failures == {}
+    for trace in traces:
+        fit = fits[trace.probe_id]
+        assert abs(fit.baseline_mv) < 0.5, trace.probe_id
+        if trace.truth_counts is not None:
+            assert _area_tv(trace, fit) <= 0.01, trace.probe_id
+
+
+def test_fit_peaks_is_fit_run_on_one_trace():
+    # Each trace refits the run's comb alone, so fitting it alone gives
+    # the same thresholds: a run's count table does not depend on whether
+    # its traces were fitted together or one at a time.
+    ensemble = tp.geometric_ensemble(n_probes=4, n_pulses=20_000)
+    traces = tp.simulate_ensemble(tp.DetectorPhysicalConfig(gamma=0.2), ensemble, seed=5)
+    fits, _ = tp.fit_run(traces)
+    for trace in traces:
+        alone = tp.place_thresholds(tp.fit_peaks(trace)).cut_points_mv
+        together = tp.place_thresholds(fits[trace.probe_id]).cut_points_mv
+        assert np.allclose(alone, together, rtol=0.0, atol=1e-3), trace.probe_id
+
+
+def test_fit_run_fails_a_run_no_poisson_light_explains():
+    # 10 000 one-count events beside 100 zero-count ones: classical light
+    # allows at most ln(10 200 / 100) ~ 4.6 times as many, so no tooth is zero.
+    rng = np.random.default_rng(1)
+    amps = np.concatenate([rng.normal(0.0, 2.0, 100), rng.normal(13.0, 2.0, 10_000),
+                           rng.normal(26.0, 2.0, 100)])
+    fits, failures = tp.fit_run([_trace(amps)])
+    assert fits == {} and "every probe admits" in str(failures[0])

@@ -84,36 +84,66 @@ def test_pipeline_fit_reports(pipeline):
         assert abs(payload["spacing_mv"] - 13.0) < 0.2
 
 
-@pytest.mark.parametrize("eta, first_flagged", [(0.15, 13), (0.3, 9)])
-def test_calibrate_mislabelled_zero_peak_exits_3_unless_skipped(
-    tmp_path, capsys, eta, first_flagged
-):
-    # At 2e4 pulses the brightest probes keep fewer than WEIGHT_FLOOR_EVENTS
-    # zero-count events, so their lowest tooth is a one-photon peak or
-    # higher; the run's common scale exposes them. At eta = 0.3 they are
-    # 11 of the 20 probes.
+def _simulate_default(tmp_path, edit_config, seed=3):
+    """Simulate the default design, edited; returns the simulate output."""
     config = files.default_config()
-    config["detector"]["eta"] = eta
-    for probe in config["probes"]:
-        probe["n_pulses"] = 20_000
+    edit_config(config)
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(config))
-    sim, cal = tmp_path / "sim", tmp_path / "cal"
-    assert main(["simulate", "--config", str(cfg), "--seed", "3", "--out", str(sim)]) == 0
+    sim = tmp_path / "sim"
+    argv = ["simulate", "--config", str(cfg), "--seed", str(seed), "--out", str(sim)]
+    assert main(argv) == 0
+    return sim
 
-    assert main(["calibrate", "--traces", str(sim), "--out", str(cal)]) == 3
-    err = capsys.readouterr().err
-    assert f"probe {first_flagged}: peak 0 at" in err and "off the run's scale" in err
 
-    assert main(["calibrate", "--traces", str(sim), "--out", str(cal),
-                 "--skip-failed"]) == 0
-    payload = json.loads((cal / "counts.json").read_text())
-    assert payload["skipped_probe_ids"] == list(range(first_flagged, 20))
+def _true_counts(sim, probe_ids, n_outcomes=12):
+    """True detected-count histograms, top class cumulative, one column a probe."""
+    return np.column_stack([
+        np.bincount(np.minimum(np.load(sim / files.truth_filename(pid)), n_outcomes - 1),
+                    minlength=n_outcomes)
+        for pid in probe_ids
+    ])
+
+
+@pytest.mark.parametrize("eta", [0.15, 0.3])
+def test_calibrate_bright_probes_keep_their_labels(tmp_path, eta):
+    # At 2e4 pulses the brightest probes (13-19 at eta = 0.15, 9-19 at
+    # 0.3) keep fewer than WEIGHT_FLOOR_EVENTS zero-count events. The
+    # run's one comb still labels them: their zero tooth holds no events.
+    def edit(config):
+        config["detector"]["eta"] = eta
+        for probe in config["probes"]:
+            probe["n_pulses"] = 20_000
+
+    sim, cal = _simulate_default(tmp_path, edit), tmp_path / "cal"
+    assert main(["calibrate", "--traces", str(sim), "--out", str(cal)]) == 0
+    table, _ = files.read_count_table(cal / "counts.json")
+    assert table.probe_ids == tuple(range(20))
+    truth = _true_counts(sim, table.probe_ids)
+    tv = 0.5 * np.abs(table.counts - truth).sum(axis=0) / truth.sum(axis=0)
+    assert tv.max() <= 0.02
     assert main(["estimate", "--counts", str(cal / "counts.json"),
                  "--ensemble", str(sim / "ensemble.json"),
                  "--out", str(tmp_path / "est")]) == 0
     estimate, _ = files.read_estimate(tmp_path / "est" / "estimate.json")
     assert abs(estimate["eta_hat"] - eta) < 3.0 * estimate["eta_se"]
+
+
+def test_calibrate_no_light_probe_gets_its_dark_count_tooth(tmp_path):
+    # 50-110 dark events one spacing above the zero peak are too few for
+    # a trace's own peak search; the run's comb gives them their tooth.
+    def edit(config):
+        config["detector"]["gamma"] = 1e-3
+        config["probes"].append({"id": 20, "mean_photons": 0.0, "n_pulses": 100_000})
+
+    sim, cal = _simulate_default(tmp_path, edit, seed=1), tmp_path / "cal"
+    assert main(["calibrate", "--traces", str(sim), "--out", str(cal)]) == 0
+    report = json.loads((cal / "fits" / "probe_020.json").read_text())
+    assert len(report["components"]) == 2
+    table, _ = files.read_count_table(cal / "counts.json")
+    dark = int(_true_counts(sim, [20])[1, 0])
+    counted = int(table.counts[1, table.probe_ids.index(20)])
+    assert abs(counted - dark) < 4.0 * np.sqrt(dark)
 
 
 def test_pipeline_povm_artifact(pipeline):
@@ -440,3 +470,11 @@ def test_readme_command_block_runs(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert [main(argv[1:]) for argv in commands] == [0, 0, 0, 0, 0]
     assert (tmp_path / "run" / "val" / "sweep.json").exists()
+
+
+def test_readme_quick_start_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})
+    assert "min fidelity (m <= 100)" in capsys.readouterr().out
