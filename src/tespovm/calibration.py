@@ -21,7 +21,7 @@ import numpy as np
 from scipy import optimize, signal, special
 
 from .errors import CalibrationError, FitError
-from .photon_stats import COLUMN_SUM_TOL
+from .photon_stats import _check_stochastic
 from .tes_sim import AmplitudeTrace
 
 __all__ = [
@@ -146,7 +146,11 @@ class CountTable:
 
     ``probs`` always holds column-normalized probabilities. ``counts``
     is present when the table came from event data; tables built from
-    exact model probabilities carry ``counts=None``.
+    exact model probabilities carry ``counts=None``. ``probe_ids`` names
+    the probe of each column; when none are given (``None`` or empty)
+    the columns are probes ``0 .. n-1``. Consumers pair columns with
+    probes by these ids through ``ensemble.subset(table.probe_ids)``,
+    never by position.
     """
 
     probs: np.ndarray
@@ -157,11 +161,7 @@ class CountTable:
         probs = np.asarray(self.probs, dtype=float)
         if probs.ndim != 2:
             raise ValueError("probs must be 2-D (outcomes x probes)")
-        if not np.isfinite(probs).all() or probs.min() < 0:
-            raise ValueError("probs must be finite and nonnegative")
-        colsums = probs.sum(axis=0)
-        if np.abs(colsums - 1.0).max() > COLUMN_SUM_TOL:
-            raise ValueError("probability columns must sum to 1")
+        _check_stochastic(probs, "probs")
         object.__setattr__(self, "probs", probs)
         if self.counts is not None:
             counts = np.asarray(self.counts)
@@ -172,13 +172,12 @@ class CountTable:
             if counts.min() < 0:
                 raise ValueError("counts must be >= 0")
             object.__setattr__(self, "counts", counts.astype(np.int64))
-        if self.probe_ids is not None:
-            ids = tuple(int(i) for i in self.probe_ids)
-            if len(ids) != probs.shape[1]:
-                raise ValueError("probe_ids must match the number of columns")
-            if len(set(ids)) != len(ids):
-                raise ValueError("probe_ids must be unique")
-            object.__setattr__(self, "probe_ids", ids)
+        ids = tuple(int(i) for i in self.probe_ids or range(probs.shape[1]))
+        if len(ids) != probs.shape[1]:
+            raise ValueError("probe_ids must match the number of columns")
+        if len(set(ids)) != len(ids):
+            raise ValueError("probe_ids must be unique")
+        object.__setattr__(self, "probe_ids", ids)
 
     @classmethod
     def from_counts(cls, counts, probe_ids=None) -> "CountTable":

@@ -5,9 +5,11 @@ validate, each reading the previous stage's artifacts. Only ``simulate``
 takes a config; it records it as the run config in ``ensemble.json``.
 ``reconstruct`` solves with that config's reconstruction section and
 records every solver setting in ``povm.json``, which ``validate`` reuses
-for its sensitivity sweep. Exit codes: 0 success, 2 schema or input
-validation error, 3 numerical failure, 4 lineage mismatch (artifacts
-from different runs; --force overrides).
+for its sensitivity sweep. ``calibrate`` reads the trace of each probe
+id of the run config, and the later stages pair count-table columns
+with the run config's probes by id. Exit codes: 0 success, 2 schema or
+input validation error, 3 numerical failure, 4 lineage mismatch
+(artifacts from different runs; --force overrides).
 """
 
 from __future__ import annotations
@@ -61,14 +63,15 @@ def cmd_calibrate(args) -> int:
     manifest = files.read_manifest(trace_dir)
     config = manifest["config"]
     cfg_hash = manifest["config_hash"]
+    probe_ids = files.config_ensemble(config).ids
     n_outcomes = files.config_reconstruction(config).n_outcomes
 
-    def read(entry):
-        return files.read_trace_csv(trace_dir / entry["file"], probe_id=entry["probe_id"])
+    def read(pid):
+        return files.read_trace_csv(trace_dir / files.trace_filename(pid), probe_id=pid)
 
     traces, failures = {}, {}
     with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
-        futures = {e["probe_id"]: pool.submit(read, e) for e in manifest["traces"]}
+        futures = {pid: pool.submit(read, pid) for pid in probe_ids}
         for pid, fut in futures.items():
             try:
                 traces[pid] = fut.result()
@@ -106,25 +109,10 @@ def cmd_calibrate(args) -> int:
     return EXIT_OK
 
 
-def _aligned_ensemble(ensemble, table):
-    if table.probe_ids is None:
-        if ensemble.n_probes != table.n_probes:
-            raise SchemaError(
-                f"count table has {table.n_probes} probes but the ensemble "
-                f"has {ensemble.n_probes} and the table carries no probe ids"
-            )
-        return ensemble
-    try:
-        return ensemble.subset(table.probe_ids)
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
-
-
 def cmd_reconstruct(args) -> int:
     table, counts_hash = files.read_count_table(args.counts)
     ensemble, ensemble_hash, config = files.read_ensemble(args.ensemble)
     files.check_lineage(counts_hash, ensemble_hash, "ensemble file", args.force)
-    ensemble = _aligned_ensemble(ensemble, table)
     cfg = files.config_reconstruction(
         config, init_eta=estimate_eta(table, ensemble).eta_hat
     )
@@ -148,7 +136,6 @@ def cmd_estimate(args) -> int:
     table, counts_hash = files.read_count_table(args.counts)
     ensemble, ensemble_hash, _ = files.read_ensemble(args.ensemble)
     files.check_lineage(counts_hash, ensemble_hash, "ensemble file", args.force)
-    ensemble = _aligned_ensemble(ensemble, table)
     if args.dark_counts:
         estimate = estimate_eta_gamma(table, ensemble)
         method = "eta_gamma"
@@ -172,9 +159,9 @@ def cmd_validate(args) -> int:
     files.check_lineage(povm_hash, counts_hash, "count table", args.force)
     files.check_lineage(povm_hash, ensemble_hash, "ensemble file", args.force)
     files.check_lineage(povm_hash, estimate_hash, "estimate file", args.force)
-    ensemble = _aligned_ensemble(ensemble, table)
 
     eta_hat = float(estimate["eta_hat"])
+    comparisons = three_way_comparison(table, povm, eta_hat, ensemble)
     reference = binomial_povm(eta_hat, povm.n_outcomes, povm.truncation)
     curve = fidelity_curve(povm, reference, split=args.split)
     out = Path(args.out)
@@ -189,7 +176,6 @@ def cmd_validate(args) -> int:
             "fidelity": curve.values,
         },
     )
-    comparisons = three_way_comparison(table, povm, eta_hat, ensemble)
     files.write_json(
         out / "comparison.json",
         {

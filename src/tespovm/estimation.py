@@ -162,16 +162,6 @@ def loglik_eta_msum(eta: float, counts, mu: float, truncation: int) -> float:
     return _weighted_loglik(c, log_probs)
 
 
-def _check_alignment(counts: CountTable, ensemble: ProbeEnsemble):
-    if counts.n_probes != ensemble.n_probes:
-        raise ValueError(
-            f"count table has {counts.n_probes} probes, "
-            f"ensemble has {ensemble.n_probes}"
-        )
-    if counts.probe_ids is not None and counts.probe_ids != ensemble.ids:
-        raise ValueError("count table and ensemble probe ids disagree")
-
-
 def _usable_probe(col: np.ndarray, probe) -> bool:
     if col.sum() <= 0:
         warnings.warn(f"probe {probe.id}: no events, skipped", stacklevel=4)
@@ -211,15 +201,15 @@ def _maximize(cols: np.ndarray, design: np.ndarray, lower, upper, x0) -> np.ndar
 
 def _fit(counts: CountTable, ensemble: ProbeEnsemble, joint: bool) -> EfficiencyEstimate:
     """Pooled fit of eta, and of gamma when ``joint``, over the usable probes."""
-    _check_alignment(counts, ensemble)
+    probes = ensemble.subset(counts.probe_ids)
     used = []
-    for j, probe in enumerate(ensemble.probes):
+    for j, probe in enumerate(probes.probes):
         if _usable_probe(np.asarray(counts.column(j), dtype=float), probe):
             used.append(j)
     if not used:
         raise EstimationError("no usable probes: every column was degenerate")
     cols = np.column_stack([counts.column(j) for j in used]).astype(float)
-    mus = ensemble.mean_photons[used]
+    mus = probes.mean_photons[used]
     if joint and np.unique(mus).size < 2:
         raise EstimationError(
             "fitting eta and gamma needs usable probes at two or more distinct "
@@ -272,10 +262,12 @@ def estimate_eta(counts: CountTable, ensemble: ProbeEnsemble) -> EfficiencyEstim
     The dark-count rate is pinned at zero, so each probe's counts are
     Poisson(eta * mu) with a cumulative top bin. ``eta_se`` comes from
     the Fisher information; ``per_probe_etas`` are the single-probe
-    maximizers. Degenerate probes (no events, or mu of zero) are skipped
-    with a warning.
+    maximizers, in column order. Columns pair with the ensemble's probes
+    by id (:meth:`ProbeEnsemble.subset`). Degenerate probes (no events,
+    or mu of zero) are skipped with a warning.
 
     Raises:
+        ValueError: A column id names no probe of the ensemble.
         EstimationError: Every probe was degenerate.
     """
     return _fit(counts, ensemble, joint=False)
@@ -293,6 +285,7 @@ def estimate_eta_gamma(counts: CountTable, ensemble: ProbeEnsemble) -> Efficienc
     eta.
 
     Raises:
+        ValueError: A column id names no probe of the ensemble.
         EstimationError: Every probe was degenerate, or the usable probes
             share a single mean photon number.
     """

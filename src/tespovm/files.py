@@ -146,7 +146,7 @@ def config_ensemble(config: dict) -> ProbeEnsemble:
                 Probe(
                     id=int(pid),
                     mean_photons=float(entry["mean_photons"]),
-                    n_pulses=int(entry.get("n_pulses", 100_000)),
+                    n_pulses=int(entry.get("n_pulses", Probe.n_pulses)),
                     attenuation_db=entry.get("attenuation_db"),
                 )
             )
@@ -256,21 +256,14 @@ def read_trace_csv(path, probe_id: int, truth_path=None) -> AmplitudeTrace:
 # -- manifest and ensemble ---------------------------------------------------
 
 def write_manifest(directory, config: dict, seed: int):
+    """Record the run config, its hash and the seed of a simulate output.
+
+    Each probe's trace is :func:`trace_filename` of its id in the same
+    directory, so the manifest lists no files.
+    """
     write_json(
         Path(directory) / "manifest.json",
-        {
-            "config_hash": config_hash(config),
-            "seed": seed,
-            "config": config,
-            "traces": [
-                {
-                    "probe_id": p["id"],
-                    "file": trace_filename(p["id"]),
-                    "truth_file": truth_filename(p["id"]),
-                }
-                for p in config["probes"]
-            ],
-        },
+        {"config_hash": config_hash(config), "seed": seed, "config": config},
     )
 
 
@@ -279,22 +272,9 @@ def read_manifest(directory) -> dict:
     if not path.exists():
         raise SchemaError(f"{directory}: no manifest.json; not a simulate output?")
     manifest = read_json(path)
-    for key in ("config_hash", "seed", "config", "traces"):
+    for key in ("config_hash", "seed", "config"):
         _require(manifest, key, str(path))
     validate_config(manifest["config"])
-    if not isinstance(manifest["traces"], list):
-        raise SchemaError(f"{path}: 'traces' must be a list")
-    seen = set()
-    for i, entry in enumerate(manifest["traces"]):
-        where = f"{path}: trace entry {i}"
-        if not isinstance(entry, dict):
-            raise SchemaError(f"{where} must be an object")
-        for key in ("probe_id", "file"):
-            _require(entry, key, where)
-        # A repeated id would silently replace one probe's counts with another's.
-        if not isinstance(entry["probe_id"], int) or entry["probe_id"] in seen:
-            raise SchemaError(f"{where}: probe_id must be a unique integer")
-        seen.add(entry["probe_id"])
     return manifest
 
 
@@ -329,7 +309,7 @@ def write_count_table(path, table: CountTable, cfg_hash: str, method: str,
         "method": method,
         "n_outcomes": table.n_outcomes,
         "n_probes": table.n_probes,
-        "probe_ids": list(table.probe_ids) if table.probe_ids is not None else None,
+        "probe_ids": list(table.probe_ids),
         "skipped_probe_ids": list(skipped_probe_ids),
         "counts": table.counts,
         "probs": table.probs,
@@ -342,18 +322,13 @@ def read_count_table(path) -> tuple[CountTable, str]:
     cfg_hash = _require(payload, "config_hash", str(path))
     probs = np.asarray(_require(payload, "probs", str(path)), dtype=float)
     counts = payload.get("counts")
-    probe_ids = payload.get("probe_ids")
     try:
-        if counts is not None:
-            table = CountTable(
-                probs,
-                counts=np.asarray(counts, dtype=np.int64),
-                probe_ids=tuple(probe_ids) if probe_ids is not None else None,
-            )
-        else:
-            table = CountTable.from_probs(
-                probs, probe_ids=tuple(probe_ids) if probe_ids is not None else None
-            )
+        # A null "probe_ids" numbers the columns 0 .. n-1, as CountTable does.
+        table = CountTable(
+            probs,
+            counts=None if counts is None else np.asarray(counts, dtype=np.int64),
+            probe_ids=payload.get("probe_ids"),
+        )
     except ValueError as exc:
         raise SchemaError(f"{path}: {exc}") from exc
     return table, cfg_hash

@@ -106,14 +106,13 @@ def three_way_comparison(
     For every probe: the calibrated probabilities, the reconstruction's
     forward prediction, and the closed-form Poisson(eta_hat * mu)
     prediction, with max and total-variation differences against the
-    measurement.
+    measurement. Rows follow the table's columns, each paired with its
+    probe by id (:meth:`ProbeEnsemble.subset`).
     """
-    if counts.n_probes != ensemble.n_probes:
-        raise ValueError("count table and ensemble probe counts disagree")
     if counts.n_outcomes != reconstructed.n_outcomes:
         raise ValueError("count table and POVM outcome counts disagree")
     out = []
-    for j, probe in enumerate(ensemble.probes):
+    for j, probe in enumerate(ensemble.subset(counts.probe_ids).probes):
         p = counts.probs[:, j]
         r = predict_distribution(reconstructed, probe.mean_photons).probs
         l = linear_prediction(eta_hat, probe.mean_photons, counts.n_outcomes).probs

@@ -45,6 +45,18 @@ __all__ = [
 COLUMN_SUM_TOL = 1e-9
 
 
+def _check_stochastic(arr: np.ndarray, name: str):
+    """Raise unless ``arr`` is finite, nonnegative and sums to one along axis 0."""
+    if not np.isfinite(arr).all() or arr.min() < 0:
+        raise ValueError(f"{name} must be finite and nonnegative")
+    worst = np.abs(arr.sum(axis=0) - 1.0).max()
+    if worst > COLUMN_SUM_TOL:
+        raise ValueError(
+            f"{name} must sum to 1 per column within {COLUMN_SUM_TOL}, "
+            f"worst deviation {worst:.3e}"
+        )
+
+
 @dataclass(frozen=True)
 class Probe:
     """One coherent probe state.
@@ -133,11 +145,20 @@ class ProbeEnsemble:
         )
 
     def subset(self, ids: tuple[int, ...]) -> "ProbeEnsemble":
-        """Return the sub-ensemble with the given ids, in the given order."""
+        """Return the sub-ensemble with the given ids, in the given order.
+
+        This is how a count table's columns pair with probes:
+        ``ensemble.subset(table.probe_ids)`` holds the probe of each
+        column in column order, whatever the order of the ensemble, and
+        the ensemble may hold probes the table lacks.
+
+        Raises:
+            ValueError: Naming every id the ensemble lacks.
+        """
         by_id = {p.id: p for p in self.probes}
         missing = [i for i in ids if i not in by_id]
         if missing:
-            raise ValueError(f"unknown probe ids: {missing}")
+            raise ValueError(f"the ensemble has no probes with probe ids {missing}")
         return ProbeEnsemble(tuple(by_id[i] for i in ids))
 
 
@@ -145,7 +166,7 @@ def geometric_ensemble(
     n_probes: int = 20,
     mu_min: float = 6.5,
     mu_max: float = 130.0,
-    n_pulses: int = 100_000,
+    n_pulses: int = Probe.n_pulses,
     max_attenuation_db: float = 76.5,
 ) -> ProbeEnsemble:
     """Build a geometrically spaced probe ensemble.
@@ -206,17 +227,7 @@ class PovmMatrix:
             raise ValueError(f"entries must be 2-D, got shape {arr.shape}")
         if arr.shape[0] < 2:
             raise ValueError("need at least two outcome rows")
-        if not np.isfinite(arr).all():
-            raise ValueError("entries must be finite")
-        if arr.min() < 0:
-            raise ValueError("entries must be nonnegative")
-        colsums = arr.sum(axis=0)
-        worst = np.abs(colsums - 1.0).max()
-        if worst > COLUMN_SUM_TOL:
-            raise ValueError(
-                f"columns must sum to 1 within {COLUMN_SUM_TOL}, "
-                f"worst deviation {worst:.3e}"
-            )
+        _check_stochastic(arr, "entries")
         object.__setattr__(self, "entries", arr)
 
     @property
@@ -248,13 +259,7 @@ class CountDistribution:
         arr = np.asarray(self.probs, dtype=float)
         if arr.ndim != 1:
             raise ValueError("probs must be 1-D")
-        if not np.isfinite(arr).all() or arr.min() < 0:
-            raise ValueError("probs must be finite and nonnegative")
-        total = arr.sum()
-        if abs(total - 1.0) > COLUMN_SUM_TOL:
-            raise ValueError(
-                f"probs must sum to 1 within {COLUMN_SUM_TOL}, got {total!r}"
-            )
+        _check_stochastic(arr, "probs")
         object.__setattr__(self, "probs", arr)
 
     @property
@@ -302,12 +307,12 @@ def probe_q_matrix(
         truncation: Number of photon-number rows M (m = 0 .. M-1).
 
     The Poisson mass beyond the truncation is folded into the last row,
-    so every column sums to one. Photon numbers at or above M - 1
-    produce nearly identical detector responses for the efficiencies of
-    interest, which makes folding far more faithful than renormalizing
-    the truncated column (for mu = 130 and M = 140 about a fifth of the
-    mass lies in the tail, and renormalization visibly distorts the
-    predicted statistics of that probe).
+    so every column sums to one. The fold counts that mass as M - 1
+    photons, which biases the predicted statistics of bright probes:
+    for mu = 130 and M = 140 about a fifth of the mass lies in the tail,
+    and at eta = 0.051 the mean detected count is 7.1 at m = 139 but
+    8.7 at m = 170. Choose M well above the brightest probe where that
+    matters.
 
     Returns:
         ``(q, tail)`` where ``q`` has shape ``(truncation, n_probes)``,

@@ -168,7 +168,5 @@ def simulate_ensemble(
             probe_id=probe.id,
         )
 
-    if jobs <= 1:
-        return [one(p) for p in ensemble.probes]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
+    with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
         return list(pool.map(one, ensemble.probes))

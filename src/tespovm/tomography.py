@@ -56,8 +56,10 @@ class ReconstructionConfig:
         max_iters: Iteration cap.
         tol: Relative objective decrease below which the solve stops.
         init_eta: When given, iterate from ``binomial_povm(init_eta)``
-            instead of uniform columns. Affects iteration count only;
-            the regularized problem has a unique optimum.
+            instead of uniform columns. The start shapes the result: on
+            noisy counts the solve stops at the noise floor within a few
+            iterations (2 on the default design), so the reported POVM
+            stays close to this start.
     """
 
     truncation: int = 140
@@ -164,9 +166,10 @@ def reconstruct_povm(
 
     Poisson probe mass beyond the truncation is folded into the last
     photon-number column (see :func:`probe_q_matrix`); the folded tail
-    is reported per probe in the result. When the count table carries
-    probe ids, probes are processed in id order so the result is
-    independent of input ordering.
+    is reported per probe in the result. Columns pair with the
+    ensemble's probes by id (:meth:`ProbeEnsemble.subset`) and are
+    solved in id order, so the POVM does not depend on the order of the
+    columns or of the ensemble.
 
     When the table carries raw counts, iteration also stops once the
     data term falls to the multinomial noise floor of the counts,
@@ -177,34 +180,22 @@ def reconstruct_povm(
     genuine disagreement with the data still drives the fit.
 
     Raises:
-        ValueError: Mismatched probe counts or outcome dimensions, or
-            non-finite inputs.
+        ValueError: A column id names no probe of the ensemble, mismatched
+            outcome dimensions, or non-finite inputs.
     """
     cfg = config if config is not None else ReconstructionConfig()
-    if counts.n_probes != ensemble.n_probes:
-        raise ValueError(
-            f"count table has {counts.n_probes} probes, "
-            f"ensemble has {ensemble.n_probes}"
-        )
     if counts.n_outcomes != cfg.n_outcomes:
         raise ValueError(
             f"count table has {counts.n_outcomes} outcomes, "
             f"config expects {cfg.n_outcomes}"
         )
 
-    p = counts.probs
-    raw = counts.counts
-    probes = ensemble
-    if counts.probe_ids is not None:
-        if set(counts.probe_ids) != set(ensemble.ids):
-            raise ValueError("count table and ensemble disagree on probe ids")
-        # Canonical id order makes the result permutation-invariant.
-        order = np.argsort(counts.probe_ids)
-        p = p[:, order]
-        if raw is not None:
-            raw = raw[:, order]
-        probes = ensemble.subset(tuple(counts.probe_ids[i] for i in order))
-
+    # Canonical id order makes the result permutation-invariant.
+    order = np.argsort(counts.probe_ids)
+    paired = ensemble.subset(counts.probe_ids).probes
+    probes = ProbeEnsemble(tuple(paired[i] for i in order))
+    p = counts.probs[:, order]
+    raw = None if counts.counts is None else counts.counts[:, order]
     q, tail = probe_q_matrix(probes, cfg.truncation)
 
     noise_floor = None
@@ -261,13 +252,10 @@ def reconstruct_povm(
                 stop_reason = "objective_tol"
                 break
 
-    per_probe = np.sqrt((resid * resid).sum(axis=0))
-    if counts.probe_ids is not None:
-        # Undo the canonical reordering for reporting.
-        inv = np.empty_like(order)
-        inv[order] = np.arange(order.size)
-        per_probe = per_probe[inv]
-        tail = tail[inv]
+    # Report per probe in column order.
+    inv = np.argsort(order)
+    per_probe = np.sqrt((resid * resid).sum(axis=0))[inv]
+    tail = tail[inv]
 
     return ReconstructionResult(
         povm=PovmMatrix(pi),

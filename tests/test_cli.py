@@ -367,63 +367,62 @@ def test_simulate_jobs_write_identical_traces(tmp_path):
         assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
 
-def _copy_sim(pipeline, tmp_path, edit_entry=None):
-    """A copy of the pipeline's simulate output, each manifest entry edited."""
+def _copy_sim(pipeline, tmp_path, edit=None):
+    """A copy of the pipeline's simulate output, edited by ``edit(sim, config)``.
+
+    ``config`` is the manifest's run config; edits to it are written back.
+    """
     sim = tmp_path / "sim"
     shutil.copytree(pipeline["sim"], sim)
-    if edit_entry is not None:
+    if edit is not None:
         manifest = json.loads((sim / "manifest.json").read_text())
-        for entry in manifest["traces"]:
-            edit_entry(sim, entry)
+        edit(sim, manifest["config"])
         (sim / "manifest.json").write_text(json.dumps(manifest))
     return sim
 
 
-def _drop_file_field(sim, entry):
-    if entry["probe_id"] == 2:
-        del entry["file"]
+def _relabel_probe(sim, config):
+    """The run config names probe 2 as probe 25, which has no trace file."""
+    config["probes"][2]["id"] = 25
 
 
-def _repeat_probe_id(sim, entry):
-    if entry["probe_id"] == 3:
-        entry["probe_id"] = 1
+def _repeat_probe_id(sim, config):
+    config["probes"][3]["id"] = 1
 
 
-def _delete_trace(sim, entry):
-    if entry["probe_id"] == 2:
-        (sim / entry["file"]).unlink()
+def _delete_trace(sim, config):
+    (sim / files.trace_filename(2)).unlink()
 
 
-def _to_csv_era(sim, entry):
-    """Rewrite the trace as the one-column CSV that earlier versions wrote."""
-    amps = np.load(sim / entry["file"], allow_pickle=False)
-    (sim / entry["file"]).unlink()
-    entry["file"] = entry["file"].replace(".npy", ".csv")
+def _to_csv_era(sim, config):
+    """Overwrite probe 0's trace with the one-column CSV that earlier versions wrote."""
+    path = sim / files.trace_filename(0)
+    amps = np.load(path, allow_pickle=False)
     lines = ["amplitude_mv"] + [repr(float(a)) for a in amps]
-    (sim / entry["file"]).write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n")
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
-@pytest.mark.parametrize("edit_entry, match", [
-    pytest.param(_drop_file_field, "trace entry 2: missing field 'file'", id="no-file"),
-    pytest.param(_repeat_probe_id, "trace entry 3: probe_id must be a unique integer",
-                 id="repeated-id"),
+@pytest.mark.parametrize("edit, match", [
+    pytest.param(_relabel_probe, "trace_probe_025.npy: cannot read", id="no-file"),
+    pytest.param(_repeat_probe_id, "probe ids must be unique", id="repeated-id"),
     pytest.param(_delete_trace, "trace_probe_002.npy: cannot read", id="no-trace"),
-    pytest.param(_to_csv_era, "trace_probe_000.csv: not a .npy file", id="csv-era"),
+    pytest.param(_to_csv_era, "trace_probe_000.npy: not a .npy file", id="csv-era"),
 ])
-def test_calibrate_bad_trace_input_exits_2(pipeline, tmp_path, capsys, jobs,
-                                           edit_entry, match):
-    sim = _copy_sim(pipeline, tmp_path, edit_entry)
+def test_calibrate_bad_trace_input_exits_2(pipeline, tmp_path, capsys, jobs, edit, match):
+    sim = _copy_sim(pipeline, tmp_path, edit)
     rc = main(["calibrate", "--traces", str(sim), "--out", str(tmp_path / "cal"),
                "--jobs", jobs])
     assert rc == 2
     assert match in capsys.readouterr().err
+    assert not (tmp_path / "cal").exists()
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_calibrate_ignores_truth_sidecar(pipeline, tmp_path, jobs):
-    def drop_truth(sim, entry):
-        (sim / entry.pop("truth_file")).unlink()
+    def drop_truth(sim, config):
+        for probe in config["probes"]:
+            (sim / files.truth_filename(probe["id"])).unlink()
 
     sim = _copy_sim(pipeline, tmp_path, drop_truth)
     rc = main(["calibrate", "--traces", str(sim), "--out", str(tmp_path / "cal"),
@@ -431,6 +430,46 @@ def test_calibrate_ignores_truth_sidecar(pipeline, tmp_path, jobs):
     assert rc == 0
     assert ((tmp_path / "cal" / "counts.json").read_bytes()
             == (pipeline["cal"] / "counts.json").read_bytes())
+
+
+@pytest.mark.parametrize("stage", ["reconstruct", "estimate", "validate"])
+def test_counts_naming_unknown_probe_exits_2(pipeline, tmp_path, capsys, stage):
+    # Columns pair with the run config's probes by id; the config has no probe 25.
+    payload = json.loads((pipeline["cal"] / "counts.json").read_text())
+    payload["probe_ids"][2] = 25
+    counts = tmp_path / "counts.json"
+    counts.write_text(json.dumps(payload))
+    out = tmp_path / stage
+    inputs = ["--counts", str(counts), "--ensemble", str(pipeline["sim"] / "ensemble.json")]
+    if stage == "validate":
+        inputs += ["--povm", str(pipeline["rec"] / "povm.json"),
+                   "--estimate", str(pipeline["est"] / "estimate.json")]
+    assert main([stage, *inputs, "--out", str(out)]) == 2
+    assert "no probes with probe ids [25]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_skipped_probes_pair_by_id(pipeline, tmp_path):
+    # A table without probe 2 pairs its columns with probes 0, 1, 3 and 4
+    # of the full run config, in every stage after calibrate.
+    table, cfg_hash = files.read_count_table(pipeline["cal"] / "counts.json")
+    keep = [0, 1, 3, 4]
+    sub = tp.CountTable.from_counts(table.counts[:, keep], probe_ids=tuple(keep))
+    counts = tmp_path / "counts.json"
+    files.write_count_table(counts, sub, cfg_hash, "threshold", skipped_probe_ids=[2])
+    ensemble = str(pipeline["sim"] / "ensemble.json")
+    assert main(["estimate", "--counts", str(counts), "--ensemble", ensemble,
+                 "--out", str(tmp_path / "est")]) == 0
+    assert main(["reconstruct", "--counts", str(counts), "--ensemble", ensemble,
+                 "--out", str(tmp_path / "rec")]) == 0
+    assert main(["validate", "--povm", str(tmp_path / "rec" / "povm.json"),
+                 "--counts", str(counts), "--ensemble", ensemble,
+                 "--estimate", str(tmp_path / "est" / "estimate.json"),
+                 "--out", str(tmp_path / "val"), "--energy-scale", "0.05"]) == 0
+    rows = json.loads((tmp_path / "val" / "comparison.json").read_text())["probes"]
+    mus = np.geomspace(2.0, 40.0, 5)
+    assert [(r["probe_id"], r["mean_photons"]) for r in rows] == [
+        (i, float(mus[i])) for i in keep]
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

@@ -228,15 +228,17 @@ def test_estimate_eta_all_degenerate_raises():
 
 def test_estimate_alignment_validation():
     ens = tp.geometric_ensemble(n_probes=3, mu_min=2.0, mu_max=10.0)
-    table = tp.CountTable.from_probs(
-        np.column_stack([_poisson_column(0.2, 6)] * 2), probe_ids=(0, 1)
-    )
-    with pytest.raises(ValueError, match="probes"):
-        tp.estimate_eta(table, ens)
+    # Two of the three probes, out of order: columns pair with probes by id.
+    mus = ens.mean_photons
+    cols = [_poisson_column(0.1 * mus[j], 6) for j in (1, 0)]
+    table = tp.CountTable.from_probs(np.column_stack(cols), probe_ids=(1, 0))
+    est = tp.estimate_eta(table, ens)
+    assert abs(est.eta_hat - 0.1) < 1e-6
+    np.testing.assert_allclose(est.per_probe_etas, 0.1, atol=1e-6)
     bad_ids = tp.CountTable.from_probs(
-        np.column_stack([_poisson_column(0.2, 6)] * 3), probe_ids=(5, 6, 7)
+        np.column_stack([_poisson_column(0.2, 6)] * 3), probe_ids=(0, 6, 7)
     )
-    with pytest.raises(ValueError, match="ids"):
+    with pytest.raises(ValueError, match=r"probes with probe ids \[6, 7\]"):
         tp.estimate_eta(bad_ids, ens)
 
 
