@@ -144,34 +144,42 @@ class ThresholdSet:
 class CountTable:
     """Outcome-by-probe count statistics.
 
-    ``probs`` always holds column-normalized probabilities. ``counts``
-    is present when the table came from event data; tables built from
-    exact model probabilities carry ``counts=None``. ``probe_ids`` names
-    the probe of each column; when none are given (``None`` or empty)
-    the columns are probes ``0 .. n-1``. Consumers pair columns with
-    probes by these ids through ``ensemble.subset(table.probe_ids)``,
-    never by position.
+    A table holds either event ``counts`` or, for exact model
+    probabilities, ``probs`` alone, never both. A counted table derives
+    ``probs`` from its counts, column by column, so the two cannot
+    disagree and no column is empty; a table without counts has
+    ``counts=None``. ``probe_ids`` names the probe of each column; when
+    none are given (``None`` or empty) the columns are probes
+    ``0 .. n-1``. Consumers pair columns with probes by these ids
+    through ``ensemble.subset(table.probe_ids)``, never by position.
     """
 
-    probs: np.ndarray
+    probs: np.ndarray | None = None
     counts: np.ndarray | None = None
     probe_ids: tuple[int, ...] | None = None
 
     def __post_init__(self):
+        if (self.probs is None) == (self.counts is None):
+            raise ValueError("give counts or probs, not both: a counted table "
+                             "derives its probs")
+        if self.counts is not None:
+            counts = np.asarray(self.counts)
+            if not np.issubdtype(counts.dtype, np.integer):
+                raise ValueError("counts must be integers")
+            counts = counts.astype(np.int64)
+            if counts.min() < 0:
+                raise ValueError("counts must be >= 0")
+            totals = counts.sum(axis=0)
+            if np.any(totals == 0):
+                raise ValueError(f"count columns {np.flatnonzero(totals == 0).tolist()} "
+                                 "have no events")
+            object.__setattr__(self, "counts", counts)
+            object.__setattr__(self, "probs", counts / totals)
         probs = np.asarray(self.probs, dtype=float)
         if probs.ndim != 2:
             raise ValueError("probs must be 2-D (outcomes x probes)")
         _check_stochastic(probs, "probs")
         object.__setattr__(self, "probs", probs)
-        if self.counts is not None:
-            counts = np.asarray(self.counts)
-            if counts.shape != probs.shape:
-                raise ValueError("counts must match probs in shape")
-            if not np.issubdtype(counts.dtype, np.integer):
-                raise ValueError("counts must be integers")
-            if counts.min() < 0:
-                raise ValueError("counts must be >= 0")
-            object.__setattr__(self, "counts", counts.astype(np.int64))
         ids = tuple(int(i) for i in self.probe_ids or range(probs.shape[1]))
         if len(ids) != probs.shape[1]:
             raise ValueError("probe_ids must match the number of columns")
@@ -181,16 +189,11 @@ class CountTable:
 
     @classmethod
     def from_counts(cls, counts, probe_ids=None) -> "CountTable":
-        counts = np.asarray(counts)
-        totals = counts.sum(axis=0)
-        if np.any(totals <= 0):
-            empty = np.nonzero(totals <= 0)[0].tolist()
-            raise ValueError(f"count columns {empty} have no events")
-        return cls(counts / totals, counts=counts, probe_ids=probe_ids)
+        return cls(counts=counts, probe_ids=probe_ids)
 
     @classmethod
     def from_probs(cls, probs, probe_ids=None) -> "CountTable":
-        return cls(np.asarray(probs, dtype=float), probe_ids=probe_ids)
+        return cls(probs=probs, probe_ids=probe_ids)
 
     @property
     def n_outcomes(self) -> int:
@@ -199,12 +202,6 @@ class CountTable:
     @property
     def n_probes(self) -> int:
         return self.probs.shape[1]
-
-    def column(self, j: int) -> np.ndarray:
-        """Event weights for probe column ``j``: counts when available."""
-        if self.counts is not None:
-            return self.counts[:, j]
-        return self.probs[:, j]
 
 
 @dataclass(eq=False)

@@ -2,14 +2,17 @@
 
 Five stages: simulate -> calibrate -> reconstruct -> estimate ->
 validate, each reading the previous stage's artifacts. Only ``simulate``
-takes a config; it records it as the run config in ``ensemble.json``.
+takes a config; it records it as the run config in ``ensemble.json``,
+the one copy every later stage reads, and its hash in ``manifest.json``.
 ``reconstruct`` solves with that config's reconstruction section and
 records every solver setting in ``povm.json``, which ``validate`` reuses
 for its sensitivity sweep. ``calibrate`` reads the trace of each probe
 id of the run config, and the later stages pair count-table columns
 with the run config's probes by id. Exit codes: 0 success, 2 schema or
 input validation error, 3 numerical failure, 4 lineage mismatch
-(artifacts from different runs; --force overrides).
+(artifacts from different runs; --force, where a stage offers it,
+overrides). An ``ensemble.json`` whose hash is not that of its config is
+corrupt, not a mix: exit 2, even with --force.
 """
 
 from __future__ import annotations
@@ -61,9 +64,10 @@ def _bin_one(trace, fit, n_outcomes, method):
 def cmd_calibrate(args) -> int:
     trace_dir = Path(args.traces)
     manifest = files.read_manifest(trace_dir)
-    config = manifest["config"]
-    cfg_hash = manifest["config_hash"]
-    probe_ids = files.config_ensemble(config).ids
+    ensemble, cfg_hash, config = files.read_ensemble(trace_dir / "ensemble.json")
+    files.check_lineage({trace_dir / "manifest.json": manifest["config_hash"],
+                         trace_dir / "ensemble.json": cfg_hash})
+    probe_ids = ensemble.ids
     n_outcomes = files.config_reconstruction(config).n_outcomes
 
     def read(pid):
@@ -112,7 +116,8 @@ def cmd_calibrate(args) -> int:
 def cmd_reconstruct(args) -> int:
     table, counts_hash = files.read_count_table(args.counts)
     ensemble, ensemble_hash, config = files.read_ensemble(args.ensemble)
-    files.check_lineage(counts_hash, ensemble_hash, "ensemble file", args.force)
+    files.check_lineage({args.counts: counts_hash, args.ensemble: ensemble_hash},
+                        args.force)
     cfg = files.config_reconstruction(
         config, init_eta=estimate_eta(table, ensemble).eta_hat
     )
@@ -135,7 +140,8 @@ def cmd_reconstruct(args) -> int:
 def cmd_estimate(args) -> int:
     table, counts_hash = files.read_count_table(args.counts)
     ensemble, ensemble_hash, _ = files.read_ensemble(args.ensemble)
-    files.check_lineage(counts_hash, ensemble_hash, "ensemble file", args.force)
+    files.check_lineage({args.counts: counts_hash, args.ensemble: ensemble_hash},
+                        args.force)
     if args.dark_counts:
         estimate = estimate_eta_gamma(table, ensemble)
         method = "eta_gamma"
@@ -156,18 +162,17 @@ def cmd_validate(args) -> int:
     table, counts_hash = files.read_count_table(args.counts)
     ensemble, ensemble_hash, _ = files.read_ensemble(args.ensemble)
     estimate, estimate_hash = files.read_estimate(args.estimate)
-    files.check_lineage(povm_hash, counts_hash, "count table", args.force)
-    files.check_lineage(povm_hash, ensemble_hash, "ensemble file", args.force)
-    files.check_lineage(povm_hash, estimate_hash, "estimate file", args.force)
+    files.check_lineage({args.povm: povm_hash, args.counts: counts_hash,
+                         args.ensemble: ensemble_hash, args.estimate: estimate_hash},
+                        args.force)
 
     eta_hat = float(estimate["eta_hat"])
     comparisons = three_way_comparison(table, povm, eta_hat, ensemble)
     reference = binomial_povm(eta_hat, povm.n_outcomes, povm.truncation)
     curve = fidelity_curve(povm, reference, split=args.split)
-    out = Path(args.out)
-    files.write_json(
-        out / "fidelity.json",
-        {
+    # Every report is computed before the first is written.
+    reports = {
+        "fidelity.json": {
             "config_hash": povm_hash,
             "reference_eta": eta_hat,
             "split": curve.split,
@@ -175,14 +180,11 @@ def cmd_validate(args) -> int:
             "min_high": curve.min_high,
             "fidelity": curve.values,
         },
-    )
-    files.write_json(
-        out / "comparison.json",
-        {
+        "comparison.json": {
             "config_hash": povm_hash,
             "probes": [dataclasses.asdict(c) for c in comparisons],
         },
-    )
+    }
     if args.energy_scale > 0 or args.attenuation_db > 0:
         # The recorded settings make the baseline point the reported POVM.
         sweep = sensitivity_sweep(
@@ -194,14 +196,14 @@ def cmd_validate(args) -> int:
             attenuation_db=args.attenuation_db,
             split=args.split,
         )
-        files.write_json(
-            out / "sweep.json",
-            {
-                "config_hash": povm_hash,
-                "envelope": sweep.envelope,
-                "points": [dataclasses.asdict(pt) for pt in sweep.points],
-            },
-        )
+        reports["sweep.json"] = {
+            "config_hash": povm_hash,
+            "envelope": sweep.envelope,
+            "points": [dataclasses.asdict(pt) for pt in sweep.points],
+        }
+    out = Path(args.out)
+    for name, payload in reports.items():
+        files.write_json(out / name, payload)
     print(
         f"validated: min fidelity {curve.min_low:.6f} for m <= {curve.split} -> {out}"
     )
@@ -270,7 +272,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     except LineageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        hint = "; pass --force to override" if hasattr(args, "force") else ""
+        print(f"error: {exc}{hint}", file=sys.stderr)
         return EXIT_LINEAGE
     except (CalibrationError, EstimationError, FloatingPointError,
             ZeroDivisionError) as exc:

@@ -162,20 +162,6 @@ def loglik_eta_msum(eta: float, counts, mu: float, truncation: int) -> float:
     return _weighted_loglik(c, log_probs)
 
 
-def _usable_probe(col: np.ndarray, probe) -> bool:
-    if col.sum() <= 0:
-        warnings.warn(f"probe {probe.id}: no events, skipped", stacklevel=4)
-        return False
-    if probe.mean_photons == 0:
-        warnings.warn(
-            f"probe {probe.id}: mean_photons is 0, carries no efficiency "
-            "information, skipped",
-            stacklevel=4,
-        )
-        return False
-    return True
-
-
 def _maximize(cols: np.ndarray, design: np.ndarray, lower, upper, x0) -> np.ndarray:
     """Maximize the pooled log likelihood over theta, with lam = design @ theta.
 
@@ -203,12 +189,18 @@ def _fit(counts: CountTable, ensemble: ProbeEnsemble, joint: bool) -> Efficiency
     """Pooled fit of eta, and of gamma when ``joint``, over the usable probes."""
     probes = ensemble.subset(counts.probe_ids)
     used = []
-    for j, probe in enumerate(probes.probes):
-        if _usable_probe(np.asarray(counts.column(j), dtype=float), probe):
+    # Pooling in canonical id order makes the fit bitwise permutation-invariant.
+    for j in np.argsort(counts.probe_ids):
+        if probes.probes[j].mean_photons == 0:
+            warnings.warn(f"probe {probes.probes[j].id}: mean_photons is 0, carries no "
+                          "efficiency information, skipped", stacklevel=3)
+        else:
             used.append(j)
     if not used:
         raise EstimationError("no usable probes: every column was degenerate")
-    cols = np.column_stack([counts.column(j) for j in used]).astype(float)
+    # Event counts weigh the likelihood when the table has them.
+    weights = counts.probs if counts.counts is None else counts.counts
+    cols = weights[:, used].astype(float)
     mus = probes.mean_photons[used]
     if joint and np.unique(mus).size < 2:
         raise EstimationError(
@@ -263,8 +255,9 @@ def estimate_eta(counts: CountTable, ensemble: ProbeEnsemble) -> EfficiencyEstim
     Poisson(eta * mu) with a cumulative top bin. ``eta_se`` comes from
     the Fisher information; ``per_probe_etas`` are the single-probe
     maximizers, in column order. Columns pair with the ensemble's probes
-    by id (:meth:`ProbeEnsemble.subset`). Degenerate probes (no events,
-    or mu of zero) are skipped with a warning.
+    by id (:meth:`ProbeEnsemble.subset`), and the fit pools them in id
+    order, so it is bitwise the same for any column order. Probes of
+    mu zero carry no information and are skipped with a warning.
 
     Raises:
         ValueError: A column id names no probe of the ensemble.

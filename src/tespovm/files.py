@@ -4,9 +4,12 @@ Traces are NumPy ``.npy`` files: float64 amplitudes in mV, with ground
 truth in a ``.truth.npy`` sidecar of the smallest unsigned integer type
 that holds its largest count; any NumPy reads them with ``np.load``.
 Count tables, POVM matrices, estimates and reports are JSON with
-explicit dimensions and row-major nested arrays. Every artifact
-embeds the hash of the producing config so stages refuse to mix runs.
-All writers are deterministic: sorted keys, no timestamps, exact floats.
+row-major nested arrays. Each fact is stored once: ``ensemble.json`` is
+the one copy of the run config, and a counted table stores only its
+counts. Every artifact embeds the hash of the producing config so stages
+refuse to mix runs; :func:`read_ensemble` checks that hash against the
+config beside it. All writers are deterministic: sorted keys, no
+timestamps, exact floats.
 """
 
 from __future__ import annotations
@@ -89,12 +92,12 @@ def _require(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
-def check_lineage(expected_hash: str, found_hash: str, what: str, force: bool):
-    if found_hash != expected_hash and not force:
-        raise LineageError(
-            f"{what} was produced by config {found_hash}, expected "
-            f"{expected_hash}; pass --force to override"
-        )
+def check_lineage(hashes: dict, force: bool = False):
+    """Raise :class:`LineageError` unless the artifacts of ``hashes``, a map
+    of path to recorded config hash, come from one run or ``force`` is set."""
+    if len(set(hashes.values())) > 1 and not force:
+        listed = ", ".join(f"{path} has config {h}" for path, h in hashes.items())
+        raise LineageError(f"artifacts of different runs: {listed}")
 
 
 # -- config ------------------------------------------------------------------
@@ -256,15 +259,14 @@ def read_trace_csv(path, probe_id: int, truth_path=None) -> AmplitudeTrace:
 # -- manifest and ensemble ---------------------------------------------------
 
 def write_manifest(directory, config: dict, seed: int):
-    """Record the run config, its hash and the seed of a simulate output.
+    """Record the hash of the run config and the seed of a simulate output.
 
-    Each probe's trace is :func:`trace_filename` of its id in the same
+    The config itself is :func:`write_ensemble`'s ``ensemble.json``. Each
+    probe's trace is :func:`trace_filename` of its id in the same
     directory, so the manifest lists no files.
     """
-    write_json(
-        Path(directory) / "manifest.json",
-        {"config_hash": config_hash(config), "seed": seed, "config": config},
-    )
+    write_json(Path(directory) / "manifest.json",
+               {"config_hash": config_hash(config), "seed": seed})
 
 
 def read_manifest(directory) -> dict:
@@ -272,9 +274,8 @@ def read_manifest(directory) -> dict:
     if not path.exists():
         raise SchemaError(f"{directory}: no manifest.json; not a simulate output?")
     manifest = read_json(path)
-    for key in ("config_hash", "seed", "config"):
+    for key in ("config_hash", "seed"):
         _require(manifest, key, str(path))
-    validate_config(manifest["config"])
     return manifest
 
 
@@ -290,12 +291,17 @@ def write_ensemble(path, config: dict):
 def read_ensemble(path) -> tuple[ProbeEnsemble, str, dict]:
     """The probe ensemble, config hash and run config of an ``ensemble.json``.
 
-    Files that carry only probes give a config whose absent sections take
-    the defaults.
+    A recorded hash that is not :func:`config_hash` of the config beside
+    it marks the file corrupt and raises :class:`SchemaError`. Files that
+    carry only probes give a config whose absent sections take the
+    defaults.
     """
     payload = read_json(path)
     cfg_hash = _require(payload, "config_hash", str(path))
     config = {k: v for k, v in payload.items() if k != "config_hash"}
+    if config_hash(config) != cfg_hash:
+        raise SchemaError(f"{path}: config_hash {cfg_hash} is not the hash of its "
+                          f"config ({config_hash(config)})")
     validate_config(config)
     return config_ensemble(config), cfg_hash, config
 
@@ -304,32 +310,32 @@ def read_ensemble(path) -> tuple[ProbeEnsemble, str, dict]:
 
 def write_count_table(path, table: CountTable, cfg_hash: str, method: str,
                       skipped_probe_ids=()):
-    payload = {
+    """Write a table as its ``counts``, or as ``probs`` when it has none."""
+    data = {"probs": table.probs} if table.counts is None else {"counts": table.counts}
+    write_json(path, {
         "config_hash": cfg_hash,
         "method": method,
-        "n_outcomes": table.n_outcomes,
-        "n_probes": table.n_probes,
         "probe_ids": list(table.probe_ids),
         "skipped_probe_ids": list(skipped_probe_ids),
-        "counts": table.counts,
-        "probs": table.probs,
-    }
-    write_json(path, payload)
+        **data,
+    })
 
 
 def read_count_table(path) -> tuple[CountTable, str]:
+    """The table and config hash of a ``counts.json``; its ``counts``, when
+    present, fix the probabilities, so ``probs`` beside them are ignored."""
     payload = read_json(path)
     cfg_hash = _require(payload, "config_hash", str(path))
-    probs = np.asarray(_require(payload, "probs", str(path)), dtype=float)
     counts = payload.get("counts")
+    probs = None if counts is not None else _require(payload, "probs", str(path))
     try:
         # A null "probe_ids" numbers the columns 0 .. n-1, as CountTable does.
         table = CountTable(
-            probs,
-            counts=None if counts is None else np.asarray(counts, dtype=np.int64),
+            probs=None if probs is None else np.asarray(probs, dtype=float),
+            counts=None if counts is None else np.asarray(counts),
             probe_ids=payload.get("probe_ids"),
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise SchemaError(f"{path}: {exc}") from exc
     return table, cfg_hash
 

@@ -341,7 +341,7 @@ def test_count_table_from_counts():
     counts = np.array([[80, 10], [20, 90]])
     table = tp.CountTable.from_counts(counts, probe_ids=(4, 2))
     assert np.allclose(table.probs.sum(axis=0), 1.0)
-    assert np.array_equal(table.column(0), counts[:, 0])
+    assert np.array_equal(table.counts, counts)
     assert table.probe_ids == (4, 2)
     assert table.n_outcomes == 2
     assert table.n_probes == 2
@@ -350,12 +350,15 @@ def test_count_table_from_counts():
 def test_count_table_from_probs_column():
     table = tp.CountTable.from_probs(np.array([[0.25], [0.75]]))
     assert table.counts is None
-    assert np.array_equal(table.column(0), np.array([0.25, 0.75]))
+    assert np.array_equal(table.probs[:, 0], np.array([0.25, 0.75]))
 
 
 def test_count_table_validation():
     with pytest.raises(ValueError, match="have no events"):
         tp.CountTable.from_counts(np.array([[5, 0], [5, 0]]))
+    # A counted table derives its probabilities; it cannot be given others.
+    with pytest.raises(ValueError, match="give counts or probs"):
+        tp.CountTable(np.array([[0.5], [0.5]]), counts=np.array([[9], [1]]))
     with pytest.raises(ValueError):
         tp.CountTable.from_counts(np.array([[0.5, 0.5], [0.5, 0.5]]))  # not integers
     with pytest.raises(ValueError):

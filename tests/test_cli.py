@@ -1,13 +1,18 @@
 """End-to-end tests for the five-stage command line pipeline."""
 
+import contextlib
+import io
 import json
 import re
 import shlex
 import shutil
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import tespovm as tp
 from tespovm import files
@@ -27,30 +32,43 @@ def _config(gamma: float = 0.0) -> dict:
     }
 
 
+_ARTIFACTS = {
+    "manifest": "sim/manifest.json",
+    "ensemble": "sim/ensemble.json",
+    "counts": "cal/counts.json",
+    "povm": "rec/povm.json",
+    "estimate": "est/estimate.json",
+}
+
+
+def _stage_argv(stage, run, out):
+    """The argv of ``stage`` on the artifacts under ``run``, writing to ``out``."""
+    art = {name: str(run / rel) for name, rel in _ARTIFACTS.items()}
+    inputs = {
+        "calibrate": ["--traces", str(run / "sim")],
+        "reconstruct": ["--counts", art["counts"], "--ensemble", art["ensemble"]],
+        "estimate": ["--counts", art["counts"], "--ensemble", art["ensemble"]],
+        "validate": ["--povm", art["povm"], "--counts", art["counts"],
+                     "--ensemble", art["ensemble"], "--estimate", art["estimate"],
+                     "--split", "20", "--energy-scale", "0.05"],
+    }[stage]
+    return [stage, *inputs, "--out", str(out)]
+
+
 def _run_pipeline(root, config, estimate_flags=()):
     """The five stages on ``config``; no stage after simulate sees the config."""
     cfg_path = root / "config.json"
     cfg_path.write_text(json.dumps(config))
-    sim, cal, rec, est, val = (root / name for name in
-                               ("sim", "cal", "rec", "est", "val"))
-    steps = [
-        ["simulate", "--config", str(cfg_path), "--seed", "1", "--out", str(sim)],
-        ["calibrate", "--traces", str(sim), "--out", str(cal)],
-        ["reconstruct", "--counts", str(cal / "counts.json"),
-         "--ensemble", str(sim / "ensemble.json"), "--out", str(rec)],
-        ["estimate", "--counts", str(cal / "counts.json"),
-         "--ensemble", str(sim / "ensemble.json"), "--out", str(est),
-         *estimate_flags],
-        ["validate", "--povm", str(rec / "povm.json"),
-         "--counts", str(cal / "counts.json"),
-         "--ensemble", str(sim / "ensemble.json"),
-         "--estimate", str(est / "estimate.json"),
-         "--out", str(val), "--split", "20", "--energy-scale", "0.05"],
-    ]
-    codes = [main(argv) for argv in steps]
+    run = {"config": cfg_path, **{name: root / name for name in
+                                  ("sim", "cal", "rec", "est", "val")}}
+    codes = [main(["simulate", "--config", str(cfg_path), "--seed", "1",
+                   "--out", str(run["sim"])])]
+    for stage, out in (("calibrate", "cal"), ("reconstruct", "rec"),
+                       ("estimate", "est"), ("validate", "val")):
+        flags = list(estimate_flags) if stage == "estimate" else []
+        codes.append(main(_stage_argv(stage, root, run[out]) + flags))
     assert codes == [0, 0, 0, 0, 0]
-    return {"config": cfg_path, "sim": sim, "cal": cal, "rec": rec,
-            "est": est, "val": val}
+    return run
 
 
 @pytest.fixture(scope="module")
@@ -159,8 +177,10 @@ def test_ensemble_json_is_the_run_config(pipeline):
     payload = json.loads((pipeline["sim"] / "ensemble.json").read_text())
     manifest = files.read_manifest(pipeline["sim"])
     config = {k: v for k, v in payload.items() if k != "config_hash"}
-    assert config == manifest["config"] == _config()
-    assert payload["config_hash"] == files.config_hash(config) == manifest["config_hash"]
+    assert config == _config()
+    # The manifest records the run config's hash, not a second copy of it.
+    assert manifest == {"config_hash": files.config_hash(config), "seed": 1}
+    assert payload["config_hash"] == manifest["config_hash"]
 
 
 def test_pipeline_estimate_artifact(pipeline):
@@ -213,6 +233,20 @@ def test_validate_without_perturbation_skips_sweep(pipeline, tmp_path):
     assert rc == 0
     assert (tmp_path / "fidelity.json").exists()
     assert not (tmp_path / "sweep.json").exists()
+
+
+def test_validate_checks_before_it_writes(pipeline, tmp_path, capsys):
+    out = tmp_path / "val"
+    rc = main([
+        "validate", "--povm", str(pipeline["rec"] / "povm.json"),
+        "--counts", str(pipeline["cal"] / "counts.json"),
+        "--ensemble", str(pipeline["sim"] / "ensemble.json"),
+        "--estimate", str(pipeline["est"] / "estimate.json"),
+        "--out", str(out), "--energy-scale", "1.5",
+    ])
+    assert rc == 2
+    assert "energy_scale" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_calibrate_area_method(pipeline, tmp_path):
@@ -277,13 +311,14 @@ def test_outcome_mismatch_exits_2(pipeline, tmp_path, capsys):
     assert payload["reg_weight"] == tp.ReconstructionConfig().reg_weight
     assert payload["tol"] == tp.ReconstructionConfig().tol
 
-    # A run config of 12 outcomes disagrees with the 8-outcome table.
-    ensemble = json.loads((pipeline["sim"] / "ensemble.json").read_text())
-    ensemble["reconstruction"]["n_outcomes"] = 12
-    (tmp_path / "ensemble.json").write_text(json.dumps(ensemble))
+    # A run config of 12 outcomes, mixed in by --force, disagrees with the
+    # 8-outcome table.
+    _, _, config = files.read_ensemble(pipeline["sim"] / "ensemble.json")
+    config["reconstruction"]["n_outcomes"] = 12
+    files.write_ensemble(tmp_path / "ensemble.json", config)
     rc = main(["reconstruct", "--counts", str(pipeline["cal"] / "counts.json"),
                "--ensemble", str(tmp_path / "ensemble.json"),
-               "--out", str(tmp_path)])
+               "--out", str(tmp_path), "--force"])
     assert rc == 2
     assert "outcomes" in capsys.readouterr().err
     assert not (tmp_path / "povm.json").exists()
@@ -322,16 +357,48 @@ def test_sweep_baseline_is_the_reported_povm(tmp_path):
 
 
 def test_lineage_mismatch_exits_4(pipeline, tmp_path, capsys):
-    tampered = tmp_path / "ensemble.json"
-    payload = json.loads((pipeline["sim"] / "ensemble.json").read_text())
-    payload["config_hash"] = "deadbeef"
-    tampered.write_text(json.dumps(payload))
-    argv = ["estimate", "--counts", str(pipeline["cal"] / "counts.json"),
-            "--ensemble", str(tampered), "--out", str(tmp_path)]
+    # A count table of another run: both files are named, --force mixes them.
+    table, _ = files.read_count_table(pipeline["cal"] / "counts.json")
+    other = tmp_path / "counts.json"
+    files.write_count_table(other, table, "deadbeef", "threshold")
+    ensemble = pipeline["sim"] / "ensemble.json"
+    argv = ["estimate", "--counts", str(other), "--ensemble", str(ensemble),
+            "--out", str(tmp_path / "est")]
     assert main(argv) == 4
-    assert "--force" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"{other} has config deadbeef" in err and str(ensemble) in err
+    assert "--force" in err
+    assert not (tmp_path / "est").exists()
     assert main(argv + ["--force"]) == 0
-    assert (tmp_path / "estimate.json").exists()
+    assert (tmp_path / "est" / "estimate.json").exists()
+
+
+def test_ensemble_hash_of_another_config_exits_2_even_forced(pipeline, tmp_path, capsys):
+    # A hash that is not the hash of the config beside it marks the file
+    # corrupt, not a mix of runs, so --force does not pass it.
+    payload = json.loads((pipeline["sim"] / "ensemble.json").read_text())
+    payload["reconstruction"]["reg_weight"] = 1e-3
+    tampered = tmp_path / "ensemble.json"
+    tampered.write_text(json.dumps(payload))
+    argv = ["reconstruct", "--counts", str(pipeline["cal"] / "counts.json"),
+            "--ensemble", str(tampered), "--out", str(tmp_path / "rec")]
+    for flags in ([], ["--force"]):
+        assert main(argv + flags) == 2
+        assert f"{tampered}: config_hash" in capsys.readouterr().err
+    assert not (tmp_path / "rec").exists()
+
+
+def test_calibrate_refuses_ensemble_of_another_run(pipeline, tmp_path, capsys):
+    # An ensemble.json swapped in from another run is honest about its own
+    # config, but not the one the manifest records.
+    sim = tmp_path / "sim"
+    shutil.copytree(pipeline["sim"], sim)
+    files.write_ensemble(sim / "ensemble.json", _config(gamma=0.1))
+    assert main(["calibrate", "--traces", str(sim), "--out", str(tmp_path / "cal")]) == 4
+    err = capsys.readouterr().err
+    assert str(sim / "manifest.json") in err and str(sim / "ensemble.json") in err
+    assert "--force" not in err
+    assert not (tmp_path / "cal").exists()
 
 
 def test_calibrate_short_trace_exits_3_unless_skipped(pipeline, tmp_path, capsys):
@@ -370,14 +437,17 @@ def test_simulate_jobs_write_identical_traces(tmp_path):
 def _copy_sim(pipeline, tmp_path, edit=None):
     """A copy of the pipeline's simulate output, edited by ``edit(sim, config)``.
 
-    ``config`` is the manifest's run config; edits to it are written back.
+    ``config`` is the run config; edits to it are written back through the
+    ``files`` writers, which record its new hash in the manifest too.
     """
     sim = tmp_path / "sim"
     shutil.copytree(pipeline["sim"], sim)
     if edit is not None:
-        manifest = json.loads((sim / "manifest.json").read_text())
-        edit(sim, manifest["config"])
-        (sim / "manifest.json").write_text(json.dumps(manifest))
+        seed = files.read_manifest(sim)["seed"]
+        _, _, config = files.read_ensemble(sim / "ensemble.json")
+        edit(sim, config)
+        files.write_ensemble(sim / "ensemble.json", config)
+        files.write_manifest(sim, config, seed)
     return sim
 
 
@@ -470,6 +540,103 @@ def test_skipped_probes_pair_by_id(pipeline, tmp_path):
     mus = np.geomspace(2.0, 40.0, 5)
     assert [(r["probe_id"], r["mean_photons"]) for r in rows] == [
         (i, float(mus[i])) for i in keep]
+
+
+_READERS = {
+    "manifest": ["calibrate"],
+    "ensemble": ["calibrate", "reconstruct", "estimate", "validate"],
+    "counts": ["reconstruct", "estimate", "validate"],
+    "povm": ["validate"],
+    "estimate": ["validate"],
+}
+_RUN_CONFIG_FIELDS = [
+    ("reconstruction", "reg_weight"), ("reconstruction", "max_iters"),
+    ("calibration", "bin_width_mv"), ("detector", "eta"), ("probes", 2, "mean_photons"),
+]
+_TAMPERS = st.one_of(
+    st.tuples(st.just("ensemble"), st.sampled_from(_RUN_CONFIG_FIELDS),
+              st.one_of(st.integers(0, 10**5), st.floats(0.0, 50.0))),
+    st.tuples(st.just("counts"),
+              st.tuples(st.just("counts"), st.integers(0, 7), st.integers(0, 4)),
+              st.integers(-3, 5000)),
+    st.tuples(st.just("counts"), st.tuples(st.just("probe_ids"), st.integers(0, 4)),
+              st.integers(0, 30)),
+    st.tuples(st.sampled_from(sorted(_ARTIFACTS)), st.just(("config_hash",)),
+              st.text("0123456789abcdef", min_size=16, max_size=16)),
+)
+
+
+def _run_stage(stage, run, out):
+    """Exit code, stderr and the files written under ``out`` (None: no ``out``)."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(_stage_argv(stage, run, out))
+    written = None
+    if out.exists():
+        written = {p.relative_to(out): p.read_bytes()
+                   for p in sorted(out.rglob("*")) if p.is_file()}
+    return code, err.getvalue(), written
+
+
+def _write_honest_counts(payload, path) -> bool:
+    """Write ``payload`` through the ``files`` writers, if they can hold it."""
+    try:
+        table = tp.CountTable.from_counts(np.asarray(payload["counts"]),
+                                          probe_ids=payload["probe_ids"])
+    except ValueError:
+        return False
+    files.write_count_table(path, table, payload["config_hash"], payload["method"],
+                            payload["skipped_probe_ids"])
+    return True
+
+
+@pytest.fixture(scope="module")
+def tamper_run(tmp_path_factory):
+    """The small design, its solves capped at 2000 iterations: a tampered
+    table may keep the solver from its noise floor, and the property checks
+    what the stages read, not how far they solve."""
+    config = _config()
+    config["reconstruction"]["max_iters"] = 2000
+    return _run_pipeline(tmp_path_factory.mktemp("tamper"), config)
+
+
+@settings(max_examples=25)
+@given(tamper=_TAMPERS)
+# Edits that a table storing probabilities beside its counts, or a run
+# config whose hash goes unchecked, would let through silently.
+@example(tamper=("counts", ("counts", 5, 2), 700))
+@example(tamper=("ensemble", ("reconstruction", "reg_weight"), 1e-3))
+def test_tampered_artifact_fails_loudly_or_reads_as_honest(tamper_run, tamper):
+    """One field of one artifact is changed. Each stage that reads it either
+    exits 2 or 4 naming the file and writes nothing, or writes exactly what
+    it writes from an honest artifact holding that value."""
+    artifact, key, value = tamper
+    with tempfile.TemporaryDirectory() as tmp:
+        tampered, honest = Path(tmp) / "tampered", Path(tmp) / "honest"
+        for run in (tampered, honest):
+            for name in ("sim", "cal", "rec", "est"):
+                shutil.copytree(tamper_run[name], run / name)
+        path = tampered / _ARTIFACTS[artifact]
+        payload = json.loads(path.read_text())
+        *parents, last = key
+        node = payload
+        for k in parents:
+            node = node[k]
+        # A run-config section may lack the field; the edit then adds it.
+        assume((node[last] if isinstance(node, list) else node.get(last)) != value)
+        node[last] = value
+        path.write_text(json.dumps(payload))
+        has_honest = (artifact == "counts"
+                      and _write_honest_counts(payload, honest / _ARTIFACTS["counts"]))
+
+        for stage in _READERS[artifact]:
+            code, err, written = _run_stage(stage, tampered, Path(tmp) / "out" / stage)
+            if code in (2, 4) and str(path) in err and written is None:
+                continue
+            assert has_honest, (stage, code, err)
+            honest_code, _, honest_written = _run_stage(
+                stage, honest, Path(tmp) / "honest_out" / stage)
+            assert (code, written) == (honest_code, honest_written), stage
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

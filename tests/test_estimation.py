@@ -118,15 +118,6 @@ def test_estimate_eta_gamma_validation():
     with pytest.raises(tp.EstimationError, match="distinct"):
         tp.estimate_eta_gamma(table, same_mu)
     assert abs(tp.estimate_eta(table, same_mu).eta_hat - 0.1) < 1e-6
-    # A second mu only on a probe with no events does not help either.
-    ens = tp.geometric_ensemble(n_probes=2, mu_min=2.0, mu_max=8.0)
-    counts = np.column_stack([np.zeros(6, dtype=np.int64),
-                              np.array([5, 3, 1, 1, 0, 0])])
-    table = tp.CountTable(np.column_stack([np.eye(6)[0], counts[:, 1] / 10]),
-                          counts=counts, probe_ids=ens.ids)
-    with pytest.warns(UserWarning, match="no events"):
-        with pytest.raises(tp.EstimationError, match="distinct"):
-            tp.estimate_eta_gamma(table, ens)
 
 
 def _model_draws(eta, gamma, n_draws, seed):

@@ -193,12 +193,18 @@ def test_ensemble_roundtrip(tmp_path):
     assert run_config == config
     assert back.probes == tp.geometric_ensemble().probes
     assert files.config_reconstruction(run_config).max_iters == 30000
-    # Files that carry only probes give the default solver settings.
-    payload = {"config_hash": h, "probes": config["probes"][:2]}
+    # Files that carry only probes, under their own hash, give the default
+    # solver settings.
+    probes_only = {"probes": config["probes"][:2]}
+    payload = {"config_hash": files.config_hash(probes_only), **probes_only}
     files.write_json(tmp_path / "old.json", payload)
     old, _, old_config = files.read_ensemble(tmp_path / "old.json")
     assert old.ids == (0, 1)
     assert files.config_reconstruction(old_config) == tp.ReconstructionConfig()
+    # A hash that is not the hash of the config beside it is refused.
+    files.write_json(tmp_path / "bad.json", {**payload, "config_hash": h})
+    with pytest.raises(tp.SchemaError, match=f"{tmp_path / 'bad.json'}: config_hash"):
+        files.read_ensemble(tmp_path / "bad.json")
 
 
 def test_count_table_roundtrip(tmp_path):
@@ -214,6 +220,9 @@ def test_count_table_roundtrip(tmp_path):
     payload = json.loads((tmp_path / "counts.json").read_text())
     assert payload["method"] == "threshold"
     assert payload["skipped_probe_ids"] == [2]
+    # The counts are the table: no probabilities or dimensions beside them.
+    assert sorted(payload) == ["config_hash", "counts", "method", "probe_ids",
+                               "skipped_probe_ids"]
 
 
 def test_count_table_probs_only_roundtrip(tmp_path):
@@ -222,6 +231,7 @@ def test_count_table_probs_only_roundtrip(tmp_path):
     back, _ = files.read_count_table(tmp_path / "probs.json")
     assert back.counts is None
     assert np.array_equal(back.probs, table.probs)
+    assert "counts" not in json.loads((tmp_path / "probs.json").read_text())
 
 
 def test_povm_roundtrip(tmp_path):
@@ -291,9 +301,9 @@ def test_manifest_roundtrip(tmp_path):
     config = files.default_config()
     files.write_manifest(tmp_path, config, seed=9)
     manifest = files.read_manifest(tmp_path)
-    # Traces are found by probe id, so the manifest lists no files.
-    assert manifest == {"config_hash": files.config_hash(config), "seed": 9,
-                        "config": config}
+    # Traces are found by probe id, so the manifest lists no files, and the
+    # run config itself is ensemble.json.
+    assert manifest == {"config_hash": files.config_hash(config), "seed": 9}
 
 
 def test_read_manifest_missing(tmp_path):
@@ -302,10 +312,10 @@ def test_read_manifest_missing(tmp_path):
 
 
 def test_check_lineage():
-    files.check_lineage("a", "a", "thing", force=False)
-    files.check_lineage("a", "b", "thing", force=True)
-    with pytest.raises(tp.LineageError, match="--force"):
-        files.check_lineage("a", "b", "thing", force=False)
+    files.check_lineage({"x.json": "a", "y.json": "a"})
+    files.check_lineage({"x.json": "a", "y.json": "b"}, force=True)
+    with pytest.raises(tp.LineageError, match="x.json has config a, y.json has config b"):
+        files.check_lineage({"x.json": "a", "y.json": "b"})
 
 
 def test_load_config_schema_errors(tmp_path):
