@@ -8,7 +8,8 @@ the one copy every later stage reads, and its hash in ``manifest.json``.
 records every solver setting in ``povm.json``, which ``validate`` reuses
 for its sensitivity sweep. ``calibrate`` reads the trace of each probe
 id of the run config, and the later stages pair count-table columns
-with the run config's probes by id. Exit codes: 0 success, 2 schema or
+with the run config's probes by id; a column id the run config lacks
+exits 2 naming the ``--counts`` file. Exit codes: 0 success, 2 schema or
 input validation error, 3 numerical failure, 4 lineage mismatch
 (artifacts from different runs; --force, where a stage offers it,
 overrides). An ``ensemble.json`` whose hash is not that of its config is
@@ -113,11 +114,21 @@ def cmd_calibrate(args) -> int:
     return EXIT_OK
 
 
+def _check_pairing(table, ensemble, counts_path):
+    """Raise :class:`SchemaError` naming ``counts_path`` when a column id of
+    ``table`` is not a probe of the run config."""
+    try:
+        ensemble.subset(table.probe_ids)
+    except ValueError as exc:
+        raise SchemaError(f"{counts_path}: {exc}") from exc
+
+
 def cmd_reconstruct(args) -> int:
     table, counts_hash = files.read_count_table(args.counts)
     ensemble, ensemble_hash, config = files.read_ensemble(args.ensemble)
     files.check_lineage({args.counts: counts_hash, args.ensemble: ensemble_hash},
                         args.force)
+    _check_pairing(table, ensemble, args.counts)
     cfg = files.config_reconstruction(
         config, init_eta=estimate_eta(table, ensemble).eta_hat
     )
@@ -125,14 +136,14 @@ def cmd_reconstruct(args) -> int:
     out = Path(args.out)
     files.write_povm(out / "povm.json", result, cfg, counts_hash)
     files.write_convergence_log(out / "convergence.log", result)
+    certificate = f"gradient-mapping norm {result.gradient_mapping_norm:.3e}, tol {cfg.tol:g}"
     if not result.converged:
-        print(
-            f"warning: solver hit max_iters={cfg.max_iters} before tol",
-            file=sys.stderr,
-        )
+        print(f"warning: solver hit max_iters={cfg.max_iters} ({certificate})",
+              file=sys.stderr)
     print(
         f"reconstructed {result.povm.n_outcomes}x{result.povm.truncation} POVM "
-        f"in {result.n_iters} iterations (data term {result.data_term:.3e}) -> {out}"
+        f"in {result.n_iters} iterations (data term {result.data_term:.3e}, "
+        f"{certificate}) -> {out}"
     )
     return EXIT_OK
 
@@ -142,6 +153,7 @@ def cmd_estimate(args) -> int:
     ensemble, ensemble_hash, _ = files.read_ensemble(args.ensemble)
     files.check_lineage({args.counts: counts_hash, args.ensemble: ensemble_hash},
                         args.force)
+    _check_pairing(table, ensemble, args.counts)
     if args.dark_counts:
         estimate = estimate_eta_gamma(table, ensemble)
         method = "eta_gamma"
@@ -165,6 +177,7 @@ def cmd_validate(args) -> int:
     files.check_lineage({args.povm: povm_hash, args.counts: counts_hash,
                          args.ensemble: ensemble_hash, args.estimate: estimate_hash},
                         args.force)
+    _check_pairing(table, ensemble, args.counts)
 
     eta_hat = float(estimate["eta_hat"])
     comparisons = three_way_comparison(table, povm, eta_hat, ensemble)

@@ -344,16 +344,23 @@ def read_count_table(path) -> tuple[CountTable, str]:
 
 def write_povm(path, result: ReconstructionResult, cfg: ReconstructionConfig,
                cfg_hash: str):
-    """Write the POVM with every solver setting that produced it."""
+    """Write the POVM with every solver setting that produced it.
+
+    The shape of ``entries`` is ``n_outcomes`` x ``truncation``, so those
+    two settings are not stored again.
+    """
+    settings = dataclasses.asdict(cfg)
+    del settings["n_outcomes"], settings["truncation"]
     write_json(
         path,
         {
-            **dataclasses.asdict(cfg),
+            **settings,
             "config_hash": cfg_hash,
             "entries": result.povm.entries,
             "converged": result.converged,
             "n_iters": result.n_iters,
             "stop_reason": result.stop_reason,
+            "gradient_mapping_norm": result.gradient_mapping_norm,
             "noise_floor": result.noise_floor,
             "data_term": result.data_term,
             "reg_term": result.reg_term,
@@ -393,7 +400,8 @@ def write_convergence_log(path, result: ReconstructionResult, stride: int = 100)
         lines.append(f"{history.size - 1} {float(history[-1])!r}")
     lines.append(
         f"# stop={result.stop_reason} iters={result.n_iters} "
-        f"data_term={float(result.data_term)!r} reg_term={float(result.reg_term)!r}"
+        f"data_term={float(result.data_term)!r} reg_term={float(result.reg_term)!r} "
+        f"gradient_mapping_norm={float(result.gradient_mapping_norm)!r}"
     )
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)

@@ -306,7 +306,7 @@ def test_outcome_mismatch_exits_2(pipeline, tmp_path, capsys):
     # The pipeline reconstructed with no config flag, in the run config's
     # 8 outcomes, truncation 50 and max_iters 30000, and recorded them.
     payload = json.loads((pipeline["rec"] / "povm.json").read_text())
-    assert (payload["n_outcomes"], payload["truncation"]) == (8, 50)
+    assert np.asarray(payload["entries"]).shape == (8, 50)
     assert payload["max_iters"] == 30000
     assert payload["reg_weight"] == tp.ReconstructionConfig().reg_weight
     assert payload["tol"] == tp.ReconstructionConfig().tol
@@ -340,6 +340,35 @@ def test_reconstruct_unfittable_table_exits_3(tmp_path, capsys):
     assert rc == 3
     assert "no usable probes" in capsys.readouterr().err
     assert not (tmp_path / "rec" / "povm.json").exists()
+
+
+@pytest.mark.parametrize("max_iters", [50, None])
+def test_reconstruct_reports_its_certificate(tmp_path, capsys, max_iters):
+    # Exact probabilities have no noise floor, so only the certificate
+    # stops the solve; 50 steps do not reach it, the default cap does.
+    mus = (0.3, 1.0, 2.5, 5.0)
+    section = {"truncation": 4, "n_outcomes": 4}
+    if max_iters is not None:
+        section["max_iters"] = max_iters
+    config = {"probes": [{"id": i, "mean_photons": m} for i, m in enumerate(mus)],
+              "reconstruction": section}
+    files.write_ensemble(tmp_path / "ensemble.json", config)
+    ensemble, cfg_hash, _ = files.read_ensemble(tmp_path / "ensemble.json")
+    q, _ = tp.probe_q_matrix(ensemble, 4)
+    table = tp.CountTable.from_probs(tp.binomial_povm(0.6, 4, 4).entries @ q,
+                                     probe_ids=ensemble.ids)
+    files.write_count_table(tmp_path / "counts.json", table, cfg_hash, "exact")
+    assert main(["reconstruct", "--counts", str(tmp_path / "counts.json"),
+                 "--ensemble", str(tmp_path / "ensemble.json"),
+                 "--out", str(tmp_path / "rec")]) == 0
+    printed = capsys.readouterr()
+    povm = json.loads((tmp_path / "rec" / "povm.json").read_text())
+    certificate = (f"gradient-mapping norm {povm['gradient_mapping_norm']:.3e}, "
+                   f"tol {tp.ReconstructionConfig().tol:g}")
+    assert certificate in printed.out
+    assert povm["converged"] == (max_iters is None)
+    assert (certificate in printed.err) == (max_iters is not None)
+    assert (povm["gradient_mapping_norm"] <= povm["tol"]) == (max_iters is None)
 
 
 def test_sweep_baseline_is_the_reported_povm(tmp_path):
@@ -515,7 +544,7 @@ def test_counts_naming_unknown_probe_exits_2(pipeline, tmp_path, capsys, stage):
         inputs += ["--povm", str(pipeline["rec"] / "povm.json"),
                    "--estimate", str(pipeline["est"] / "estimate.json")]
     assert main([stage, *inputs, "--out", str(out)]) == 2
-    assert "no probes with probe ids [25]" in capsys.readouterr().err
+    assert f"{counts}: the ensemble has no probes with probe ids [25]" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -65,7 +65,7 @@ def test_config_calibration_defaults_are_fit_peaks_defaults():
 
 def test_default_config_hash_is_pinned():
     # Artifact lineage depends on this value; a default that drifts changes it.
-    assert files.config_hash(files.default_config()) == "1f7fcd1113052a69"
+    assert files.config_hash(files.default_config()) == "b853fa66257e86f8"
 
 
 def test_config_reconstruction_overrides():
@@ -246,6 +246,9 @@ def test_povm_roundtrip(tmp_path):
     assert payload["n_iters"] == rec.n_iters
     assert (payload["reg_weight"], payload["max_iters"]) == (cfg.reg_weight, 2000)
     assert payload["noise_floor"] is None
+    assert payload["gradient_mapping_norm"] == rec.gradient_mapping_norm
+    # The shape of entries is the only record of n_outcomes and truncation.
+    assert "n_outcomes" not in payload and "truncation" not in payload
     assert "last_outcome_cumulative" not in payload
     # Older files carry that key and lack max_iters and tol; the reader
     # ignores the one and gives the others their defaults.
@@ -278,6 +281,7 @@ def test_convergence_log_format(tmp_path):
     assert lines[0] == "# iteration objective"
     assert lines[-1].startswith("# stop=")
     assert f"stop={rec.stop_reason}" in lines[-1]
+    assert f"gradient_mapping_norm={rec.gradient_mapping_norm!r}" in lines[-1]
     assert "np.float64" not in path.read_text()
     for line in lines[1:-1]:
         it, val = line.split()

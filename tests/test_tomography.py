@@ -153,6 +153,58 @@ def test_reconstruct_hits_max_iters_without_counts():
     assert not rec.converged
     assert rec.n_iters == 5
     assert rec.objective_history.size == 6
+    # The certificate is still reported, and it is not met.
+    assert rec.gradient_mapping_norm > cfg.tol
+
+
+def _gradient_mapping_norm(pi, q, p, reg_weight):
+    """||Pi - P(Pi - s grad f)||_F / s with the solver's step, column by column."""
+    step = 1.0 / (2.0 * (np.linalg.norm(q, 2) ** 2 + 4.0 * reg_weight))
+    d = np.diff(pi, axis=1)
+    lap = np.zeros_like(pi)
+    lap[:, :-1] -= d
+    lap[:, 1:] += d
+    grad = 2.0 * (pi @ q - p) @ q.T + 2.0 * reg_weight * lap
+    stepped = pi - step * grad
+    proj = np.column_stack([tp.project_simplex(col) for col in stepped.T])
+    return float(np.linalg.norm(pi - proj)) / step
+
+
+def test_exact_default_design_stops_on_certificate():
+    """Criterion 5's exact input stops on the gradient-mapping certificate."""
+    ensemble = tp.geometric_ensemble()
+    truth = tp.binomial_povm(0.051, 12, 140)
+    q, _ = tp.probe_q_matrix(ensemble, 140)
+    table = tp.CountTable.from_probs(truth.entries @ q, probe_ids=ensemble.ids)
+    cfg = tp.ReconstructionConfig(init_eta=tp.estimate_eta(table, ensemble).eta_hat)
+    rec = tp.reconstruct_povm(table, ensemble, cfg)
+    assert rec.converged
+    assert rec.stop_reason == "objective_tol"
+    assert rec.n_iters <= 10_000
+    assert rec.data_term <= 1e-10
+    assert rec.gradient_mapping_norm <= cfg.tol
+    recomputed = _gradient_mapping_norm(rec.povm.entries, q, table.probs, cfg.reg_weight)
+    assert np.isclose(rec.gradient_mapping_norm, recomputed, rtol=1e-12, atol=0.0)
+
+
+def test_noisy_default_design_stops_at_noise_floor():
+    """The seed-42 default run, started from estimate_eta, stops at the
+    noise floor after two steps, before the certificate is met."""
+    ensemble = tp.geometric_ensemble()
+    traces = tp.simulate_ensemble(tp.DetectorPhysicalConfig(), ensemble, seed=42, jobs=2)
+    fits, failures = tp.fit_run(traces, bin_width_mv=1.3)
+    assert not failures
+    columns = [
+        tp.bin_counts(t, tp.place_thresholds(fits[t.probe_id]), 12) for t in traces
+    ]
+    table = tp.CountTable.from_counts(
+        np.column_stack(columns), probe_ids=tuple(t.probe_id for t in traces)
+    )
+    cfg = tp.ReconstructionConfig(init_eta=tp.estimate_eta(table, ensemble).eta_hat)
+    rec = tp.reconstruct_povm(table, ensemble, cfg)
+    assert rec.stop_reason == "noise_floor"
+    assert rec.n_iters == 2
+    assert rec.gradient_mapping_norm > cfg.tol
 
 
 def test_reconstruct_permutation_invariant():
