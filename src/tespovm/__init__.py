@@ -20,19 +20,10 @@ from .calibration import (
 from .errors import (
     CalibrationError,
     EstimationError,
-    FitError,
     LineageError,
     SchemaError,
 )
-from .estimation import (
-    DarkRateEstimate,
-    EfficiencyEstimate,
-    dark_rate_direct,
-    estimate_eta,
-    estimate_eta_gamma,
-    loglik_eta,
-    loglik_eta_msum,
-)
+from .estimation import EfficiencyEstimate, estimate_eta, estimate_eta_gamma
 from .metrics import (
     FidelityCurve,
     ProbeComparison,
@@ -43,12 +34,10 @@ from .metrics import (
 )
 from .photon_stats import (
     CountDistribution,
-    LinearDetectorModel,
     PovmMatrix,
     Probe,
     ProbeEnsemble,
     binomial_povm,
-    dark_count_povm,
     geometric_ensemble,
     linear_prediction,
     poisson_pmf,
@@ -65,7 +54,6 @@ from .tes_sim import (
 from .tomography import (
     ReconstructionConfig,
     ReconstructionResult,
-    forward_model,
     project_simplex,
     reconstruct_povm,
 )

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize, signal, special
 
-from .errors import CalibrationError, FitError
+from .errors import CalibrationError
 from .photon_stats import _check_stochastic
 from .tes_sim import AmplitudeTrace
 
@@ -283,7 +283,7 @@ def fit_run(traces, bin_width_mv: float = DEFAULT_BIN_WIDTH_MV,
         probe admits.
 
     Raises:
-        FitError: The run's comb fit did not converge.
+        CalibrationError: The run's comb fit did not converge.
     """
     if bin_width_mv <= 0:
         raise ValueError("bin_width_mv must be positive")
@@ -327,7 +327,7 @@ def fit_run(traces, bin_width_mv: float = DEFAULT_BIN_WIDTH_MV,
             np.clip(x0, lo, hi), bounds=(lo, hi),
         )
         if res.status == 0:
-            raise FitError(f"comb fit did not converge ({res.nfev} evaluations)")
+            raise CalibrationError(f"comb fit did not converge ({res.nfev} evaluations)")
         teeth = {pid: s.teeth(res.x[0], res.x[1]) for pid, s in spectra.items()}
         # The run's comb numbers the teeth. Each trace then refits the comb
         # to its own histogram from there, so that its thresholds follow its
@@ -342,7 +342,8 @@ def fit_run(traces, bin_width_mv: float = DEFAULT_BIN_WIDTH_MV,
                 res.x, bounds=(np.maximum(lo, res.x - reach), np.minimum(hi, res.x + reach)),
             )
             if own.status == 0:
-                failures[pid] = FitError(f"comb refit did not converge ({own.nfev} evaluations)")
+                failures[pid] = CalibrationError(
+                    f"comb refit did not converge ({own.nfev} evaluations)")
                 del combs[pid]
             else:
                 combs[pid] = tuple(map(float, own.x))

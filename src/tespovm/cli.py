@@ -179,15 +179,18 @@ def cmd_validate(args) -> int:
                         args.force)
     _check_pairing(table, ensemble, args.counts)
 
+    # The reference is the fitted linear detector; an eta-only fit has no gamma_hat.
     eta_hat = float(estimate["eta_hat"])
-    comparisons = three_way_comparison(table, povm, eta_hat, ensemble)
-    reference = binomial_povm(eta_hat, povm.n_outcomes, povm.truncation)
+    gamma_hat = float(estimate.get("gamma_hat") or 0.0)
+    comparisons = three_way_comparison(table, povm, eta_hat, ensemble, gamma_hat)
+    reference = binomial_povm(eta_hat, povm.n_outcomes, povm.truncation, gamma_hat)
     curve = fidelity_curve(povm, reference, split=args.split)
     # Every report is computed before the first is written.
     reports = {
         "fidelity.json": {
             "config_hash": povm_hash,
             "reference_eta": eta_hat,
+            "reference_gamma": gamma_hat,
             "split": curve.split,
             "min_low": curve.min_low,
             "min_high": curve.min_high,

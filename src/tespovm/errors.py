@@ -9,10 +9,6 @@ class CalibrationError(RuntimeError):
     """Histogram calibration could not produce a usable peak structure."""
 
 
-class FitError(CalibrationError):
-    """Nonlinear peak fit did not converge."""
-
-
 class EstimationError(RuntimeError):
     """Likelihood estimation is impossible, e.g. every probe is degenerate."""
 

@@ -4,8 +4,7 @@ For a coherent probe of mean mu, binomial thinning by a detector of
 efficiency eta gives Poisson(eta * mu) detected counts, and an added
 Poissonian background of mean gamma shifts that to Poisson(eta * mu +
 gamma) (the linear-detector model). Each probe's outcome probabilities
-follow in closed form, with the last outcome cumulative; the explicit
-sum over photon numbers is kept as a cross-check route.
+follow in closed form, with the last outcome cumulative.
 
 Both estimators maximize one pooled likelihood over all probes, in eta
 alone or in (eta, gamma), by bounded L-BFGS-B with an analytic gradient.
@@ -15,27 +14,21 @@ they need the raw event counts of the table.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, stats
+from scipy import optimize
 from scipy.special import gammainc, gammaln, xlogy
 
-from .calibration import CountTable, GaussianMixtureFit, ThresholdSet
+from .calibration import CountTable
 from .errors import EstimationError
-from .photon_stats import ProbeEnsemble, binomial_povm, poisson_pmf
-from .tes_sim import AmplitudeTrace
+from .photon_stats import ProbeEnsemble
 
 __all__ = [
     "EfficiencyEstimate",
-    "DarkRateEstimate",
-    "loglik_eta",
-    "loglik_eta_msum",
     "estimate_eta",
     "estimate_eta_gamma",
-    "dark_rate_direct",
 ]
 
 _Z_ONE_SIDED_95 = 1.6448536269514722
@@ -56,7 +49,7 @@ class EfficiencyEstimate:
     bound, relevant when the estimate sits at the zero boundary.
     ``per_probe_etas`` and ``per_probe_gammas`` are each probe's own
     maximizer with the other parameter held at its pooled value;
-    skipped probes hold NaN.
+    skipped probes, and the eta of a probe of mu 0, hold NaN.
     """
 
     eta_hat: float
@@ -67,23 +60,6 @@ class EfficiencyEstimate:
     gamma_se: float | None = None
     gamma_upper: float | None = None
     per_probe_gammas: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
-class DarkRateEstimate:
-    """Direct dark-count rate from a no-light trace.
-
-    ``rate`` is the fraction of pulses at or above the first threshold,
-    ``upper_bound`` the Clopper-Pearson upper limit at ``confidence``.
-    ``suspect`` flags the nonsensical case of every pulse firing.
-    """
-
-    rate: float
-    std_error: float
-    upper_bound: float
-    n_pulses: int
-    confidence: float
-    suspect: bool
 
 
 def _log_probs(lam, n_outcomes: int) -> np.ndarray:
@@ -120,48 +96,6 @@ def _weighted_loglik(weights: np.ndarray, log_probs: np.ndarray) -> float:
     return float(terms.sum())
 
 
-def loglik_eta(eta: float, counts, mu: float) -> float:
-    """Log likelihood of one probe's counts under efficiency ``eta``.
-
-    Uses the thinning identity: detected counts are Poisson(eta * mu),
-    with the last outcome bin absorbing the upper tail. Outcomes the
-    model gives zero probability but the data populates yield ``-inf``.
-
-    Args:
-        eta: Efficiency in [0, 1].
-        counts: Outcome counts (or any nonnegative weights) of length
-            >= 2. The value is invariant up to scale, so proportions
-            work too.
-        mu: Mean photon number of the probe.
-    """
-    if not (0.0 <= eta <= 1.0):
-        raise ValueError(f"eta must lie in [0, 1], got {eta}")
-    if not math.isfinite(mu) or mu < 0:
-        raise ValueError(f"mu must be finite and >= 0, got {mu}")
-    c = np.asarray(counts, dtype=float)
-    if c.ndim != 1 or c.size < 2:
-        raise ValueError("counts must be a 1-D vector with >= 2 outcomes")
-    if c.min() < 0:
-        raise ValueError("counts must be >= 0")
-    return _weighted_loglik(c, _log_probs(eta * mu, c.size)[:, 0])
-
-
-def loglik_eta_msum(eta: float, counts, mu: float, truncation: int) -> float:
-    """Same likelihood through the explicit photon-number sum.
-
-    Evaluates ``sum_m B[n, m] q_m(mu)`` with a truncated Poisson source;
-    agrees with :func:`loglik_eta` once ``truncation`` covers the
-    source's support. Kept as an independent route for validation.
-    """
-    c = np.asarray(counts, dtype=float)
-    povm = binomial_povm(eta, c.size, truncation)
-    q = poisson_pmf(mu, np.arange(truncation))
-    probs = povm.entries @ q
-    with np.errstate(divide="ignore"):
-        log_probs = np.log(probs)
-    return _weighted_loglik(c, log_probs)
-
-
 def _maximize(cols: np.ndarray, design: np.ndarray, lower, upper, x0) -> np.ndarray:
     """Maximize the pooled log likelihood over theta, with lam = design @ theta.
 
@@ -190,12 +124,13 @@ def _fit(counts: CountTable, ensemble: ProbeEnsemble, joint: bool) -> Efficiency
     probes = ensemble.subset(counts.probe_ids)
     used = []
     # Pooling in canonical id order makes the fit bitwise permutation-invariant.
+    # A probe of mu 0 measures gamma alone, so only the eta fit skips it.
     for j in np.argsort(counts.probe_ids):
-        if probes.probes[j].mean_photons == 0:
+        if joint or probes.probes[j].mean_photons > 0:
+            used.append(j)
+        else:
             warnings.warn(f"probe {probes.probes[j].id}: mean_photons is 0, carries no "
                           "efficiency information, skipped", stacklevel=3)
-        else:
-            used.append(j)
     if not used:
         raise EstimationError("no usable probes: every column was degenerate")
     # Event counts weigh the likelihood when the table has them.
@@ -233,7 +168,8 @@ def _fit(counts: CountTable, ensemble: ProbeEnsemble, joint: bool) -> Efficiency
         gamma_se = float(se[1]) if joint else None
 
     etas = np.full(counts.n_probes, np.nan)
-    etas[used] = np.clip((lam_j - gamma_hat) / mus, 0.0, 1.0)
+    lit = mus > 0
+    etas[np.asarray(used)[lit]] = np.clip((lam_j[lit] - gamma_hat) / mus[lit], 0.0, 1.0)
     gammas = np.full(counts.n_probes, np.nan)
     gammas[used] = np.maximum(lam_j - eta_hat * mus, 0.0)
     return EfficiencyEstimate(
@@ -273,56 +209,13 @@ def estimate_eta_gamma(counts: CountTable, ensemble: ProbeEnsemble) -> Efficienc
     enters its distribution), so both come from the likelihood pooled
     over all probes, with eta in [0, 1] and gamma >= 0. Standard errors
     come from the 2x2 Fisher information at the optimum, also when gamma
-    sits at its zero bound. ``per_probe_etas`` maximize each probe's
-    likelihood at the pooled gamma, ``per_probe_gammas`` at the pooled
-    eta.
+    sits at its zero bound. A probe of mu zero measures gamma alone and
+    counts in the fit. ``per_probe_etas`` maximize each probe's
+    likelihood at the pooled gamma (NaN at mu zero), ``per_probe_gammas``
+    at the pooled eta.
 
     Raises:
         ValueError: A column id names no probe of the ensemble.
-        EstimationError: Every probe was degenerate, or the usable probes
-            share a single mean photon number.
+        EstimationError: The probes share a single mean photon number.
     """
     return _fit(counts, ensemble, joint=True)
-
-
-def dark_rate_direct(
-    trace: AmplitudeTrace,
-    fit: GaussianMixtureFit | None,
-    thresholds: ThresholdSet | None,
-    confidence: float = 0.99,
-) -> DarkRateEstimate:
-    """Measure the dark-count rate directly from a no-light trace.
-
-    Counts the fraction of pulses at or above the first threshold (the
-    boundary belongs to the upper class, as in binning). When no
-    threshold set is available, the cut falls back to five sigma above
-    the fitted zero peak. The upper bound is the exact Clopper-Pearson
-    one-sided limit, which stays meaningful at zero observed events.
-    """
-    n = trace.n_pulses
-    if n == 0:
-        raise ValueError("trace is empty")
-    if not (0.0 < confidence < 1.0):
-        raise ValueError("confidence must lie in (0, 1)")
-    if thresholds is not None and thresholds.n_cuts > 0:
-        cut = thresholds.cut_points_mv[0]
-    elif fit is not None:
-        zero = fit.components[0]
-        cut = zero.mean_mv + 5.0 * zero.sigma_mv
-    else:
-        raise ValueError("need a threshold set or a fit to place the cut")
-    above = int(np.count_nonzero(trace.amplitudes_mv >= cut))
-    rate = above / n
-    se = math.sqrt(rate * (1.0 - rate) / n)
-    if above == n:
-        upper = 1.0
-    else:
-        upper = float(stats.beta.ppf(confidence, above + 1, n - above))
-    return DarkRateEstimate(
-        rate=rate,
-        std_error=se,
-        upper_bound=upper,
-        n_pulses=n,
-        confidence=confidence,
-        suspect=above == n,
-    )

@@ -212,46 +212,33 @@ def write_trace_csv(directory, trace: AmplitudeTrace):
         np.save(directory / truth_filename(trace.probe_id), truth.astype(dtype))
 
 
-def _read_npy_column(path, kinds: str, what: str) -> np.ndarray:
-    """The 1-D array in the ``.npy`` file ``path``; its dtype kind is in ``kinds``."""
+def read_trace_csv(path, probe_id: int) -> AmplitudeTrace:
+    """Read the amplitudes :func:`write_trace_csv` wrote to ``path``.
+
+    Pickled, object, structured or non-1-D arrays, a dtype other than
+    float and non-finite amplitudes raise :class:`SchemaError`. The
+    truth sidecar is not read here; ``np.load`` reads it. The name
+    predates the ``.npy`` format.
+    """
     magic = np.lib.format.MAGIC_PREFIX
     try:
         with open(path, "rb") as fh:
             is_npy = fh.read(len(magic)) == magic
             fh.seek(0)
             # Checking the magic first keeps np.load off its pickle and .npz routes.
-            arr = np.load(fh, allow_pickle=False) if is_npy else None
+            amps = np.load(fh, allow_pickle=False) if is_npy else None
     except OSError as exc:
         raise SchemaError(f"{path}: cannot read ({exc})") from exc
     except (ValueError, EOFError) as exc:
         raise SchemaError(f"{path}: bad .npy data ({exc})") from exc
-    if arr is None:
+    if amps is None:
         raise SchemaError(f"{path}: not a .npy file")
-    if arr.ndim != 1:
-        raise SchemaError(f"{path}: expected a 1-D array, got shape {arr.shape}")
-    if arr.dtype.kind not in kinds:
-        raise SchemaError(f"{path}: expected {what}, got dtype {arr.dtype}")
-    return arr
-
-
-def read_trace_csv(path, probe_id: int, truth_path=None) -> AmplitudeTrace:
-    """Read a trace written by :func:`write_trace_csv`.
-
-    ``path`` holds the amplitudes, ``truth_path`` (optional) the truth
-    sidecar. Pickled, object, structured or non-1-D arrays, the wrong
-    dtype, a sidecar of another length and non-finite amplitudes raise
-    :class:`SchemaError`. The name predates the ``.npy`` format.
-    """
-    amps = _read_npy_column(path, "f", "float amplitudes")
-    truth = None
-    if truth_path is not None:
-        truth = _read_npy_column(truth_path, "iu", "integer counts")
-        if truth.shape != amps.shape:
-            raise SchemaError(
-                f"{truth_path}: sidecar has {truth.size} events, trace has {amps.size}"
-            )
+    if amps.ndim != 1:
+        raise SchemaError(f"{path}: expected a 1-D array, got shape {amps.shape}")
+    if amps.dtype.kind != "f":
+        raise SchemaError(f"{path}: expected float amplitudes, got dtype {amps.dtype}")
     try:
-        return AmplitudeTrace(probe_id=probe_id, amplitudes_mv=amps, truth_counts=truth)
+        return AmplitudeTrace(probe_id=probe_id, amplitudes_mv=amps)
     except ValueError as exc:
         raise SchemaError(f"{path}: {exc}") from exc
 

@@ -100,14 +100,15 @@ def three_way_comparison(
     reconstructed: PovmMatrix,
     eta_hat: float,
     ensemble: ProbeEnsemble,
+    gamma_hat: float = 0.0,
 ) -> list[ProbeComparison]:
     """Compare measured, reconstructed and linear-model distributions.
 
     For every probe: the calibrated probabilities, the reconstruction's
-    forward prediction, and the closed-form Poisson(eta_hat * mu)
-    prediction, with max and total-variation differences against the
-    measurement. Rows follow the table's columns, each paired with its
-    probe by id (:meth:`ProbeEnsemble.subset`).
+    forward prediction, and the closed-form Poisson(eta_hat * mu +
+    gamma_hat) prediction, with max and total-variation differences
+    against the measurement. Rows follow the table's columns, each paired
+    with its probe by id (:meth:`ProbeEnsemble.subset`).
     """
     if counts.n_outcomes != reconstructed.n_outcomes:
         raise ValueError("count table and POVM outcome counts disagree")
@@ -115,7 +116,8 @@ def three_way_comparison(
     for j, probe in enumerate(ensemble.subset(counts.probe_ids).probes):
         p = counts.probs[:, j]
         r = predict_distribution(reconstructed, probe.mean_photons).probs
-        l = linear_prediction(eta_hat, probe.mean_photons, counts.n_outcomes).probs
+        l = linear_prediction(eta_hat, probe.mean_photons, counts.n_outcomes,
+                              gamma_hat).probs
         out.append(
             ProbeComparison(
                 probe_id=probe.id,

@@ -18,7 +18,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg
@@ -29,13 +29,11 @@ __all__ = [
     "Probe",
     "ProbeEnsemble",
     "PovmMatrix",
-    "LinearDetectorModel",
     "CountDistribution",
     "geometric_ensemble",
     "poisson_pmf",
     "probe_q_matrix",
     "binomial_povm",
-    "dark_count_povm",
     "predict_distribution",
     "linear_prediction",
 ]
@@ -194,20 +192,6 @@ def geometric_ensemble(
     )
 
 
-@dataclass(frozen=True)
-class LinearDetectorModel:
-    """Linear detector parameters: efficiency and mean dark counts per pulse."""
-
-    eta: float
-    gamma: float = 0.0
-
-    def __post_init__(self):
-        if not (0.0 <= self.eta <= 1.0):
-            raise ValueError(f"eta must lie in [0, 1], got {self.eta}")
-        if not math.isfinite(self.gamma) or self.gamma < 0:
-            raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
-
-
 @dataclass(frozen=True, eq=False)
 class PovmMatrix:
     """Column-stochastic POVM matrix for a photon-number-diagonal detector.
@@ -347,53 +331,41 @@ def _binomial_rows(eta: float, n_rows: int, truncation: int) -> np.ndarray:
     return np.where(ns <= ms, np.exp(logpmf), 0.0)
 
 
-def _with_cumulative_top(body: np.ndarray) -> np.ndarray:
-    top = np.maximum(1.0 - body.sum(axis=0), 0.0)
-    return np.vstack([body, top])
+def binomial_povm(
+    eta: float, n_outcomes: int, truncation: int, gamma: float = 0.0
+) -> PovmMatrix:
+    """POVM matrix of a linear detector: efficiency ``eta``, dark counts ``gamma``.
 
+    Rows ``n < n_outcomes - 1`` hold the Binomial(m, eta) pmf at n,
+    convolved with Poisson(``gamma``) dark counts:
 
-def binomial_povm(eta: float, n_outcomes: int, truncation: int) -> PovmMatrix:
-    """POVM matrix of an ideal linear detector with efficiency ``eta``.
+        Pi[n, m] = exp(-gamma) * sum_{j=0}^{n} gamma^j / j! * B[n-j, m]
 
-    Rows ``n < n_outcomes - 1`` hold the Binomial(m, eta) pmf at n; the
-    last row is the cumulative remainder so columns sum to one exactly.
+    The last row is the cumulative remainder so columns sum to one
+    exactly. At ``gamma`` = 0 the convolution matrix is the identity, so
+    the rows are the binomial pmf exactly.
 
     Args:
         eta: Quantum efficiency in [0, 1].
         n_outcomes: Number of outcome rows N, >= 2.
         truncation: Number of photon-number columns M, >= 1.
+        gamma: Mean dark counts per pulse, finite and >= 0.
     """
     if not (0.0 <= eta <= 1.0):
         raise ValueError(f"eta must lie in [0, 1], got {eta}")
+    if not math.isfinite(gamma) or gamma < 0:
+        raise ValueError(f"gamma must be finite and >= 0, got {gamma}")
     if n_outcomes < 2:
         raise ValueError("n_outcomes must be >= 2")
     if truncation < 1:
         raise ValueError("truncation must be >= 1")
-    body = _binomial_rows(eta, n_outcomes - 1, truncation)
-    return PovmMatrix(_with_cumulative_top(body))
-
-
-def dark_count_povm(
-    model: LinearDetectorModel, n_outcomes: int, truncation: int
-) -> PovmMatrix:
-    """POVM of a linear detector with Poissonian dark counts.
-
-    Each non-cumulative row is the convolution of the binomial response
-    with Poisson(gamma) dark counts:
-
-        Pi[n, m] = exp(-gamma) * sum_{j=0}^{n} gamma^j / j! * B[n-j, m]
-
-    With ``gamma == 0`` this reduces bitwise to ``binomial_povm``.
-    """
-    if n_outcomes < 2:
-        raise ValueError("n_outcomes must be >= 2")
-    if truncation < 1:
-        raise ValueError("truncation must be >= 1")
-    raw = _binomial_rows(model.eta, n_outcomes - 1, truncation)
-    w = poisson_pmf(model.gamma, np.arange(n_outcomes - 1))
+    w = poisson_pmf(gamma, np.arange(n_outcomes - 1))
     # Lower-triangular Toeplitz matrix: row n holds w[n], w[n-1], ..., w[0].
-    dark = linalg.toeplitz(w, np.zeros_like(w))
-    return PovmMatrix(_with_cumulative_top(dark @ raw))
+    body = linalg.toeplitz(w, np.zeros_like(w)) @ _binomial_rows(
+        eta, n_outcomes - 1, truncation
+    )
+    top = np.maximum(1.0 - body.sum(axis=0), 0.0)
+    return PovmMatrix(np.vstack([body, top]))
 
 
 def predict_distribution(povm: PovmMatrix, mu: float) -> CountDistribution:
@@ -411,19 +383,24 @@ def predict_distribution(povm: PovmMatrix, mu: float) -> CountDistribution:
     return CountDistribution(probs, truncation_tail=tail)
 
 
-def linear_prediction(eta: float, mu: float, n_outcomes: int) -> CountDistribution:
-    """Closed-form outcome distribution of a lossless-model linear detector.
+def linear_prediction(
+    eta: float, mu: float, n_outcomes: int, gamma: float = 0.0
+) -> CountDistribution:
+    """Closed-form outcome distribution of a linear detector.
 
-    Binomial thinning of a Poisson source is again Poisson, so the body
-    of the distribution is the Poisson(eta * mu) pmf and the last outcome
-    absorbs the upper tail.
+    Binomial thinning of a Poisson source is again Poisson, and Poisson
+    dark counts add to its mean, so the body of the distribution is the
+    Poisson(eta * mu + gamma) pmf and the last outcome absorbs the upper
+    tail.
     """
     if not (0.0 <= eta <= 1.0):
         raise ValueError(f"eta must lie in [0, 1], got {eta}")
     if not math.isfinite(mu) or mu < 0:
         raise ValueError(f"mu must be finite and >= 0, got {mu}")
+    if not math.isfinite(gamma) or gamma < 0:
+        raise ValueError(f"gamma must be finite and >= 0, got {gamma}")
     if n_outcomes < 2:
         raise ValueError("n_outcomes must be >= 2")
-    body = poisson_pmf(eta * mu, np.arange(n_outcomes - 1))
+    body = poisson_pmf(eta * mu + gamma, np.arange(n_outcomes - 1))
     top = max(1.0 - float(body.sum()), 0.0)
     return CountDistribution(np.append(body, top))

@@ -37,7 +37,6 @@ from .photon_stats import (
 __all__ = [
     "ReconstructionConfig",
     "ReconstructionResult",
-    "forward_model",
     "project_simplex",
     "reconstruct_povm",
 ]
@@ -102,8 +101,7 @@ class ReconstructionResult:
 
     ``stop_reason`` is one of ``"noise_floor"`` (data term reached the
     multinomial noise level of the counts), ``"objective_tol"``
-    (gradient-mapping norm <= tol), ``"objective_stall"`` (rounding noise
-    dominates further progress) or ``"max_iters"``.
+    (gradient-mapping norm <= tol) or ``"max_iters"``.
     ``gradient_mapping_norm`` is that norm at the reported POVM, whatever
     stopped the solve. ``noise_floor`` is None when the table carries no
     raw counts.
@@ -148,20 +146,6 @@ def _project_columns(mat: np.ndarray) -> np.ndarray:
     k = np.count_nonzero(u - (css - 1.0) / ks > 0, axis=0)
     theta = (css[k - 1, np.arange(mat.shape[1])] - 1.0) / k
     return np.maximum(mat - theta[None, :], 0.0)
-
-
-def forward_model(povm: PovmMatrix, q: np.ndarray) -> np.ndarray:
-    """Predicted outcome probabilities ``Pi @ q`` for probe weights ``q``.
-
-    ``q`` must have ``povm.truncation`` rows; columns are probes. The
-    caller controls normalization of ``q``.
-    """
-    q = np.asarray(q, dtype=float)
-    if q.ndim not in (1, 2) or q.shape[0] != povm.truncation:
-        raise ValueError(
-            f"q must have {povm.truncation} rows, got shape {q.shape}"
-        )
-    return povm.entries @ q
 
 
 def _objective(pi, q, p, reg_weight):
@@ -256,19 +240,8 @@ def reconstruct_povm(
                 stop_reason = "objective_tol"
                 iters -= 1
                 break
-            f_new, data_new, reg_new, resid_new, d_new = _objective(
-                pi_new, q, p, cfg.reg_weight
-            )
-            if f_new > f:
-                # Numerical floor: a Lipschitz step cannot increase the
-                # true objective, so rounding noise now dominates. Keep
-                # the old iterate.
-                converged = True
-                stop_reason = "objective_stall"
-                iters -= 1
-                break
             pi = pi_new
-            f, data, reg, resid, d = f_new, data_new, reg_new, resid_new, d_new
+            f, data, reg, resid, d = _objective(pi, q, p, cfg.reg_weight)
             history.append(f)
             if noise_floor is not None and data <= noise_floor:
                 converged = True

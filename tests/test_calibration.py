@@ -82,11 +82,11 @@ def test_fit_peaks_no_light_trace_with_weak_dark_peak(gamma, seed):
     assert fit.n_components == 1
     assert abs(fit.baseline_mv) < 0.1
     assert fit.goodness <= tp.calibration.MAX_GOODNESS
+    # Five fitted sigmas above the zero tooth, the dark events stand apart.
+    zero = fit.components[0]
+    cuts = tp.ThresholdSet((zero.mean_mv + 5.0 * zero.sigma_mv,))
     dark = int((trace.truth_counts > 0).sum())
-    for thresholds in (None, tp.place_thresholds(fit)):
-        est = tp.dark_rate_direct(trace, fit, thresholds)
-        assert abs(est.rate * trace.n_pulses - dark) < 4.0 * np.sqrt(dark)
-        assert est.upper_bound > dark / trace.n_pulses
+    assert abs(tp.bin_counts(trace, cuts, 2)[1] - dark) < 4.0 * np.sqrt(dark)
 
 
 def test_fit_peaks_folds_teeth_past_max_peaks():
@@ -209,7 +209,8 @@ def test_fit_run_labels_right_or_raises(eta, gamma, sigma0, sigma_slope, baselin
     traces = tp.simulate_ensemble(detector, ensemble, seed=seed)
     try:
         fits, failures = tp.fit_run(traces)
-    except tp.FitError:
+    except tp.CalibrationError as exc:
+        assert "comb fit did not converge" in str(exc)
         return
     for trace in traces:
         if trace.probe_id not in failures:

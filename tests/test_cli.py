@@ -198,6 +198,8 @@ def test_pipeline_fidelity_artifact(pipeline):
     assert values.shape == (50,)
     assert np.all((values >= 0.0) & (values <= 1.0 + 1e-12))
     assert payload["min_low"] == pytest.approx(values[:21].min())
+    # An eta-only estimate has no gamma_hat; the reference has no dark counts.
+    assert payload["reference_gamma"] == 0.0
 
 
 def test_pipeline_comparison_artifact(pipeline):
@@ -268,6 +270,35 @@ def test_estimate_dark_counts_flag(pipeline, tmp_path):
     assert payload["method"] == "eta_gamma"
     assert payload["gamma_hat"] >= 0.0
     assert payload["gamma_upper"] >= payload["gamma_hat"]
+
+
+def test_validate_scores_the_fitted_dark_count_model(tmp_path):
+    # On this run, scored against the eta-only model Poisson(eta_hat * mu),
+    # the worst tv_linear is 0.133: a linear detector would read as nonlinear.
+    config = files.default_config()
+    config["detector"]["gamma"] = 0.2
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    assert main(["simulate", "--config", str(tmp_path / "config.json"), "--seed", "7",
+                 "--jobs", "2", "--out", str(tmp_path / "sim")]) == 0
+    stages = [
+        ["calibrate", "--traces", str(tmp_path / "sim"), "--jobs", "2"],
+        ["reconstruct", "--counts", str(tmp_path / "cal/counts.json"),
+         "--ensemble", str(tmp_path / "sim/ensemble.json")],
+        ["estimate", "--counts", str(tmp_path / "cal/counts.json"),
+         "--ensemble", str(tmp_path / "sim/ensemble.json"), "--dark-counts"],
+        ["validate", "--povm", str(tmp_path / "rec/povm.json"),
+         "--counts", str(tmp_path / "cal/counts.json"),
+         "--ensemble", str(tmp_path / "sim/ensemble.json"),
+         "--estimate", str(tmp_path / "est/estimate.json")],
+    ]
+    for argv, out in zip(stages, ("cal", "rec", "est", "val")):
+        assert main(argv + ["--out", str(tmp_path / out)]) == 0
+    estimate, _ = files.read_estimate(tmp_path / "est/estimate.json")
+    fidelity = json.loads((tmp_path / "val/fidelity.json").read_text())
+    assert fidelity["reference_gamma"] == estimate["gamma_hat"]
+    assert abs(estimate["gamma_hat"] - 0.2) < 0.01
+    comparison = json.loads((tmp_path / "val/comparison.json").read_text())
+    assert max(p["tv_linear"] for p in comparison["probes"]) <= 0.01
 
 
 def test_estimate_dark_counts_single_mu_exits_3(tmp_path, capsys):

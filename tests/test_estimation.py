@@ -1,16 +1,13 @@
 """Tests for efficiency and dark-count maximum-likelihood estimation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import tespovm as tp
-
-# Exact one-sided Clopper-Pearson upper limits (scipy.stats.beta.ppf).
-CP_0_OF_1E5_99 = 4.605064149653605e-05
-CP_0_OF_1E6_95 = 2.9957277863525433e-06
-CP_3_OF_1E6_99 = 1.0045082130300849e-05
+from tespovm import estimation
 
 
 def _poisson_column(lam, n_outcomes):
@@ -21,35 +18,33 @@ def _poisson_column(lam, n_outcomes):
 @pytest.mark.parametrize("mu", [6.5, 31.0, 130.0])
 @pytest.mark.parametrize("eta", [0.02, 0.051, 0.09])
 def test_loglik_routes_agree(mu, eta):
-    """Closed form and explicit photon-number sum give the same value."""
+    """The fit's closed form and the explicit photon-number sum through
+    the binomial POVM give the same log likelihood."""
     rng = np.random.default_rng(3)
     counts = rng.multinomial(100_000, tp.linear_prediction(0.051, mu, 12).probs)
-    a = tp.loglik_eta(eta, counts, mu)
-    b = tp.loglik_eta_msum(eta, counts, mu, truncation=600)
-    assert math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-8)
+    seen = counts > 0
+    closed = estimation._log_probs(eta * mu, 12)[seen, 0]
+    probs = tp.binomial_povm(eta, 12, 600).entries @ tp.poisson_pmf(mu, np.arange(600))
+    with np.errstate(divide="ignore"):
+        msum = np.log(probs[seen])
+    assert math.isclose(counts[seen] @ closed, counts[seen] @ msum,
+                        rel_tol=1e-9, abs_tol=1e-8)
 
 
 def test_loglik_eta_is_linear_in_weights():
-    counts = np.array([70.0, 20.0, 10.0])
-    one = tp.loglik_eta(0.3, counts, 4.0)
-    assert math.isclose(tp.loglik_eta(0.3, 2.0 * counts, 4.0), 2.0 * one, rel_tol=1e-12)
+    ens = tp.geometric_ensemble(n_probes=3, mu_min=2.0, mu_max=8.0)
+    counts = np.array([[70, 40, 20], [20, 30, 30], [10, 30, 50]])
+    one = tp.estimate_eta(tp.CountTable.from_counts(counts, probe_ids=ens.ids), ens)
+    two = tp.estimate_eta(tp.CountTable.from_counts(2 * counts, probe_ids=ens.ids), ens)
+    assert math.isclose(two.eta_hat, one.eta_hat, rel_tol=1e-9)
+    assert math.isclose(two.loglik, 2.0 * one.loglik, rel_tol=1e-12)
 
 
 def test_loglik_eta_zero_probability_outcome():
     # eta * mu = 0 puts all mass on outcome 0; any other count is -inf.
-    assert tp.loglik_eta(0.0, np.array([5.0, 1.0]), 10.0) == -math.inf
-    assert tp.loglik_eta(0.0, np.array([5.0, 0.0]), 10.0) == 0.0
-
-
-def test_loglik_eta_validation():
-    with pytest.raises(ValueError):
-        tp.loglik_eta(1.2, np.ones(3), 1.0)
-    with pytest.raises(ValueError):
-        tp.loglik_eta(0.5, np.ones(3), -1.0)
-    with pytest.raises(ValueError):
-        tp.loglik_eta(0.5, np.array([1.0, -1.0]), 1.0)
-    with pytest.raises(ValueError):
-        tp.loglik_eta(0.5, np.ones(1), 1.0)
+    log_probs = estimation._log_probs(0.0, 2)[:, 0]
+    assert estimation._weighted_loglik(np.array([5.0, 1.0]), log_probs) == -math.inf
+    assert estimation._weighted_loglik(np.array([5.0, 0.0]), log_probs) == 0.0
 
 
 def test_estimate_eta_exact_probs():
@@ -233,57 +228,22 @@ def test_estimate_alignment_validation():
         tp.estimate_eta(bad_ids, ens)
 
 
-def test_dark_rate_direct_zero_events():
-    trace = tp.AmplitudeTrace(probe_id=0, amplitudes_mv=np.zeros(100_000))
-    est = tp.dark_rate_direct(trace, None, tp.ThresholdSet((6.5,)))
-    assert est.rate == 0.0
-    assert est.std_error == 0.0
-    assert not est.suspect
-    assert est.confidence == 0.99
-    assert math.isclose(est.upper_bound, CP_0_OF_1E5_99, rel_tol=1e-12)
-
-
-def test_dark_rate_direct_clopper_pearson_values():
-    amps = np.zeros(1_000_000)
-    amps[:3] = 10.0
-    trace = tp.AmplitudeTrace(probe_id=0, amplitudes_mv=amps)
-    cuts = tp.ThresholdSet((6.5,))
-    est99 = tp.dark_rate_direct(trace, None, cuts, confidence=0.99)
-    assert est99.rate == 3e-6
-    assert math.isclose(est99.upper_bound, CP_3_OF_1E6_99, rel_tol=1e-12)
-    clean = tp.AmplitudeTrace(probe_id=0, amplitudes_mv=np.zeros(1_000_000))
-    est95 = tp.dark_rate_direct(clean, None, cuts, confidence=0.95)
-    assert math.isclose(est95.upper_bound, CP_0_OF_1E6_95, rel_tol=1e-12)
-
-
-def test_dark_rate_direct_boundary_belongs_above():
-    trace = tp.AmplitudeTrace(
-        probe_id=0, amplitudes_mv=np.array([5.0, 6.5, 7.0, 1.0])
-    )
-    est = tp.dark_rate_direct(trace, None, tp.ThresholdSet((6.5,)))
-    assert est.rate == 0.5
-
-
-def test_dark_rate_direct_fallback_cut_and_suspect():
-    fit = tp.GaussianMixtureFit(
-        components=(tp.GaussianComponent(weight=100.0, mean_mv=0.0, sigma_mv=2.0),),
-        goodness=1.0,
-        bin_width_mv=1.3,
-        n_events=100,
-    )
-    # Cut falls back to mean + 5 sigma = 10; everything fires -> suspect.
-    trace = tp.AmplitudeTrace(probe_id=0, amplitudes_mv=np.full(1000, 20.0))
-    est = tp.dark_rate_direct(trace, fit, None)
-    assert est.rate == 1.0
-    assert est.upper_bound == 1.0
-    assert est.suspect
-    below = tp.AmplitudeTrace(probe_id=0, amplitudes_mv=np.full(1000, 5.0))
-    assert tp.dark_rate_direct(below, fit, None).rate == 0.0
-
-
-def test_dark_rate_direct_validation():
-    trace = tp.AmplitudeTrace(probe_id=0, amplitudes_mv=np.zeros(10))
-    with pytest.raises(ValueError):
-        tp.dark_rate_direct(trace, None, None)
-    with pytest.raises(ValueError):
-        tp.dark_rate_direct(trace, None, tp.ThresholdSet((1.0,)), confidence=1.0)
+def test_joint_fit_counts_a_vacuum_probe():
+    """A probe of mu 0 measures gamma alone: the joint fit keeps it without
+    a warning, and it narrows gamma_se."""
+    lit = tp.geometric_ensemble()
+    ens = tp.ProbeEnsemble((tp.Probe(id=20, mean_photons=0.0),) + lit.probes)
+    rng = np.random.default_rng(11)
+    counts = np.column_stack([
+        rng.multinomial(100_000, tp.linear_prediction(0.051, p.mean_photons, 12, 0.2).probs)
+        for p in ens.probes
+    ])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = tp.estimate_eta_gamma(tp.CountTable.from_counts(counts, probe_ids=ens.ids), ens)
+    without = tp.estimate_eta_gamma(
+        tp.CountTable.from_counts(counts[:, 1:], probe_ids=lit.ids), ens)
+    assert math.isnan(est.per_probe_etas[0])
+    assert np.isfinite(est.per_probe_etas[1:]).all()
+    assert est.gamma_se < without.gamma_se
+    assert abs(est.gamma_hat - 0.2) < 4.0 * est.gamma_se

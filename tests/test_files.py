@@ -1,5 +1,6 @@
 """Round-trip and schema tests for the on-disk artifact formats."""
 
+import inspect
 import json
 import math
 import pickle
@@ -68,6 +69,25 @@ def test_default_config_hash_is_pinned():
     assert files.config_hash(files.default_config()) == "b853fa66257e86f8"
 
 
+def test_public_names_are_pinned():
+    # Adding or dropping a public name is a visible edit here.
+    public = {name for name, value in vars(tp).items()
+              if not name.startswith("_") and not inspect.ismodule(value)}
+    assert public == {
+        "AmplitudeTrace", "CalibrationError", "CountDistribution", "CountTable",
+        "DetectorPhysicalConfig", "EfficiencyEstimate", "EstimationError",
+        "FidelityCurve", "GaussianComponent", "GaussianMixtureFit", "LineageError",
+        "PovmMatrix", "Probe", "ProbeComparison", "ProbeEnsemble",
+        "ReconstructionConfig", "ReconstructionResult", "SchemaError", "SweepResult",
+        "ThresholdSet", "bin_counts", "bin_counts_by_area", "binomial_povm",
+        "derive_subseed", "estimate_eta", "estimate_eta_gamma", "fidelity_curve",
+        "fit_peaks", "fit_run", "geometric_ensemble", "linear_prediction",
+        "place_thresholds", "poisson_pmf", "predict_distribution", "probe_q_matrix",
+        "project_simplex", "reconstruct_povm", "sensitivity_sweep",
+        "simulate_ensemble", "simulate_trace", "three_way_comparison",
+    }
+
+
 def test_config_reconstruction_overrides():
     cfg = files.config_reconstruction({}, truncation=50, n_outcomes=8, reg_weight=1e-6)
     assert (cfg.truncation, cfg.n_outcomes, cfg.reg_weight) == (50, 8, 1e-6)
@@ -90,16 +110,12 @@ def test_trace_csv_roundtrip(tmp_path):
     truth = np.load(tmp_path / files.truth_filename(7), allow_pickle=False)
     # The truth sidecar takes the smallest type that holds its largest count.
     assert (amps.dtype, truth.dtype) == (np.float64, np.uint8)
-    back = files.read_trace_csv(
-        tmp_path / files.trace_filename(7), probe_id=7,
-        truth_path=tmp_path / files.truth_filename(7),
-    )
+    assert np.array_equal(truth, trace.truth_counts)
+    # The package reads only the amplitudes.
+    back = files.read_trace_csv(tmp_path / files.trace_filename(7), probe_id=7)
     assert back.probe_id == 7
     assert np.array_equal(back.amplitudes_mv, trace.amplitudes_mv)
-    assert np.array_equal(back.truth_counts, trace.truth_counts)
-    # Without the sidecar the truth is simply absent.
-    bare = files.read_trace_csv(tmp_path / files.trace_filename(7), probe_id=7)
-    assert bare.truth_counts is None
+    assert back.truth_counts is None
 
 
 @pytest.mark.parametrize("truth, dtype", [
@@ -111,12 +127,9 @@ def test_truth_sidecar_roundtrip(tmp_path, truth, dtype):
     trace = tp.AmplitudeTrace(probe_id=2, amplitudes_mv=np.zeros(truth.size),
                               truth_counts=truth)
     files.write_trace_csv(tmp_path, trace)
-    path = tmp_path / files.truth_filename(2)
-    assert np.load(path, allow_pickle=False).dtype == dtype
-    back = files.read_trace_csv(tmp_path / files.trace_filename(2), probe_id=2,
-                                truth_path=path)
-    assert back.truth_counts.dtype == np.int64
-    assert np.array_equal(back.truth_counts, truth)
+    back = np.load(tmp_path / files.truth_filename(2), allow_pickle=False)
+    assert back.dtype == dtype
+    assert np.array_equal(back, truth)
 
 
 def test_trace_csv_schema_errors(tmp_path):
@@ -140,29 +153,19 @@ def test_trace_csv_schema_errors(tmp_path):
 _AMPS = np.array([0.4, 13.2, 25.9])
 
 
-@pytest.mark.parametrize("amps, truth, bad_file, match", [
-    pytest.param(np.array([0.4, None], dtype=object), None, "t.npy",
-                 "Object arrays cannot be loaded", id="object-array"),
-    pytest.param(_AMPS.reshape(1, 3), None, "t.npy", "1-D", id="not-1d"),
-    pytest.param(_AMPS, np.array([[0, 1, 2]]), "t.truth.npy", "1-D", id="not-1d-truth"),
-    pytest.param(np.array([0, 13, 26]), None, "t.npy", "float amplitudes",
-                 id="int-amplitudes"),
-    pytest.param(_AMPS, np.array([0.0, 1.0, 2.0]), "t.truth.npy", "integer counts",
-                 id="float-truth"),
-    pytest.param(_AMPS, np.array([0, 1]), "t.truth.npy", "sidecar has 2 events",
-                 id="short-truth"),
-    pytest.param(np.array([0.4, np.nan, 25.9]), None, "t.npy", "finite", id="nan"),
-    pytest.param(np.array([0.4, np.inf]), None, "t.npy", "finite", id="inf"),
+@pytest.mark.parametrize("amps, match", [
+    pytest.param(np.array([0.4, None], dtype=object), "Object arrays cannot be loaded",
+                 id="object-array"),
+    pytest.param(_AMPS.reshape(1, 3), "1-D", id="not-1d"),
+    pytest.param(np.array([0, 13, 26]), "float amplitudes", id="int-amplitudes"),
+    pytest.param(np.array([0.4, np.nan, 25.9]), "finite", id="nan"),
+    pytest.param(np.array([0.4, np.inf]), "finite", id="inf"),
 ])
-def test_read_trace_refuses(tmp_path, amps, truth, bad_file, match):
+def test_read_trace_refuses(tmp_path, amps, match):
     np.save(tmp_path / "t.npy", amps, allow_pickle=True)
-    truth_path = None
-    if truth is not None:
-        truth_path = tmp_path / "t.truth.npy"
-        np.save(truth_path, truth)
     with pytest.raises(tp.SchemaError, match=match) as info:
-        files.read_trace_csv(tmp_path / "t.npy", probe_id=0, truth_path=truth_path)
-    assert f"{tmp_path / bad_file}:" in str(info.value)
+        files.read_trace_csv(tmp_path / "t.npy", probe_id=0)
+    assert f"{tmp_path / 't.npy'}:" in str(info.value)
 
 
 _FMAX = np.finfo(np.float64).max

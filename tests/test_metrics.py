@@ -69,6 +69,16 @@ def test_three_way_comparison_exact_data():
         )
 
 
+def test_three_way_comparison_scores_the_dark_count_model():
+    ens = tp.geometric_ensemble(n_probes=4, mu_min=3.0, mu_max=30.0)
+    table = _exact_table(ens, tp.binomial_povm(0.051, 12, 140, gamma=0.2))
+    povm = tp.binomial_povm(0.051, 12, 140)
+    dark = tp.three_way_comparison(table, povm, 0.051, ens, gamma_hat=0.2)
+    assert max(row.tv_linear for row in dark) < 1e-8
+    plain = tp.three_way_comparison(table, povm, 0.051, ens)
+    assert min(row.tv_linear for row in plain) > 0.05
+
+
 def test_three_way_comparison_validation():
     ens = tp.geometric_ensemble(n_probes=3, mu_min=3.0, mu_max=30.0)
     truth = tp.binomial_povm(0.051, 12, 140)

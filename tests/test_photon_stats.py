@@ -8,6 +8,7 @@ import pytest
 from scipy import stats
 
 import tespovm as tp
+from tespovm.photon_stats import _binomial_rows
 
 # One-sided Poisson mass beyond m = 139 at mu = 130 (scipy.stats.poisson.sf).
 TAIL_139_130 = 0.20106831223210758
@@ -90,23 +91,29 @@ def test_binomial_povm_validation():
 def test_dark_count_povm_entry_oracle():
     # P(report 1 | 1 photon) = exp(-gamma) * (eta + gamma * (1 - eta))
     # at eta = 0.5, gamma = 0.1: exp(-0.1) * 0.55.
-    povm = tp.dark_count_povm(tp.LinearDetectorModel(eta=0.5, gamma=0.1), 3, 4)
+    povm = tp.binomial_povm(0.5, 3, 4, gamma=0.1)
     assert math.isclose(povm.entries[1, 1], 0.4976605799197778, rel_tol=1e-12)
 
 
 def test_dark_count_povm_gamma_zero_reduces_to_binomial():
-    model = tp.LinearDetectorModel(eta=0.3, gamma=0.0)
-    dark = tp.dark_count_povm(model, 12, 140)
+    # At gamma = 0 the Poisson(gamma) Toeplitz matrix is the identity, so
+    # the convolved rows are the raw binomial table exactly.
+    dark = tp.binomial_povm(0.3, 12, 140, gamma=0.0)
+    raw = _binomial_rows(0.3, 11, 140)
+    assert np.array_equal(dark.entries[:-1], raw)
+    assert np.array_equal(dark.entries[-1], np.maximum(1.0 - raw.sum(axis=0), 0.0))
     plain = tp.binomial_povm(0.3, 12, 140)
     assert np.array_equal(dark.entries, plain.entries)
+    # A vanishing gamma approaches the binomial POVM continuously.
+    tiny = tp.binomial_povm(0.3, 12, 140, gamma=1e-12)
+    np.testing.assert_allclose(tiny.entries, plain.entries, atol=1e-11)
 
 
 def test_dark_count_povm_matches_convolution_loop():
     # Reference: the row-by-row convolution the Toeplitz product replaced.
     # Each body entry sums at most 11 nonnegative float64 terms.
     eta, gamma, n_outcomes, truncation = 0.3, 0.7, 12, 60
-    dark = tp.dark_count_povm(tp.LinearDetectorModel(eta=eta, gamma=gamma),
-                              n_outcomes, truncation)
+    dark = tp.binomial_povm(eta, n_outcomes, truncation, gamma=gamma)
     raw = tp.binomial_povm(eta, n_outcomes, truncation).entries[:-1]
     w = tp.poisson_pmf(gamma, np.arange(n_outcomes - 1))
     body = np.zeros_like(raw)
@@ -118,7 +125,7 @@ def test_dark_count_povm_matches_convolution_loop():
 
 
 def test_dark_count_povm_column_stochastic():
-    povm = tp.dark_count_povm(tp.LinearDetectorModel(eta=0.051, gamma=0.2), 12, 140)
+    povm = tp.binomial_povm(0.051, 12, 140, gamma=0.2)
     assert povm.entries.min() >= 0.0
     assert np.abs(povm.entries.sum(axis=0) - 1.0).max() < 1e-12
 
@@ -156,6 +163,10 @@ def test_predict_distribution_matches_closed_form(mu):
     pred = tp.predict_distribution(povm, mu)
     closed = tp.linear_prediction(0.051, mu, 12)
     assert 0.5 * np.abs(pred.probs - closed.probs).sum() < 1e-8
+    # Dark counts add to the Poisson mean in both.
+    dark = tp.predict_distribution(tp.binomial_povm(0.051, 12, 140, gamma=0.2), mu)
+    closed = tp.linear_prediction(0.051, mu, 12, gamma=0.2)
+    assert 0.5 * np.abs(dark.probs - closed.probs).sum() < 1e-8
 
 
 def test_predict_distribution_reports_folded_tail():
@@ -258,7 +269,8 @@ def test_count_distribution_validation():
 
 
 def test_linear_detector_model_validation():
-    with pytest.raises(ValueError):
-        tp.LinearDetectorModel(eta=-0.1)
-    with pytest.raises(ValueError):
-        tp.LinearDetectorModel(eta=0.5, gamma=-1.0)
+    for eta, gamma in [(-0.1, 0.0), (0.5, -1.0), (0.5, math.nan), (0.5, math.inf)]:
+        with pytest.raises(ValueError):
+            tp.binomial_povm(eta, 12, 140, gamma=gamma)
+        with pytest.raises(ValueError):
+            tp.linear_prediction(eta, 4.0, 12, gamma)

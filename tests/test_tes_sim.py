@@ -64,7 +64,7 @@ def test_truth_count_marginals_match_model():
     assert abs(mean - lam) < 5.0 * np.sqrt(lam / n)
     emp = np.bincount(np.minimum(trace.truth_counts, 11), minlength=12) / n
     model = tp.predict_distribution(
-        tp.dark_count_povm(tp.LinearDetectorModel(eta=0.5, gamma=0.3), 12, 140), 4.0
+        tp.binomial_povm(0.5, 12, 140, gamma=0.3), 4.0
     )
     tv = 0.5 * np.abs(emp - model.probs).sum()
     assert tv < 4.0 / np.sqrt(n)

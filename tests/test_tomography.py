@@ -75,12 +75,16 @@ def test_project_simplex_validation():
 
 
 def test_forward_model():
+    # The solver's forward model is Pi @ Q; predict_distribution folds the
+    # Poisson tail as probe_q_matrix does, so it gives the same columns.
     povm = tp.binomial_povm(0.5, 4, 6)
-    q = np.arange(12, dtype=float).reshape(6, 2)
-    out = tp.forward_model(povm, q)
-    assert np.allclose(out, povm.entries @ q)
-    with pytest.raises(ValueError):
-        tp.forward_model(povm, np.ones(5))
+    ens = tp.ProbeEnsemble((tp.Probe(id=0, mean_photons=0.7),
+                            tp.Probe(id=1, mean_photons=5.0)))
+    q, _ = tp.probe_q_matrix(ens, 6)
+    out = povm.entries @ q
+    for j, probe in enumerate(ens.probes):
+        pred = tp.predict_distribution(povm, probe.mean_photons).probs
+        np.testing.assert_allclose(pred, out[:, j], rtol=0.0, atol=1e-15)
 
 
 def _square_setup():
