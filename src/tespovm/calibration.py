@@ -21,7 +21,7 @@ import numpy as np
 from scipy import optimize, signal, special
 
 from .errors import CalibrationError
-from .photon_stats import _check_stochastic
+from .photon_stats import _check_int, _check_stochastic
 from .tes_sim import AmplitudeTrace
 
 __all__ = [
@@ -272,7 +272,8 @@ def fit_run(traces, bin_width_mv: float = DEFAULT_BIN_WIDTH_MV,
     ``max_peaks`` fold into the last. Without a trace of two prominent
     peaks each trace gets one tooth at its median, whose goodness counts
     the bins within ``_ONE_TOOTH_WINDOW`` widths: a shoulder fails, a
-    dark-count peak a spacing away does not.
+    dark-count peak a spacing away does not. A run of no traces only
+    checks the settings and gives ``({}, {})``.
 
     Returns:
         ``(fits, failures)`` by probe id. A probe fails with a
@@ -287,6 +288,7 @@ def fit_run(traces, bin_width_mv: float = DEFAULT_BIN_WIDTH_MV,
     """
     if bin_width_mv <= 0:
         raise ValueError("bin_width_mv must be positive")
+    _check_int(max_peaks=max_peaks)
     if max_peaks < 1:
         raise ValueError("max_peaks must be >= 1")
     failures, spectra = {}, {}

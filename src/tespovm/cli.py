@@ -2,8 +2,10 @@
 
 Five stages: simulate -> calibrate -> reconstruct -> estimate ->
 validate, each reading the previous stage's artifacts. Only ``simulate``
-takes a config; it records it as the run config in ``ensemble.json``,
-the one copy every later stage reads, and its hash in ``manifest.json``.
+takes a config; :func:`files.parse_config` refuses an unknown or mistyped
+key before a trace is written. It records it as the run config in
+``ensemble.json``, the one copy every later stage reads, and its hash in
+``manifest.json``.
 ``reconstruct`` solves with that config's reconstruction section and
 records every solver setting in ``povm.json``, which ``validate`` reuses
 for its sensitivity sweep. ``calibrate`` reads the trace of each probe
@@ -42,11 +44,10 @@ EXIT_LINEAGE = 4
 
 
 def cmd_simulate(args) -> int:
-    config = files.load_config(args.config) if args.config else files.default_config()
-    detector = files.config_detector(config)
-    ensemble = files.config_ensemble(config)
+    config = files.read_json(args.config) if args.config else files.default_config()
+    run = files.parse_config(config)
     out = Path(args.out)
-    traces = simulate_ensemble(detector, ensemble, args.seed, jobs=args.jobs)
+    traces = simulate_ensemble(run.detector, run.ensemble, args.seed, jobs=args.jobs)
     for trace in traces:
         files.write_trace_csv(out, trace)
     files.write_manifest(out, config, args.seed)
@@ -65,24 +66,23 @@ def _bin_one(trace, fit, n_outcomes, method):
 def cmd_calibrate(args) -> int:
     trace_dir = Path(args.traces)
     manifest = files.read_manifest(trace_dir)
-    ensemble, cfg_hash, config = files.read_ensemble(trace_dir / "ensemble.json")
+    run, cfg_hash = files.read_ensemble(trace_dir / "ensemble.json")
     files.check_lineage({trace_dir / "manifest.json": manifest["config_hash"],
                          trace_dir / "ensemble.json": cfg_hash})
-    probe_ids = ensemble.ids
-    n_outcomes = files.config_reconstruction(config).n_outcomes
+    n_outcomes = run.reconstruction.n_outcomes
 
     def read(pid):
         return files.read_trace_csv(trace_dir / files.trace_filename(pid), probe_id=pid)
 
     traces, failures = {}, {}
     with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
-        futures = {pid: pool.submit(read, pid) for pid in probe_ids}
+        futures = {pid: pool.submit(read, pid) for pid in run.ensemble.ids}
         for pid, fut in futures.items():
             try:
                 traces[pid] = fut.result()
             except SchemaError as exc:
                 failures[pid] = exc
-        fits, fit_failures = fit_run(traces.values(), **files.config_calibration(config))
+        fits, fit_failures = fit_run(traces.values(), **run.calibration)
         failures.update(fit_failures)
         if failures and not args.skip_failed:
             pid = min(failures)
@@ -125,14 +125,13 @@ def _check_pairing(table, ensemble, counts_path):
 
 def cmd_reconstruct(args) -> int:
     table, counts_hash = files.read_count_table(args.counts)
-    ensemble, ensemble_hash, config = files.read_ensemble(args.ensemble)
+    run, ensemble_hash = files.read_ensemble(args.ensemble)
     files.check_lineage({args.counts: counts_hash, args.ensemble: ensemble_hash},
                         args.force)
-    _check_pairing(table, ensemble, args.counts)
-    cfg = files.config_reconstruction(
-        config, init_eta=estimate_eta(table, ensemble).eta_hat
-    )
-    result = reconstruct_povm(table, ensemble, cfg)
+    _check_pairing(table, run.ensemble, args.counts)
+    cfg = dataclasses.replace(run.reconstruction,
+                              init_eta=estimate_eta(table, run.ensemble).eta_hat)
+    result = reconstruct_povm(table, run.ensemble, cfg)
     out = Path(args.out)
     files.write_povm(out / "povm.json", result, cfg, counts_hash)
     files.write_convergence_log(out / "convergence.log", result)
@@ -150,15 +149,15 @@ def cmd_reconstruct(args) -> int:
 
 def cmd_estimate(args) -> int:
     table, counts_hash = files.read_count_table(args.counts)
-    ensemble, ensemble_hash, _ = files.read_ensemble(args.ensemble)
+    run, ensemble_hash = files.read_ensemble(args.ensemble)
     files.check_lineage({args.counts: counts_hash, args.ensemble: ensemble_hash},
                         args.force)
-    _check_pairing(table, ensemble, args.counts)
+    _check_pairing(table, run.ensemble, args.counts)
     if args.dark_counts:
-        estimate = estimate_eta_gamma(table, ensemble)
+        estimate = estimate_eta_gamma(table, run.ensemble)
         method = "eta_gamma"
     else:
-        estimate = estimate_eta(table, ensemble)
+        estimate = estimate_eta(table, run.ensemble)
         method = "eta"
     out = Path(args.out)
     files.write_estimate(out / "estimate.json", estimate, counts_hash, method)
@@ -172,25 +171,23 @@ def cmd_estimate(args) -> int:
 def cmd_validate(args) -> int:
     povm, povm_hash, cfg = files.read_povm(args.povm)
     table, counts_hash = files.read_count_table(args.counts)
-    ensemble, ensemble_hash, _ = files.read_ensemble(args.ensemble)
+    run, ensemble_hash = files.read_ensemble(args.ensemble)
     estimate, estimate_hash = files.read_estimate(args.estimate)
     files.check_lineage({args.povm: povm_hash, args.counts: counts_hash,
                          args.ensemble: ensemble_hash, args.estimate: estimate_hash},
                         args.force)
-    _check_pairing(table, ensemble, args.counts)
+    _check_pairing(table, run.ensemble, args.counts)
 
     # The reference is the fitted linear detector; an eta-only fit has no gamma_hat.
     eta_hat = float(estimate["eta_hat"])
     gamma_hat = float(estimate.get("gamma_hat") or 0.0)
-    comparisons = three_way_comparison(table, povm, eta_hat, ensemble, gamma_hat)
+    comparisons = three_way_comparison(table, povm, eta_hat, run.ensemble, gamma_hat)
     reference = binomial_povm(eta_hat, povm.n_outcomes, povm.truncation, gamma_hat)
     curve = fidelity_curve(povm, reference, split=args.split)
     # Every report is computed before the first is written.
     reports = {
         "fidelity.json": {
             "config_hash": povm_hash,
-            "reference_eta": eta_hat,
-            "reference_gamma": gamma_hat,
             "split": curve.split,
             "min_low": curve.min_low,
             "min_high": curve.min_high,
@@ -205,7 +202,7 @@ def cmd_validate(args) -> int:
         # The recorded settings make the baseline point the reported POVM.
         sweep = sensitivity_sweep(
             table,
-            ensemble,
+            run.ensemble,
             cfg,
             reference,
             energy_scale=args.energy_scale,

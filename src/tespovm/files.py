@@ -15,6 +15,7 @@ timestamps, exact floats.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 from pathlib import Path
@@ -22,17 +23,13 @@ from pathlib import Path
 import numpy as np
 
 from .calibration import (DEFAULT_BIN_WIDTH_MV, DEFAULT_MAX_PEAKS, CountTable,
-                          GaussianMixtureFit, ThresholdSet)
+                          GaussianMixtureFit, ThresholdSet, fit_run)
 from .errors import LineageError, SchemaError
 from .photon_stats import Probe, ProbeEnsemble, PovmMatrix, geometric_ensemble
 from .tes_sim import AmplitudeTrace, DetectorPhysicalConfig
 from .tomography import ReconstructionConfig, ReconstructionResult
 
 TRACE_PREFIX = "trace_probe_"
-
-
-def _field_defaults(cls, skip=()) -> dict:
-    return {f.name: f.default for f in dataclasses.fields(cls) if f.name not in skip}
 
 
 def default_config() -> dict:
@@ -42,11 +39,13 @@ def default_config() -> dict:
     :class:`DetectorPhysicalConfig` and :class:`ReconstructionConfig`, the
     calibration section the :func:`~tespovm.calibration.fit_run` defaults.
     """
+    reconstruction = dataclasses.asdict(ReconstructionConfig())
+    del reconstruction["init_eta"]
     return {
-        "detector": _field_defaults(DetectorPhysicalConfig),
+        "detector": dataclasses.asdict(DetectorPhysicalConfig()),
         "probes": [dataclasses.asdict(p) for p in geometric_ensemble().probes],
         "calibration": {"bin_width_mv": DEFAULT_BIN_WIDTH_MV, "max_peaks": DEFAULT_MAX_PEAKS},
-        "reconstruction": _field_defaults(ReconstructionConfig, skip=("init_eta",)),
+        "reconstruction": reconstruction,
     }
 
 
@@ -102,86 +101,57 @@ def check_lineage(hashes: dict, force: bool = False):
 
 # -- config ------------------------------------------------------------------
 
-def load_config(path) -> dict:
-    config = read_json(path)
-    validate_config(config)
-    return config
+@dataclasses.dataclass(frozen=True)
+class RunConfig:
+    """A run config, each section built by the type that uses it;
+    ``calibration`` holds the keyword arguments of
+    :func:`~tespovm.calibration.fit_run`."""
+
+    detector: DetectorPhysicalConfig
+    ensemble: ProbeEnsemble
+    calibration: dict
+    reconstruction: ReconstructionConfig
 
 
-def validate_config(config: dict):
+def _build(where: str, make, section):
+    try:
+        return make(**section)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"config: {where}: {exc}") from exc
+
+
+def parse_config(config: dict) -> RunConfig:
+    """Check a run config and build its sections.
+
+    Each section is ``Type(**section)``: an absent key takes that type's
+    default, and a key it does not take or a value of the wrong type or
+    range raises :class:`SchemaError` naming the section. So do other
+    top-level keys and ``reconstruction.init_eta``, since ``reconstruct``
+    starts from :func:`~tespovm.estimation.estimate_eta`. A probe's ``id``
+    defaults to its index.
+    """
     if not isinstance(config, dict):
         raise SchemaError("config: top level must be an object")
+    unknown = sorted(set(config) - {"probes", "detector", "calibration", "reconstruction"})
+    if unknown:
+        raise SchemaError(f"config: unknown top-level keys {unknown}")
     probes = _require(config, "probes", "config")
     if not isinstance(probes, list) or not probes:
         raise SchemaError("config: 'probes' must be a nonempty list")
-    for i, probe in enumerate(probes):
-        if not isinstance(probe, dict):
-            raise SchemaError(f"config: probe at index {i} must be an object")
-        pid = probe.get("id", i)
-        if "mean_photons" not in probe:
-            raise SchemaError(f"config: probe {pid}: missing field 'mean_photons'")
-    for section in ("detector", "calibration", "reconstruction"):
-        if section in config and not isinstance(config[section], dict):
-            raise SchemaError(f"config: '{section}' must be an object")
-
-
-def _known_fields(cls, section: dict) -> dict:
-    names = {f.name for f in dataclasses.fields(cls)}
-    return {k: v for k, v in section.items() if k in names}
-
-
-def config_detector(config: dict) -> DetectorPhysicalConfig:
-    """The detector section; absent fields take the dataclass defaults."""
-    try:
-        return DetectorPhysicalConfig(
-            **_known_fields(DetectorPhysicalConfig, config.get("detector", {}))
-        )
-    except ValueError as exc:
-        raise SchemaError(f"config: detector: {exc}") from exc
-
-
-def config_ensemble(config: dict) -> ProbeEnsemble:
-    probes = []
-    for i, entry in enumerate(config["probes"]):
-        pid = entry.get("id", i)
-        try:
-            probes.append(
-                Probe(
-                    id=int(pid),
-                    mean_photons=float(entry["mean_photons"]),
-                    n_pulses=int(entry.get("n_pulses", Probe.n_pulses)),
-                    attenuation_db=entry.get("attenuation_db"),
-                )
-            )
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"config: probe {pid}: {exc}") from exc
-    try:
-        return ProbeEnsemble(tuple(probes))
-    except ValueError as exc:
-        raise SchemaError(f"config: probes: {exc}") from exc
-
-
-def config_reconstruction(config: dict, **overrides) -> ReconstructionConfig:
-    section = dict(config.get("reconstruction", {}))
-    section.update({k: v for k, v in overrides.items() if v is not None})
-    try:
-        return ReconstructionConfig(**_known_fields(ReconstructionConfig, section))
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"config: reconstruction: {exc}") from exc
-
-
-def config_calibration(config: dict) -> dict:
-    """The calibration section; absent fields take the :func:`fit_run` defaults."""
-    section = config.get("calibration", {})
-    out = {
-        "bin_width_mv": float(section.get("bin_width_mv", DEFAULT_BIN_WIDTH_MV)),
-        "max_peaks": int(section.get("max_peaks", DEFAULT_MAX_PEAKS)),
-    }
-    if out["bin_width_mv"] <= 0:
-        raise SchemaError("config: calibration: bin_width_mv must be positive")
-    if out["max_peaks"] < 1:
-        raise SchemaError("config: calibration: max_peaks must be >= 1")
-    return out
+    reconstruction = config.get("reconstruction", {})
+    if isinstance(reconstruction, dict) and "init_eta" in reconstruction:
+        raise SchemaError("config: reconstruction: init_eta is not a config key; "
+                          "reconstruct starts from the estimate_eta efficiency")
+    calibration = config.get("calibration", {})
+    _build("calibration", functools.partial(fit_run, ()), calibration)
+    return RunConfig(
+        detector=_build("detector", DetectorPhysicalConfig, config.get("detector", {})),
+        ensemble=_build("probes", ProbeEnsemble, {"probes": [
+            _build(f"probes[{i}]", functools.partial(Probe, id=i), entry)
+            for i, entry in enumerate(probes)]}),
+        calibration=calibration,
+        reconstruction=_build("reconstruction", ReconstructionConfig, reconstruction),
+    )
 
 
 # -- traces ------------------------------------------------------------------
@@ -275,13 +245,12 @@ def write_ensemble(path, config: dict):
     write_json(path, {"config_hash": config_hash(config), **config})
 
 
-def read_ensemble(path) -> tuple[ProbeEnsemble, str, dict]:
-    """The probe ensemble, config hash and run config of an ``ensemble.json``.
+def read_ensemble(path) -> tuple[RunConfig, str]:
+    """The parsed run config and config hash of an ``ensemble.json``.
 
     A recorded hash that is not :func:`config_hash` of the config beside
-    it marks the file corrupt and raises :class:`SchemaError`. Files that
-    carry only probes give a config whose absent sections take the
-    defaults.
+    it marks the file corrupt and raises :class:`SchemaError`, as does a
+    config that :func:`parse_config` refuses.
     """
     payload = read_json(path)
     cfg_hash = _require(payload, "config_hash", str(path))
@@ -289,8 +258,10 @@ def read_ensemble(path) -> tuple[ProbeEnsemble, str, dict]:
     if config_hash(config) != cfg_hash:
         raise SchemaError(f"{path}: config_hash {cfg_hash} is not the hash of its "
                           f"config ({config_hash(config)})")
-    validate_config(config)
-    return config_ensemble(config), cfg_hash, config
+    try:
+        return parse_config(config), cfg_hash
+    except SchemaError as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
 
 
 # -- count tables ------------------------------------------------------------
@@ -368,11 +339,10 @@ def read_povm(path) -> tuple[PovmMatrix, str, ReconstructionConfig]:
     entries = np.asarray(_require(payload, "entries", str(path)), dtype=float)
     try:
         povm = PovmMatrix(entries)
-        cfg = ReconstructionConfig(**{
-            **_known_fields(ReconstructionConfig, payload),
-            "n_outcomes": povm.n_outcomes,
-            "truncation": povm.truncation,
-        })
+        settings = {f.name: payload[f.name] for f in dataclasses.fields(ReconstructionConfig)
+                    if f.name in payload}
+        cfg = ReconstructionConfig(**{**settings, "n_outcomes": povm.n_outcomes,
+                                      "truncation": povm.truncation})
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"{path}: {exc}") from exc
     return povm, cfg_hash, cfg
@@ -395,7 +365,7 @@ def write_convergence_log(path, result: ReconstructionResult, stride: int = 100)
     path.write_text("\n".join(lines) + "\n")
 
 
-def write_fit_report(path, fit: GaussianMixtureFit, thresholds: ThresholdSet | None,
+def write_fit_report(path, fit: GaussianMixtureFit, thresholds: ThresholdSet,
                      cfg_hash: str):
     write_json(
         path,
@@ -407,7 +377,7 @@ def write_fit_report(path, fit: GaussianMixtureFit, thresholds: ThresholdSet | N
             "baseline_mv": fit.baseline_mv,
             "spacing_mv": fit.spacing_mv,
             "components": [dataclasses.asdict(c) for c in fit.components],
-            "thresholds_mv": list(thresholds.cut_points_mv) if thresholds else None,
+            "thresholds_mv": list(thresholds.cut_points_mv),
         },
     )
 

@@ -18,6 +18,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +56,15 @@ def _check_stochastic(arr: np.ndarray, name: str):
         )
 
 
+def _check_int(**fields):
+    """Raise TypeError naming each of ``fields`` whose value is not an integer."""
+    for name, value in fields.items():
+        try:
+            operator.index(value)
+        except TypeError:
+            raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class Probe:
     """One coherent probe state.
@@ -74,6 +84,7 @@ class Probe:
     attenuation_db: float | None = None
 
     def __post_init__(self):
+        _check_int(id=self.id, n_pulses=self.n_pulses)
         if not math.isfinite(self.mean_photons) or self.mean_photons < 0:
             raise ValueError(
                 f"probe {self.id}: mean_photons must be finite and >= 0, "

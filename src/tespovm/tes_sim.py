@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .photon_stats import ProbeEnsemble
+from .photon_stats import ProbeEnsemble, _check_int
 
 __all__ = [
     "DetectorPhysicalConfig",
@@ -64,8 +64,10 @@ class DetectorPhysicalConfig:
             raise ValueError("sigma0_mv must be positive")
         if self.sigma_slope_mv < 0:
             raise ValueError("sigma_slope_mv must be >= 0")
-        if self.saturation_count is not None and self.saturation_count < 0:
-            raise ValueError("saturation_count must be >= 0 or None")
+        if self.saturation_count is not None:
+            _check_int(saturation_count=self.saturation_count)
+            if self.saturation_count < 0:
+                raise ValueError("saturation_count must be >= 0 or None")
 
     @property
     def peak_resolution(self) -> float:

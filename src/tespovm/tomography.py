@@ -30,6 +30,7 @@ from .calibration import CountTable
 from .photon_stats import (
     PovmMatrix,
     ProbeEnsemble,
+    _check_int,
     binomial_povm,
     probe_q_matrix,
 )
@@ -81,6 +82,8 @@ class ReconstructionConfig:
     init_eta: float | None = None
 
     def __post_init__(self):
+        _check_int(truncation=self.truncation, n_outcomes=self.n_outcomes,
+                   max_iters=self.max_iters)
         if self.truncation < 1:
             raise ValueError("truncation must be >= 1")
         if self.n_outcomes < 2:

@@ -228,6 +228,10 @@ def test_fit_peaks_input_validation():
         tp.fit_peaks(trace, bin_width_mv=0.0)
     with pytest.raises(ValueError):
         tp.fit_peaks(trace, max_peaks=0)
+    with pytest.raises(TypeError, match="max_peaks must be an integer, got 2.5"):
+        tp.fit_peaks(trace, max_peaks=2.5)
+    # A run of no traces only checks the settings.
+    assert tp.fit_run((), bin_width_mv=2.0, max_peaks=3) == ({}, {})
 
 
 def test_place_thresholds_finds_density_valley():

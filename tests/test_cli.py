@@ -198,8 +198,6 @@ def test_pipeline_fidelity_artifact(pipeline):
     assert values.shape == (50,)
     assert np.all((values >= 0.0) & (values <= 1.0 + 1e-12))
     assert payload["min_low"] == pytest.approx(values[:21].min())
-    # An eta-only estimate has no gamma_hat; the reference has no dark counts.
-    assert payload["reference_gamma"] == 0.0
 
 
 def test_pipeline_comparison_artifact(pipeline):
@@ -294,8 +292,6 @@ def test_validate_scores_the_fitted_dark_count_model(tmp_path):
     for argv, out in zip(stages, ("cal", "rec", "est", "val")):
         assert main(argv + ["--out", str(tmp_path / out)]) == 0
     estimate, _ = files.read_estimate(tmp_path / "est/estimate.json")
-    fidelity = json.loads((tmp_path / "val/fidelity.json").read_text())
-    assert fidelity["reference_gamma"] == estimate["gamma_hat"]
     assert abs(estimate["gamma_hat"] - 0.2) < 0.01
     comparison = json.loads((tmp_path / "val/comparison.json").read_text())
     assert max(p["tv_linear"] for p in comparison["probes"]) <= 0.01
@@ -333,6 +329,39 @@ def test_bad_config_exits_2(tmp_path, capsys):
     assert "nonempty" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("path, value, named", [
+    (("reconstuction",), {"truncation": 50},
+     r"config: unknown top-level keys \['reconstuction'\]"),
+    (("detector", "sigma_0_mv"), 3.0, r"config: detector: .*'sigma_0_mv'"),
+    (("probes", 0, "n_pulse"), 3000, r"config: probes\[0\]: .*'n_pulse'"),
+    (("calibration", "bin_width"), 1.0, r"config: calibration: .*'bin_width'"),
+    (("reconstruction", "reg_wieght"), 1e-3, r"config: reconstruction: .*'reg_wieght'"),
+    (("reconstruction", "init_eta"), 0.05, r"config: reconstruction: init_eta is not"),
+    (("reconstruction", "truncation"), 20.5,
+     r"config: reconstruction: truncation must be an integer, got 20\.5"),
+    (("probes", 2, "id"), 2.5, r"config: probes\[2\]: id must be an integer, got 2\.5"),
+    (("probes", 0, "n_pulses"), 3000.5, r"config: probes\[0\]: n_pulses must be an integer"),
+    (("reconstruction", "truncation"), -1, r"config: reconstruction: truncation must be >= 1"),
+    (("calibration", "max_peaks"), 10.5, r"config: calibration: max_peaks must be an integer"),
+], ids=["reconstuction", "sigma_0_mv", "n_pulse", "bin_width", "reg_wieght", "init_eta",
+        "truncation_20.5", "id_2.5", "n_pulses_3000.5", "truncation_-1", "max_peaks_10.5"])
+def test_bad_config_exits_2_before_a_trace(tmp_path, capsys, path, value, named):
+    """A key that no section's type takes, a key that no stage reads and a
+    mistyped or out-of-range value each stop simulate before it writes."""
+    config = _config()
+    *parents, last = path
+    node = config
+    for k in parents:
+        node = node[k]
+    node[last] = value
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert re.search(named, capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_outcome_mismatch_exits_2(pipeline, tmp_path, capsys):
     # The pipeline reconstructed with no config flag, in the run config's
     # 8 outcomes, truncation 50 and max_iters 30000, and recorded them.
@@ -344,7 +373,7 @@ def test_outcome_mismatch_exits_2(pipeline, tmp_path, capsys):
 
     # A run config of 12 outcomes, mixed in by --force, disagrees with the
     # 8-outcome table.
-    _, _, config = files.read_ensemble(pipeline["sim"] / "ensemble.json")
+    config = _config()
     config["reconstruction"]["n_outcomes"] = 12
     files.write_ensemble(tmp_path / "ensemble.json", config)
     rc = main(["reconstruct", "--counts", str(pipeline["cal"] / "counts.json"),
@@ -384,7 +413,8 @@ def test_reconstruct_reports_its_certificate(tmp_path, capsys, max_iters):
     config = {"probes": [{"id": i, "mean_photons": m} for i, m in enumerate(mus)],
               "reconstruction": section}
     files.write_ensemble(tmp_path / "ensemble.json", config)
-    ensemble, cfg_hash, _ = files.read_ensemble(tmp_path / "ensemble.json")
+    run, cfg_hash = files.read_ensemble(tmp_path / "ensemble.json")
+    ensemble = run.ensemble
     q, _ = tp.probe_q_matrix(ensemble, 4)
     table = tp.CountTable.from_probs(tp.binomial_povm(0.6, 4, 4).entries @ q,
                                      probe_ids=ensemble.ids)
@@ -504,7 +534,7 @@ def _copy_sim(pipeline, tmp_path, edit=None):
     shutil.copytree(pipeline["sim"], sim)
     if edit is not None:
         seed = files.read_manifest(sim)["seed"]
-        _, _, config = files.read_ensemble(sim / "ensemble.json")
+        config = _config()
         edit(sim, config)
         files.write_ensemble(sim / "ensemble.json", config)
         files.write_manifest(sim, config, seed)

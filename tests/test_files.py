@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import tespovm as tp
-from tespovm import calibration, files
+from tespovm import files
 
 
 def _small_reconstruction():
@@ -40,28 +40,29 @@ def test_config_hash_canonical():
 
 
 def test_default_config_sections():
-    config = files.default_config()
-    files.validate_config(config)
-    assert files.config_detector(config).eta == 0.051
-    ens = files.config_ensemble(config)
-    assert ens.n_probes == 20
-    assert ens.mean_photons[0] == 6.5
-    rec = files.config_reconstruction(config)
-    assert rec == tp.ReconstructionConfig()
-    calib = files.config_calibration(config)
-    assert calib == {"bin_width_mv": 1.3, "max_peaks": 16}
+    run = files.parse_config(files.default_config())
+    assert run.detector == tp.DetectorPhysicalConfig()
+    assert run.detector.eta == 0.051
+    assert run.ensemble.n_probes == 20
+    assert run.ensemble.mean_photons[0] == 6.5
+    assert run.reconstruction == tp.ReconstructionConfig()
+    assert run.calibration == {"bin_width_mv": 1.3, "max_peaks": 16}
 
 
 def test_config_calibration_defaults_are_fit_peaks_defaults():
-    defaults = {"bin_width_mv": calibration.DEFAULT_BIN_WIDTH_MV,
-                "max_peaks": calibration.DEFAULT_MAX_PEAKS}
-    assert files.default_config()["calibration"] == defaults
-    # The outcome count no longer changes the peak cap.
-    assert files.config_calibration({"reconstruction": {"n_outcomes": 8}}) == defaults
-    calib = files.config_calibration({"calibration": {"max_peaks": 10}})
-    assert calib == {**defaults, "max_peaks": 10}
-    with pytest.raises(tp.SchemaError):
-        files.config_calibration({"calibration": {"max_peaks": 0}})
+    # fit_run's signature is the one source of the calibration defaults.
+    for fit in (tp.fit_run, tp.fit_peaks):
+        params = inspect.signature(fit).parameters
+        defaults = {name: params[name].default for name in ("bin_width_mv", "max_peaks")}
+        assert files.default_config()["calibration"] == defaults
+    probes = [{"mean_photons": 1.0}]
+    # An absent key is left to fit_run; the outcome count does not change the peak cap.
+    run = files.parse_config({"probes": probes, "reconstruction": {"n_outcomes": 8}})
+    assert run.calibration == {}
+    run = files.parse_config({"probes": probes, "calibration": {"max_peaks": 10}})
+    assert run.calibration == {"max_peaks": 10}
+    with pytest.raises(tp.SchemaError, match="calibration: max_peaks must be >= 1"):
+        files.parse_config({"probes": probes, "calibration": {"max_peaks": 0}})
 
 
 def test_default_config_hash_is_pinned():
@@ -86,18 +87,6 @@ def test_public_names_are_pinned():
         "project_simplex", "reconstruct_povm", "sensitivity_sweep",
         "simulate_ensemble", "simulate_trace", "three_way_comparison",
     }
-
-
-def test_config_reconstruction_overrides():
-    cfg = files.config_reconstruction({}, truncation=50, n_outcomes=8, reg_weight=1e-6)
-    assert (cfg.truncation, cfg.n_outcomes, cfg.reg_weight) == (50, 8, 1e-6)
-    # None overrides fall through to the section value.
-    cfg2 = files.config_reconstruction(
-        {"reconstruction": {"truncation": 30}}, truncation=None
-    )
-    assert cfg2.truncation == 30
-    with pytest.raises(tp.SchemaError):
-        files.config_reconstruction({}, truncation=-1)
 
 
 def test_trace_csv_roundtrip(tmp_path):
@@ -191,23 +180,28 @@ def test_ensemble_roundtrip(tmp_path):
     config = files.default_config()
     config["reconstruction"]["max_iters"] = 30000
     files.write_ensemble(tmp_path / "ensemble.json", config)
-    back, h, run_config = files.read_ensemble(tmp_path / "ensemble.json")
+    run, h = files.read_ensemble(tmp_path / "ensemble.json")
     assert h == files.config_hash(config)
-    assert run_config == config
-    assert back.probes == tp.geometric_ensemble().probes
-    assert files.config_reconstruction(run_config).max_iters == 30000
+    assert run == files.parse_config(config)
+    assert run.ensemble.probes == tp.geometric_ensemble().probes
+    assert run.reconstruction.max_iters == 30000
     # Files that carry only probes, under their own hash, give the default
     # solver settings.
     probes_only = {"probes": config["probes"][:2]}
     payload = {"config_hash": files.config_hash(probes_only), **probes_only}
     files.write_json(tmp_path / "old.json", payload)
-    old, _, old_config = files.read_ensemble(tmp_path / "old.json")
-    assert old.ids == (0, 1)
-    assert files.config_reconstruction(old_config) == tp.ReconstructionConfig()
+    old, _ = files.read_ensemble(tmp_path / "old.json")
+    assert old.ensemble.ids == (0, 1)
+    assert old.reconstruction == tp.ReconstructionConfig()
     # A hash that is not the hash of the config beside it is refused.
     files.write_json(tmp_path / "bad.json", {**payload, "config_hash": h})
     with pytest.raises(tp.SchemaError, match=f"{tmp_path / 'bad.json'}: config_hash"):
         files.read_ensemble(tmp_path / "bad.json")
+    # A config under its own hash that parse_config refuses names the file.
+    typo = {**probes_only, "reconstruction": {"reg_wieght": 1e-3}}
+    files.write_json(tmp_path / "typo.json", {"config_hash": files.config_hash(typo), **typo})
+    with pytest.raises(tp.SchemaError, match="typo.json: config: reconstruction: .*reg_wieght"):
+        files.read_ensemble(tmp_path / "typo.json")
 
 
 def test_count_table_roundtrip(tmp_path):
@@ -325,22 +319,29 @@ def test_check_lineage():
         files.check_lineage({"x.json": "a", "y.json": "b"})
 
 
-def test_load_config_schema_errors(tmp_path):
+def test_parse_config_schema_errors(tmp_path):
     path = tmp_path / "config.json"
     path.write_text("{not json")
     with pytest.raises(tp.SchemaError, match="not valid JSON"):
-        files.load_config(path)
-    path.write_text(json.dumps({"probes": []}))
-    with pytest.raises(tp.SchemaError, match="nonempty"):
-        files.load_config(path)
-    path.write_text(json.dumps({"probes": [{"id": 0}]}))
-    with pytest.raises(tp.SchemaError, match="mean_photons"):
-        files.load_config(path)
-    path.write_text(json.dumps({"probes": [{"mean_photons": 1.0}], "detector": 3}))
-    with pytest.raises(tp.SchemaError, match="detector"):
-        files.load_config(path)
+        files.read_json(path)
     with pytest.raises(tp.SchemaError, match="cannot read"):
         files.read_json(tmp_path / "missing.json")
+    probes = [{"mean_photons": 1.0}]
+    for config, match in [
+        ([], "top level must be an object"),
+        ({}, "missing field 'probes'"),
+        ({"probes": []}, "nonempty"),
+        ({"probes": [{"id": 0}]}, r"probes\[0\]: .*mean_photons"),
+        ({"probes": [{"id": 1, "mean_photons": 1.0}] * 2}, "probes: probe ids must be unique"),
+        ({"probes": probes, "detector": 3}, "detector"),
+        ({"probes": probes, "reconstruction": {"truncation": -1}},
+         "reconstruction: truncation must be >= 1"),
+        ({"probes": probes, "seed": 7}, r"unknown top-level keys \['seed'\]"),
+    ]:
+        with pytest.raises(tp.SchemaError, match=match):
+            files.parse_config(config)
+    # A probe's id defaults to its index.
+    assert files.parse_config({"probes": probes * 2}).ensemble.ids == (0, 1)
 
 
 def test_write_json_deterministic(tmp_path):

@@ -248,6 +248,11 @@ def test_probe_validation():
         tp.Probe(id=0, mean_photons=-1.0)
     with pytest.raises(ValueError):
         tp.Probe(id=0, mean_photons=1.0, n_pulses=0)
+    with pytest.raises(TypeError, match="id must be an integer, got 2.5"):
+        tp.Probe(id=2.5, mean_photons=1.0)
+    with pytest.raises(TypeError, match="n_pulses must be an integer, got 3000.5"):
+        tp.Probe(id=0, mean_photons=1.0, n_pulses=3000.5)
+    assert tp.Probe(id=np.int64(3), mean_photons=1.0, n_pulses=np.int32(5)).id == 3
 
 
 def test_povm_matrix_validation():

@@ -285,4 +285,7 @@ def test_reconstruction_config_validation():
         tp.ReconstructionConfig(tol=-1.0)
     with pytest.raises(ValueError):
         tp.ReconstructionConfig(init_eta=1.5)
+    for name in ("truncation", "n_outcomes", "max_iters"):
+        with pytest.raises(TypeError, match=f"{name} must be an integer, got 20.5"):
+            tp.ReconstructionConfig(**{name: 20.5})
     assert tp.ReconstructionConfig().reg_weight == 1e-8
