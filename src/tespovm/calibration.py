@@ -21,7 +21,7 @@ import numpy as np
 from scipy import optimize, signal, special
 
 from .errors import CalibrationError
-from .photon_stats import _check_int, _check_stochastic
+from .photon_stats import _check_number, _check_stochastic
 from .tes_sim import AmplitudeTrace
 
 __all__ = [
@@ -95,8 +95,8 @@ class GaussianMixtureFit:
         if np.any(np.diff(means) <= 0):
             raise ValueError("component means must be strictly increasing")
         for c in self.components:
-            if c.weight < 0 or c.sigma_mv <= 0:
-                raise ValueError("component weights must be >= 0 and sigmas positive")
+            _check_number("component weight", c.weight, "[0, inf)")
+            _check_number("component sigma_mv", c.sigma_mv, "(0, inf)")
 
     @property
     def means(self) -> np.ndarray:
@@ -286,11 +286,8 @@ def fit_run(traces, bin_width_mv: float = DEFAULT_BIN_WIDTH_MV,
     Raises:
         CalibrationError: The run's comb fit did not converge.
     """
-    if bin_width_mv <= 0:
-        raise ValueError("bin_width_mv must be positive")
-    _check_int(max_peaks=max_peaks)
-    if max_peaks < 1:
-        raise ValueError("max_peaks must be >= 1")
+    _check_number("bin_width_mv", bin_width_mv, "(0, inf)")
+    _check_number("max_peaks", max_peaks, "[1, inf)", integer=True)
     failures, spectra = {}, {}
     for trace in traces:
         pid = trace.probe_id
@@ -485,8 +482,7 @@ def bin_counts(
     Returns:
         Integer counts of length ``n_outcomes``.
     """
-    if n_outcomes < 2:
-        raise ValueError("n_outcomes must be >= 2")
+    _check_number("n_outcomes", n_outcomes, "[2, inf)", integer=True)
     cuts = np.asarray(thresholds.cut_points_mv, dtype=float)
     idx = np.searchsorted(cuts, trace.amplitudes_mv, side="right")
     outcome = np.minimum(idx, n_outcomes - 1)
@@ -512,8 +508,7 @@ def bin_counts_by_area(
     (components beyond the top class fold into it), scaled to the number
     of events in the trace with total-preserving rounding.
     """
-    if n_outcomes < 2:
-        raise ValueError("n_outcomes must be >= 2")
+    _check_number("n_outcomes", n_outcomes, "[2, inf)", integer=True)
     folded = np.zeros(n_outcomes)
     for i, comp in enumerate(fit.components):
         folded[min(i, n_outcomes - 1)] += comp.weight

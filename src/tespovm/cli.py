@@ -33,7 +33,7 @@ from .calibration import CountTable, bin_counts, bin_counts_by_area, fit_run, pl
 from .errors import CalibrationError, EstimationError, LineageError, SchemaError
 from .estimation import estimate_eta, estimate_eta_gamma
 from .metrics import fidelity_curve, sensitivity_sweep, three_way_comparison
-from .photon_stats import binomial_povm
+from .photon_stats import _check_number, binomial_povm
 from .tes_sim import simulate_ensemble
 from .tomography import reconstruct_povm
 
@@ -169,6 +169,9 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    _check_number("--split", args.split, "[0, inf)", integer=True)
+    _check_number("--energy-scale", args.energy_scale, "[0, 1)")
+    _check_number("--attenuation-db", args.attenuation_db, "[0, inf)")
     povm, povm_hash, cfg = files.read_povm(args.povm)
     table, counts_hash = files.read_count_table(args.counts)
     run, ensemble_hash = files.read_ensemble(args.ensemble)

@@ -25,7 +25,8 @@ import numpy as np
 from .calibration import (DEFAULT_BIN_WIDTH_MV, DEFAULT_MAX_PEAKS, CountTable,
                           GaussianMixtureFit, ThresholdSet, fit_run)
 from .errors import LineageError, SchemaError
-from .photon_stats import Probe, ProbeEnsemble, PovmMatrix, geometric_ensemble
+from .photon_stats import (Probe, ProbeEnsemble, PovmMatrix, _check_number,
+                           geometric_ensemble)
 from .tes_sim import AmplitudeTrace, DetectorPhysicalConfig
 from .tomography import ReconstructionConfig, ReconstructionResult
 
@@ -124,8 +125,9 @@ def parse_config(config: dict) -> RunConfig:
     """Check a run config and build its sections.
 
     Each section is ``Type(**section)``: an absent key takes that type's
-    default, and a key it does not take or a value of the wrong type or
-    range raises :class:`SchemaError` naming the section. So do other
+    default, and a key it does not take or a value that is not a finite
+    number of the right kind (a bool is not one) or out of range raises
+    :class:`SchemaError` naming the section and the key. So do other
     top-level keys and ``reconstruction.init_eta``, since ``reconstruct``
     starts from :func:`~tespovm.estimation.estimate_eta`. A probe's ``id``
     defaults to its index.
@@ -390,7 +392,15 @@ def write_estimate(path, estimate, cfg_hash: str, method: str):
 
 
 def read_estimate(path) -> tuple[dict, str]:
+    """The payload and config hash of an ``estimate.json``, whose ``eta_hat``
+    must be a number in [0, 1] and ``gamma_hat``, when not null, one >= 0."""
     payload = read_json(path)
     cfg_hash = _require(payload, "config_hash", str(path))
-    _require(payload, "eta_hat", str(path))
+    eta_hat = _require(payload, "eta_hat", str(path))
+    try:
+        _check_number("eta_hat", eta_hat, "[0, 1]")
+        if payload.get("gamma_hat") is not None:
+            _check_number("gamma_hat", payload["gamma_hat"], "[0, inf)")
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
     return payload, cfg_hash

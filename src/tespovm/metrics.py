@@ -10,6 +10,7 @@ from .calibration import CountTable
 from .photon_stats import (
     PovmMatrix,
     ProbeEnsemble,
+    _check_number,
     linear_prediction,
     predict_distribution,
 )
@@ -151,10 +152,8 @@ def sensitivity_sweep(
     and scored against ``reference``; the envelope is the pointwise
     minimum fidelity, so it can only sit at or below the baseline curve.
     """
-    if energy_scale < 0 or energy_scale >= 1:
-        raise ValueError("energy_scale must lie in [0, 1)")
-    if attenuation_db < 0:
-        raise ValueError("attenuation_db must be >= 0")
+    _check_number("energy_scale", energy_scale, "[0, 1)")
+    _check_number("attenuation_db", attenuation_db, "[0, inf)")
     factors: list[tuple[str, float]] = [("baseline", 1.0)]
     if energy_scale > 0:
         factors.append((f"energy -{energy_scale:g}", 1.0 - energy_scale))

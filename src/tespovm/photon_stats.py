@@ -18,7 +18,9 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import numbers
 import operator
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,13 +58,28 @@ def _check_stochastic(arr: np.ndarray, name: str):
         )
 
 
-def _check_int(**fields):
-    """Raise TypeError naming each of ``fields`` whose value is not an integer."""
-    for name, value in fields.items():
+def _check_number(name: str, value, interval: str, integer: bool = False):
+    """Raise, naming ``name``, unless ``value`` is a finite real number in ``interval``.
+
+    ``interval`` reads like ``"[0, 1)"``: a bracket closes an end, a
+    parenthesis opens it, and ``(-inf`` or ``inf)`` leaves a side unbounded.
+    NaN, +-inf and an integer too large for a float are never in range. A
+    bool, a non-real value or, with ``integer``, a non-integer raises
+    TypeError; a value out of range ValueError.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        kind = "an integer" if integer else "a real number"
+        raise TypeError(f"{name} must be {kind}, got {value!r}")
+    if integer:
         try:
             operator.index(value)
         except TypeError:
             raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    lo, hi = (float(end) for end in interval[1:-1].split(","))
+    above = lo < value if interval[0] == "(" else lo <= value
+    below = value < hi if interval[-1] == ")" else value <= hi
+    if not (above and below and abs(value) <= sys.float_info.max):
+        raise ValueError(f"{name} must lie in {interval}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -73,9 +90,9 @@ class Probe:
         id: Integer label, unique within an ensemble.
         mean_photons: Mean photon number of the state, >= 0. This is the
             primary field; ``attenuation_db`` is metadata only.
-        n_pulses: Number of optical pulses recorded for this probe.
+        n_pulses: Number of optical pulses recorded for this probe, >= 1.
         attenuation_db: Optional attenuator setting that produced the
-            state, for bookkeeping.
+            state, finite, for bookkeeping.
     """
 
     id: int
@@ -84,14 +101,11 @@ class Probe:
     attenuation_db: float | None = None
 
     def __post_init__(self):
-        _check_int(id=self.id, n_pulses=self.n_pulses)
-        if not math.isfinite(self.mean_photons) or self.mean_photons < 0:
-            raise ValueError(
-                f"probe {self.id}: mean_photons must be finite and >= 0, "
-                f"got {self.mean_photons}"
-            )
-        if self.n_pulses < 1:
-            raise ValueError(f"probe {self.id}: n_pulses must be >= 1")
+        _check_number("id", self.id, "(-inf, inf)", integer=True)
+        _check_number("mean_photons", self.mean_photons, "[0, inf)")
+        _check_number("n_pulses", self.n_pulses, "[1, inf)", integer=True)
+        if self.attenuation_db is not None:
+            _check_number("attenuation_db", self.attenuation_db, "(-inf, inf)")
 
 
 @dataclass(frozen=True)
@@ -138,9 +152,8 @@ class ProbeEnsemble:
         return np.array([p.mean_photons for p in self.probes])
 
     def with_scaled_means(self, factor: float) -> "ProbeEnsemble":
-        """Return a copy with every mean photon number multiplied by ``factor``."""
-        if factor <= 0:
-            raise ValueError("scale factor must be positive")
+        """Return a copy with every mean photon number multiplied by ``factor`` > 0."""
+        _check_number("factor", factor, "(0, inf)")
         return ProbeEnsemble(
             tuple(
                 Probe(
@@ -184,10 +197,11 @@ def geometric_ensemble(
     13 dB attenuator sweep produces from a fixed source. Attenuation
     metadata is filled in relative to ``max_attenuation_db`` at ``mu_min``.
     """
-    if n_probes < 1:
-        raise ValueError("n_probes must be >= 1")
-    if not (0 < mu_min <= mu_max):
-        raise ValueError("need 0 < mu_min <= mu_max")
+    _check_number("n_probes", n_probes, "[1, inf)", integer=True)
+    _check_number("mu_min", mu_min, "(0, inf)")
+    _check_number("mu_max", mu_max, "(0, inf)")
+    if mu_max < mu_min:
+        raise ValueError("need mu_min <= mu_max")
     mus = np.geomspace(mu_min, mu_max, n_probes)
     atts = max_attenuation_db - 10.0 * np.log10(mus / mu_min)
     return ProbeEnsemble(
@@ -275,8 +289,7 @@ def poisson_pmf(mu: float, m) -> float | np.ndarray:
     Returns:
         Scalar float for scalar ``m``, else an array of the same shape.
     """
-    if not math.isfinite(mu) or mu < 0:
-        raise ValueError(f"mu must be finite and >= 0, got {mu}")
+    _check_number("mu", mu, "[0, inf)")
     m_arr = np.asarray(m)
     scalar = m_arr.ndim == 0
     if not np.issubdtype(m_arr.dtype, np.integer):
@@ -314,8 +327,7 @@ def probe_q_matrix(
         ``q[m, j] = poisson_pmf(mu_j, m)`` for ``m < truncation - 1``,
         and ``tail[j]`` is the folded Poisson mass of probe ``j``.
     """
-    if truncation < 1:
-        raise ValueError("truncation must be >= 1")
+    _check_number("truncation", truncation, "[1, inf)", integer=True)
     ms = np.arange(truncation)
     q = np.column_stack([poisson_pmf(p.mean_photons, ms) for p in ensemble.probes])
     tail = np.maximum(0.0, 1.0 - q.sum(axis=0))
@@ -362,14 +374,10 @@ def binomial_povm(
         truncation: Number of photon-number columns M, >= 1.
         gamma: Mean dark counts per pulse, finite and >= 0.
     """
-    if not (0.0 <= eta <= 1.0):
-        raise ValueError(f"eta must lie in [0, 1], got {eta}")
-    if not math.isfinite(gamma) or gamma < 0:
-        raise ValueError(f"gamma must be finite and >= 0, got {gamma}")
-    if n_outcomes < 2:
-        raise ValueError("n_outcomes must be >= 2")
-    if truncation < 1:
-        raise ValueError("truncation must be >= 1")
+    _check_number("eta", eta, "[0, 1]")
+    _check_number("gamma", gamma, "[0, inf)")
+    _check_number("n_outcomes", n_outcomes, "[2, inf)", integer=True)
+    _check_number("truncation", truncation, "[1, inf)", integer=True)
     w = poisson_pmf(gamma, np.arange(n_outcomes - 1))
     # Lower-triangular Toeplitz matrix: row n holds w[n], w[n-1], ..., w[0].
     body = linalg.toeplitz(w, np.zeros_like(w)) @ _binomial_rows(
@@ -404,14 +412,10 @@ def linear_prediction(
     Poisson(eta * mu + gamma) pmf and the last outcome absorbs the upper
     tail.
     """
-    if not (0.0 <= eta <= 1.0):
-        raise ValueError(f"eta must lie in [0, 1], got {eta}")
-    if not math.isfinite(mu) or mu < 0:
-        raise ValueError(f"mu must be finite and >= 0, got {mu}")
-    if not math.isfinite(gamma) or gamma < 0:
-        raise ValueError(f"gamma must be finite and >= 0, got {gamma}")
-    if n_outcomes < 2:
-        raise ValueError("n_outcomes must be >= 2")
+    _check_number("eta", eta, "[0, 1]")
+    _check_number("mu", mu, "[0, inf)")
+    _check_number("gamma", gamma, "[0, inf)")
+    _check_number("n_outcomes", n_outcomes, "[2, inf)", integer=True)
     body = poisson_pmf(eta * mu + gamma, np.arange(n_outcomes - 1))
     top = max(1.0 - float(body.sum()), 0.0)
     return CountDistribution(np.append(body, top))

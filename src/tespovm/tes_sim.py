@@ -9,13 +9,12 @@ tomography against a known ground truth.
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .photon_stats import ProbeEnsemble, _check_int
+from .photon_stats import ProbeEnsemble, _check_number
 
 __all__ = [
     "DetectorPhysicalConfig",
@@ -35,14 +34,14 @@ class DetectorPhysicalConfig:
     Attributes:
         eta: Quantum efficiency in [0, 1].
         gamma: Mean dark counts per pulse, >= 0.
-        baseline_mv: Amplitude of the zero-count peak.
-        peak_spacing_mv: Amplitude step per detected photon.
-        sigma0_mv: Gaussian width of the zero-count peak.
-        sigma_slope_mv: Extra width per detected count (amplitude noise
-            grows linearly with count when nonzero).
-        saturation_count: Counts at or above this value all pile up at
-            this value; ``None`` disables saturation and keeps the
-            detector linear.
+        baseline_mv: Amplitude of the zero-count peak, any finite value.
+        peak_spacing_mv: Amplitude step per detected photon, > 0.
+        sigma0_mv: Gaussian width of the zero-count peak, > 0.
+        sigma_slope_mv: Extra width per detected count, >= 0 (amplitude
+            noise grows linearly with count when nonzero).
+        saturation_count: Integer >= 0; counts at or above this value all
+            pile up at this value. ``None`` disables saturation and keeps
+            the detector linear.
     """
 
     eta: float = 0.051
@@ -54,20 +53,15 @@ class DetectorPhysicalConfig:
     saturation_count: int | None = None
 
     def __post_init__(self):
-        if not (0.0 <= self.eta <= 1.0):
-            raise ValueError(f"eta must lie in [0, 1], got {self.eta}")
-        if not math.isfinite(self.gamma) or self.gamma < 0:
-            raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
-        if self.peak_spacing_mv <= 0:
-            raise ValueError("peak_spacing_mv must be positive")
-        if self.sigma0_mv <= 0:
-            raise ValueError("sigma0_mv must be positive")
-        if self.sigma_slope_mv < 0:
-            raise ValueError("sigma_slope_mv must be >= 0")
+        _check_number("eta", self.eta, "[0, 1]")
+        _check_number("gamma", self.gamma, "[0, inf)")
+        _check_number("baseline_mv", self.baseline_mv, "(-inf, inf)")
+        _check_number("peak_spacing_mv", self.peak_spacing_mv, "(0, inf)")
+        _check_number("sigma0_mv", self.sigma0_mv, "(0, inf)")
+        _check_number("sigma_slope_mv", self.sigma_slope_mv, "[0, inf)")
         if self.saturation_count is not None:
-            _check_int(saturation_count=self.saturation_count)
-            if self.saturation_count < 0:
-                raise ValueError("saturation_count must be >= 0 or None")
+            _check_number("saturation_count", self.saturation_count, "[0, inf)",
+                          integer=True)
 
     @property
     def peak_resolution(self) -> float:
@@ -131,10 +125,8 @@ def simulate_trace(
 
     Deterministic for a fixed ``(config, mu, n_pulses, seed)``.
     """
-    if not math.isfinite(mu) or mu < 0:
-        raise ValueError(f"mu must be finite and >= 0, got {mu}")
-    if n_pulses < 1:
-        raise ValueError("n_pulses must be >= 1")
+    _check_number("mu", mu, "[0, inf)")
+    _check_number("n_pulses", n_pulses, "[1, inf)", integer=True)
     rng = np.random.default_rng(seed)
     m = rng.poisson(mu, n_pulses)
     k = rng.binomial(m, config.eta) if config.eta > 0 else np.zeros(n_pulses, np.int64)

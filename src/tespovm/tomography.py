@@ -30,7 +30,7 @@ from .calibration import CountTable
 from .photon_stats import (
     PovmMatrix,
     ProbeEnsemble,
-    _check_int,
+    _check_number,
     binomial_povm,
     probe_q_matrix,
 )
@@ -51,9 +51,9 @@ class ReconstructionConfig:
     """Solver settings for :func:`reconstruct_povm`.
 
     Attributes:
-        truncation: Photon-number cutoff M (columns m = 0 .. M-1).
-        n_outcomes: Outcome count N; must match the count table.
-        reg_weight: Weight of the smoothness regularizer along m. The
+        truncation: Photon-number cutoff M (columns m = 0 .. M-1), >= 1.
+        n_outcomes: Outcome count N, >= 2; must match the count table.
+        reg_weight: Weight of the smoothness regularizer along m, >= 0. The
             default is deliberately small: columns outside the probe
             support are anchored to the data only through Poisson tail
             weights as small as ~1e-3, so their effective curvature in
@@ -61,13 +61,13 @@ class ReconstructionConfig:
             flattens those columns toward their probed neighbours
             (weight 1e-3 drags the m=0 column fidelity below 0.95 even
             on noise-free input).
-        max_iters: Iteration cap.
-        tol: Gradient-mapping norm at or below which the solve stops
+        max_iters: Iteration cap, >= 1.
+        tol: Gradient-mapping norm, >= 0, at or below which the solve stops
             (the module docstring defines it). The default 1e-8 lies
             above the ~1.5e-9 floor that ``reg_weight`` 1e-8 leaves on
             the default design, and a tighter value may not be reached
             within ``max_iters``.
-        init_eta: When given, iterate from ``binomial_povm(init_eta)``
+        init_eta: When given, in [0, 1], iterate from ``binomial_povm(init_eta)``
             instead of uniform columns. The start shapes the result: on
             noisy counts the solve stops at the noise floor within a few
             iterations (2 on the default design), so the reported POVM
@@ -82,20 +82,13 @@ class ReconstructionConfig:
     init_eta: float | None = None
 
     def __post_init__(self):
-        _check_int(truncation=self.truncation, n_outcomes=self.n_outcomes,
-                   max_iters=self.max_iters)
-        if self.truncation < 1:
-            raise ValueError("truncation must be >= 1")
-        if self.n_outcomes < 2:
-            raise ValueError("n_outcomes must be >= 2")
-        if self.reg_weight < 0:
-            raise ValueError("reg_weight must be >= 0")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if self.tol < 0:
-            raise ValueError("tol must be >= 0")
-        if self.init_eta is not None and not (0.0 <= self.init_eta <= 1.0):
-            raise ValueError("init_eta must lie in [0, 1]")
+        _check_number("truncation", self.truncation, "[1, inf)", integer=True)
+        _check_number("n_outcomes", self.n_outcomes, "[2, inf)", integer=True)
+        _check_number("reg_weight", self.reg_weight, "[0, inf)")
+        _check_number("max_iters", self.max_iters, "[1, inf)", integer=True)
+        _check_number("tol", self.tol, "[0, inf)")
+        if self.init_eta is not None:
+            _check_number("init_eta", self.init_eta, "[0, 1]")
 
 
 @dataclass(frozen=True, eq=False)

@@ -245,7 +245,38 @@ def test_validate_checks_before_it_writes(pipeline, tmp_path, capsys):
         "--out", str(out), "--energy-scale", "1.5",
     ])
     assert rc == 2
-    assert "energy_scale" in capsys.readouterr().err
+    assert "--energy-scale" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, estimate, named", [
+    (["--energy-scale", "nan"], {}, r"--energy-scale must lie in \[0, 1\), got nan"),
+    (["--energy-scale", "-0.03"], {}, r"--energy-scale must lie in \[0, 1\), got -0\.03"),
+    (["--attenuation-db", "inf"], {}, r"--attenuation-db must lie in \[0, inf\), got inf"),
+    (["--attenuation-db", "-0.1"], {}, r"--attenuation-db must lie in \[0, inf\), got -0\.1"),
+    (["--split", "-5"], {}, r"--split must lie in \[0, inf\), got -5"),
+    ([], {"eta_hat": True}, r"estimate\.json: eta_hat must be a real number, got True"),
+    ([], {"eta_hat": "0.05"}, r"estimate\.json: eta_hat must be a real number, got '0\.05'"),
+    ([], {"eta_hat": float("nan")}, r"estimate\.json: eta_hat must lie in \[0, 1\], got nan"),
+    ([], {"gamma_hat": -0.1}, r"estimate\.json: gamma_hat must lie in \[0, inf\), got -0\.1"),
+], ids=["energy-scale_nan", "energy-scale_-0.03", "attenuation-db_inf", "attenuation-db_-0.1",
+        "split_-5", "eta_hat_true", "eta_hat_string", "eta_hat_NaN", "gamma_hat_-0.1"])
+def test_validate_refuses_a_bad_flag_or_estimate(pipeline, tmp_path, capsys, flags, estimate,
+                                                 named):
+    # Each is refused where it enters, naming the flag or the file, before
+    # any report is written.
+    payload = json.loads((pipeline["est"] / "estimate.json").read_text())
+    (tmp_path / "estimate.json").write_text(json.dumps({**payload, **estimate}))
+    out = tmp_path / "val"
+    rc = main([
+        "validate", "--povm", str(pipeline["rec"] / "povm.json"),
+        "--counts", str(pipeline["cal"] / "counts.json"),
+        "--ensemble", str(pipeline["sim"] / "ensemble.json"),
+        "--estimate", str(tmp_path / "estimate.json"),
+        "--out", str(out), *flags,
+    ])
+    assert rc == 2
+    assert re.search(named, capsys.readouterr().err)
     assert not out.exists()
 
 
@@ -341,10 +372,44 @@ def test_bad_config_exits_2(tmp_path, capsys):
      r"config: reconstruction: truncation must be an integer, got 20\.5"),
     (("probes", 2, "id"), 2.5, r"config: probes\[2\]: id must be an integer, got 2\.5"),
     (("probes", 0, "n_pulses"), 3000.5, r"config: probes\[0\]: n_pulses must be an integer"),
-    (("reconstruction", "truncation"), -1, r"config: reconstruction: truncation must be >= 1"),
+    (("reconstruction", "truncation"), -1,
+     r"config: reconstruction: truncation must lie in \[1, inf\), got -1"),
     (("calibration", "max_peaks"), 10.5, r"config: calibration: max_peaks must be an integer"),
+    # JSON's NaN and Infinity are numbers but not finite; true, "0" and null are not numbers.
+    (("detector", "baseline_mv"), float("nan"),
+     r"config: detector: baseline_mv must lie in \(-inf, inf\), got nan"),
+    (("detector", "peak_spacing_mv"), float("inf"),
+     r"config: detector: peak_spacing_mv must lie in \(0, inf\), got inf"),
+    (("detector", "sigma_slope_mv"), float("-inf"),
+     r"config: detector: sigma_slope_mv must lie in \[0, inf\), got -inf"),
+    (("detector", "sigma0_mv"), float("nan"),
+     r"config: detector: sigma0_mv must lie in \(0, inf\), got nan"),
+    (("calibration", "bin_width_mv"), float("nan"),
+     r"config: calibration: bin_width_mv must lie in \(0, inf\), got nan"),
+    (("reconstruction", "reg_weight"), float("inf"),
+     r"config: reconstruction: reg_weight must lie in \[0, inf\), got inf"),
+    (("reconstruction", "tol"), float("-inf"),
+     r"config: reconstruction: tol must lie in \[0, inf\), got -inf"),
+    (("probes", 1, "attenuation_db"), float("nan"),
+     r"config: probes\[1\]: attenuation_db must lie in \(-inf, inf\), got nan"),
+    (("detector", "eta"), True, r"config: detector: eta must be a real number, got True"),
+    (("reconstruction", "max_iters"), True,
+     r"config: reconstruction: max_iters must be an integer, got True"),
+    (("probes", 0, "n_pulses"), True,
+     r"config: probes\[0\]: n_pulses must be an integer, got True"),
+    (("detector", "baseline_mv"), "0",
+     r"config: detector: baseline_mv must be a real number, got '0'"),
+    (("detector", "baseline_mv"), None,
+     r"config: detector: baseline_mv must be a real number, got None"),
+    # A JSON integer too large for a float is not a finite number either.
+    (("detector", "baseline_mv"), 10**400,
+     r"config: detector: baseline_mv must lie in \(-inf, inf\), got 10{400}$"),
 ], ids=["reconstuction", "sigma_0_mv", "n_pulse", "bin_width", "reg_wieght", "init_eta",
-        "truncation_20.5", "id_2.5", "n_pulses_3000.5", "truncation_-1", "max_peaks_10.5"])
+        "truncation_20.5", "id_2.5", "n_pulses_3000.5", "truncation_-1", "max_peaks_10.5",
+        "baseline_mv_NaN", "peak_spacing_mv_Infinity", "sigma_slope_mv_-Infinity", "sigma0_mv_NaN",
+        "bin_width_mv_NaN", "reg_weight_Infinity", "tol_-Infinity", "attenuation_db_NaN",
+        "eta_true", "max_iters_true", "n_pulses_true", "baseline_mv_string", "baseline_mv_null",
+        "baseline_mv_10^400"])
 def test_bad_config_exits_2_before_a_trace(tmp_path, capsys, path, value, named):
     """A key that no section's type takes, a key that no stage reads and a
     mistyped or out-of-range value each stop simulate before it writes."""

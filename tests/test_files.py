@@ -1,5 +1,6 @@
 """Round-trip and schema tests for the on-disk artifact formats."""
 
+import dataclasses
 import inspect
 import json
 import math
@@ -61,7 +62,8 @@ def test_config_calibration_defaults_are_fit_peaks_defaults():
     assert run.calibration == {}
     run = files.parse_config({"probes": probes, "calibration": {"max_peaks": 10}})
     assert run.calibration == {"max_peaks": 10}
-    with pytest.raises(tp.SchemaError, match="calibration: max_peaks must be >= 1"):
+    with pytest.raises(tp.SchemaError,
+                       match=r"calibration: max_peaks must lie in \[1, inf\), got 0"):
         files.parse_config({"probes": probes, "calibration": {"max_peaks": 0}})
 
 
@@ -319,6 +321,28 @@ def test_check_lineage():
         files.check_lineage({"x.json": "a", "y.json": "b"})
 
 
+# Every setting a run config section feeds, with a builder that varies it alone.
+_SETTINGS = [
+    *(pytest.param(build, f.name, id=f"{cls.__name__}.{f.name}")
+      for cls, build in [
+          (tp.Probe, lambda **kw: tp.Probe(**{"id": 0, "mean_photons": 1.0, **kw})),
+          (tp.DetectorPhysicalConfig, tp.DetectorPhysicalConfig),
+          (tp.ReconstructionConfig, tp.ReconstructionConfig)]
+      for f in dataclasses.fields(cls)),
+    *(pytest.param(lambda **kw: tp.fit_run((), **kw), name, id=f"fit_run.{name}")
+      for name in list(inspect.signature(tp.fit_run).parameters)[1:]),
+]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True, "1"],
+                         ids=["nan", "inf", "-inf", "true", "string"])
+@pytest.mark.parametrize("build, name", _SETTINGS)
+def test_every_setting_refuses_a_value_that_is_not_a_finite_number(build, name, bad):
+    # One rule for every numeric setting: the error names the setting.
+    with pytest.raises((TypeError, ValueError), match=rf"^{name} must "):
+        build(**{name: bad})
+
+
 def test_parse_config_schema_errors(tmp_path):
     path = tmp_path / "config.json"
     path.write_text("{not json")
@@ -335,7 +359,7 @@ def test_parse_config_schema_errors(tmp_path):
         ({"probes": [{"id": 1, "mean_photons": 1.0}] * 2}, "probes: probe ids must be unique"),
         ({"probes": probes, "detector": 3}, "detector"),
         ({"probes": probes, "reconstruction": {"truncation": -1}},
-         "reconstruction: truncation must be >= 1"),
+         r"reconstruction: truncation must lie in \[1, inf\), got -1"),
         ({"probes": probes, "seed": 7}, r"unknown top-level keys \['seed'\]"),
     ]:
         with pytest.raises(tp.SchemaError, match=match):
