@@ -180,12 +180,14 @@ class CountTable:
             raise ValueError("probs must be 2-D (outcomes x probes)")
         _check_stochastic(probs, "probs")
         object.__setattr__(self, "probs", probs)
-        ids = tuple(int(i) for i in self.probe_ids or range(probs.shape[1]))
+        ids = tuple(self.probe_ids or range(probs.shape[1]))
+        for i in ids:
+            _check_number("probe_ids", i, "(-inf, inf)", integer=True)
         if len(ids) != probs.shape[1]:
             raise ValueError("probe_ids must match the number of columns")
         if len(set(ids)) != len(ids):
             raise ValueError("probe_ids must be unique")
-        object.__setattr__(self, "probe_ids", ids)
+        object.__setattr__(self, "probe_ids", tuple(int(i) for i in ids))
 
     @classmethod
     def from_counts(cls, counts, probe_ids=None) -> "CountTable":

@@ -77,6 +77,7 @@ def fidelity_curve(
     reconstructed: PovmMatrix, model: PovmMatrix, split: int = 100
 ) -> FidelityCurve:
     """Column-wise Bhattacharyya fidelity between two POVM matrices."""
+    _check_number("split", split, "[0, inf)", integer=True)
     if reconstructed.entries.shape != model.entries.shape:
         raise ValueError(
             f"shape mismatch: {reconstructed.entries.shape} vs "

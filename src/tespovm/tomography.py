@@ -6,18 +6,25 @@ minimizing
     || Pi @ Q - P ||_F^2  +  reg_weight * sum_n sum_m (Pi[n, m+1] - Pi[n, m])^2
 
 over column-stochastic matrices Pi, where Q holds the Poisson probe
-weights and P the measured probabilities. The solver is projected
-gradient descent with a Lipschitz step s and an exact Euclidean projection
-P of every column onto the probability simplex, so the objective decreases
-monotonically and the iterates are always feasible.
+weights and P the measured probabilities. The solver is monotone FISTA
+with restart (Beck & Teboulle, SIAM J. Imaging Sci. 2, 183 (2009);
+O'Donoghue & Candes, arXiv:1204.3982): a gradient step of Lipschitz size s
+from Y = Pi_k + b (Pi_k - Pi_{k-1}), b = max(j-1, 0)/(j+2) after j steps
+since the last restart, then an exact Euclidean projection P of every column
+onto the probability simplex, so the iterates are always feasible. The
+gradient is affine, so its value at Y combines the last two gradients. A
+step that raises the objective is redone with b = 0, a restart, so the
+objective never rises.
 
 Its optimality certificate is the norm of the gradient mapping,
 
     ||G(Pi)||_F = ||Pi - P(Pi - s * grad f(Pi))||_F / s,
 
-which is zero exactly at a minimizer. At iterate Pi_k it is
-||Pi_{k+1} - Pi_k||_F / s, so checking it costs one norm per step; the
-solve stops once it falls to ``tol`` and reports that iterate.
+which is zero exactly at a minimizer. A plain step from Pi_k gives it as
+||Pi_{k+1} - Pi_k||_F / s, so checking it costs one norm. An extrapolated
+step whose own norm falls to ``tol`` makes the next step plain; the solve
+stops at the first iterate whose plain step certifies it and reports that
+iterate.
 """
 
 from __future__ import annotations
@@ -63,10 +70,12 @@ class ReconstructionConfig:
             on noise-free input).
         max_iters: Iteration cap, >= 1.
         tol: Gradient-mapping norm, >= 0, at or below which the solve stops
-            (the module docstring defines it). The default 1e-8 lies
-            above the ~1.5e-9 floor that ``reg_weight`` 1e-8 leaves on
-            the default design, and a tighter value may not be reached
-            within ``max_iters``.
+            (the module docstring defines it). Tighter values are reached
+            but score worse: on exact probabilities from the default design,
+            1e-8 stops after about 280 steps with minimum fidelity
+            (m <= 100) 0.99999, 1e-9 after about 12 000 with 0.991 and
+            1e-10 after about 37 000 with 0.957, because the exact
+            ``reg_weight`` 1e-8 optimum is further from the truth.
         init_eta: When given, in [0, 1], iterate from ``binomial_povm(init_eta)``
             instead of uniform columns. The start shapes the result: on
             noisy counts the solve stops at the noise floor within a few
@@ -145,11 +154,18 @@ def _project_columns(mat: np.ndarray) -> np.ndarray:
 
 
 def _objective(pi, q, p, reg_weight):
+    """Objective, data term, regularizer, residual and gradient at ``pi``."""
     resid = pi @ q - p
     data = float((resid * resid).sum())
     d = np.diff(pi, axis=1)
     reg = float((d * d).sum())
-    return data + reg_weight * reg, data, reg, resid, d
+    grad = 2.0 * (resid @ q.T)
+    if reg_weight > 0:
+        g = np.zeros_like(pi)
+        g[:, :-1] -= d
+        g[:, 1:] += d
+        grad += 2.0 * reg_weight * g
+    return data + reg_weight * reg, data, reg, resid, grad
 
 
 def reconstruct_povm(
@@ -208,18 +224,15 @@ def reconstruct_povm(
     lipschitz = 2.0 * (sigma_max**2 + cfg.reg_weight * _LAPLACIAN_NORM_BOUND)
     step = 1.0 / lipschitz
 
-    def mapped_step(pi, resid, d):
-        """The projected gradient step from ``pi`` and its gradient-mapping norm."""
-        grad = 2.0 * (resid @ q.T)
-        if cfg.reg_weight > 0:
-            g = np.zeros_like(pi)
-            g[:, :-1] -= d
-            g[:, 1:] += d
-            grad += 2.0 * cfg.reg_weight * g
-        pi_new = _project_columns(pi - step * grad)
-        return pi_new, float(np.linalg.norm(pi_new - pi)) / step
+    def mapped_step(beta):
+        """Step from the extrapolated point: Pi_{k+1}, the norm at Y, objective."""
+        y = pi + beta * (pi - pi_prev)
+        pi_new = _project_columns(y - step * (grad + beta * (grad - grad_prev)))
+        gmap = float(np.linalg.norm(pi_new - y)) / step
+        return pi_new, gmap, _objective(pi_new, q, p, cfg.reg_weight)
 
-    f, data, reg, resid, d = _objective(pi, q, p, cfg.reg_weight)
+    f, data, reg, resid, grad = _objective(pi, q, p, cfg.reg_weight)
+    pi_prev, grad_prev = pi, grad
     history = [f]
     converged = False
     stop_reason = "max_iters"
@@ -228,23 +241,32 @@ def reconstruct_povm(
         converged = True
         stop_reason = "noise_floor"
     else:
+        k = 0  # steps since momentum last restarted
         for iters in range(1, cfg.max_iters + 1):
-            pi_new, gmap = mapped_step(pi, resid, d)
-            if gmap <= cfg.tol:
+            beta = max(k - 1, 0) / (k + 2)
+            pi_new, gmap, new = mapped_step(beta)
+            if beta > 0 and new[0] > f:
+                # Momentum raised the objective: restart with a plain step.
+                beta, k = 0.0, 0
+                pi_new, gmap, new = mapped_step(beta)
+            if beta == 0 and gmap <= cfg.tol:
                 # First-order optimality certificate at pi; keep it.
                 converged = True
                 stop_reason = "objective_tol"
                 iters -= 1
                 break
+            # After a step this short, a plain step checks the certificate.
+            k = 0 if gmap <= cfg.tol else k + 1
+            pi_prev, grad_prev = pi, grad
             pi = pi_new
-            f, data, reg, resid, d = _objective(pi, q, p, cfg.reg_weight)
+            f, data, reg, resid, grad = new
             history.append(f)
             if noise_floor is not None and data <= noise_floor:
                 converged = True
                 stop_reason = "noise_floor"
                 break
     if stop_reason != "objective_tol":
-        gmap = mapped_step(pi, resid, d)[1]
+        gmap = mapped_step(0.0)[1]
 
     # Report per probe in column order.
     inv = np.argsort(order)

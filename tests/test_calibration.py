@@ -352,6 +352,15 @@ def test_count_table_from_counts():
     assert table.n_probes == 2
 
 
+@pytest.mark.parametrize("bad", [0.7, True, "3"])
+def test_count_table_probe_ids_must_be_integers(bad):
+    probs = np.array([[0.5, 0.5], [0.5, 0.5]])
+    with pytest.raises(TypeError, match="probe_ids"):
+        tp.CountTable.from_probs(probs, probe_ids=(5, bad))
+    ids = tp.CountTable.from_probs(probs, probe_ids=(np.int64(5), np.int64(3))).probe_ids
+    assert ids == (5, 3) and all(type(i) is int for i in ids)
+
+
 def test_count_table_from_probs_column():
     table = tp.CountTable.from_probs(np.array([[0.25], [0.75]]))
     assert table.counts is None

@@ -34,6 +34,14 @@ def test_fidelity_curve_split_semantics():
     assert math.isclose(empty_high.min_low, curve.values.min())
 
 
+def test_fidelity_curve_split_must_be_nonnegative_integer():
+    povm = tp.binomial_povm(0.3, 6, 10)
+    with pytest.raises(ValueError, match=r"split must lie in \[0, inf\), got -5"):
+        tp.fidelity_curve(povm, povm, split=-5)
+    with pytest.raises(TypeError, match="split must be an integer"):
+        tp.fidelity_curve(povm, povm, split=4.5)
+
+
 def test_fidelity_curve_detects_disagreement():
     a = tp.binomial_povm(0.5, 12, 40)
     b = tp.binomial_povm(0.6, 12, 40)
