@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,10 +149,11 @@ class CountTable:
     probabilities, ``probs`` alone, never both. A counted table derives
     ``probs`` from its counts, column by column, so the two cannot
     disagree and no column is empty; a table without counts has
-    ``counts=None``. ``probe_ids`` names the probe of each column; when
-    none are given (``None`` or empty) the columns are probes
-    ``0 .. n-1``. Consumers pair columns with probes by these ids
-    through ``ensemble.subset(table.probe_ids)``, never by position.
+    ``counts=None``. ``probe_ids``, a 1-D sequence or array of integers,
+    names the probe of each column; when none are given (``None`` or
+    empty) the columns are probes ``0 .. n-1``. Consumers pair columns
+    with probes by these ids through ``ensemble.subset(table.probe_ids)``,
+    never by position.
     """
 
     probs: np.ndarray | None = None
@@ -180,7 +182,12 @@ class CountTable:
             raise ValueError("probs must be 2-D (outcomes x probes)")
         _check_stochastic(probs, "probs")
         object.__setattr__(self, "probs", probs)
-        ids = tuple(self.probe_ids or range(probs.shape[1]))
+        ids = self.probe_ids
+        if isinstance(ids, np.ndarray):
+            ids = ids.tolist()
+        if ids is not None and (isinstance(ids, (str, bytes)) or not isinstance(ids, Sequence)):
+            raise TypeError(f"probe_ids must be a sequence of integers, got {self.probe_ids!r}")
+        ids = tuple(ids or range(probs.shape[1]))
         for i in ids:
             _check_number("probe_ids", i, "(-inf, inf)", integer=True)
         if len(ids) != probs.shape[1]:

@@ -6,15 +6,21 @@ takes a config; :func:`files.parse_config` refuses an unknown or mistyped
 key before a trace is written. It records it as the run config in
 ``ensemble.json``, the one copy every later stage reads, and its hash in
 ``manifest.json``.
-``reconstruct`` solves with that config's reconstruction section and
-records every solver setting in ``povm.json``, which ``validate`` reuses
-for its sensitivity sweep. ``calibrate`` reads the trace of each probe
-id of the run config, and the later stages pair count-table columns
-with the run config's probes by id; a column id the run config lacks
-exits 2 naming the ``--counts`` file. Exit codes: 0 success, 2 schema or
-input validation error, 3 numerical failure, 4 lineage mismatch
-(artifacts from different runs; --force, where a stage offers it,
-overrides). An ``ensemble.json`` whose hash is not that of its config is
+Each stage has one route. ``calibrate`` bins every probe by thresholds
+between the run's comb teeth. ``estimate`` fits efficiency and dark rate
+jointly (:func:`~tespovm.estimation.estimate_eta_gamma`), which needs
+usable probes at two or more mean photon numbers (exit 3 otherwise).
+``reconstruct`` starts from that fit's efficiency, solves with the run
+config's reconstruction section and records every solver setting in
+``povm.json``, which ``validate`` reuses for its sensitivity sweep;
+``validate`` scores against the fitted linear detector
+``binomial_povm(eta_hat, ..., gamma_hat)``. ``calibrate`` reads the
+trace of each probe id of the run config, and the later stages pair
+count-table columns with the run config's probes by id; a column id the
+run config lacks exits 2 naming the ``--counts`` file. Exit codes: 0
+success, 2 schema or input validation error, 3 numerical failure, 4
+lineage mismatch (artifacts from different runs; --force, where a stage
+offers it, overrides). An ``ensemble.json`` whose hash is not that of its config is
 corrupt, not a mix: exit 2, even with --force.
 """
 
@@ -29,9 +35,9 @@ from pathlib import Path
 import numpy as np
 
 from . import files
-from .calibration import CountTable, bin_counts, bin_counts_by_area, fit_run, place_thresholds
+from .calibration import CountTable, bin_counts, fit_run, place_thresholds
 from .errors import CalibrationError, EstimationError, LineageError, SchemaError
-from .estimation import estimate_eta, estimate_eta_gamma
+from .estimation import estimate_eta_gamma
 from .metrics import fidelity_curve, sensitivity_sweep, three_way_comparison
 from .photon_stats import _check_number, binomial_povm
 from .tes_sim import simulate_ensemble
@@ -56,10 +62,8 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _bin_one(trace, fit, n_outcomes, method):
+def _bin_one(trace, fit, n_outcomes):
     thresholds = place_thresholds(fit)
-    if method == "area":
-        return thresholds, bin_counts_by_area(trace, fit, n_outcomes)
     return thresholds, bin_counts(trace, thresholds, n_outcomes)
 
 
@@ -92,7 +96,7 @@ def cmd_calibrate(args) -> int:
         if not fits:
             raise CalibrationError("every probe failed calibration")
         kept_ids = sorted(fits)
-        binned = {pid: pool.submit(_bin_one, traces[pid], fits[pid], n_outcomes, args.method)
+        binned = {pid: pool.submit(_bin_one, traces[pid], fits[pid], n_outcomes)
                   for pid in kept_ids}
     results = {pid: fut.result() for pid, fut in binned.items()}
 
@@ -101,8 +105,7 @@ def cmd_calibrate(args) -> int:
         np.column_stack([results[pid][1] for pid in kept_ids]), probe_ids=tuple(kept_ids)
     )
     files.write_count_table(
-        out / "counts.json", table, cfg_hash, args.method,
-        skipped_probe_ids=sorted(failures),
+        out / "counts.json", table, cfg_hash, skipped_probe_ids=sorted(failures),
     )
     for pid in kept_ids:
         files.write_fit_report(
@@ -110,7 +113,7 @@ def cmd_calibrate(args) -> int:
         )
     for pid, exc in sorted(failures.items()):
         print(f"probe {pid}: skipped ({exc})", file=sys.stderr)
-    print(f"calibrated {len(kept_ids)} probes ({args.method}) -> {out}")
+    print(f"calibrated {len(kept_ids)} probes -> {out}")
     return EXIT_OK
 
 
@@ -130,7 +133,7 @@ def cmd_reconstruct(args) -> int:
                         args.force)
     _check_pairing(table, run.ensemble, args.counts)
     cfg = dataclasses.replace(run.reconstruction,
-                              init_eta=estimate_eta(table, run.ensemble).eta_hat)
+                              init_eta=estimate_eta_gamma(table, run.ensemble).eta_hat)
     result = reconstruct_povm(table, run.ensemble, cfg)
     out = Path(args.out)
     files.write_povm(out / "povm.json", result, cfg, counts_hash)
@@ -153,18 +156,11 @@ def cmd_estimate(args) -> int:
     files.check_lineage({args.counts: counts_hash, args.ensemble: ensemble_hash},
                         args.force)
     _check_pairing(table, run.ensemble, args.counts)
-    if args.dark_counts:
-        estimate = estimate_eta_gamma(table, run.ensemble)
-        method = "eta_gamma"
-    else:
-        estimate = estimate_eta(table, run.ensemble)
-        method = "eta"
+    estimate = estimate_eta_gamma(table, run.ensemble)
     out = Path(args.out)
-    files.write_estimate(out / "estimate.json", estimate, counts_hash, method)
-    gamma_part = (
-        f", gamma_hat={estimate.gamma_hat:.4g}" if estimate.gamma_hat is not None else ""
-    )
-    print(f"estimated eta_hat={estimate.eta_hat:.6f}{gamma_part} -> {out}")
+    files.write_estimate(out / "estimate.json", estimate, counts_hash)
+    print(f"estimated eta_hat={estimate.eta_hat:.6f}, "
+          f"gamma_hat={estimate.gamma_hat:.4g} -> {out}")
     return EXIT_OK
 
 
@@ -181,9 +177,8 @@ def cmd_validate(args) -> int:
                         args.force)
     _check_pairing(table, run.ensemble, args.counts)
 
-    # The reference is the fitted linear detector; an eta-only fit has no gamma_hat.
-    eta_hat = float(estimate["eta_hat"])
-    gamma_hat = float(estimate.get("gamma_hat") or 0.0)
+    # The reference is the fitted linear detector.
+    eta_hat, gamma_hat = float(estimate["eta_hat"]), float(estimate["gamma_hat"])
     comparisons = three_way_comparison(table, povm, eta_hat, run.ensemble, gamma_hat)
     reference = binomial_povm(eta_hat, povm.n_outcomes, povm.truncation, gamma_hat)
     curve = fidelity_curve(povm, reference, split=args.split)
@@ -243,7 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
     cal = sub.add_parser("calibrate", help="fit peaks and bin counts")
     cal.add_argument("--traces", required=True, help="simulate output directory")
     cal.add_argument("--out", required=True)
-    cal.add_argument("--method", choices=["threshold", "area"], default="threshold")
     cal.add_argument("--jobs", type=int, default=1)
     cal.add_argument("--skip-failed", action="store_true",
                      help="drop probes that fail calibration instead of aborting")
@@ -256,12 +250,10 @@ def build_parser() -> argparse.ArgumentParser:
     rec.add_argument("--force", action="store_true")
     rec.set_defaults(func=cmd_reconstruct)
 
-    est = sub.add_parser("estimate", help="maximum-likelihood detector parameters")
+    est = sub.add_parser("estimate", help="maximum-likelihood efficiency and dark rate")
     est.add_argument("--counts", required=True)
     est.add_argument("--ensemble", required=True)
     est.add_argument("--out", required=True)
-    est.add_argument("--dark-counts", action="store_true",
-                     help="jointly fit the dark-count rate")
     est.add_argument("--force", action="store_true")
     est.set_defaults(func=cmd_estimate)
 

@@ -14,7 +14,6 @@ they need the raw event counts of the table.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,15 +121,10 @@ def _maximize(cols: np.ndarray, design: np.ndarray, lower, upper, x0) -> np.ndar
 def _fit(counts: CountTable, ensemble: ProbeEnsemble, joint: bool) -> EfficiencyEstimate:
     """Pooled fit of eta, and of gamma when ``joint``, over the usable probes."""
     probes = ensemble.subset(counts.probe_ids)
-    used = []
     # Pooling in canonical id order makes the fit bitwise permutation-invariant.
     # A probe of mu 0 measures gamma alone, so only the eta fit skips it.
-    for j in np.argsort(counts.probe_ids):
-        if joint or probes.probes[j].mean_photons > 0:
-            used.append(j)
-        else:
-            warnings.warn(f"probe {probes.probes[j].id}: mean_photons is 0, carries no "
-                          "efficiency information, skipped", stacklevel=3)
+    used = [j for j in np.argsort(counts.probe_ids)
+            if joint or probes.probes[j].mean_photons > 0]
     if not used:
         raise EstimationError("no usable probes: every column was degenerate")
     # Event counts weigh the likelihood when the table has them.
@@ -193,7 +187,8 @@ def estimate_eta(counts: CountTable, ensemble: ProbeEnsemble) -> EfficiencyEstim
     maximizers, in column order. Columns pair with the ensemble's probes
     by id (:meth:`ProbeEnsemble.subset`), and the fit pools them in id
     order, so it is bitwise the same for any column order. Probes of
-    mu zero carry no information and are skipped with a warning.
+    mu zero carry no efficiency information: the fit skips them, and
+    their ``per_probe_etas`` entry is NaN.
 
     Raises:
         ValueError: A column id names no probe of the ensemble.

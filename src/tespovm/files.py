@@ -129,7 +129,7 @@ def parse_config(config: dict) -> RunConfig:
     number of the right kind (a bool is not one) or out of range raises
     :class:`SchemaError` naming the section and the key. So do other
     top-level keys and ``reconstruction.init_eta``, since ``reconstruct``
-    starts from :func:`~tespovm.estimation.estimate_eta`. A probe's ``id``
+    starts from :func:`~tespovm.estimation.estimate_eta_gamma`. A probe's ``id``
     defaults to its index.
     """
     if not isinstance(config, dict):
@@ -143,7 +143,7 @@ def parse_config(config: dict) -> RunConfig:
     reconstruction = config.get("reconstruction", {})
     if isinstance(reconstruction, dict) and "init_eta" in reconstruction:
         raise SchemaError("config: reconstruction: init_eta is not a config key; "
-                          "reconstruct starts from the estimate_eta efficiency")
+                          "reconstruct starts from the fitted efficiency")
     calibration = config.get("calibration", {})
     _build("calibration", functools.partial(fit_run, ()), calibration)
     return RunConfig(
@@ -268,13 +268,11 @@ def read_ensemble(path) -> tuple[RunConfig, str]:
 
 # -- count tables ------------------------------------------------------------
 
-def write_count_table(path, table: CountTable, cfg_hash: str, method: str,
-                      skipped_probe_ids=()):
+def write_count_table(path, table: CountTable, cfg_hash: str, skipped_probe_ids=()):
     """Write a table as its ``counts``, or as ``probs`` when it has none."""
     data = {"probs": table.probs} if table.counts is None else {"counts": table.counts}
     write_json(path, {
         "config_hash": cfg_hash,
-        "method": method,
         "probe_ids": list(table.probe_ids),
         "skipped_probe_ids": list(skipped_probe_ids),
         **data,
@@ -384,23 +382,20 @@ def write_fit_report(path, fit: GaussianMixtureFit, thresholds: ThresholdSet,
     )
 
 
-def write_estimate(path, estimate, cfg_hash: str, method: str):
-    write_json(
-        path,
-        {"config_hash": cfg_hash, "method": method, **dataclasses.asdict(estimate)},
-    )
+def write_estimate(path, estimate, cfg_hash: str):
+    write_json(path, {"config_hash": cfg_hash, **dataclasses.asdict(estimate)})
 
 
 def read_estimate(path) -> tuple[dict, str]:
     """The payload and config hash of an ``estimate.json``, whose ``eta_hat``
-    must be a number in [0, 1] and ``gamma_hat``, when not null, one >= 0."""
+    must be a number in [0, 1] and ``gamma_hat`` one >= 0."""
     payload = read_json(path)
     cfg_hash = _require(payload, "config_hash", str(path))
     eta_hat = _require(payload, "eta_hat", str(path))
+    gamma_hat = _require(payload, "gamma_hat", str(path))
     try:
         _check_number("eta_hat", eta_hat, "[0, 1]")
-        if payload.get("gamma_hat") is not None:
-            _check_number("gamma_hat", payload["gamma_hat"], "[0, inf)")
+        _check_number("gamma_hat", gamma_hat, "[0, inf)")
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"{path}: {exc}") from exc
     return payload, cfg_hash

@@ -352,13 +352,17 @@ def test_count_table_from_counts():
     assert table.n_probes == 2
 
 
-@pytest.mark.parametrize("bad", [0.7, True, "3"])
+@pytest.mark.parametrize("bad", [
+    (5, 0.7), (5, True), (5, "3"), 5, "53", {5, 3}, np.array([[5, 3]]), np.array([5.0, 3.0]),
+], ids=["0.7", "True", "3", "int", "str", "set", "2-D", "float-array"])
 def test_count_table_probe_ids_must_be_integers(bad):
     probs = np.array([[0.5, 0.5], [0.5, 0.5]])
     with pytest.raises(TypeError, match="probe_ids"):
-        tp.CountTable.from_probs(probs, probe_ids=(5, bad))
-    ids = tp.CountTable.from_probs(probs, probe_ids=(np.int64(5), np.int64(3))).probe_ids
-    assert ids == (5, 3) and all(type(i) is int for i in ids)
+        tp.CountTable.from_probs(probs, probe_ids=bad)
+    for good in ((np.int64(5), np.int64(3)), np.array([5, 3]), [5, 3]):
+        ids = tp.CountTable.from_probs(probs, probe_ids=good).probe_ids
+        assert ids == (5, 3) and all(type(i) is int for i in ids)
+    assert tp.CountTable.from_probs(probs, probe_ids=np.array([], int)).probe_ids == (0, 1)
 
 
 def test_count_table_from_probs_column():

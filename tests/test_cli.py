@@ -55,17 +55,18 @@ def _stage_argv(stage, run, out):
     return [stage, *inputs, "--out", str(out)]
 
 
-def _run_pipeline(root, config, estimate_flags=()):
+def _run_pipeline(root, config, jobs=None):
     """The five stages on ``config``; no stage after simulate sees the config."""
     cfg_path = root / "config.json"
     cfg_path.write_text(json.dumps(config))
     run = {"config": cfg_path, **{name: root / name for name in
                                   ("sim", "cal", "rec", "est", "val")}}
+    jobs_flag = [] if jobs is None else ["--jobs", str(jobs)]
     codes = [main(["simulate", "--config", str(cfg_path), "--seed", "1",
-                   "--out", str(run["sim"])])]
+                   "--out", str(run["sim"])] + jobs_flag)]
     for stage, out in (("calibrate", "cal"), ("reconstruct", "rec"),
                        ("estimate", "est"), ("validate", "val")):
-        flags = list(estimate_flags) if stage == "estimate" else []
+        flags = jobs_flag if stage == "calibrate" else []
         codes.append(main(_stage_argv(stage, root, run[out]) + flags))
     assert codes == [0, 0, 0, 0, 0]
     return run
@@ -184,11 +185,13 @@ def test_ensemble_json_is_the_run_config(pipeline):
 
 
 def test_pipeline_estimate_artifact(pipeline):
+    # estimate always fits efficiency and dark rate jointly.
     payload, _ = files.read_estimate(pipeline["est"] / "estimate.json")
-    assert payload["method"] == "eta"
+    assert "method" not in payload
     assert abs(payload["eta_hat"] - 0.051) < 0.005
     assert 0 < payload["eta_se"] < 0.01
-    assert payload["gamma_hat"] is None
+    assert payload["gamma_hat"] >= 0.0
+    assert payload["gamma_upper"] >= payload["gamma_hat"]
 
 
 def test_pipeline_fidelity_artifact(pipeline):
@@ -249,6 +252,9 @@ def test_validate_checks_before_it_writes(pipeline, tmp_path, capsys):
     assert not out.exists()
 
 
+_MISSING = object()  # an estimate.json edit that deletes the key
+
+
 @pytest.mark.parametrize("flags, estimate, named", [
     (["--energy-scale", "nan"], {}, r"--energy-scale must lie in \[0, 1\), got nan"),
     (["--energy-scale", "-0.03"], {}, r"--energy-scale must lie in \[0, 1\), got -0\.03"),
@@ -259,14 +265,18 @@ def test_validate_checks_before_it_writes(pipeline, tmp_path, capsys):
     ([], {"eta_hat": "0.05"}, r"estimate\.json: eta_hat must be a real number, got '0\.05'"),
     ([], {"eta_hat": float("nan")}, r"estimate\.json: eta_hat must lie in \[0, 1\], got nan"),
     ([], {"gamma_hat": -0.1}, r"estimate\.json: gamma_hat must lie in \[0, inf\), got -0\.1"),
+    ([], {"gamma_hat": None}, r"estimate\.json: gamma_hat must be a real number, got None"),
+    ([], {"gamma_hat": _MISSING}, r"estimate\.json: missing field 'gamma_hat'"),
 ], ids=["energy-scale_nan", "energy-scale_-0.03", "attenuation-db_inf", "attenuation-db_-0.1",
-        "split_-5", "eta_hat_true", "eta_hat_string", "eta_hat_NaN", "gamma_hat_-0.1"])
+        "split_-5", "eta_hat_true", "eta_hat_string", "eta_hat_NaN", "gamma_hat_-0.1",
+        "gamma_hat_null", "gamma_hat_missing"])
 def test_validate_refuses_a_bad_flag_or_estimate(pipeline, tmp_path, capsys, flags, estimate,
                                                  named):
     # Each is refused where it enters, naming the flag or the file, before
     # any report is written.
-    payload = json.loads((pipeline["est"] / "estimate.json").read_text())
-    (tmp_path / "estimate.json").write_text(json.dumps({**payload, **estimate}))
+    payload = {**json.loads((pipeline["est"] / "estimate.json").read_text()), **estimate}
+    payload = {k: v for k, v in payload.items() if v is not _MISSING}
+    (tmp_path / "estimate.json").write_text(json.dumps(payload))
     out = tmp_path / "val"
     rc = main([
         "validate", "--povm", str(pipeline["rec"] / "povm.json"),
@@ -280,25 +290,16 @@ def test_validate_refuses_a_bad_flag_or_estimate(pipeline, tmp_path, capsys, fla
     assert not out.exists()
 
 
-def test_calibrate_area_method(pipeline, tmp_path):
-    rc = main(["calibrate", "--traces", str(pipeline["sim"]),
-               "--out", str(tmp_path), "--method", "area"])
-    assert rc == 0
-    payload = json.loads((tmp_path / "counts.json").read_text())
-    assert payload["method"] == "area"
-    table, _ = files.read_count_table(tmp_path / "counts.json")
-    assert table.probe_ids == (0, 1, 2, 3, 4)
-
-
-def test_estimate_dark_counts_flag(pipeline, tmp_path):
-    rc = main(["estimate", "--counts", str(pipeline["cal"] / "counts.json"),
-               "--ensemble", str(pipeline["sim"] / "ensemble.json"),
-               "--out", str(tmp_path), "--dark-counts"])
-    assert rc == 0
-    payload, _ = files.read_estimate(tmp_path / "estimate.json")
-    assert payload["method"] == "eta_gamma"
-    assert payload["gamma_hat"] >= 0.0
-    assert payload["gamma_upper"] >= payload["gamma_hat"]
+@pytest.mark.parametrize("stage, flag", [
+    ("calibrate", ["--method", "area"]), ("estimate", ["--dark-counts"]),
+])
+def test_removed_route_flags_exit_2(pipeline, tmp_path, capsys, stage, flag):
+    # Each stage has one route: threshold binning, the (eta, gamma) fit.
+    with pytest.raises(SystemExit) as exit_info:
+        main(_stage_argv(stage, pipeline["config"].parent, tmp_path / stage) + flag)
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert not (tmp_path / stage).exists()
 
 
 def test_validate_scores_the_fitted_dark_count_model(tmp_path):
@@ -314,7 +315,7 @@ def test_validate_scores_the_fitted_dark_count_model(tmp_path):
         ["reconstruct", "--counts", str(tmp_path / "cal/counts.json"),
          "--ensemble", str(tmp_path / "sim/ensemble.json")],
         ["estimate", "--counts", str(tmp_path / "cal/counts.json"),
-         "--ensemble", str(tmp_path / "sim/ensemble.json"), "--dark-counts"],
+         "--ensemble", str(tmp_path / "sim/ensemble.json")],
         ["validate", "--povm", str(tmp_path / "rec/povm.json"),
          "--counts", str(tmp_path / "cal/counts.json"),
          "--ensemble", str(tmp_path / "sim/ensemble.json"),
@@ -328,20 +329,22 @@ def test_validate_scores_the_fitted_dark_count_model(tmp_path):
     assert max(p["tv_linear"] for p in comparison["probes"]) <= 0.01
 
 
-def test_estimate_dark_counts_single_mu_exits_3(tmp_path, capsys):
-    # One mean photon number identifies only eta * mu + gamma.
-    ens = tp.ProbeEnsemble(tuple(tp.Probe(id=i, mean_photons=8.0) for i in range(2)))
-    table = tp.CountTable.from_counts(np.array([[50, 40], [30, 35], [20, 25]]),
-                                      probe_ids=ens.ids)
-    config = {"probes": [{"id": p.id, "mean_photons": p.mean_photons} for p in ens.probes]}
+@pytest.mark.parametrize("stage", ["estimate", "reconstruct"])
+@pytest.mark.parametrize("mu", [0.0, 8.0])
+def test_single_mu_design_exits_3(tmp_path, capsys, stage, mu):
+    # One mean photon number identifies only eta * mu + gamma, so neither
+    # the estimate nor the solver's start exists.
+    config = {"probes": [{"id": i, "mean_photons": mu} for i in range(3)],
+              "reconstruction": {"n_outcomes": 3, "truncation": 6}}
     files.write_ensemble(tmp_path / "ensemble.json", config)
-    files.write_count_table(tmp_path / "counts.json", table, files.config_hash(config),
-                            "threshold")
-    argv = ["estimate", "--counts", str(tmp_path / "counts.json"),
-            "--ensemble", str(tmp_path / "ensemble.json"), "--out", str(tmp_path)]
-    assert main(argv + ["--dark-counts"]) == 3
+    table = tp.CountTable.from_counts(np.array([[50, 40, 45], [30, 35, 30], [20, 25, 25]]),
+                                      probe_ids=(0, 1, 2))
+    files.write_count_table(tmp_path / "counts.json", table, files.config_hash(config))
+    assert main([stage, "--counts", str(tmp_path / "counts.json"),
+                 "--ensemble", str(tmp_path / "ensemble.json"),
+                 "--out", str(tmp_path / "out")]) == 3
     assert "distinct mean photon numbers" in capsys.readouterr().err
-    assert main(argv) == 0
+    assert not (tmp_path / "out").exists()
 
 
 def test_missing_counts_exits_2(pipeline, tmp_path, capsys):
@@ -449,24 +452,6 @@ def test_outcome_mismatch_exits_2(pipeline, tmp_path, capsys):
     assert not (tmp_path / "povm.json").exists()
 
 
-def test_reconstruct_unfittable_table_exits_3(tmp_path, capsys):
-    # Probes of mean photon number 0 carry no efficiency information, so
-    # there is no start to solve from.
-    config = {"probes": [{"id": i, "mean_photons": 0.0} for i in range(3)]}
-    files.write_ensemble(tmp_path / "ensemble.json", config)
-    table = tp.CountTable.from_counts(np.array([[100, 90, 95]] + [[0, 10, 5]] * 11),
-                                      probe_ids=(0, 1, 2))
-    files.write_count_table(tmp_path / "counts.json", table, files.config_hash(config),
-                            "threshold")
-    with pytest.warns(UserWarning, match="no efficiency information"):
-        rc = main(["reconstruct", "--counts", str(tmp_path / "counts.json"),
-                   "--ensemble", str(tmp_path / "ensemble.json"),
-                   "--out", str(tmp_path / "rec")])
-    assert rc == 3
-    assert "no usable probes" in capsys.readouterr().err
-    assert not (tmp_path / "rec" / "povm.json").exists()
-
-
 @pytest.mark.parametrize("max_iters", [50, None])
 def test_reconstruct_reports_its_certificate(tmp_path, capsys, max_iters):
     # Exact probabilities have no noise floor, so only the certificate
@@ -483,7 +468,7 @@ def test_reconstruct_reports_its_certificate(tmp_path, capsys, max_iters):
     q, _ = tp.probe_q_matrix(ensemble, 4)
     table = tp.CountTable.from_probs(tp.binomial_povm(0.6, 4, 4).entries @ q,
                                      probe_ids=ensemble.ids)
-    files.write_count_table(tmp_path / "counts.json", table, cfg_hash, "exact")
+    files.write_count_table(tmp_path / "counts.json", table, cfg_hash)
     assert main(["reconstruct", "--counts", str(tmp_path / "counts.json"),
                  "--ensemble", str(tmp_path / "ensemble.json"),
                  "--out", str(tmp_path / "rec")]) == 0
@@ -498,13 +483,13 @@ def test_reconstruct_reports_its_certificate(tmp_path, capsys, max_iters):
 
 
 def test_sweep_baseline_is_the_reported_povm(tmp_path):
-    # With dark counts the estimate's eta differs from the eta that
-    # reconstruct starts from; the sweep must still solve as reconstruct did.
-    run = _run_pipeline(tmp_path, _config(gamma=0.2), estimate_flags=["--dark-counts"])
+    # With dark counts reconstruct starts from the (eta, gamma) fit's eta,
+    # as estimate reports it, and the sweep solves as reconstruct did.
+    run = _run_pipeline(tmp_path, _config(gamma=0.2))
     povm = json.loads((run["rec"] / "povm.json").read_text())
     estimate = json.loads((run["est"] / "estimate.json").read_text())
-    assert estimate["method"] == "eta_gamma"
-    assert povm["init_eta"] != estimate["eta_hat"]
+    assert abs(estimate["gamma_hat"] - 0.2) < 0.05
+    assert povm["init_eta"] == estimate["eta_hat"]
     fidelity = json.loads((run["val"] / "fidelity.json").read_text())
     sweep = json.loads((run["val"] / "sweep.json").read_text())
     baseline = next(pt for pt in sweep["points"] if pt["label"] == "baseline")
@@ -515,7 +500,7 @@ def test_lineage_mismatch_exits_4(pipeline, tmp_path, capsys):
     # A count table of another run: both files are named, --force mixes them.
     table, _ = files.read_count_table(pipeline["cal"] / "counts.json")
     other = tmp_path / "counts.json"
-    files.write_count_table(other, table, "deadbeef", "threshold")
+    files.write_count_table(other, table, "deadbeef")
     ensemble = pipeline["sim"] / "ensemble.json"
     argv = ["estimate", "--counts", str(other), "--ensemble", str(ensemble),
             "--out", str(tmp_path / "est")]
@@ -575,18 +560,22 @@ def test_calibrate_short_trace_exits_3_unless_skipped(pipeline, tmp_path, capsys
     assert table.probe_ids == (0, 1, 3, 4)
 
 
-def test_simulate_jobs_write_identical_traces(tmp_path):
-    cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps(_config()))
-    for jobs in ("1", "2"):
-        rc = main(["simulate", "--config", str(cfg), "--seed", "3",
-                   "--out", str(tmp_path / jobs), "--jobs", jobs])
-        assert rc == 0
-    names = sorted(p.name for p in (tmp_path / "1").glob("trace_probe_*"))
-    assert len(names) == 10
-    assert names == sorted(p.name for p in (tmp_path / "2").glob("trace_probe_*"))
-    for name in names:
-        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+def test_chain_is_bitwise_the_same_for_any_jobs(tmp_path):
+    # Every artifact is a function of the run config and the seed alone:
+    # --jobs spreads simulate's and calibrate's work, never changes a byte.
+    written = []
+    for jobs in (1, 2):
+        root = tmp_path / str(jobs)
+        root.mkdir()
+        _run_pipeline(root, _config(), jobs=jobs)
+        written.append({path.relative_to(root): path.read_bytes()
+                        for stage in ("sim", "cal", "rec", "est", "val")
+                        for path in sorted((root / stage).rglob("*")) if path.is_file()})
+    assert sorted(written[0]) == sorted(written[1])
+    assert len([p for p in written[0] if p.name.startswith("trace_probe_")]) == 10
+    assert Path("val/sweep.json") in written[0]
+    for path, data in written[0].items():
+        assert data == written[1][path], path
 
 
 def _copy_sim(pipeline, tmp_path, edit=None):
@@ -681,7 +670,7 @@ def test_skipped_probes_pair_by_id(pipeline, tmp_path):
     keep = [0, 1, 3, 4]
     sub = tp.CountTable.from_counts(table.counts[:, keep], probe_ids=tuple(keep))
     counts = tmp_path / "counts.json"
-    files.write_count_table(counts, sub, cfg_hash, "threshold", skipped_probe_ids=[2])
+    files.write_count_table(counts, sub, cfg_hash, skipped_probe_ids=[2])
     ensemble = str(pipeline["sim"] / "ensemble.json")
     assert main(["estimate", "--counts", str(counts), "--ensemble", ensemble,
                  "--out", str(tmp_path / "est")]) == 0
@@ -740,8 +729,7 @@ def _write_honest_counts(payload, path) -> bool:
                                           probe_ids=payload["probe_ids"])
     except ValueError:
         return False
-    files.write_count_table(path, table, payload["config_hash"], payload["method"],
-                            payload["skipped_probe_ids"])
+    files.write_count_table(path, table, payload["config_hash"], payload["skipped_probe_ids"])
     return True
 
 

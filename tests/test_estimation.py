@@ -197,8 +197,8 @@ def test_estimate_eta_skips_degenerate_probes():
         _poisson_column(0.5, 6),
     ])
     table = tp.CountTable.from_probs(cols, probe_ids=(0, 1))
-    with pytest.warns(UserWarning, match="skipped"):
-        est = tp.estimate_eta(table, ens)
+    # The mu 0 probe is skipped without a warning; its eta is NaN.
+    est = tp.estimate_eta(table, ens)
     assert math.isnan(est.per_probe_etas[0])
     assert abs(est.per_probe_etas[1] - 0.05) < 1e-5
     assert est.eta_se is None  # single usable probe
@@ -207,9 +207,8 @@ def test_estimate_eta_skips_degenerate_probes():
 def test_estimate_eta_all_degenerate_raises():
     ens = tp.ProbeEnsemble((tp.Probe(id=0, mean_photons=0.0),))
     table = tp.CountTable.from_probs(np.array([[1.0], [0.0]]), probe_ids=(0,))
-    with pytest.warns(UserWarning):
-        with pytest.raises(tp.EstimationError, match="no usable probes"):
-            tp.estimate_eta(table, ens)
+    with pytest.raises(tp.EstimationError, match="no usable probes"):
+        tp.estimate_eta(table, ens)
 
 
 def test_estimate_alignment_validation():

@@ -1,5 +1,6 @@
 """Round-trip and schema tests for the on-disk artifact formats."""
 
+import argparse
 import dataclasses
 import inspect
 import json
@@ -16,6 +17,7 @@ from hypothesis.extra import numpy as hnp
 
 import tespovm as tp
 from tespovm import files
+from tespovm.cli import build_parser
 
 
 def _small_reconstruction():
@@ -88,6 +90,22 @@ def test_public_names_are_pinned():
         "place_thresholds", "poisson_pmf", "predict_distribution", "probe_q_matrix",
         "project_simplex", "reconstruct_povm", "sensitivity_sweep",
         "simulate_ensemble", "simulate_trace", "three_way_comparison",
+    }
+
+
+def test_cli_options_are_pinned():
+    # Adding or dropping a command-line option is a visible edit here.
+    (subcommands,) = [action for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction)]
+    options = {name: sorted(opt for action in sub._actions for opt in action.option_strings)
+               for name, sub in subcommands.choices.items()}
+    assert options == {
+        "simulate": ["--config", "--help", "--jobs", "--out", "--seed", "-h"],
+        "calibrate": ["--help", "--jobs", "--out", "--skip-failed", "--traces", "-h"],
+        "reconstruct": ["--counts", "--ensemble", "--force", "--help", "--out", "-h"],
+        "estimate": ["--counts", "--ensemble", "--force", "--help", "--out", "-h"],
+        "validate": ["--attenuation-db", "--counts", "--energy-scale", "--ensemble",
+                     "--estimate", "--force", "--help", "--out", "--povm", "--split", "-h"],
     }
 
 
@@ -209,24 +227,21 @@ def test_ensemble_roundtrip(tmp_path):
 def test_count_table_roundtrip(tmp_path):
     counts = np.array([[120, 30], [40, 60], [0, 10]], dtype=np.int64)
     table = tp.CountTable.from_counts(counts, probe_ids=(3, 1))
-    files.write_count_table(tmp_path / "counts.json", table, "h", "threshold",
-                            skipped_probe_ids=[2])
+    files.write_count_table(tmp_path / "counts.json", table, "h", skipped_probe_ids=[2])
     back, h = files.read_count_table(tmp_path / "counts.json")
     assert h == "h"
     assert np.array_equal(back.counts, counts)
     assert np.array_equal(back.probs, table.probs)  # repr-exact floats
     assert back.probe_ids == (3, 1)
     payload = json.loads((tmp_path / "counts.json").read_text())
-    assert payload["method"] == "threshold"
     assert payload["skipped_probe_ids"] == [2]
     # The counts are the table: no probabilities or dimensions beside them.
-    assert sorted(payload) == ["config_hash", "counts", "method", "probe_ids",
-                               "skipped_probe_ids"]
+    assert sorted(payload) == ["config_hash", "counts", "probe_ids", "skipped_probe_ids"]
 
 
 def test_count_table_probs_only_roundtrip(tmp_path):
     table = tp.CountTable.from_probs(np.array([[0.25], [0.75]]))
-    files.write_count_table(tmp_path / "probs.json", table, "h", "exact")
+    files.write_count_table(tmp_path / "probs.json", table, "h")
     back, _ = files.read_count_table(tmp_path / "probs.json")
     assert back.counts is None
     assert np.array_equal(back.probs, table.probs)
@@ -290,13 +305,12 @@ def test_convergence_log_format(tmp_path):
 
 def test_estimate_roundtrip(tmp_path):
     _, _, table, ens = _small_reconstruction()
-    est = tp.estimate_eta(table, ens)
-    files.write_estimate(tmp_path / "estimate.json", est, "h", "eta")
+    est = tp.estimate_eta_gamma(table, ens)
+    files.write_estimate(tmp_path / "estimate.json", est, "h")
     payload, h = files.read_estimate(tmp_path / "estimate.json")
     assert h == "h"
     assert payload["eta_hat"] == est.eta_hat
-    assert payload["method"] == "eta"
-    assert payload["gamma_hat"] is None
+    assert payload["gamma_hat"] == est.gamma_hat
     assert payload["per_probe_etas"] == list(est.per_probe_etas)
 
 
@@ -414,9 +428,9 @@ def test_estimate_roundtrip_preserves_nan(tmp_path):
     table = tp.CountTable.from_probs(
         np.column_stack([e0, col, col]), probe_ids=(0, 1, 2)
     )
-    with pytest.warns(UserWarning):
-        est = tp.estimate_eta(table, ens)
-    files.write_estimate(tmp_path / "estimate.json", est, "h", "eta")
+    est = tp.estimate_eta_gamma(table, ens)
+    assert math.isnan(est.per_probe_etas[0])
+    files.write_estimate(tmp_path / "estimate.json", est, "h")
     payload, _ = files.read_estimate(tmp_path / "estimate.json")
     assert math.isnan(payload["per_probe_etas"][0])
     assert not math.isnan(payload["per_probe_etas"][1])
