@@ -19,7 +19,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, signal, special
+from scipy import optimize, special
 
 from .errors import CalibrationError
 from .photon_stats import _check_number, _check_stochastic
@@ -213,10 +213,58 @@ class CountTable:
         return self.probs.shape[1]
 
 
+def _peak_search(x: np.ndarray):
+    """Every local maximum of ``x``, its prominence, bases and width.
+
+    A peak is a run of equal samples with a lower sample on each side; it
+    sits at the run's middle, ``(first + last) // 2``. Its bases are the
+    lowest samples on each side out to the nearest strictly higher one (or
+    the end), each the one nearest the peak when values tie, and its
+    prominence is its height above the higher base. Its width is taken at
+    half prominence, interpolated linearly between samples and bounded by
+    the bases. These are scipy.signal's ``find_peaks`` with ``height`` and
+    ``prominence`` 0 and its ``peak_widths``, bit for bit.
+
+    Returns:
+        ``(peaks, prominences, left_bases, right_bases, widths)``, one
+        entry per peak.
+    """
+    n = x.size
+    starts = np.flatnonzero(np.r_[True, x[1:] != x[:-1]])
+    ends = np.r_[starts[1:] - 1, n - 1]
+    level = x[starts]
+    top = np.flatnonzero((level[1:-1] > level[:-2]) & (level[1:-1] > level[2:])) + 1
+    peaks = (starts[top] + ends[top]) // 2
+    prominences, widths = np.empty(peaks.size), np.empty(peaks.size)
+    left_bases, right_bases = np.empty_like(peaks), np.empty_like(peaks)
+    for k, p in enumerate(peaks):
+        higher = np.flatnonzero(x[:p] > x[p])
+        lo = higher[-1] + 1 if higher.size else 0
+        higher = np.flatnonzero(x[p:] > x[p])
+        hi = p + higher[0] if higher.size else n
+        left = p - np.argmin(x[lo:p + 1][::-1])
+        right = p + np.argmin(x[p:hi])
+        prominences[k] = x[p] - max(x[left], x[right])
+        # Neither base lies above half prominence, so each side reaches it.
+        half = x[p] - prominences[k] * 0.5
+        i = left + np.flatnonzero(x[left:p + 1] <= half)[-1]
+        j = p + np.flatnonzero(x[p:right + 1] <= half)[0]
+        left_ip = i + (half - x[i]) / (x[i + 1] - x[i]) if x[i] < half else float(i)
+        right_ip = j - (half - x[j]) / (x[j - 1] - x[j]) if x[j] < half else float(j)
+        left_bases[k], right_bases[k], widths[k] = left, right, right_ip - left_ip
+    return peaks, prominences, left_bases, right_bases, widths
+
+
 @dataclass(eq=False)
 class _Spectrum:
     """A trace histogrammed over its own data on the run's grid, whose bin
-    edges are multiples of the bin width, and its prominent peaks."""
+    edges are multiples of the bin width, and its prominent peaks.
+
+    The histogram is smoothed by a three-bin running mean. Its peaks are
+    the local maxima of :func:`_peak_search` whose prominence is at least
+    ``_PEAK_SIGMAS`` times the square root of their height; ``widths``
+    holds their widths at half prominence, in bins.
+    """
 
     amps: np.ndarray
     bin_width: float
@@ -228,11 +276,11 @@ class _Spectrum:
         self.counts = np.histogram(self.amps, bins=self.edges)[0].astype(float)
         self.centers = self.edges[:-1] + 0.5 * bw
         self.smooth = np.convolve(self.counts, np.ones(3) / 3.0, mode="same")
-        peaks, props = signal.find_peaks(self.smooth, height=0.0, prominence=0.0)
+        peaks, prominences, _, _, widths = _peak_search(self.smooth)
         # A bump that rises only a few Poisson deviations above its
         # surroundings is noise; one in the tail would skew the spacing.
-        self.peaks = peaks[props["prominences"]
-                           >= _PEAK_SIGMAS * np.sqrt(props["peak_heights"])]
+        keep = prominences >= _PEAK_SIGMAS * np.sqrt(self.smooth[peaks])
+        self.peaks, self.widths = peaks[keep], widths[keep]
 
     def teeth(self, base, spacing) -> np.ndarray:
         """Teeth centred within the data, which alone may hold its events
@@ -324,7 +372,7 @@ def fit_run(traces, bin_width_mv: float = DEFAULT_BIN_WIDTH_MV,
         start = min(s.edges[0] for s in spectra.values())
         base = first - math.floor((first - start) / spacing) * spacing
         # A first peak merged with its neighbour looks wider than its tooth.
-        width = signal.peak_widths(low.smooth, low.peaks[:1])[0][0] * bin_width_mv / 2.355
+        width = low.widths[0] * bin_width_mv / 2.355
         x0 = [base, spacing, min(width, spacing / 4.0), 0.0]
         lo = [base - spacing / 2.0, spacing / 2.0, bin_width_mv / 4.0, 0.0]
         hi = [base + spacing / 2.0, 1.5 * spacing, spacing, spacing / 2.0]

@@ -40,7 +40,7 @@ from .errors import CalibrationError, EstimationError, LineageError, SchemaError
 from .estimation import estimate_eta_gamma
 from .metrics import fidelity_curve, sensitivity_sweep, three_way_comparison
 from .photon_stats import _check_number, binomial_povm
-from .tes_sim import simulate_ensemble
+from .tes_sim import _SEED_RANGE, simulate_ensemble
 from .tomography import reconstruct_povm
 
 EXIT_OK = 0
@@ -50,6 +50,8 @@ EXIT_LINEAGE = 4
 
 
 def cmd_simulate(args) -> int:
+    _check_number("--seed", args.seed, _SEED_RANGE, integer=True)
+    _check_number("--jobs", args.jobs, "[1, inf)", integer=True)
     config = files.read_json(args.config) if args.config else files.default_config()
     run = files.parse_config(config)
     out = Path(args.out)
@@ -68,6 +70,7 @@ def _bin_one(trace, fit, n_outcomes):
 
 
 def cmd_calibrate(args) -> int:
+    _check_number("--jobs", args.jobs, "[1, inf)", integer=True)
     trace_dir = Path(args.traces)
     manifest = files.read_manifest(trace_dir)
     run, cfg_hash = files.read_ensemble(trace_dir / "ensemble.json")
@@ -79,7 +82,7 @@ def cmd_calibrate(args) -> int:
         return files.read_trace_csv(trace_dir / files.trace_filename(pid), probe_id=pid)
 
     traces, failures = {}, {}
-    with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
+    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
         futures = {pid: pool.submit(read, pid) for pid in run.ensemble.ids}
         for pid, fut in futures.items():
             try:

@@ -70,15 +70,18 @@ def _check_number(name: str, value, interval: str, integer: bool = False):
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         kind = "an integer" if integer else "a real number"
         raise TypeError(f"{name} must be {kind}, got {value!r}")
+    number = value
     if integer:
         try:
-            operator.index(value)
+            # As a Python int it compares exactly; a NumPy integer past
+            # 2**53 would be rounded to a float first.
+            number = operator.index(value)
         except TypeError:
             raise TypeError(f"{name} must be an integer, got {value!r}") from None
     lo, hi = (float(end) for end in interval[1:-1].split(","))
-    above = lo < value if interval[0] == "(" else lo <= value
-    below = value < hi if interval[-1] == ")" else value <= hi
-    if not (above and below and abs(value) <= sys.float_info.max):
+    above = lo < number if interval[0] == "(" else lo <= number
+    below = number < hi if interval[-1] == ")" else number <= hi
+    if not (above and below and abs(number) <= sys.float_info.max):
         raise ValueError(f"{name} must lie in {interval}, got {value!r}")
 
 

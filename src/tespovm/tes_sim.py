@@ -25,6 +25,8 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
+# The seeds a run accepts: every sub-seed is derived modulo 2**64.
+_SEED_RANGE = f"[0, {1 << 64})"
 
 
 @dataclass(frozen=True)
@@ -149,10 +151,15 @@ def simulate_ensemble(
 ) -> list[AmplitudeTrace]:
     """Simulate every probe of an ensemble.
 
-    Each probe gets an independent stream via ``derive_subseed(seed,
-    probe.id)``, so results do not depend on ``jobs`` or on the presence
-    of other probes. Traces are returned in ensemble order.
+    ``seed`` is an integer in [0, 2**64) and ``jobs``, the number of
+    worker threads, an integer >= 1. Each probe gets an independent stream
+    via ``derive_subseed(seed, probe.id)``, so results do not depend on
+    ``jobs`` or on the presence of other probes. Traces are returned in
+    ensemble order.
     """
+    _check_number("seed", seed, _SEED_RANGE, integer=True)
+    _check_number("jobs", jobs, "[1, inf)", integer=True)
+
     def one(probe):
         return simulate_trace(
             config,
@@ -162,5 +169,5 @@ def simulate_ensemble(
             probe_id=probe.id,
         )
 
-    with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(one, ensemble.probes))

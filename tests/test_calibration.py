@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy import signal
 
 import tespovm as tp
+from tespovm.calibration import _peak_search
 
 # Density minimum between Gaussians of weight 9:1 at 0 and 13 mV, both
 # sigma 2 (root of the mixture-density derivative, scipy brentq).
@@ -215,6 +218,20 @@ def test_fit_run_labels_right_or_raises(eta, gamma, sigma0, sigma_slope, baselin
     for trace in traces:
         if trace.probe_id not in failures:
             assert _area_tv(trace, fits[trace.probe_id]) <= 0.02, trace.probe_id
+
+
+@given(hnp.arrays(np.int64, st.integers(1, 40), elements=st.integers(0, 5)))
+@example(np.array([0, 3, 3, 3, 0, 3, 3, 1, 3, 3, 0]))
+def test_peak_search_is_scipy_bit_for_bit(steps):
+    # Small integers over 3 give plateaus, tied bases and inexact floats.
+    x = steps / 3.0
+    peaks, prominences, left_bases, right_bases, widths = _peak_search(x)
+    expected, props = signal.find_peaks(x, height=0.0, prominence=0.0)
+    assert np.array_equal(peaks, expected)
+    assert np.array_equal(prominences, props["prominences"])
+    assert np.array_equal(left_bases, props["left_bases"])
+    assert np.array_equal(right_bases, props["right_bases"])
+    assert np.array_equal(widths, signal.peak_widths(x, expected)[0])
 
 
 def test_fit_peaks_rejects_tiny_traces():

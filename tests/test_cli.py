@@ -3,9 +3,12 @@
 import contextlib
 import io
 import json
+import os
 import re
 import shlex
 import shutil
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -428,6 +431,34 @@ def test_bad_config_exits_2_before_a_trace(tmp_path, capsys, path, value, named)
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
     assert re.search(named, capsys.readouterr().err)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("stage, flags, named", [
+    ("simulate", ["--seed", "-1"], r"--seed must lie in \[0, 18446744073709551616\), got -1"),
+    ("simulate", ["--seed", str(2**64)], r"--seed must lie in .*, got 18446744073709551616"),
+    ("simulate", ["--jobs", "0"], r"--jobs must lie in \[1, inf\), got 0"),
+    ("simulate", ["--jobs", "-2"], r"--jobs must lie in \[1, inf\), got -2"),
+    ("calibrate", ["--jobs", "0"], r"--jobs must lie in \[1, inf\), got 0"),
+], ids=["seed_-1", "seed_2^64", "simulate_jobs_0", "simulate_jobs_-2", "calibrate_jobs_0"])
+def test_bad_seed_or_jobs_exits_2_before_writing(pipeline, tmp_path, capsys, stage, flags,
+                                                 named):
+    out = tmp_path / "out"
+    inputs = ["--traces", str(pipeline["sim"])] if stage == "calibrate" else []
+    assert main([stage, *inputs, *flags, "--out", str(out)]) == 2
+    assert re.search(named, capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_cli_import_leaves_out_scipy_signal_and_stats():
+    # Every stage is a fresh interpreter that pays for what tespovm imports.
+    src = Path(tp.__file__).resolve().parents[1]
+    code = ("import sys, tespovm.cli; "
+            "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_outcome_mismatch_exits_2(pipeline, tmp_path, capsys):

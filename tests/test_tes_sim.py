@@ -44,6 +44,30 @@ def test_simulate_ensemble_jobs_invariant():
         assert np.array_equal(a.truth_counts, b.truth_counts)
 
 
+@pytest.mark.parametrize("kwargs, error, match", [
+    ({"seed": -1}, ValueError, r"seed must lie in \[0, 18446744073709551616\), got -1"),
+    ({"seed": 2**64}, ValueError, r"seed must lie in .*, got 18446744073709551616"),
+    ({"seed": 1.5}, TypeError, r"seed must be an integer, got 1\.5"),
+    ({"seed": True}, TypeError, r"seed must be an integer, got True"),
+    ({"jobs": 0}, ValueError, r"jobs must lie in \[1, inf\), got 0"),
+    ({"jobs": -2}, ValueError, r"jobs must lie in \[1, inf\), got -2"),
+    ({"jobs": 2.0}, TypeError, r"jobs must be an integer, got 2\.0"),
+])
+def test_simulate_ensemble_refuses_a_bad_seed_or_jobs(kwargs, error, match):
+    # Sub-seeds are derived modulo 2**64: seed -1 would alias 2**64 - 1.
+    ens = tp.geometric_ensemble(n_probes=2, n_pulses=100)
+    with pytest.raises(error, match=match):
+        tp.simulate_ensemble(tp.DetectorPhysicalConfig(), ens, **{"seed": 0, **kwargs})
+
+
+def test_simulate_ensemble_takes_the_top_64_bit_seed():
+    # A NumPy seed past 2**53 is compared as the integer it is, not as a float.
+    ens = tp.geometric_ensemble(n_probes=1, n_pulses=100)
+    top = tp.simulate_ensemble(tp.DetectorPhysicalConfig(), ens, 2**64 - 1)[0]
+    same = tp.simulate_ensemble(tp.DetectorPhysicalConfig(), ens, np.uint64(2**64 - 1))[0]
+    assert np.array_equal(top.amplitudes_mv, same.amplitudes_mv)
+
+
 def test_probe_streams_independent_of_ensemble_shape():
     """Dropping probes must not change the remaining probes' draws."""
     cfg = tp.DetectorPhysicalConfig(eta=0.2)
