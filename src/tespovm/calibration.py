@@ -61,6 +61,7 @@ MAX_GOODNESS = 3.0
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 _PEAK_SIGMAS = 4.0  # a peak's least prominence, in sqrt(height)
 _ONE_TOOTH_WINDOW = 4.0  # half-width, in tooth widths, of a lone tooth's goodness
+_REFINE_POINTS = 17  # points of each nested grid that narrows a threshold's bracket
 
 
 @dataclass(frozen=True)
@@ -281,6 +282,7 @@ class _Spectrum:
         # surroundings is noise; one in the tail would skew the spacing.
         keep = prominences >= _PEAK_SIGMAS * np.sqrt(self.smooth[peaks])
         self.peaks, self.widths = peaks[keep], widths[keep]
+        self._last = None
 
     def teeth(self, base, spacing) -> np.ndarray:
         """Teeth centred within the data, which alone may hold its events
@@ -288,11 +290,14 @@ class _Spectrum:
         first = max(0, math.ceil((self.edges[0] - base) / spacing))
         return np.arange(first, max(first, math.floor((self.edges[-1] - base) / spacing)) + 1)
 
+    def standard(self, comb, teeth) -> np.ndarray:
+        """Each bin edge in standard deviations above each tooth's mean."""
+        base, spacing, sigma0, sigma_slope = comb
+        return (self.edges[:, None] - (base + teeth * spacing)) / (sigma0 + teeth * sigma_slope)
+
     def mass(self, comb, teeth) -> np.ndarray:
         """Share of each tooth's events in each bin under one trial comb."""
-        base, spacing, sigma0, sigma_slope = comb
-        z = (self.edges[:, None] - (base + teeth * spacing)) / (sigma0 + teeth * sigma_slope)
-        return np.diff(special.ndtr(z), axis=0)
+        return np.diff(special.ndtr(self.standard(comb, teeth)), axis=0)
 
     def weigh(self, mass, variance):
         """Nonnegative least-squares tooth weights, bins weighted by their
@@ -303,9 +308,43 @@ class _Spectrum:
         weights, _ = optimize.nnls(design, target)
         return weights, design @ weights - target
 
+    def _solve(self, comb, teeth):
+        """The Poisson-weighted tooth weights under ``comb``, with what the
+        Jacobian needs of them. The last solve is kept: ``least_squares``
+        asks for the Jacobian at the comb whose residuals it has just had."""
+        comb = np.array(comb, dtype=float)
+        last = self._last
+        if last is None or last[1] is not teeth or not np.array_equal(last[0], comb):
+            z = self.standard(comb, teeth)
+            mass = np.diff(special.ndtr(z), axis=0)
+            self._last = comb, teeth, z, mass, *self.weigh(mass, self.counts)
+        return self._last[2:]
+
     def residuals(self, comb, teeth) -> np.ndarray:
         """Poisson-weighted residuals of the best tooth weights under ``comb``."""
-        return self.weigh(self.mass(comb, teeth), self.counts)[1]
+        return self._solve(comb, teeth)[-1]
+
+    def jacobian(self, comb, teeth) -> np.ndarray:
+        """Kaufman's variable-projection Jacobian of :meth:`residuals`.
+
+        The derivative of the weighted bins at fixed tooth weights, taken
+        off the span of the teeth that carry weight. It drops a term that
+        lies in that span, to which the residuals are orthogonal, so its
+        gradient of half the squared residuals is exact.
+        """
+        z, mass, weights, _ = self._solve(comb, teeth)
+        free = weights > 0
+        k = teeth[free]
+        z = z[:, free]
+        # The event density at each edge per standard deviation of its tooth;
+        # dz/d(base, spacing, sigma0, sigma_slope) = -(1, k, z, k z) / sigma_k.
+        u = np.exp(-0.5 * z * z) * (weights[free] / ((comb[2] + k * comb[3]) * _SQRT2PI))
+        zu = z * u
+        edge = np.stack([u.sum(axis=1), u @ k, zu.sum(axis=1), zu @ k], axis=1)
+        inv_err = 1.0 / np.sqrt(np.maximum(self.counts, 1.0))[:, None]
+        grad = -np.diff(edge, axis=0) * inv_err
+        q = np.linalg.qr(mass[:, free] * inv_err)[0]
+        return grad - q @ (q.T @ grad)
 
 
 def fit_run(traces, bin_width_mv: float = DEFAULT_BIN_WIDTH_MV,
@@ -320,11 +359,13 @@ def fit_run(traces, bin_width_mv: float = DEFAULT_BIN_WIDTH_MV,
     comb's four parameters to its own bins from the run's comb, over the
     teeth centred within its data and with their numbers fixed; its tooth
     weights solve its own nonnegative least squares, last with the model's
-    bin variances. The zero tooth is the lowest to which some probe gives
-    ``WEIGHT_FLOOR_EVENTS`` events and beside which no probe holds more
-    one-count events than Poisson light allows (:func:`_admits_zero`): a
-    tooth fitted to the tail of a zero peak, or to stray events below it,
-    is not the zero. A probe's components run from it, empty or not, to
+    bin variances. Both fits take Kaufman's variable-projection Jacobian
+    (:meth:`_Spectrum.jacobian`), in closed form: a step solves the tooth
+    weights once per trace. The zero tooth is the lowest to which some
+    probe gives ``WEIGHT_FLOOR_EVENTS`` events and beside which no probe
+    holds more one-count events than Poisson light allows
+    (:func:`_admits_zero`): a tooth fitted to the tail of a zero peak, or
+    to stray events below it, is not the zero. A probe's components run from it, empty or not, to
     its highest tooth holding ``WEIGHT_FLOOR_EVENTS``; teeth past
     ``max_peaks`` fold into the last. Without a trace of two prominent
     peaks each trace gets one tooth at its median, whose goodness counts
@@ -381,6 +422,8 @@ def fit_run(traces, bin_width_mv: float = DEFAULT_BIN_WIDTH_MV,
             lambda comb: np.concatenate([s.residuals(comb, teeth[pid])
                                          for pid, s in spectra.items()]),
             np.clip(x0, lo, hi), bounds=(lo, hi),
+            jac=lambda comb: np.concatenate([s.jacobian(comb, teeth[pid])
+                                             for pid, s in spectra.items()]),
         )
         if res.status == 0:
             raise CalibrationError(f"comb fit did not converge ({res.nfev} evaluations)")
@@ -396,6 +439,7 @@ def fit_run(traces, bin_width_mv: float = DEFAULT_BIN_WIDTH_MV,
             own = optimize.least_squares(
                 lambda comb: s.residuals(comb, teeth[pid]),
                 res.x, bounds=(np.maximum(lo, res.x - reach), np.minimum(hi, res.x + reach)),
+                jac=lambda comb: s.jacobian(comb, teeth[pid]),
             )
             if own.status == 0:
                 failures[pid] = CalibrationError(
@@ -492,36 +536,53 @@ def fit_peaks(trace: AmplitudeTrace, bin_width_mv: float = DEFAULT_BIN_WIDTH_MV,
 def place_thresholds(fit: GaussianMixtureFit, xatol: float = 1e-3) -> ThresholdSet:
     """Place decision thresholds at the mixture-density minima.
 
-    For each pair of adjacent component means the fitted mixture density
-    is minimized on the open interval between them (tolerance ``xatol``
-    mV). Next to a component that holds no events, and wherever the
-    density has no interior valley, the midpoint is used; in the latter
-    case a warning is emitted.
+    Between each pair of adjacent component means the fitted mixture
+    density is evaluated on 510 interior grid points, all pairs in one
+    call. The lowest point and its two neighbours bracket the minimum.
+    Every bracket is then narrowed at once on nested grids of
+    ``_REFINE_POINTS`` points, each spanning the previous grid's lowest
+    point and its neighbours, until it is at most ``xatol`` mV wide or as
+    narrow as floats allow. The cut is the vertex of the parabola through
+    the last grid's lowest point and its neighbours, kept within the
+    bracket, so it lies within ``xatol`` of the minimum. ``xatol`` must be
+    a positive real number. Next to a component that holds no events, and
+    wherever the density has no interior valley, the midpoint is used; in
+    the latter case a warning is emitted.
     """
-    cuts = []
-    means, comps = fit.means, fit.components
-    for a, b, lower, upper in zip(means, means[1:], comps, comps[1:]):
-        if lower.weight == 0 or upper.weight == 0:
-            cuts.append(0.5 * (a + b))
-            continue
-        grid = np.linspace(a, b, 512)[1:-1]
-        dens = fit.density(grid)
-        i = int(np.argmin(dens))
-        if i == 0 or i == grid.size - 1:
-            warnings.warn(
-                f"no interior density minimum between peaks at {a:.3f} and "
-                f"{b:.3f} mV; using the midpoint",
-                stacklevel=2,
-            )
-            cuts.append(0.5 * (a + b))
-            continue
-        res = optimize.minimize_scalar(
-            lambda x: float(fit.density(x)),
-            bounds=(grid[i - 1], grid[i + 1]),
-            method="bounded",
-            options={"xatol": xatol},
+    _check_number("xatol", xatol, "(0, inf)")
+    means = fit.means
+    cuts = 0.5 * (means[:-1] + means[1:])
+    weights = np.array([c.weight for c in fit.components])
+    pairs = np.flatnonzero((weights[:-1] > 0) & (weights[1:] > 0))
+    grid = np.linspace(means[pairs], means[pairs + 1], 512, axis=1)[:, 1:-1]
+    dens = fit.density(grid)
+    i = np.argmin(dens, axis=1)
+    valley = (i > 0) & (i < grid.shape[1] - 1)
+    for pair in pairs[~valley]:
+        warnings.warn(
+            f"no interior density minimum between peaks at {means[pair]:.3f} and "
+            f"{means[pair + 1]:.3f} mV; using the midpoint",
+            stacklevel=2,
         )
-        cuts.append(float(res.x))
+    rows = np.arange(np.count_nonzero(valley))
+    grid, dens, i = grid[valley], dens[valley], i[valley]
+    step, last = np.linspace(0.0, 1.0, _REFINE_POINTS), None
+    while True:
+        lo = grid[rows, np.maximum(i - 1, 0)]
+        hi = grid[rows, np.minimum(i + 1, grid.shape[1] - 1)]
+        # Stop at xatol, or where floats resolve the brackets no finer.
+        if not np.any(hi - lo > xatol) or (last is not None and np.array_equal(last, [lo, hi])):
+            break
+        last = [lo, hi]
+        grid = lo[:, None] + (hi - lo)[:, None] * step
+        dens = fit.density(grid)
+        i = np.argmin(dens, axis=1)
+    # The vertex of the parabola through the lowest point and its neighbours.
+    j = np.clip(i, 1, grid.shape[1] - 2)
+    below, at, above = (dens[rows, j + d] for d in (-1, 0, 1))
+    curvature = below - 2.0 * at + above
+    shift = np.divide(below - above, 2.0 * curvature, out=np.zeros_like(at), where=curvature > 0)
+    cuts[pairs[valley]] = np.clip(grid[rows, j] + shift * (grid[:, 1] - grid[:, 0]), lo, hi)
     return ThresholdSet(tuple(cuts))
 
 
@@ -540,10 +601,13 @@ def bin_counts(
         Integer counts of length ``n_outcomes``.
     """
     _check_number("n_outcomes", n_outcomes, "[2, inf)", integer=True)
-    cuts = np.asarray(thresholds.cut_points_mv, dtype=float)
-    idx = np.searchsorted(cuts, trace.amplitudes_mv, side="right")
-    outcome = np.minimum(idx, n_outcomes - 1)
-    return np.bincount(outcome, minlength=n_outcomes).astype(np.int64)[:n_outcomes]
+    amps = trace.amplitudes_mv
+    # Events below each cut that bounds a class of its own; the rest are on top.
+    below = np.full(n_outcomes + 1, amps.size, dtype=np.int64)
+    below[0] = 0
+    for k, cut in enumerate(thresholds.cut_points_mv[:n_outcomes - 1], start=1):
+        below[k] = np.count_nonzero(amps < cut)
+    return np.diff(below)
 
 
 def _round_preserving_total(x: np.ndarray, total: int) -> np.ndarray:

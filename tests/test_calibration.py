@@ -8,7 +8,7 @@ from hypothesis.extra import numpy as hnp
 from scipy import signal
 
 import tespovm as tp
-from tespovm.calibration import _peak_search
+from tespovm.calibration import _peak_search, _Spectrum
 
 # Density minimum between Gaussians of weight 9:1 at 0 and 13 mV, both
 # sigma 2 (root of the mixture-density derivative, scipy brentq).
@@ -234,6 +234,45 @@ def test_peak_search_is_scipy_bit_for_bit(steps):
     assert np.array_equal(widths, signal.peak_widths(x, expected)[0])
 
 
+def _comb_spectrum():
+    # sigma_slope > 0, so every comb parameter moves the bins.
+    detector = tp.DetectorPhysicalConfig(eta=0.3, sigma_slope_mv=0.2)
+    trace = tp.simulate_trace(detector, 10.0, 20_000, seed=1)
+    return _Spectrum(trace.amplitudes_mv, 1.3), np.array([0.0, 13.0, 2.0, 0.2])
+
+
+def _central_difference(f, comb, h=1e-5):
+    return np.stack([(f(comb + h * e) - f(comb - h * e)) / (2.0 * h) for e in np.eye(4)],
+                    axis=-1)
+
+
+def test_comb_jacobian_is_exact_on_noise_free_bins():
+    spectrum, comb = _comb_spectrum()
+    teeth = spectrum.teeth(comb[0], comb[1])
+    # Counts set to the model's own bins: the residuals vanish at this comb,
+    # and with them the one term Kaufman's Jacobian leaves out.
+    spectrum.counts = spectrum.mass(comb, teeth) @ (1000.0 * np.exp(-0.3 * teeth) + 50.0)
+    jac = spectrum.jacobian(comb, teeth)
+    expected = _central_difference(lambda c: spectrum.residuals(c, teeth), comb)
+    assert np.abs(spectrum.residuals(comb, teeth)).max() < 1e-9
+    np.testing.assert_allclose(jac, expected, rtol=1e-6, atol=1e-6 * np.abs(expected).max())
+
+
+@pytest.mark.parametrize("offset", [[0.0, 0.0, 0.0, 0.0], [0.4, -0.2, 0.3, 0.05],
+                                    [-0.8, 0.3, -0.4, -0.1]])
+def test_comb_jacobian_gives_the_exact_gradient(offset):
+    # On noisy bins the dropped term lies in the span of the weighted teeth,
+    # to which the residuals are orthogonal: J^T r is the exact gradient.
+    spectrum, comb = _comb_spectrum()
+    comb = comb + offset
+    teeth = spectrum.teeth(0.0, 13.0)
+    resid = spectrum.residuals(comb, teeth)
+    gradient = spectrum.jacobian(comb, teeth).T @ resid
+    expected = _central_difference(
+        lambda c: 0.5 * float(spectrum.residuals(c, teeth) @ spectrum.residuals(c, teeth)), comb)
+    np.testing.assert_allclose(gradient, expected, rtol=1e-6)
+
+
 def test_fit_peaks_rejects_tiny_traces():
     with pytest.raises(tp.CalibrationError, match="need at least 100"):
         tp.fit_peaks(_trace(np.zeros(50)))
@@ -264,6 +303,8 @@ def test_place_thresholds_finds_density_valley():
     cuts = tp.place_thresholds(fit, xatol=1e-6)
     assert cuts.n_cuts == 1
     assert abs(cuts.cut_points_mv[0] - VALLEY_9_TO_1) < 1e-4
+    # At the default xatol the parabola's vertex still lands on the valley.
+    assert abs(tp.place_thresholds(fit).cut_points_mv[0] - VALLEY_9_TO_1) < 1e-6
 
 
 def test_place_thresholds_midpoint_fallback():
@@ -282,6 +323,19 @@ def test_place_thresholds_midpoint_fallback():
     assert cuts.cut_points_mv[0] == 6.5
 
 
+@pytest.mark.parametrize("xatol, error", [(0, ValueError), (-1.0, ValueError),
+                                           (float("nan"), ValueError), (float("inf"), ValueError),
+                                           (True, TypeError), ("1e-3", TypeError)])
+def test_place_thresholds_refuses_a_bad_xatol(xatol, error):
+    fit = tp.GaussianMixtureFit(
+        components=(tp.GaussianComponent(9_000.0, 0.0, 2.0),
+                    tp.GaussianComponent(1_000.0, 13.0, 2.0)),
+        goodness=1.0, bin_width_mv=1.3, n_events=10_000,
+    )
+    with pytest.raises(error, match="xatol"):
+        tp.place_thresholds(fit, xatol=xatol)
+
+
 def test_bin_counts_boundary_and_fold():
     trace = _trace([-1.0, 0.0, 1.0, 6.5, 7.0, 200.0])
     cuts = tp.ThresholdSet((0.0, 6.5, 20.0))
@@ -291,6 +345,19 @@ def test_bin_counts_boundary_and_fold():
     assert out.dtype == np.int64
     full = tp.bin_counts(trace, cuts, 4)
     assert full.tolist() == [1, 2, 2, 1]
+
+
+@given(amps=hnp.arrays(float, st.integers(0, 300), elements=st.floats(-50.0, 50.0)),
+       extra=st.lists(st.floats(-60.0, 60.0), max_size=20),
+       picks=st.lists(st.integers(0, 299), max_size=20), n_outcomes=st.integers(2, 20))
+def test_bin_counts_is_searchsorted_then_bincount(amps, extra, picks, n_outcomes):
+    # Cuts drawn from the amplitudes themselves put events on a boundary.
+    drawn = [float(amps[i % amps.size]) for i in picks] if amps.size else []
+    cuts = sorted(set(extra + drawn))[:20]
+    out = tp.bin_counts(_trace(amps), tp.ThresholdSet(tuple(cuts)), n_outcomes)
+    idx = np.minimum(np.searchsorted(cuts, amps, side="right"), n_outcomes - 1)
+    assert out.dtype == np.int64
+    assert out.tolist() == np.bincount(idx, minlength=n_outcomes).tolist()
 
 
 def test_bin_counts_affine_invariance():
