@@ -1,10 +1,12 @@
 """Seeded Monte Carlo stand-in for the cryogenic detection chain.
 
-Only the pulse-height summary statistic is modeled: each optical pulse
-yields a detected count and a Gaussian-smeared amplitude around the
-corresponding peak position. Pulse shapes, readout bandwidth and trigger
-logic are out of scope; the point is to exercise calibration and
-tomography against a known ground truth.
+Only the pulse-height summary statistic is modeled. Each optical pulse
+yields one Poisson(eta * mu + gamma) detected count, the law of Poisson
+photons thinned with efficiency eta plus Poisson dark counts, capped at
+saturation afterwards, and a Gaussian-smeared amplitude around that
+count's peak. Pulse shapes, readout bandwidth and trigger logic are out
+of scope; the point is to exercise calibration and tomography against a
+known ground truth.
 """
 
 from __future__ import annotations
@@ -120,27 +122,23 @@ def simulate_trace(
 ) -> AmplitudeTrace:
     """Simulate pulse amplitudes for one coherent probe.
 
-    Per pulse: draw ``m ~ Poisson(mu)`` photons, thin to ``k ~
-    Binomial(m, eta)`` detections, add ``d ~ Poisson(gamma)`` dark
-    counts, apply saturation, then emit ``baseline + c * spacing`` plus
-    Gaussian noise of width ``sigma0 + c * sigma_slope``.
+    Per pulse: draw ``c ~ Poisson(eta * mu + gamma)``, the law of Poisson(mu)
+    photons thinned with efficiency ``eta`` plus Poisson(gamma) dark counts;
+    cap it at ``saturation_count`` if set; emit ``baseline + c * spacing``
+    plus Gaussian noise of width ``sigma0 + c * sigma_slope``.
 
     Deterministic for a fixed ``(config, mu, n_pulses, seed)``.
     """
     _check_number("mu", mu, "[0, inf)")
     _check_number("n_pulses", n_pulses, "[1, inf)", integer=True)
     rng = np.random.default_rng(seed)
-    m = rng.poisson(mu, n_pulses)
-    k = rng.binomial(m, config.eta) if config.eta > 0 else np.zeros(n_pulses, np.int64)
-    d = rng.poisson(config.gamma, n_pulses) if config.gamma > 0 else 0
-    c = k + d
+    c = rng.poisson(config.eta * mu + config.gamma, n_pulses)
     if config.saturation_count is not None:
         c = np.minimum(c, config.saturation_count)
-    sigma = config.sigma0_mv + c * config.sigma_slope_mv
-    amps = config.baseline_mv + c * config.peak_spacing_mv + rng.normal(0.0, 1.0, n_pulses) * sigma
-    return AmplitudeTrace(
-        probe_id=probe_id, amplitudes_mv=amps, truth_counts=np.asarray(c, np.int64)
-    )
+    amps = rng.standard_normal(n_pulses)
+    amps *= config.sigma0_mv + c * config.sigma_slope_mv
+    amps += config.baseline_mv + c * config.peak_spacing_mv
+    return AmplitudeTrace(probe_id=probe_id, amplitudes_mv=amps, truth_counts=c)
 
 
 def simulate_ensemble(

@@ -77,21 +77,55 @@ def test_probe_streams_independent_of_ensemble_shape():
     assert np.array_equal(full[2].amplitudes_mv, alone[0].amplitudes_mv)
 
 
-def test_truth_count_marginals_match_model():
-    # Detected counts follow Poisson(eta * mu + gamma); 4 / sqrt(n) of
-    # total variation covers multinomial noise with wide margin.
-    cfg = tp.DetectorPhysicalConfig(eta=0.5, gamma=0.3)
+@pytest.mark.parametrize(
+    "eta, mu, gamma, saturation",
+    [
+        (0.5, 4.0, 0.3, None),
+        (0.0, 4.0, 0.3, None),  # dark counts only
+        (0.5, 0.0, 0.3, None),  # vacuum probe
+        (1.0, 4.0, 0.3, None),  # every photon detected
+        (0.051, 130.0, 0.0, None),  # the default design's brightest probe
+        (0.5, 4.0, 0.3, 2),  # every class >= 2 piles up at 2
+    ],
+)
+def test_truth_count_marginals_match_model(eta, mu, gamma, saturation):
+    # Detected counts follow the thinned-photon model binomial_povm, here
+    # at a truncation whose Poisson tail is negligible even at mu = 130,
+    # with saturation folding every class >= saturation_count into it.
+    # 4 / sqrt(n) of total variation covers multinomial noise with wide
+    # margin.
+    cfg = tp.DetectorPhysicalConfig(eta=eta, gamma=gamma, saturation_count=saturation)
     n = 200_000
-    trace = tp.simulate_trace(cfg, 4.0, n, seed=17)
-    lam = 0.5 * 4.0 + 0.3
-    mean = trace.truth_counts.mean()
-    assert abs(mean - lam) < 5.0 * np.sqrt(lam / n)
+    trace = tp.simulate_trace(cfg, mu, n, seed=17)
+    k = np.arange(40)
+    model = tp.predict_distribution(tp.binomial_povm(eta, 40, 300, gamma=gamma), mu).probs
+    if saturation is not None:
+        model = np.bincount(np.minimum(k, saturation), weights=model, minlength=40)
+    mean = model @ k
+    se = np.sqrt((model @ k**2 - mean**2) / n)
+    assert abs(trace.truth_counts.mean() - mean) < 5.0 * se
     emp = np.bincount(np.minimum(trace.truth_counts, 11), minlength=12) / n
-    model = tp.predict_distribution(
-        tp.binomial_povm(0.5, 12, 140, gamma=0.3), 4.0
-    )
-    tv = 0.5 * np.abs(emp - model.probs).sum()
+    tv = 0.5 * np.abs(emp - np.bincount(np.minimum(k, 11), weights=model)).sum()
     assert tv < 4.0 / np.sqrt(n)
+
+
+def test_simulate_trace_stream_is_pinned():
+    """The seeded stream is part of the contract: a change to it shows here."""
+    trace = tp.simulate_trace(tp.DetectorPhysicalConfig(gamma=0.2), 10.0, 8, seed=1)
+    assert np.array_equal(trace.truth_counts, [1, 0, 1, 0, 1, 1, 1, 0])
+    assert np.array_equal(
+        trace.amplitudes_mv,
+        [
+            12.674180104013894,
+            -0.9642386253599565,
+            14.197692425269254,
+            0.07944421496331798,
+            12.415086498069822,
+            11.436183075286316,
+            12.485615518762259,
+            0.016284361036687015,
+        ],
+    )
 
 
 def test_amplitude_peak_positions():
