@@ -1,14 +1,15 @@
-"""Pulse-height calibration: comb fitting, thresholds, count binning.
+"""Pulse-height calibration: comb fitting, count binning, thresholds.
 
 A TES puts the pulse height of ``k`` detected photons at ``baseline + k *
 spacing`` with a width ``sigma0 + k * sigma_slope``. That four-parameter
 Gaussian comb is fitted once to the histograms of all traces of a run,
 which numbers its teeth, so component index is detected count in every
-probe; each trace then refits the comb to its own histogram, with one
-nonnegative weight (expected events) per tooth. A probe whose
-histogram the comb does not describe fails loudly. Events are binned
-into count classes by thresholds at the density minima between adjacent
-teeth or by the tooth weights.
+probe; each trace keeps its own nonnegative weight (expected events) per
+tooth of that one comb. A probe whose histogram the comb does not
+describe fails loudly. Count class ``n`` holds a probe's tooth-``n``
+weight (:func:`bin_counts_by_area`), so events where two teeth overlap
+are shared as the fit shares them; :func:`bin_counts` cuts at the
+density minima between adjacent teeth instead (:func:`place_thresholds`).
 """
 
 from __future__ import annotations
@@ -263,8 +264,10 @@ class _Spectrum:
 
     The histogram is smoothed by a three-bin running mean. Its peaks are
     the local maxima of :func:`_peak_search` whose prominence is at least
-    ``_PEAK_SIGMAS`` times the square root of their height; ``widths``
-    holds their widths at half prominence, in bins.
+    ``_PEAK_SIGMAS`` times the square root of their height, and whose
+    valley before the previous such peak dips that far below the lower of
+    the two; of two without that valley the higher stays. ``widths`` holds
+    their widths at half prominence, in bins.
     """
 
     amps: np.ndarray
@@ -276,12 +279,22 @@ class _Spectrum:
         self.edges = bw * (first + np.arange(math.ceil(self.amps.max() / bw - first) + 2))
         self.counts = np.histogram(self.amps, bins=self.edges)[0].astype(float)
         self.centers = self.edges[:-1] + 0.5 * bw
-        self.smooth = np.convolve(self.counts, np.ones(3) / 3.0, mode="same")
-        peaks, prominences, _, _, widths = _peak_search(self.smooth)
+        self.smooth = y = np.convolve(self.counts, np.ones(3) / 3.0, mode="same")
+        peaks, prominences, _, _, widths = _peak_search(y)
         # A bump that rises only a few Poisson deviations above its
         # surroundings is noise; one in the tail would skew the spacing.
-        keep = prominences >= _PEAK_SIGMAS * np.sqrt(self.smooth[peaks])
-        self.peaks, self.widths = peaks[keep], widths[keep]
+        # Prominence looks past a neighbour of equal height, so two maxima
+        # of one smooth hump can both pass: their valley tells them apart.
+        kept = []
+        for i in np.flatnonzero(prominences >= _PEAK_SIGMAS * np.sqrt(y[peaks])):
+            if kept:
+                j = kept[-1]
+                lower = min(y[peaks[i]], y[peaks[j]])
+                if lower - y[peaks[j]:peaks[i]].min() < _PEAK_SIGMAS * math.sqrt(lower):
+                    kept[-1] = i if y[peaks[i]] > y[peaks[j]] else j
+                    continue
+            kept.append(i)
+        self.peaks, self.widths = peaks[kept], widths[kept]
         self._last = None
 
     def teeth(self, base, spacing) -> np.ndarray:
@@ -355,18 +368,19 @@ def fit_run(traces, bin_width_mv: float = DEFAULT_BIN_WIDTH_MV,
     ``sigma0 + k * sigma_slope`` in every trace, so a tooth has one label
     in every probe. The traces' prominent peaks on one histogram grid seed
     the comb; one Poisson-weighted least squares over all their bins fits
-    it and numbers the teeth. Each trace of a larger run then refits the
-    comb's four parameters to its own bins from the run's comb, over the
-    teeth centred within its data and with their numbers fixed; its tooth
-    weights solve its own nonnegative least squares, last with the model's
-    bin variances. Both fits take Kaufman's variable-projection Jacobian
-    (:meth:`_Spectrum.jacobian`), in closed form: a step solves the tooth
-    weights once per trace. The zero tooth is the lowest to which some
-    probe gives ``WEIGHT_FLOOR_EVENTS`` events and beside which no probe
-    holds more one-count events than Poisson light allows
+    it and numbers the teeth, with Kaufman's variable-projection Jacobian
+    (:meth:`_Spectrum.jacobian`) in closed form, so a step solves the
+    tooth weights once per trace. Every probe's components sit on that
+    comb: a trace's tooth weights, over the teeth centred within its data,
+    solve its own nonnegative least squares, last with the model's bin
+    variances, and a trace whose peaks leave the comb fails its goodness
+    gate rather than moving the comb. The zero tooth is the lowest to
+    which some probe gives ``WEIGHT_FLOOR_EVENTS`` events and beside which
+    no probe holds more one-count events than Poisson light allows
     (:func:`_admits_zero`): a tooth fitted to the tail of a zero peak, or
-    to stray events below it, is not the zero. A probe's components run from it, empty or not, to
-    its highest tooth holding ``WEIGHT_FLOOR_EVENTS``; teeth past
+    to stray events below it, is not the zero. A probe's components run
+    from it, empty or not, to its highest tooth holding
+    ``WEIGHT_FLOOR_EVENTS``; teeth past
     ``max_peaks`` fold into the last. Without a trace of two prominent
     peaks each trace gets one tooth at its median, whose goodness counts
     the bins within ``_ONE_TOOTH_WINDOW`` widths: a shoulder fails, a
@@ -376,10 +390,9 @@ def fit_run(traces, bin_width_mv: float = DEFAULT_BIN_WIDTH_MV,
     Returns:
         ``(fits, failures)`` by probe id. A probe fails with a
         :class:`CalibrationError` when its trace has fewer than
-        ``MIN_EVENTS`` events, its refit does not converge, its reduced
-        chi-square exceeds ``MAX_GOODNESS`` or no tooth of it reaches the
-        weight floor; every probe fails when no tooth is a zero every
-        probe admits.
+        ``MIN_EVENTS`` events, its reduced chi-square exceeds
+        ``MAX_GOODNESS`` or no tooth of it reaches the weight floor; every
+        probe fails when no tooth is a zero every probe admits.
 
     Raises:
         CalibrationError: The run's comb fit did not converge.
@@ -428,25 +441,7 @@ def fit_run(traces, bin_width_mv: float = DEFAULT_BIN_WIDTH_MV,
         if res.status == 0:
             raise CalibrationError(f"comb fit did not converge ({res.nfev} evaluations)")
         teeth = {pid: s.teeth(res.x[0], res.x[1]) for pid, s in spectra.items()}
-        # The run's comb numbers the teeth. Each trace then refits the comb
-        # to its own histogram from there, so that its thresholds follow its
-        # own peaks and are the same in a run as alone. Its tooth numbers
-        # stay: no tooth moves by half a spacing. A lone trace's run comb
-        # is its own already.
         combs = dict.fromkeys(spectra, tuple(map(float, res.x)))
-        for pid, s in spectra.items() if len(spectra) > 1 else ():
-            reach = res.x[1] / 4.0 * np.array([1.0, 1.0 / max(1, teeth[pid][-1]), np.inf, np.inf])
-            own = optimize.least_squares(
-                lambda comb: s.residuals(comb, teeth[pid]),
-                res.x, bounds=(np.maximum(lo, res.x - reach), np.minimum(hi, res.x + reach)),
-                jac=lambda comb: s.jacobian(comb, teeth[pid]),
-            )
-            if own.status == 0:
-                failures[pid] = CalibrationError(
-                    f"comb refit did not converge ({own.nfev} evaluations)")
-                del combs[pid]
-            else:
-                combs[pid] = tuple(map(float, own.x))
         windows, n_params = {}, 4
     else:
         # One tooth per trace, placed by the median and the normal-scaled
@@ -522,10 +517,12 @@ def fit_peaks(trace: AmplitudeTrace, bin_width_mv: float = DEFAULT_BIN_WIDTH_MV,
               max_peaks: int = DEFAULT_MAX_PEAKS) -> GaussianMixtureFit:
     """:func:`fit_run` on a run of one trace; raises its failure.
 
-    A trace gets the same comb here, to the fit's tolerance, as in a run
-    whose zero tooth it shows itself. A bright trace whose zero peak holds too few events cannot
-    show it, and alone its lowest visible tooth is taken for zero: fit a
-    run's traces together with :func:`fit_run`.
+    Alone, a trace's comb is fitted to its own histogram; in a run it is
+    the run's. Where the trace shows its own zero tooth, the two give
+    tooth weights that agree to about an event per class. A bright trace
+    whose zero peak holds too few events cannot show it, and alone its
+    lowest visible tooth is taken for zero: fit a run's traces together
+    with :func:`fit_run`.
     """
     fits, failures = fit_run([trace], bin_width_mv, max_peaks)
     if failures:

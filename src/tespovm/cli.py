@@ -6,9 +6,11 @@ takes a config; :func:`files.parse_config` refuses an unknown or mistyped
 key before a trace is written. It records it as the run config in
 ``ensemble.json``, the one copy every later stage reads, and its hash in
 ``manifest.json``.
-Each stage has one route. ``calibrate`` bins every probe by thresholds
-between the run's comb teeth. ``estimate`` fits efficiency and dark rate
-jointly (:func:`~tespovm.estimation.estimate_eta_gamma`), which needs
+Each stage has one route. ``calibrate`` fits one comb to the run and
+counts each probe's class ``n`` as its tooth-``n`` weight
+(:func:`~tespovm.calibration.bin_counts_by_area`). ``estimate`` fits
+efficiency and dark rate jointly
+(:func:`~tespovm.estimation.estimate_eta_gamma`), which needs
 usable probes at two or more mean photon numbers (exit 3 otherwise).
 ``reconstruct`` starts from that fit's efficiency, solves with the run
 config's reconstruction section and records every solver setting in
@@ -35,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from . import files
-from .calibration import CountTable, bin_counts, fit_run, place_thresholds
+from .calibration import CountTable, bin_counts_by_area, fit_run
 from .errors import CalibrationError, EstimationError, LineageError, SchemaError
 from .estimation import estimate_eta_gamma
 from .metrics import fidelity_curve, sensitivity_sweep, three_way_comparison
@@ -64,11 +66,6 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _bin_one(trace, fit, n_outcomes):
-    thresholds = place_thresholds(fit)
-    return thresholds, bin_counts(trace, thresholds, n_outcomes)
-
-
 def cmd_calibrate(args) -> int:
     _check_number("--jobs", args.jobs, "[1, inf)", integer=True)
     trace_dir = Path(args.traces)
@@ -89,31 +86,29 @@ def cmd_calibrate(args) -> int:
                 traces[pid] = fut.result()
             except SchemaError as exc:
                 failures[pid] = exc
-        fits, fit_failures = fit_run(traces.values(), **run.calibration)
-        failures.update(fit_failures)
-        if failures and not args.skip_failed:
-            pid = min(failures)
-            exc = failures[pid]
-            raise exc if isinstance(exc, SchemaError) else CalibrationError(
-                f"probe {pid}: {exc}")
-        if not fits:
-            raise CalibrationError("every probe failed calibration")
-        kept_ids = sorted(fits)
-        binned = {pid: pool.submit(_bin_one, traces[pid], fits[pid], n_outcomes)
-                  for pid in kept_ids}
-    results = {pid: fut.result() for pid, fut in binned.items()}
+    fits, fit_failures = fit_run(traces.values(), **run.calibration)
+    failures.update(fit_failures)
+    if failures and not args.skip_failed:
+        pid = min(failures)
+        exc = failures[pid]
+        raise exc if isinstance(exc, SchemaError) else CalibrationError(f"probe {pid}: {exc}")
+    if not fits:
+        raise CalibrationError("every probe failed calibration")
 
+    # Class n of a probe holds its comb's tooth-n weight: events in the
+    # overlap of two teeth are shared by the fit, not cut.
+    kept_ids = sorted(fits)
     out = Path(args.out)
     table = CountTable.from_counts(
-        np.column_stack([results[pid][1] for pid in kept_ids]), probe_ids=tuple(kept_ids)
+        np.column_stack([bin_counts_by_area(traces[pid], fits[pid], n_outcomes)
+                         for pid in kept_ids]),
+        probe_ids=tuple(kept_ids),
     )
     files.write_count_table(
         out / "counts.json", table, cfg_hash, skipped_probe_ids=sorted(failures),
     )
     for pid in kept_ids:
-        files.write_fit_report(
-            out / "fits" / f"probe_{pid:03d}.json", fits[pid], results[pid][0], cfg_hash
-        )
+        files.write_fit_report(out / "fits" / f"probe_{pid:03d}.json", fits[pid], cfg_hash)
     for pid, exc in sorted(failures.items()):
         print(f"probe {pid}: skipped ({exc})", file=sys.stderr)
     print(f"calibrated {len(kept_ids)} probes -> {out}")
@@ -238,10 +233,10 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--jobs", type=int, default=1)
     sim.set_defaults(func=cmd_simulate)
 
-    cal = sub.add_parser("calibrate", help="fit peaks and bin counts")
+    cal = sub.add_parser("calibrate", help="fit the run's comb and count by tooth weights")
     cal.add_argument("--traces", required=True, help="simulate output directory")
     cal.add_argument("--out", required=True)
-    cal.add_argument("--jobs", type=int, default=1)
+    cal.add_argument("--jobs", type=int, default=1, help="threads that read traces")
     cal.add_argument("--skip-failed", action="store_true",
                      help="drop probes that fail calibration instead of aborting")
     cal.set_defaults(func=cmd_calibrate)

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .calibration import (DEFAULT_BIN_WIDTH_MV, DEFAULT_MAX_PEAKS, CountTable,
-                          GaussianMixtureFit, ThresholdSet, fit_run)
+                          GaussianMixtureFit, fit_run)
 from .errors import LineageError, SchemaError
 from .photon_stats import (Probe, ProbeEnsemble, PovmMatrix, _check_number,
                            geometric_ensemble)
@@ -365,8 +365,7 @@ def write_convergence_log(path, result: ReconstructionResult, stride: int = 100)
     path.write_text("\n".join(lines) + "\n")
 
 
-def write_fit_report(path, fit: GaussianMixtureFit, thresholds: ThresholdSet,
-                     cfg_hash: str):
+def write_fit_report(path, fit: GaussianMixtureFit, cfg_hash: str):
     write_json(
         path,
         {
@@ -377,7 +376,6 @@ def write_fit_report(path, fit: GaussianMixtureFit, thresholds: ThresholdSet,
             "baseline_mv": fit.baseline_mv,
             "spacing_mv": fit.spacing_mv,
             "components": [dataclasses.asdict(c) for c in fit.components],
-            "thresholds_mv": list(thresholds.cut_points_mv),
         },
     )
 

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy import optimize
 
 import tespovm as tp
 from tespovm import files
@@ -104,6 +105,35 @@ def test_pipeline_fit_reports(pipeline):
         assert payload["baseline_mv"] == payload["components"][0]["mean_mv"]
         assert abs(payload["baseline_mv"]) < 0.5
         assert abs(payload["spacing_mv"] - 13.0) < 0.2
+
+
+def test_calibrate_counts_are_tooth_weights_of_one_comb_fit(pipeline, tmp_path, monkeypatch):
+    # The run's comb is the one nonlinear fit, and each probe's count
+    # classes are its tooth weights on that comb.
+    fits_done = []
+    least_squares = optimize.least_squares
+
+    def counted(*args, **kwargs):
+        fits_done.append(1)
+        return least_squares(*args, **kwargs)
+
+    monkeypatch.setattr(optimize, "least_squares", counted)
+    sim = pipeline["sim"]
+    assert main(["calibrate", "--traces", str(sim), "--out", str(tmp_path / "cal")]) == 0
+    assert len(fits_done) == 1
+    run, _ = files.read_ensemble(sim / "ensemble.json")
+    traces = [files.read_trace_csv(sim / files.trace_filename(pid), probe_id=pid)
+              for pid in run.ensemble.ids]
+    fits, failures = tp.fit_run(traces, **run.calibration)
+    assert failures == {} and len(fits_done) == 2
+    expected = np.column_stack([
+        tp.bin_counts_by_area(t, fits[t.probe_id], run.reconstruction.n_outcomes)
+        for t in traces
+    ])
+    for cal in (pipeline["cal"], tmp_path / "cal"):
+        table, _ = files.read_count_table(cal / "counts.json")
+        assert table.probe_ids == run.ensemble.ids
+        assert np.array_equal(table.counts, expected)
 
 
 def _simulate_default(tmp_path, edit_config, seed=3):

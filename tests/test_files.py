@@ -404,11 +404,10 @@ def test_fit_report(tmp_path):
         n_events=100,
         spacing_mv=13.0,
     )
-    cuts = tp.ThresholdSet((7.2,))
-    files.write_fit_report(tmp_path / "fit.json", fit, cuts, "h")
+    files.write_fit_report(tmp_path / "fit.json", fit, "h")
     payload = json.loads((tmp_path / "fit.json").read_text())
     assert payload["config_hash"] == "h"
-    assert payload["thresholds_mv"] == [7.2]
+    assert "thresholds_mv" not in payload
     assert len(payload["components"]) == 2
     assert payload["components"][1]["mean_mv"] == 13.0
     assert payload["n_events"] == 100
