@@ -61,7 +61,6 @@ MAX_GOODNESS = 3.0
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 _PEAK_SIGMAS = 4.0  # a peak's least prominence, in sqrt(height)
-_ONE_TOOTH_WINDOW = 4.0  # half-width, in tooth widths, of a lone tooth's goodness
 _REFINE_POINTS = 17  # points of each nested grid that narrows a threshold's bracket
 
 
@@ -80,8 +79,9 @@ class GaussianMixtureFit:
 
     Components are ordered by strictly increasing mean; component ``i``
     is the peak of ``i`` detected counts. ``goodness`` is the reduced
-    chi-square of the Poisson-weighted fit. ``spacing_mv`` is the comb
-    spacing, and ``None`` for a one-tooth fit.
+    chi-square of the Poisson-weighted fit. ``spacing_mv`` is the spacing
+    of the comb the components sit on; every fit of :func:`fit_run` has
+    one, and a fit built by hand may leave it ``None``.
     """
 
     components: tuple[GaussianComponent, ...]
@@ -380,12 +380,9 @@ def fit_run(traces, bin_width_mv: float = DEFAULT_BIN_WIDTH_MV,
     (:func:`_admits_zero`): a tooth fitted to the tail of a zero peak, or
     to stray events below it, is not the zero. A probe's components run
     from it, empty or not, to its highest tooth holding
-    ``WEIGHT_FLOOR_EVENTS``; teeth past
-    ``max_peaks`` fold into the last. Without a trace of two prominent
-    peaks each trace gets one tooth at its median, whose goodness counts
-    the bins within ``_ONE_TOOTH_WINDOW`` widths: a shoulder fails, a
-    dark-count peak a spacing away does not. A run of no traces only
-    checks the settings and gives ``({}, {})``.
+    ``WEIGHT_FLOOR_EVENTS``; teeth past ``max_peaks`` fold into the last.
+    A run of no traces, or of traces too sparse to fit, only checks the
+    settings and gives no fits.
 
     Returns:
         ``(fits, failures)`` by probe id. A probe fails with a
@@ -395,7 +392,9 @@ def fit_run(traces, bin_width_mv: float = DEFAULT_BIN_WIDTH_MV,
         probe fails when no tooth is a zero every probe admits.
 
     Raises:
-        CalibrationError: The run's comb fit did not converge.
+        CalibrationError: No trace with enough events shows two prominent
+            peaks, so the run has no photon-number scale, or the run's
+            comb fit did not converge.
     """
     _check_number("bin_width_mv", bin_width_mv, "(0, inf)")
     _check_number("max_peaks", max_peaks, "[1, inf)", integer=True)
@@ -411,68 +410,58 @@ def fit_run(traces, bin_width_mv: float = DEFAULT_BIN_WIDTH_MV,
         else:
             spectra[pid] = _Spectrum(np.asarray(trace.amplitudes_mv, float), bin_width_mv)
 
+    if not spectra:
+        return {}, failures
     resolved = [s.centers[s.peaks] for s in spectra.values() if s.peaks.size >= 2]
-    if resolved:
-        # The median gap between adjacent peaks of every trace is robust
-        # to a missed peak. The traces' runs of peaks, over the whole number
-        # of gaps they span, refine it; a hump split into two peaks spans none.
-        gap = float(np.median(np.concatenate([np.diff(at) for at in resolved])))
-        spans = [at[-1] - at[0] for at in resolved]
-        steps = [round(span / gap) for span in spans]
-        spacing = sum(span for span, n in zip(spans, steps) if n) / sum(steps)
-        low = min((s for s in spectra.values() if s.peaks.size),
-                  key=lambda s: s.centers[s.peaks[0]])
-        first = low.centers[low.peaks[0]]
-        start = min(s.edges[0] for s in spectra.values())
-        base = first - math.floor((first - start) / spacing) * spacing
-        # A first peak merged with its neighbour looks wider than its tooth.
-        width = low.widths[0] * bin_width_mv / 2.355
-        x0 = [base, spacing, min(width, spacing / 4.0), 0.0]
-        lo = [base - spacing / 2.0, spacing / 2.0, bin_width_mv / 4.0, 0.0]
-        hi = [base + spacing / 2.0, 1.5 * spacing, spacing, spacing / 2.0]
-        teeth = {pid: s.teeth(base, spacing) for pid, s in spectra.items()}
-        res = optimize.least_squares(
-            lambda comb: np.concatenate([s.residuals(comb, teeth[pid])
+    if not resolved:
+        raise CalibrationError("no trace shows two prominent peaks: the run has no "
+                               "photon-number scale")
+    # The median gap between adjacent peaks of every trace is robust
+    # to a missed peak. The traces' runs of peaks, over the whole number
+    # of gaps they span, refine it; a hump split into two peaks spans none.
+    gap = float(np.median(np.concatenate([np.diff(at) for at in resolved])))
+    spans = [at[-1] - at[0] for at in resolved]
+    steps = [round(span / gap) for span in spans]
+    spacing = sum(span for span, n in zip(spans, steps) if n) / sum(steps)
+    low = min((s for s in spectra.values() if s.peaks.size),
+              key=lambda s: s.centers[s.peaks[0]])
+    first = low.centers[low.peaks[0]]
+    start = min(s.edges[0] for s in spectra.values())
+    base = first - math.floor((first - start) / spacing) * spacing
+    # A first peak merged with its neighbour looks wider than its tooth.
+    width = low.widths[0] * bin_width_mv / 2.355
+    x0 = [base, spacing, min(width, spacing / 4.0), 0.0]
+    lo = [base - spacing / 2.0, spacing / 2.0, bin_width_mv / 4.0, 0.0]
+    hi = [base + spacing / 2.0, 1.5 * spacing, spacing, spacing / 2.0]
+    teeth = {pid: s.teeth(base, spacing) for pid, s in spectra.items()}
+    res = optimize.least_squares(
+        lambda comb: np.concatenate([s.residuals(comb, teeth[pid])
+                                     for pid, s in spectra.items()]),
+        np.clip(x0, lo, hi), bounds=(lo, hi),
+        jac=lambda comb: np.concatenate([s.jacobian(comb, teeth[pid])
                                          for pid, s in spectra.items()]),
-            np.clip(x0, lo, hi), bounds=(lo, hi),
-            jac=lambda comb: np.concatenate([s.jacobian(comb, teeth[pid])
-                                             for pid, s in spectra.items()]),
-        )
-        if res.status == 0:
-            raise CalibrationError(f"comb fit did not converge ({res.nfev} evaluations)")
-        teeth = {pid: s.teeth(res.x[0], res.x[1]) for pid, s in spectra.items()}
-        combs = dict.fromkeys(spectra, tuple(map(float, res.x)))
-        windows, n_params = {}, 4
-    else:
-        # One tooth per trace, placed by the median and the normal-scaled
-        # median absolute deviation, which a few stray events do not drag.
-        combs, windows, teeth = {}, {}, {}
-        for pid, s in spectra.items():
-            median = float(np.median(s.amps))
-            mad = 1.4826 * float(np.median(np.abs(s.amps - median)))
-            combs[pid] = (median, 0.0, max(mad, bin_width_mv / 4.0), 0.0)
-            windows[pid] = np.abs(s.centers - median) <= _ONE_TOOTH_WINDOW * combs[pid][2]
-            teeth[pid] = np.zeros(1, dtype=int)
-        n_params = 2
+    )
+    if res.status == 0:
+        raise CalibrationError(f"comb fit did not converge ({res.nfev} evaluations)")
+    comb = base, spacing, sigma0, sigma_slope = tuple(map(float, res.x))
 
     solved, lowest = {}, set()
-    for pid, comb in combs.items():
-        s = spectra[pid]
-        mass = s.mass(comb, teeth[pid])
+    for pid, s in spectra.items():
+        numbers = s.teeth(base, spacing)
+        mass = s.mass(comb, numbers)
         # Counts as variances bias the weights low where counts are sparse;
         # the fitted model's variances do not.
         w, resid = s.weigh(mass, mass @ s.weigh(mass, s.counts)[0])
-        resid = resid[windows.get(pid, slice(None))]
-        goodness = float(resid @ resid) / max(1, resid.size - n_params - teeth[pid].size)
+        goodness = float(resid @ resid) / max(1, resid.size - len(comb) - numbers.size)
         if goodness > MAX_GOODNESS:
             failures[pid] = CalibrationError(
                 f"comb fit does not describe the histogram: reduced chi-square "
                 f"{goodness:.4g} > {MAX_GOODNESS} (peaks unresolved or off the comb)"
             )
             continue
-        lowest.update(teeth[pid][w >= WEIGHT_FLOOR_EVENTS][:1].tolist())
+        lowest.update(numbers[w >= WEIGHT_FLOOR_EVENTS][:1].tolist())
         # Teeth below the trace's data hold none of its events.
-        solved[pid] = np.bincount(teeth[pid], w), goodness, s.amps.size
+        solved[pid] = np.bincount(numbers, w), goodness, s.amps.size
     # A tooth proposed by one probe's tail is the zero only if every probe
     # admits it, and a probe with a zero peak of its own admits no lower one.
     zero = min((z for z in lowest
@@ -490,11 +479,10 @@ def fit_run(traces, bin_width_mv: float = DEFAULT_BIN_WIDTH_MV,
         weights = w[zero:kept[-1] + 1]
         if weights.size > max_peaks:
             weights = np.append(weights[:max_peaks - 1], weights[max_peaks - 1:].sum())
-        base, spacing, sigma0, sigma_slope = combs[pid]
         comps = [GaussianComponent(float(wk), base + k * spacing, sigma0 + k * sigma_slope)
                  for k, wk in enumerate(weights, start=zero)]
         fits[pid] = GaussianMixtureFit(comps, goodness, float(bin_width_mv), n_events,
-                                       spacing if spacing > 0 else None)
+                                       spacing)
     return fits, failures
 
 
@@ -522,7 +510,9 @@ def fit_peaks(trace: AmplitudeTrace, bin_width_mv: float = DEFAULT_BIN_WIDTH_MV,
     tooth weights that agree to about an event per class. A bright trace
     whose zero peak holds too few events cannot show it, and alone its
     lowest visible tooth is taken for zero: fit a run's traces together
-    with :func:`fit_run`.
+    with :func:`fit_run`. A trace without two prominent peaks, such as a
+    dark one, has no photon-number scale of its own and raises; in a run
+    with a resolved trace it sits on the run's comb.
     """
     fits, failures = fit_run([trace], bin_width_mv, max_peaks)
     if failures:

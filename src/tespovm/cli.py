@@ -115,21 +115,25 @@ def cmd_calibrate(args) -> int:
     return EXIT_OK
 
 
-def _check_pairing(table, ensemble, counts_path):
-    """Raise :class:`SchemaError` naming ``counts_path`` when a column id of
-    ``table`` is not a probe of the run config."""
+def _read_counts(args, others=None):
+    """The count table of ``--counts``, its config hash and the run config
+    of ``--ensemble``, checked to come from one run with the ``others``
+    artifacts (a map of path to recorded config hash) unless ``--force``.
+    A column id that is not a probe of the run config raises
+    :class:`SchemaError` naming the ``--counts`` file."""
+    table, counts_hash = files.read_count_table(args.counts)
+    run, ensemble_hash = files.read_ensemble(args.ensemble)
+    files.check_lineage({**(others or {}), args.counts: counts_hash,
+                         args.ensemble: ensemble_hash}, args.force)
     try:
-        ensemble.subset(table.probe_ids)
+        run.ensemble.subset(table.probe_ids)
     except ValueError as exc:
-        raise SchemaError(f"{counts_path}: {exc}") from exc
+        raise SchemaError(f"{args.counts}: {exc}") from exc
+    return table, counts_hash, run
 
 
 def cmd_reconstruct(args) -> int:
-    table, counts_hash = files.read_count_table(args.counts)
-    run, ensemble_hash = files.read_ensemble(args.ensemble)
-    files.check_lineage({args.counts: counts_hash, args.ensemble: ensemble_hash},
-                        args.force)
-    _check_pairing(table, run.ensemble, args.counts)
+    table, counts_hash, run = _read_counts(args)
     cfg = dataclasses.replace(run.reconstruction,
                               init_eta=estimate_eta_gamma(table, run.ensemble).eta_hat)
     result = reconstruct_povm(table, run.ensemble, cfg)
@@ -149,11 +153,7 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    table, counts_hash = files.read_count_table(args.counts)
-    run, ensemble_hash = files.read_ensemble(args.ensemble)
-    files.check_lineage({args.counts: counts_hash, args.ensemble: ensemble_hash},
-                        args.force)
-    _check_pairing(table, run.ensemble, args.counts)
+    table, counts_hash, run = _read_counts(args)
     estimate = estimate_eta_gamma(table, run.ensemble)
     out = Path(args.out)
     files.write_estimate(out / "estimate.json", estimate, counts_hash)
@@ -167,13 +167,8 @@ def cmd_validate(args) -> int:
     _check_number("--energy-scale", args.energy_scale, "[0, 1)")
     _check_number("--attenuation-db", args.attenuation_db, "[0, inf)")
     povm, povm_hash, cfg = files.read_povm(args.povm)
-    table, counts_hash = files.read_count_table(args.counts)
-    run, ensemble_hash = files.read_ensemble(args.ensemble)
     estimate, estimate_hash = files.read_estimate(args.estimate)
-    files.check_lineage({args.povm: povm_hash, args.counts: counts_hash,
-                         args.ensemble: ensemble_hash, args.estimate: estimate_hash},
-                        args.force)
-    _check_pairing(table, run.ensemble, args.counts)
+    table, _, run = _read_counts(args, {args.povm: povm_hash, args.estimate: estimate_hash})
 
     # The reference is the fitted linear detector.
     eta_hat, gamma_hat = float(estimate["eta_hat"]), float(estimate["gamma_hat"])

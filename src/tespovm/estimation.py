@@ -130,6 +130,11 @@ def _fit(counts: CountTable, ensemble: ProbeEnsemble, joint: bool) -> Efficiency
     # Event counts weigh the likelihood when the table has them.
     weights = counts.probs if counts.counts is None else counts.counts
     cols = weights[:, used].astype(float)
+    if not cols[1:].any():
+        raise EstimationError(
+            "every usable probe has all its events in class 0: the fit sits on its "
+            "zero bound, where the Fisher information gives no standard error"
+        )
     mus = probes.mean_photons[used]
     if joint and np.unique(mus).size < 2:
         raise EstimationError(
@@ -192,7 +197,8 @@ def estimate_eta(counts: CountTable, ensemble: ProbeEnsemble) -> EfficiencyEstim
 
     Raises:
         ValueError: A column id names no probe of the ensemble.
-        EstimationError: Every probe was degenerate.
+        EstimationError: Every probe was degenerate, or every probe of mu
+            above zero has all its events in class 0.
     """
     return _fit(counts, ensemble, joint=False)
 
@@ -211,6 +217,7 @@ def estimate_eta_gamma(counts: CountTable, ensemble: ProbeEnsemble) -> Efficienc
 
     Raises:
         ValueError: A column id names no probe of the ensemble.
-        EstimationError: The probes share a single mean photon number.
+        EstimationError: The probes share a single mean photon number, or
+            every probe has all its events in class 0.
     """
     return _fit(counts, ensemble, joint=True)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg
-from scipy.special import gammaln
+from scipy.special import gammaln, xlogy
 
 __all__ = [
     "COLUMN_SUM_TOL",
@@ -301,10 +301,8 @@ def poisson_pmf(mu: float, m) -> float | np.ndarray:
         m_arr = m_arr.astype(np.int64)
     if m_arr.size and m_arr.min() < 0:
         raise ValueError("m must be >= 0")
-    if mu == 0.0:
-        out = np.where(m_arr == 0, 1.0, 0.0)
-    else:
-        out = np.exp(m_arr * math.log(mu) - mu - gammaln(m_arr + 1.0))
+    # xlogy takes 0 * log(0) as 0, so mu = 0 gives the point mass at m = 0.
+    out = np.exp(xlogy(m_arr, mu) - mu - gammaln(m_arr + 1.0))
     return float(out) if scalar else out
 
 

@@ -1,5 +1,7 @@
 """Tests for peak fitting, threshold placement and count binning."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -65,31 +67,15 @@ def test_fit_peaks_weak_zero_peak_is_tooth_zero():
     assert _area_tv(trace, fit) < 0.01
 
 
-def test_fit_peaks_single_peak_gives_one_component():
-    trace = tp.simulate_trace(tp.DetectorPhysicalConfig(), 0.0, 100_000, seed=3)
-    fit = tp.fit_peaks(trace)
-    assert fit.n_components == 1
-    assert fit.spacing_mv is None
-    assert abs(fit.baseline_mv) < 0.1
-    assert abs(fit.components[0].sigma_mv - 2.0) < 0.05
-    assert abs(fit.components[0].weight - 100_000) < 100
-
-
-@pytest.mark.parametrize("gamma", [5e-4, 1e-3])
-@pytest.mark.parametrize("seed", [1, 2])
-def test_fit_peaks_no_light_trace_with_weak_dark_peak(gamma, seed):
-    # 40-110 dark events one spacing up are too few to seed a comb, and
-    # too far from the zero peak to count against its one-tooth fit.
+@pytest.mark.parametrize(("gamma", "seed"),
+                         [(0.0, 3), (5e-4, 1), (5e-4, 2), (1e-3, 1), (1e-3, 2)])
+def test_fit_peaks_dark_trace_has_no_scale(gamma, seed):
+    # A dark trace shows one prominent peak, and its at most ~110 dark events
+    # one spacing up are too few for a second: alone it has no photon-number
+    # scale, so it raises rather than guess one.
     trace = tp.simulate_trace(tp.DetectorPhysicalConfig(gamma=gamma), 0.0, 100_000, seed=seed)
-    fit = tp.fit_peaks(trace)
-    assert fit.n_components == 1
-    assert abs(fit.baseline_mv) < 0.1
-    assert fit.goodness <= tp.calibration.MAX_GOODNESS
-    # Five fitted sigmas above the zero tooth, the dark events stand apart.
-    zero = fit.components[0]
-    cuts = tp.ThresholdSet((zero.mean_mv + 5.0 * zero.sigma_mv,))
-    dark = int((trace.truth_counts > 0).sum())
-    assert abs(tp.bin_counts(trace, cuts, 2)[1] - dark) < 4.0 * np.sqrt(dark)
+    with pytest.raises(tp.CalibrationError, match="no photon-number scale"):
+        tp.fit_peaks(trace)
 
 
 def test_fit_peaks_folds_teeth_past_max_peaks():
@@ -104,11 +90,11 @@ def test_fit_peaks_folds_teeth_past_max_peaks():
 
 
 def test_fit_peaks_raises_on_unresolved_peaks():
-    # Spacing 2.9 zero-peak widths: the one-photon peak is a shoulder, and
-    # a single tooth cannot describe the histogram.
+    # Spacing 2.9 zero-peak widths: the one-photon peak is a shoulder, not
+    # a second prominent peak, so the trace has no scale of its own.
     detector = tp.DetectorPhysicalConfig(sigma0_mv=13.0 / 2.9)
     trace = tp.simulate_trace(detector, 6.5, 100_000, seed=3)
-    with pytest.raises(tp.CalibrationError, match="reduced chi-square"):
+    with pytest.raises(tp.CalibrationError, match="no photon-number scale"):
         tp.fit_peaks(trace)
 
 
@@ -197,12 +183,31 @@ def test_fit_run_failures_stay_out_of_the_scale():
     assert tp.fit_run([]) == ({}, {})
 
 
+def test_fit_run_trace_off_the_comb_fails_its_goodness_gate():
+    # A trace of another detector, spacing 19 mV, sits on no tooth of the
+    # run's 13 mV comb: it fails alone, and the run keeps its scale.
+    ensemble = tp.geometric_ensemble(n_probes=4, n_pulses=20_000)
+    traces = tp.simulate_ensemble(tp.DetectorPhysicalConfig(), ensemble, seed=5)
+    odd = tp.simulate_trace(tp.DetectorPhysicalConfig(eta=0.3, peak_spacing_mv=19.0),
+                            6.5, 20_000, seed=5)
+    fits, failures = tp.fit_run([*traces, _trace(odd.amplitudes_mv, probe_id=9)])
+    assert list(failures) == [9] and "reduced chi-square" in str(failures[9])
+    zero, spacing = _worst_scale(fits)
+    assert zero < 0.5 and spacing < 0.05
+    for trace in traces:
+        assert _area_tv(trace, fits[trace.probe_id]) <= 0.01
+
+
 @settings(max_examples=20)
 @given(eta=st.floats(0.01, 0.9), gamma=st.floats(0.0, 0.5), sigma0=st.floats(1.0, 3.0),
        sigma_slope=st.floats(0.0, 0.3), baseline=st.floats(-20.0, 20.0),
        seed=st.integers(0, 2**32 - 1))
 @example(eta=0.9, gamma=0.2, sigma0=2.0, sigma_slope=0.0, baseline=0.0, seed=2)
 @example(eta=0.051, gamma=0.0, sigma0=13.0 / 2.9, sigma_slope=0.0, baseline=0.0, seed=3)
+# No trace shows two prominent peaks: without a scale every bright probe
+# once put all its events in class 0.
+@example(eta=0.699, gamma=0.3105, sigma0=3.8754, sigma_slope=0.2665, baseline=0.0,
+         seed=1280924133)
 def test_fit_run_labels_right_or_raises(eta, gamma, sigma0, sigma_slope, baseline, seed):
     """Calibrated counts match the true counts, or the probe fails: never
     wrong silently."""
@@ -213,7 +218,7 @@ def test_fit_run_labels_right_or_raises(eta, gamma, sigma0, sigma_slope, baselin
     try:
         fits, failures = tp.fit_run(traces)
     except tp.CalibrationError as exc:
-        assert "comb fit did not converge" in str(exc)
+        assert re.search("comb fit did not converge|no photon-number scale", str(exc))
         return
     for trace in traces:
         if trace.probe_id not in failures:

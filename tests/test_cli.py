@@ -1,6 +1,7 @@
 """End-to-end tests for the five-stage command line pipeline."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -196,6 +197,40 @@ def test_calibrate_no_light_probe_gets_its_dark_count_tooth(tmp_path):
     dark = int(_true_counts(sim, [20])[1, 0])
     counted = int(table.counts[1, table.probe_ids.index(20)])
     assert abs(counted - dark) < 4.0 * np.sqrt(dark)
+
+
+@pytest.mark.parametrize("skip", [[], ["--skip-failed"]])
+def test_calibrate_run_without_a_scale_exits_3(tmp_path, capsys, skip):
+    # At sigma0 3.9 mV and sigma-slope 0.27 mV no trace of this bright run
+    # shows two prominent peaks. Without a photon-number scale its bright
+    # probes once put every event in class 0 and estimate read eta_hat 0.
+    def edit(config):
+        config["detector"].update(eta=0.699, gamma=0.3105, sigma0_mv=3.8754,
+                                  sigma_slope_mv=0.2665)
+        ensemble = tp.geometric_ensemble(n_probes=4, n_pulses=10_000)
+        config["probes"] = [dataclasses.asdict(p) for p in ensemble.probes]
+
+    sim, cal = _simulate_default(tmp_path, edit, seed=1280924133), tmp_path / "cal"
+    assert main(["calibrate", "--traces", str(sim), "--out", str(cal), *skip]) == 3
+    assert "no photon-number scale" in capsys.readouterr().err
+    assert not (cal / "counts.json").exists()
+
+
+@pytest.mark.parametrize("stage", ["estimate", "reconstruct"])
+def test_table_without_detections_exits_3(tmp_path, capsys, stage):
+    # Every event in class 0 leaves eta and gamma on their zero bound.
+    files.write_ensemble(tmp_path / "ensemble.json", _config())
+    run, cfg_hash = files.read_ensemble(tmp_path / "ensemble.json")
+    counts = np.zeros((8, 5), dtype=int)
+    counts[0] = 4000
+    files.write_count_table(tmp_path / "counts.json",
+                            tp.CountTable.from_counts(counts, probe_ids=run.ensemble.ids),
+                            cfg_hash)
+    assert main([stage, "--counts", str(tmp_path / "counts.json"),
+                 "--ensemble", str(tmp_path / "ensemble.json"),
+                 "--out", str(tmp_path / "out")]) == 3
+    assert "all its events in class 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_pipeline_povm_artifact(pipeline):

@@ -211,6 +211,36 @@ def test_estimate_eta_all_degenerate_raises():
         tp.estimate_eta(table, ens)
 
 
+def test_all_events_in_class_0_raise():
+    """With every event in class 0, eta and gamma sit on their zero bound,
+    where the Fisher information gives standard errors of about 1e-10:
+    both estimators raise rather than report a boundary fit as exact."""
+    ens = tp.geometric_ensemble(n_probes=4)
+    counts = np.zeros((12, 4), dtype=int)
+    counts[0] = 10_000
+    table = tp.CountTable.from_counts(counts, probe_ids=ens.ids)
+    for estimate in (tp.estimate_eta, tp.estimate_eta_gamma):
+        with pytest.raises(tp.EstimationError, match="all its events in class 0"):
+            estimate(table, ens)
+
+
+def test_vacuum_column_in_class_0_still_fits():
+    """A dark-free probe of mu 0 puts every event in class 0 by right;
+    beside lit probes both estimators still fit."""
+    lit = tp.geometric_ensemble(n_probes=4)
+    ens = tp.ProbeEnsemble((tp.Probe(id=20, mean_photons=0.0),) + lit.probes)
+    rng = np.random.default_rng(5)
+    counts = np.column_stack([
+        rng.multinomial(10_000, tp.linear_prediction(0.051, p.mean_photons, 12).probs)
+        for p in ens.probes
+    ])
+    assert counts[0, 0] == 10_000
+    table = tp.CountTable.from_counts(counts, probe_ids=ens.ids)
+    for estimate in (tp.estimate_eta, tp.estimate_eta_gamma):
+        est = estimate(table, ens)
+        assert abs(est.eta_hat - 0.051) < 4.0 * est.eta_se
+
+
 def test_estimate_alignment_validation():
     ens = tp.geometric_ensemble(n_probes=3, mu_min=2.0, mu_max=10.0)
     # Two of the three probes, out of order: columns pair with probes by id.
