@@ -43,8 +43,9 @@ __all__ = [
     "bin_counts_by_area",
 ]
 
-# Histogram bin width and the most count classes a fit reports, unless
-# the run's config says otherwise.
+# Histogram bin width, unless the run's config says otherwise, and the
+# most components a library fit reports; ``calibrate`` fits with the
+# run's ``n_outcomes`` in its place.
 DEFAULT_BIN_WIDTH_MV = 1.3
 DEFAULT_MAX_PEAKS = 16
 
@@ -137,10 +138,6 @@ class ThresholdSet:
         if any(b <= a for a, b in zip(cuts, cuts[1:])):
             raise ValueError("cut points must be strictly increasing")
         object.__setattr__(self, "cut_points_mv", cuts)
-
-    @property
-    def n_cuts(self) -> int:
-        return len(self.cut_points_mv)
 
 
 @dataclass(frozen=True, eq=False)
@@ -380,7 +377,9 @@ def fit_run(traces, bin_width_mv: float = DEFAULT_BIN_WIDTH_MV,
     (:func:`_admits_zero`): a tooth fitted to the tail of a zero peak, or
     to stray events below it, is not the zero. A probe's components run
     from it, empty or not, to its highest tooth holding
-    ``WEIGHT_FLOOR_EVENTS``; teeth past ``max_peaks`` fold into the last.
+    ``WEIGHT_FLOOR_EVENTS``; teeth past ``max_peaks`` fold into the last,
+    as count classes past the last do, so ``calibrate`` passes the run's
+    ``reconstruction.n_outcomes`` and each fit holds at most its classes.
     A run of no traces, or of traces too sparse to fit, only checks the
     settings and gives no fits.
 

@@ -8,13 +8,14 @@ key before a trace is written. It records it as the run config in
 ``manifest.json``.
 Each stage has one route. ``calibrate`` fits one comb to the run and
 counts each probe's class ``n`` as its tooth-``n`` weight
-(:func:`~tespovm.calibration.bin_counts_by_area`). ``estimate`` fits
+(:func:`~tespovm.calibration.bin_counts_by_area`); the run config's
+``reconstruction.n_outcomes`` alone sets the classes. ``estimate`` fits
 efficiency and dark rate jointly
 (:func:`~tespovm.estimation.estimate_eta_gamma`), which needs
 usable probes at two or more mean photon numbers (exit 3 otherwise).
 ``reconstruct`` starts from that fit's efficiency, solves with the run
-config's reconstruction section and records every solver setting in
-``povm.json``, which ``validate`` reuses for its sensitivity sweep;
+config's reconstruction section and records the start in ``povm.json``;
+``validate``'s sensitivity sweep solves from that start with that section.
 ``validate`` scores against the fitted linear detector
 ``binomial_povm(eta_hat, ..., gamma_hat)``. ``calibrate`` reads the
 trace of each probe id of the run config, and the later stages pair
@@ -86,7 +87,7 @@ def cmd_calibrate(args) -> int:
                 traces[pid] = fut.result()
             except SchemaError as exc:
                 failures[pid] = exc
-    fits, fit_failures = fit_run(traces.values(), **run.calibration)
+    fits, fit_failures = fit_run(traces.values(), **run.calibration, max_peaks=n_outcomes)
     failures.update(fit_failures)
     if failures and not args.skip_failed:
         pid = min(failures)
@@ -138,7 +139,7 @@ def cmd_reconstruct(args) -> int:
                               init_eta=estimate_eta_gamma(table, run.ensemble).eta_hat)
     result = reconstruct_povm(table, run.ensemble, cfg)
     out = Path(args.out)
-    files.write_povm(out / "povm.json", result, cfg, counts_hash)
+    files.write_povm(out / "povm.json", result, cfg.init_eta, counts_hash)
     files.write_convergence_log(out / "convergence.log", result)
     certificate = f"gradient-mapping norm {result.gradient_mapping_norm:.3e}, tol {cfg.tol:g}"
     if not result.converged:
@@ -166,7 +167,7 @@ def cmd_validate(args) -> int:
     _check_number("--split", args.split, "[0, inf)", integer=True)
     _check_number("--energy-scale", args.energy_scale, "[0, 1)")
     _check_number("--attenuation-db", args.attenuation_db, "[0, inf)")
-    povm, povm_hash, cfg = files.read_povm(args.povm)
+    povm, povm_hash, init_eta = files.read_povm(args.povm)
     estimate, estimate_hash = files.read_estimate(args.estimate)
     table, _, run = _read_counts(args, {args.povm: povm_hash, args.estimate: estimate_hash})
 
@@ -190,11 +191,12 @@ def cmd_validate(args) -> int:
         },
     }
     if args.energy_scale > 0 or args.attenuation_db > 0:
-        # The recorded settings make the baseline point the reported POVM.
+        # The run's solver settings from the recorded start make the
+        # baseline point the reported POVM.
         sweep = sensitivity_sweep(
             table,
             run.ensemble,
-            cfg,
+            dataclasses.replace(run.reconstruction, init_eta=init_eta),
             reference,
             energy_scale=args.energy_scale,
             attenuation_db=args.attenuation_db,

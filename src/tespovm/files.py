@@ -22,8 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .calibration import (DEFAULT_BIN_WIDTH_MV, DEFAULT_MAX_PEAKS, CountTable,
-                          GaussianMixtureFit, fit_run)
+from .calibration import DEFAULT_BIN_WIDTH_MV, CountTable, GaussianMixtureFit, fit_run
 from .errors import LineageError, SchemaError
 from .photon_stats import (Probe, ProbeEnsemble, PovmMatrix, _check_number,
                            geometric_ensemble)
@@ -31,6 +30,8 @@ from .tes_sim import AmplitudeTrace, DetectorPhysicalConfig
 from .tomography import ReconstructionConfig, ReconstructionResult
 
 TRACE_PREFIX = "trace_probe_"
+# convergence.log records the objective at every this many iterations, and the last.
+CONVERGENCE_LOG_STRIDE = 100
 
 
 def default_config() -> dict:
@@ -38,14 +39,15 @@ def default_config() -> dict:
 
     The detector and reconstruction sections are the field defaults of
     :class:`DetectorPhysicalConfig` and :class:`ReconstructionConfig`, the
-    calibration section the :func:`~tespovm.calibration.fit_run` defaults.
+    calibration section the :func:`~tespovm.calibration.fit_run` default
+    bin width.
     """
     reconstruction = dataclasses.asdict(ReconstructionConfig())
     del reconstruction["init_eta"]
     return {
         "detector": dataclasses.asdict(DetectorPhysicalConfig()),
         "probes": [dataclasses.asdict(p) for p in geometric_ensemble().probes],
-        "calibration": {"bin_width_mv": DEFAULT_BIN_WIDTH_MV, "max_peaks": DEFAULT_MAX_PEAKS},
+        "calibration": {"bin_width_mv": DEFAULT_BIN_WIDTH_MV},
         "reconstruction": reconstruction,
     }
 
@@ -106,7 +108,8 @@ def check_lineage(hashes: dict, force: bool = False):
 class RunConfig:
     """A run config, each section built by the type that uses it;
     ``calibration`` holds the keyword arguments of
-    :func:`~tespovm.calibration.fit_run`."""
+    :func:`~tespovm.calibration.fit_run` but ``max_peaks``, which is
+    ``reconstruction.n_outcomes``."""
 
     detector: DetectorPhysicalConfig
     ensemble: ProbeEnsemble
@@ -128,9 +131,10 @@ def parse_config(config: dict) -> RunConfig:
     default, and a key it does not take or a value that is not a finite
     number of the right kind (a bool is not one) or out of range raises
     :class:`SchemaError` naming the section and the key. So do other
-    top-level keys and ``reconstruction.init_eta``, since ``reconstruct``
-    starts from :func:`~tespovm.estimation.estimate_eta_gamma`. A probe's ``id``
-    defaults to its index.
+    top-level keys, ``reconstruction.init_eta``, since ``reconstruct``
+    starts from :func:`~tespovm.estimation.estimate_eta_gamma`, and
+    ``calibration.max_peaks``, since ``reconstruction.n_outcomes`` alone
+    sets the count classes. A probe's ``id`` defaults to its index.
     """
     if not isinstance(config, dict):
         raise SchemaError("config: top level must be an object")
@@ -140,10 +144,12 @@ def parse_config(config: dict) -> RunConfig:
     probes = _require(config, "probes", "config")
     if not isinstance(probes, list) or not probes:
         raise SchemaError("config: 'probes' must be a nonempty list")
-    reconstruction = config.get("reconstruction", {})
-    if isinstance(reconstruction, dict) and "init_eta" in reconstruction:
-        raise SchemaError("config: reconstruction: init_eta is not a config key; "
-                          "reconstruct starts from the fitted efficiency")
+    # Keys a section's type takes but the run sets from elsewhere.
+    for section, key, why in (
+            ("reconstruction", "init_eta", "reconstruct starts from the fitted efficiency"),
+            ("calibration", "max_peaks", "reconstruction.n_outcomes sets the count classes")):
+        if isinstance(config.get(section), dict) and key in config[section]:
+            raise SchemaError(f"config: {section}: {key} is not a config key; {why}")
     calibration = config.get("calibration", {})
     _build("calibration", functools.partial(fit_run, ()), calibration)
     return RunConfig(
@@ -152,7 +158,8 @@ def parse_config(config: dict) -> RunConfig:
             _build(f"probes[{i}]", functools.partial(Probe, id=i), entry)
             for i, entry in enumerate(probes)]}),
         calibration=calibration,
-        reconstruction=_build("reconstruction", ReconstructionConfig, reconstruction),
+        reconstruction=_build("reconstruction", ReconstructionConfig,
+                              config.get("reconstruction", {})),
     )
 
 
@@ -300,19 +307,18 @@ def read_count_table(path) -> tuple[CountTable, str]:
 
 # -- POVM and results --------------------------------------------------------
 
-def write_povm(path, result: ReconstructionResult, cfg: ReconstructionConfig,
+def write_povm(path, result: ReconstructionResult, init_eta: float | None,
                cfg_hash: str):
-    """Write the POVM with every solver setting that produced it.
+    """Write the POVM, the efficiency ``init_eta`` its solve started from
+    (None for uniform columns) and the solve's record.
 
-    The shape of ``entries`` is ``n_outcomes`` x ``truncation``, so those
-    two settings are not stored again.
+    The other solver settings are the run config's reconstruction section,
+    stored once in ``ensemble.json``, to which ``config_hash`` ties the file.
     """
-    settings = dataclasses.asdict(cfg)
-    del settings["n_outcomes"], settings["truncation"]
     write_json(
         path,
         {
-            **settings,
+            "init_eta": init_eta,
             "config_hash": cfg_hash,
             "entries": result.povm.entries,
             "converged": result.converged,
@@ -328,32 +334,29 @@ def write_povm(path, result: ReconstructionResult, cfg: ReconstructionConfig,
     )
 
 
-def read_povm(path) -> tuple[PovmMatrix, str, ReconstructionConfig]:
-    """The POVM, config hash and solver settings of a ``povm.json``.
-
-    The shape of the matrix fixes ``n_outcomes`` and ``truncation``; other
-    settings a file lacks take the :class:`ReconstructionConfig` defaults.
-    """
+def read_povm(path) -> tuple[PovmMatrix, str, float | None]:
+    """The POVM, config hash and starting efficiency ``init_eta`` of a
+    ``povm.json``; an ``init_eta`` that is null or absent is a uniform
+    start, any other must be a number in [0, 1]."""
     payload = read_json(path)
     cfg_hash = _require(payload, "config_hash", str(path))
     entries = np.asarray(_require(payload, "entries", str(path)), dtype=float)
+    init_eta = payload.get("init_eta")
     try:
         povm = PovmMatrix(entries)
-        settings = {f.name: payload[f.name] for f in dataclasses.fields(ReconstructionConfig)
-                    if f.name in payload}
-        cfg = ReconstructionConfig(**{**settings, "n_outcomes": povm.n_outcomes,
-                                      "truncation": povm.truncation})
+        if init_eta is not None:
+            _check_number("init_eta", init_eta, "[0, 1]")
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"{path}: {exc}") from exc
-    return povm, cfg_hash, cfg
+    return povm, cfg_hash, init_eta
 
 
-def write_convergence_log(path, result: ReconstructionResult, stride: int = 100):
+def write_convergence_log(path, result: ReconstructionResult):
     history = result.objective_history
     lines = ["# iteration objective"]
-    for i in range(0, history.size, stride):
+    for i in range(0, history.size, CONVERGENCE_LOG_STRIDE):
         lines.append(f"{i} {float(history[i])!r}")
-    if (history.size - 1) % stride:
+    if (history.size - 1) % CONVERGENCE_LOG_STRIDE:
         lines.append(f"{history.size - 1} {float(history[-1])!r}")
     lines.append(
         f"# stop={result.stop_reason} iters={result.n_iters} "

@@ -21,7 +21,7 @@ import math
 import numbers
 import operator
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import linalg
@@ -91,24 +91,18 @@ class Probe:
 
     Attributes:
         id: Integer label, unique within an ensemble.
-        mean_photons: Mean photon number of the state, >= 0. This is the
-            primary field; ``attenuation_db`` is metadata only.
+        mean_photons: Mean photon number of the state, >= 0.
         n_pulses: Number of optical pulses recorded for this probe, >= 1.
-        attenuation_db: Optional attenuator setting that produced the
-            state, finite, for bookkeeping.
     """
 
     id: int
     mean_photons: float
     n_pulses: int = 100_000
-    attenuation_db: float | None = None
 
     def __post_init__(self):
         _check_number("id", self.id, "(-inf, inf)", integer=True)
         _check_number("mean_photons", self.mean_photons, "[0, inf)")
         _check_number("n_pulses", self.n_pulses, "[1, inf)", integer=True)
-        if self.attenuation_db is not None:
-            _check_number("attenuation_db", self.attenuation_db, "(-inf, inf)")
 
 
 @dataclass(frozen=True)
@@ -124,23 +118,6 @@ class ProbeEnsemble:
         ids = [p.id for p in self.probes]
         if len(set(ids)) != len(ids):
             raise ValueError("probe ids must be unique")
-        self._check_attenuation_monotonic()
-
-    def _check_attenuation_monotonic(self):
-        # More attenuation must mean fewer photons.
-        tagged = [
-            (p.attenuation_db, p.mean_photons)
-            for p in self.probes
-            if p.attenuation_db is not None
-        ]
-        if len(tagged) < 2:
-            return
-        tagged.sort(key=lambda t: t[0])
-        mus = np.array([t[1] for t in tagged])
-        if np.any(np.diff(mus) > 0):
-            raise ValueError(
-                "mean_photons must decrease monotonically with attenuation_db"
-            )
 
     @property
     def n_probes(self) -> int:
@@ -157,17 +134,8 @@ class ProbeEnsemble:
     def with_scaled_means(self, factor: float) -> "ProbeEnsemble":
         """Return a copy with every mean photon number multiplied by ``factor`` > 0."""
         _check_number("factor", factor, "(0, inf)")
-        return ProbeEnsemble(
-            tuple(
-                Probe(
-                    id=p.id,
-                    mean_photons=p.mean_photons * factor,
-                    n_pulses=p.n_pulses,
-                    attenuation_db=p.attenuation_db,
-                )
-                for p in self.probes
-            )
-        )
+        return ProbeEnsemble(tuple(replace(p, mean_photons=p.mean_photons * factor)
+                                   for p in self.probes))
 
     def subset(self, ids: tuple[int, ...]) -> "ProbeEnsemble":
         """Return the sub-ensemble with the given ids, in the given order.
@@ -192,13 +160,11 @@ def geometric_ensemble(
     mu_min: float = 6.5,
     mu_max: float = 130.0,
     n_pulses: int = Probe.n_pulses,
-    max_attenuation_db: float = 76.5,
 ) -> ProbeEnsemble:
-    """Build a geometrically spaced probe ensemble.
+    """Build a geometrically spaced probe ensemble with ids ``0 .. n_probes-1``.
 
     The defaults give 20 states from 6.5 to 130 mean photons, the span a
-    13 dB attenuator sweep produces from a fixed source. Attenuation
-    metadata is filled in relative to ``max_attenuation_db`` at ``mu_min``.
+    13 dB attenuator sweep produces from a fixed source.
     """
     _check_number("n_probes", n_probes, "[1, inf)", integer=True)
     _check_number("mu_min", mu_min, "(0, inf)")
@@ -206,18 +172,8 @@ def geometric_ensemble(
     if mu_max < mu_min:
         raise ValueError("need mu_min <= mu_max")
     mus = np.geomspace(mu_min, mu_max, n_probes)
-    atts = max_attenuation_db - 10.0 * np.log10(mus / mu_min)
-    return ProbeEnsemble(
-        tuple(
-            Probe(
-                id=j,
-                mean_photons=float(mus[j]),
-                n_pulses=n_pulses,
-                attenuation_db=float(atts[j]),
-            )
-            for j in range(n_probes)
-        )
-    )
+    return ProbeEnsemble(tuple(Probe(id=j, mean_photons=float(mu), n_pulses=n_pulses)
+                               for j, mu in enumerate(mus)))
 
 
 @dataclass(frozen=True, eq=False)

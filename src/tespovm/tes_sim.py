@@ -67,11 +67,6 @@ class DetectorPhysicalConfig:
             _check_number("saturation_count", self.saturation_count, "[0, inf)",
                           integer=True)
 
-    @property
-    def peak_resolution(self) -> float:
-        """Peak spacing in units of the zero-count width."""
-        return self.peak_spacing_mv / self.sigma0_mv
-
 
 @dataclass(frozen=True, eq=False)
 class AmplitudeTrace:

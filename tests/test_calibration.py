@@ -346,7 +346,7 @@ def test_place_thresholds_finds_density_valley():
         n_events=100_000,
     )
     cuts = tp.place_thresholds(fit, xatol=1e-6)
-    assert cuts.n_cuts == 1
+    assert len(cuts.cut_points_mv) == 1
     assert abs(cuts.cut_points_mv[0] - VALLEY_9_TO_1) < 1e-4
     # At the default xatol the parabola's vertex still lands on the valley.
     assert abs(tp.place_thresholds(fit).cut_points_mv[0] - VALLEY_9_TO_1) < 1e-6

@@ -32,7 +32,7 @@ def _config(gamma: float = 0.0) -> dict:
             for i, m in enumerate(mus)
         ],
         "detector": {"eta": 0.051, "gamma": gamma},
-        "calibration": {"bin_width_mv": 1.3, "max_peaks": 10},
+        "calibration": {"bin_width_mv": 1.3},
         "reconstruction": {"truncation": 50, "n_outcomes": 8, "max_iters": 30000},
     }
 
@@ -110,7 +110,8 @@ def test_pipeline_fit_reports(pipeline):
 
 def test_calibrate_counts_are_tooth_weights_of_one_comb_fit(pipeline, tmp_path, monkeypatch):
     # The run's comb is the one nonlinear fit, and each probe's count
-    # classes are its tooth weights on that comb.
+    # classes are its tooth weights on that comb, folded once, at the
+    # run's n_outcomes.
     fits_done = []
     least_squares = optimize.least_squares
 
@@ -125,16 +126,19 @@ def test_calibrate_counts_are_tooth_weights_of_one_comb_fit(pipeline, tmp_path, 
     run, _ = files.read_ensemble(sim / "ensemble.json")
     traces = [files.read_trace_csv(sim / files.trace_filename(pid), probe_id=pid)
               for pid in run.ensemble.ids]
-    fits, failures = tp.fit_run(traces, **run.calibration)
+    n_outcomes = run.reconstruction.n_outcomes
+    fits, failures = tp.fit_run(traces, **run.calibration, max_peaks=n_outcomes)
     assert failures == {} and len(fits_done) == 2
     expected = np.column_stack([
-        tp.bin_counts_by_area(t, fits[t.probe_id], run.reconstruction.n_outcomes)
-        for t in traces
+        tp.bin_counts_by_area(t, fits[t.probe_id], n_outcomes) for t in traces
     ])
     for cal in (pipeline["cal"], tmp_path / "cal"):
         table, _ = files.read_count_table(cal / "counts.json")
         assert table.probe_ids == run.ensemble.ids
         assert np.array_equal(table.counts, expected)
+        for pid in run.ensemble.ids:
+            report = json.loads((cal / "fits" / f"probe_{pid:03d}.json").read_text())
+            assert len(report["components"]) <= n_outcomes
 
 
 def _simulate_default(tmp_path, edit_config, seed=3):
@@ -180,6 +184,28 @@ def test_calibrate_bright_probes_keep_their_labels(tmp_path, eta):
                  "--out", str(tmp_path / "est")]) == 0
     estimate, _ = files.read_estimate(tmp_path / "est" / "estimate.json")
     assert abs(estimate["eta_hat"] - eta) < 3.0 * estimate["eta_se"]
+
+
+def test_n_outcomes_alone_sets_the_count_classes(tmp_path):
+    # When calibration.max_peaks (16) also folded the comb, this run's
+    # classes 16-19 held no events, the brightest probe put 6458 in class
+    # 15 and eta_hat read 0.0954, 24 standard errors low.
+    def edit(config):
+        config["detector"]["eta"] = 0.1
+        ensemble = tp.geometric_ensemble(n_probes=4, n_pulses=20_000)
+        config["probes"] = [dataclasses.asdict(p) for p in ensemble.probes]
+        config["reconstruction"]["n_outcomes"] = 20
+
+    sim, cal = _simulate_default(tmp_path, edit, seed=1), tmp_path / "cal"
+    assert main(["calibrate", "--traces", str(sim), "--out", str(cal)]) == 0
+    table, _ = files.read_count_table(cal / "counts.json")
+    assert table.n_outcomes == 20
+    assert np.all(table.counts[16:, -1] > 0)
+    assert main(["estimate", "--counts", str(cal / "counts.json"),
+                 "--ensemble", str(sim / "ensemble.json"),
+                 "--out", str(tmp_path / "est")]) == 0
+    estimate, _ = files.read_estimate(tmp_path / "est" / "estimate.json")
+    assert abs(estimate["eta_hat"] - 0.1) < 5.0 * estimate["eta_se"]
 
 
 def test_calibrate_no_light_probe_gets_its_dark_count_tooth(tmp_path):
@@ -234,12 +260,12 @@ def test_table_without_detections_exits_3(tmp_path, capsys, stage):
 
 
 def test_pipeline_povm_artifact(pipeline):
-    povm, h, cfg = files.read_povm(pipeline["rec"] / "povm.json")
+    povm, h, init_eta = files.read_povm(pipeline["rec"] / "povm.json")
     assert (povm.n_outcomes, povm.truncation) == (8, 50)
     assert h == files.config_hash(json.loads(pipeline["config"].read_text()))
     np.testing.assert_allclose(povm.entries.sum(axis=0), 1.0, atol=1e-9)
     estimate, _ = files.read_estimate(pipeline["est"] / "estimate.json")
-    assert cfg.init_eta == estimate["eta_hat"]
+    assert init_eta == estimate["eta_hat"]
 
 
 def test_ensemble_json_is_the_run_config(pipeline):
@@ -445,7 +471,8 @@ def test_bad_config_exits_2(tmp_path, capsys):
     (("probes", 0, "n_pulses"), 3000.5, r"config: probes\[0\]: n_pulses must be an integer"),
     (("reconstruction", "truncation"), -1,
      r"config: reconstruction: truncation must lie in \[1, inf\), got -1"),
-    (("calibration", "max_peaks"), 10.5, r"config: calibration: max_peaks must be an integer"),
+    (("calibration", "max_peaks"), 10.5,
+     r"config: calibration: max_peaks is not a config key; reconstruction\.n_outcomes sets"),
     # JSON's NaN and Infinity are numbers but not finite; true, "0" and null are not numbers.
     (("detector", "baseline_mv"), float("nan"),
      r"config: detector: baseline_mv must lie in \(-inf, inf\), got nan"),
@@ -461,8 +488,7 @@ def test_bad_config_exits_2(tmp_path, capsys):
      r"config: reconstruction: reg_weight must lie in \[0, inf\), got inf"),
     (("reconstruction", "tol"), float("-inf"),
      r"config: reconstruction: tol must lie in \[0, inf\), got -inf"),
-    (("probes", 1, "attenuation_db"), float("nan"),
-     r"config: probes\[1\]: attenuation_db must lie in \(-inf, inf\), got nan"),
+    (("probes", 1, "attenuation_db"), float("nan"), r"config: probes\[1\]: .*'attenuation_db'"),
     (("detector", "eta"), True, r"config: detector: eta must be a real number, got True"),
     (("reconstruction", "max_iters"), True,
      r"config: reconstruction: max_iters must be an integer, got True"),
@@ -528,12 +554,15 @@ def test_cli_import_leaves_out_scipy_signal_and_stats():
 
 def test_outcome_mismatch_exits_2(pipeline, tmp_path, capsys):
     # The pipeline reconstructed with no config flag, in the run config's
-    # 8 outcomes, truncation 50 and max_iters 30000, and recorded them.
+    # 8 outcomes, truncation 50 and max_iters 30000, which ensemble.json
+    # alone records.
     payload = json.loads((pipeline["rec"] / "povm.json").read_text())
     assert np.asarray(payload["entries"]).shape == (8, 50)
-    assert payload["max_iters"] == 30000
-    assert payload["reg_weight"] == tp.ReconstructionConfig().reg_weight
-    assert payload["tol"] == tp.ReconstructionConfig().tol
+    run, _ = files.read_ensemble(pipeline["sim"] / "ensemble.json")
+    assert run.reconstruction.max_iters == 30000
+    assert (run.reconstruction.reg_weight, run.reconstruction.tol) == (
+        tp.ReconstructionConfig().reg_weight, tp.ReconstructionConfig().tol)
+    assert not {"reg_weight", "max_iters", "tol"} & set(payload)
 
     # A run config of 12 outcomes, mixed in by --force, disagrees with the
     # 8-outcome table.
@@ -575,7 +604,7 @@ def test_reconstruct_reports_its_certificate(tmp_path, capsys, max_iters):
     assert certificate in printed.out
     assert povm["converged"] == (max_iters is None)
     assert (certificate in printed.err) == (max_iters is not None)
-    assert (povm["gradient_mapping_norm"] <= povm["tol"]) == (max_iters is None)
+    assert (povm["gradient_mapping_norm"] <= run.reconstruction.tol) == (max_iters is None)
 
 
 def test_sweep_baseline_is_the_reported_povm(tmp_path):

@@ -49,29 +49,27 @@ def test_default_config_sections():
     assert run.ensemble.n_probes == 20
     assert run.ensemble.mean_photons[0] == 6.5
     assert run.reconstruction == tp.ReconstructionConfig()
-    assert run.calibration == {"bin_width_mv": 1.3, "max_peaks": 16}
+    assert run.calibration == {"bin_width_mv": 1.3}
 
 
 def test_config_calibration_defaults_are_fit_peaks_defaults():
     # fit_run's signature is the one source of the calibration defaults.
     for fit in (tp.fit_run, tp.fit_peaks):
-        params = inspect.signature(fit).parameters
-        defaults = {name: params[name].default for name in ("bin_width_mv", "max_peaks")}
-        assert files.default_config()["calibration"] == defaults
+        default = inspect.signature(fit).parameters["bin_width_mv"].default
+        assert files.default_config()["calibration"] == {"bin_width_mv": default}
     probes = [{"mean_photons": 1.0}]
-    # An absent key is left to fit_run; the outcome count does not change the peak cap.
+    # An absent key is left to fit_run.
     run = files.parse_config({"probes": probes, "reconstruction": {"n_outcomes": 8}})
     assert run.calibration == {}
-    run = files.parse_config({"probes": probes, "calibration": {"max_peaks": 10}})
-    assert run.calibration == {"max_peaks": 10}
-    with pytest.raises(tp.SchemaError,
-                       match=r"calibration: max_peaks must lie in \[1, inf\), got 0"):
-        files.parse_config({"probes": probes, "calibration": {"max_peaks": 0}})
+    # The count classes are set once, by reconstruction.n_outcomes.
+    with pytest.raises(tp.SchemaError, match=r"calibration: max_peaks is not a config key; "
+                                             r"reconstruction\.n_outcomes sets"):
+        files.parse_config({"probes": probes, "calibration": {"max_peaks": 12}})
 
 
 def test_default_config_hash_is_pinned():
     # Artifact lineage depends on this value; a default that drifts changes it.
-    assert files.config_hash(files.default_config()) == "b853fa66257e86f8"
+    assert files.config_hash(files.default_config()) == "d8a8f3ec35c5b3ff"
 
 
 def test_public_names_are_pinned():
@@ -250,30 +248,29 @@ def test_count_table_probs_only_roundtrip(tmp_path):
 
 def test_povm_roundtrip(tmp_path):
     rec, cfg, _, _ = _small_reconstruction()
-    files.write_povm(tmp_path / "povm.json", rec, cfg, "beef")
-    povm, h, back_cfg = files.read_povm(tmp_path / "povm.json")
+    files.write_povm(tmp_path / "povm.json", rec, cfg.init_eta, "beef")
+    povm, h, init_eta = files.read_povm(tmp_path / "povm.json")
     assert h == "beef"
     assert np.array_equal(povm.entries, rec.povm.entries)
-    assert back_cfg == cfg
+    assert init_eta == 0.4
     payload = json.loads((tmp_path / "povm.json").read_text())
     assert payload["stop_reason"] == rec.stop_reason
     assert payload["n_iters"] == rec.n_iters
-    assert (payload["reg_weight"], payload["max_iters"]) == (cfg.reg_weight, 2000)
     assert payload["noise_floor"] is None
     assert payload["gradient_mapping_norm"] == rec.gradient_mapping_norm
-    # The shape of entries is the only record of n_outcomes and truncation.
-    assert "n_outcomes" not in payload and "truncation" not in payload
-    assert "last_outcome_cumulative" not in payload
-    # Older files carry that key and lack max_iters and tol; the reader
-    # ignores the one and gives the others their defaults.
-    payload["last_outcome_cumulative"] = True
-    del payload["max_iters"], payload["tol"]
+    # The solver settings are the run config's, stored once in ensemble.json.
+    for key in ("n_outcomes", "truncation", "reg_weight", "max_iters", "tol",
+                "last_outcome_cumulative"):
+        assert key not in payload
+    # Older files carry some of them; the reader ignores them.
+    payload.update(last_outcome_cumulative=True, max_iters=2000, tol=1e-8)
     files.write_json(tmp_path / "old.json", payload)
-    old, _, old_cfg = files.read_povm(tmp_path / "old.json")
+    old, _, old_init_eta = files.read_povm(tmp_path / "old.json")
     assert np.array_equal(old.entries, rec.povm.entries)
-    defaults = tp.ReconstructionConfig()
-    assert (old_cfg.max_iters, old_cfg.tol) == (defaults.max_iters, defaults.tol)
-    assert (old_cfg.truncation, old_cfg.n_outcomes, old_cfg.init_eta) == (5, 3, 0.4)
+    assert old_init_eta == 0.4
+    # A solve from uniform columns records no start.
+    files.write_povm(tmp_path / "uniform.json", rec, None, "beef")
+    assert files.read_povm(tmp_path / "uniform.json")[2] is None
 
 
 def test_read_povm_rejects_bad_columns(tmp_path):
@@ -281,16 +278,18 @@ def test_read_povm_rejects_bad_columns(tmp_path):
     files.write_json(path, {"config_hash": "h", "entries": [[0.9, 0.5], [0.3, 0.5]]})
     with pytest.raises(tp.SchemaError, match="sum to 1"):
         files.read_povm(path)
-    files.write_json(path, {"config_hash": "h", "entries": [[1.0, 0.5], [0.0, 0.5]],
-                            "max_iters": 0})
-    with pytest.raises(tp.SchemaError, match="max_iters"):
-        files.read_povm(path)
+    for init_eta, match in [(1.5, r"init_eta must lie in \[0, 1\], got 1\.5"),
+                            ("0.05", r"init_eta must be a real number, got '0\.05'")]:
+        files.write_json(path, {"config_hash": "h", "entries": [[1.0, 0.5], [0.0, 0.5]],
+                                "init_eta": init_eta})
+        with pytest.raises(tp.SchemaError, match=match):
+            files.read_povm(path)
 
 
 def test_convergence_log_format(tmp_path):
     rec, _, _, _ = _small_reconstruction()
     path = tmp_path / "convergence.log"
-    files.write_convergence_log(path, rec, stride=100)
+    files.write_convergence_log(path, rec)
     lines = path.read_text().splitlines()
     assert lines[0] == "# iteration objective"
     assert lines[-1].startswith("# stop=")

@@ -200,10 +200,6 @@ def test_geometric_ensemble_defaults():
     # Geometric spacing: constant ratio between neighbours.
     ratios = mus[1:] / mus[:-1]
     assert np.allclose(ratios, ratios[0], rtol=1e-12)
-    atts = np.array([p.attenuation_db for p in ens.probes])
-    assert atts[0] == 76.5
-    assert math.isclose(atts[19], 63.48970004336019, rel_tol=1e-12)
-    assert np.all(np.diff(atts) < 0)
     assert all(p.n_pulses == 100_000 for p in ens.probes)
 
 
@@ -220,7 +216,8 @@ def test_ensemble_scaling_and_subset():
     ens = tp.geometric_ensemble(n_probes=5)
     doubled = ens.with_scaled_means(2.0)
     assert np.allclose(doubled.mean_photons, 2.0 * ens.mean_photons, rtol=1e-15)
-    assert doubled.probes[0].attenuation_db == ens.probes[0].attenuation_db
+    assert doubled.ids == ens.ids
+    assert all(p.n_pulses == 100_000 for p in doubled.probes)
     sub = ens.subset((3, 1))
     assert sub.ids == (3, 1)
     assert sub.probes[0].mean_photons == ens.probes[3].mean_photons
@@ -235,12 +232,6 @@ def test_ensemble_validation():
         tp.ProbeEnsemble(())
     with pytest.raises(ValueError):
         tp.ProbeEnsemble((tp.Probe(id=0, mean_photons=1.0), tp.Probe(id=0, mean_photons=2.0)))
-    # More attenuation with more photons is inconsistent metadata.
-    with pytest.raises(ValueError):
-        tp.ProbeEnsemble((
-            tp.Probe(id=0, mean_photons=5.0, attenuation_db=10.0),
-            tp.Probe(id=1, mean_photons=50.0, attenuation_db=20.0),
-        ))
 
 
 def test_probe_validation():

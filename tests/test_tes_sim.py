@@ -193,7 +193,6 @@ def test_detector_config_validation():
         tp.DetectorPhysicalConfig(saturation_count=-1)
     with pytest.raises(TypeError, match="saturation_count must be an integer, got 2.5"):
         tp.DetectorPhysicalConfig(saturation_count=2.5)
-    assert tp.DetectorPhysicalConfig().peak_resolution == 6.5
 
 
 def test_amplitude_trace_validation():
