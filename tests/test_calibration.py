@@ -183,6 +183,21 @@ def test_fit_run_failures_stay_out_of_the_scale():
     assert tp.fit_run([]) == ({}, {})
 
 
+def test_fit_run_folds_teeth_once_at_max_peaks():
+    # With max_peaks at the 20 count classes the teeth fold once, at the
+    # last class. At the default cap of 16 the brightest probe put 6458
+    # events in class 15 and none in classes 16-19.
+    ensemble = tp.geometric_ensemble(n_probes=4, n_pulses=20_000)
+    traces = tp.simulate_ensemble(tp.DetectorPhysicalConfig(eta=0.1), ensemble, seed=1)
+    fits, failures = tp.fit_run(traces, max_peaks=20)
+    assert failures == {}
+    for trace in traces:
+        assert fits[trace.probe_id].n_components <= 20
+        assert _area_tv(trace, fits[trace.probe_id], n_outcomes=20) <= 0.01, trace.probe_id
+    brightest = traces[-1]
+    assert np.all(tp.bin_counts_by_area(brightest, fits[brightest.probe_id], 20)[16:] > 0)
+
+
 def test_fit_run_trace_off_the_comb_fails_its_goodness_gate():
     # A trace of another detector, spacing 19 mV, sits on no tooth of the
     # run's 13 mV comb: it fails alone, and the run keeps its scale.

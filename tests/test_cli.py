@@ -473,6 +473,9 @@ def test_bad_config_exits_2(tmp_path, capsys):
      r"config: reconstruction: truncation must lie in \[1, inf\), got -1"),
     (("calibration", "max_peaks"), 10.5,
      r"config: calibration: max_peaks is not a config key; reconstruction\.n_outcomes sets"),
+    # A value the key once took is refused too: the key itself is gone.
+    (("calibration", "max_peaks"), 12,
+     r"config: calibration: max_peaks is not a config key; reconstruction\.n_outcomes sets"),
     # JSON's NaN and Infinity are numbers but not finite; true, "0" and null are not numbers.
     (("detector", "baseline_mv"), float("nan"),
      r"config: detector: baseline_mv must lie in \(-inf, inf\), got nan"),
@@ -489,6 +492,7 @@ def test_bad_config_exits_2(tmp_path, capsys):
     (("reconstruction", "tol"), float("-inf"),
      r"config: reconstruction: tol must lie in \[0, inf\), got -inf"),
     (("probes", 1, "attenuation_db"), float("nan"), r"config: probes\[1\]: .*'attenuation_db'"),
+    (("probes", 1, "attenuation_db"), 70.0, r"config: probes\[1\]: .*'attenuation_db'"),
     (("detector", "eta"), True, r"config: detector: eta must be a real number, got True"),
     (("reconstruction", "max_iters"), True,
      r"config: reconstruction: max_iters must be an integer, got True"),
@@ -503,9 +507,9 @@ def test_bad_config_exits_2(tmp_path, capsys):
      r"config: detector: baseline_mv must lie in \(-inf, inf\), got 10{400}$"),
 ], ids=["reconstuction", "sigma_0_mv", "n_pulse", "bin_width", "reg_wieght", "init_eta",
         "truncation_20.5", "id_2.5", "n_pulses_3000.5", "truncation_-1", "max_peaks_10.5",
-        "baseline_mv_NaN", "peak_spacing_mv_Infinity", "sigma_slope_mv_-Infinity", "sigma0_mv_NaN",
-        "bin_width_mv_NaN", "reg_weight_Infinity", "tol_-Infinity", "attenuation_db_NaN",
-        "eta_true", "max_iters_true", "n_pulses_true", "baseline_mv_string", "baseline_mv_null",
+        "max_peaks_12", "baseline_mv_NaN", "peak_spacing_mv_Infinity", "sigma_slope_mv_-Infinity",
+        "sigma0_mv_NaN", "bin_width_mv_NaN", "reg_weight_Infinity", "tol_-Infinity",
+        "attenuation_db_NaN", "attenuation_db_70", "eta_true", "max_iters_true", "n_pulses_true", "baseline_mv_string", "baseline_mv_null",
         "baseline_mv_10^400"])
 def test_bad_config_exits_2_before_a_trace(tmp_path, capsys, path, value, named):
     """A key that no section's type takes, a key that no stage reads and a

@@ -278,12 +278,21 @@ def test_read_povm_rejects_bad_columns(tmp_path):
     files.write_json(path, {"config_hash": "h", "entries": [[0.9, 0.5], [0.3, 0.5]]})
     with pytest.raises(tp.SchemaError, match="sum to 1"):
         files.read_povm(path)
-    for init_eta, match in [(1.5, r"init_eta must lie in \[0, 1\], got 1\.5"),
-                            ("0.05", r"init_eta must be a real number, got '0\.05'")]:
-        files.write_json(path, {"config_hash": "h", "entries": [[1.0, 0.5], [0.0, 0.5]],
-                                "init_eta": init_eta})
-        with pytest.raises(tp.SchemaError, match=match):
-            files.read_povm(path)
+
+
+@pytest.mark.parametrize("init_eta, match", [
+    (1.5, r"init_eta must lie in \[0, 1\], got 1\.5"),
+    ("0.05", r"init_eta must be a real number, got '0\.05'"),
+    # JSON's NaN is a number but not in [0, 1]; true is not a number.
+    (math.nan, r"init_eta must lie in \[0, 1\], got nan"),
+    (True, r"init_eta must be a real number, got True"),
+], ids=["out_of_range", "string", "nan", "true"])
+def test_read_povm_rejects_a_bad_init_eta(tmp_path, init_eta, match):
+    path = tmp_path / "povm.json"
+    files.write_json(path, {"config_hash": "h", "entries": [[1.0, 0.5], [0.0, 0.5]],
+                            "init_eta": init_eta})
+    with pytest.raises(tp.SchemaError, match=match):
+        files.read_povm(path)
 
 
 def test_convergence_log_format(tmp_path):
