@@ -28,7 +28,6 @@ from .tes_sim import AmplitudeTrace
 
 __all__ = [
     "DEFAULT_BIN_WIDTH_MV",
-    "DEFAULT_MAX_PEAKS",
     "MIN_EVENTS",
     "MAX_GOODNESS",
     "WEIGHT_FLOOR_EVENTS",
@@ -43,11 +42,8 @@ __all__ = [
     "bin_counts_by_area",
 ]
 
-# Histogram bin width, unless the run's config says otherwise, and the
-# most components a library fit reports; ``calibrate`` fits with the
-# run's ``n_outcomes`` in its place.
+# Histogram bin width, unless the run's config says otherwise.
 DEFAULT_BIN_WIDTH_MV = 1.3
-DEFAULT_MAX_PEAKS = 16
 
 # Fewer events than this cannot support a comb fit.
 MIN_EVENTS = 100
@@ -79,16 +75,15 @@ class GaussianMixtureFit:
     """A multi-Gaussian fit to a binned pulse-height spectrum.
 
     Components are ordered by strictly increasing mean; component ``i``
-    is the peak of ``i`` detected counts. ``goodness`` is the reduced
-    chi-square of the Poisson-weighted fit. ``spacing_mv`` is the spacing
-    of the comb the components sit on; every fit of :func:`fit_run` has
-    one, and a fit built by hand may leave it ``None``.
+    is the peak of ``i`` detected counts, and its weight the events the fit
+    gives it, so the weights sum to about the trace's events. ``goodness``
+    is the reduced chi-square of the Poisson-weighted fit. ``spacing_mv``
+    is the spacing of the comb the components sit on; every fit of
+    :func:`fit_run` has one, and a fit built by hand may leave it ``None``.
     """
 
     components: tuple[GaussianComponent, ...]
     goodness: float
-    bin_width_mv: float
-    n_events: int
     spacing_mv: float | None = None
 
     def __post_init__(self):
@@ -105,11 +100,6 @@ class GaussianMixtureFit:
     @property
     def means(self) -> np.ndarray:
         return np.array([c.mean_mv for c in self.components])
-
-    @property
-    def baseline_mv(self) -> float:
-        """Position of the zero peak (component 0)."""
-        return self.components[0].mean_mv
 
     @property
     def n_components(self) -> int:
@@ -358,7 +348,7 @@ class _Spectrum:
 
 
 def fit_run(traces, bin_width_mv: float = DEFAULT_BIN_WIDTH_MV,
-            max_peaks: int = DEFAULT_MAX_PEAKS) -> tuple[dict, dict]:
+            max_peaks: int | None = None) -> tuple[dict, dict]:
     """Fit one Gaussian comb to all traces of a run.
 
     One detector puts tooth ``k`` at ``baseline + k * spacing`` with width
@@ -377,11 +367,11 @@ def fit_run(traces, bin_width_mv: float = DEFAULT_BIN_WIDTH_MV,
     (:func:`_admits_zero`): a tooth fitted to the tail of a zero peak, or
     to stray events below it, is not the zero. A probe's components run
     from it, empty or not, to its highest tooth holding
-    ``WEIGHT_FLOOR_EVENTS``; teeth past ``max_peaks`` fold into the last,
-    as count classes past the last do, so ``calibrate`` passes the run's
-    ``reconstruction.n_outcomes`` and each fit holds at most its classes.
-    A run of no traces, or of traces too sparse to fit, only checks the
-    settings and gives no fits.
+    ``WEIGHT_FLOOR_EVENTS``, and the count classes fold once, when binned.
+    Only teeth past a given ``max_peaks`` fold into the last component;
+    ``calibrate`` passes the run's ``reconstruction.n_outcomes``. A run of
+    no traces, or of traces too sparse to fit, only checks the settings
+    and gives no fits.
 
     Returns:
         ``(fits, failures)`` by probe id. A probe fails with a
@@ -396,7 +386,8 @@ def fit_run(traces, bin_width_mv: float = DEFAULT_BIN_WIDTH_MV,
             comb fit did not converge.
     """
     _check_number("bin_width_mv", bin_width_mv, "(0, inf)")
-    _check_number("max_peaks", max_peaks, "[1, inf)", integer=True)
+    if max_peaks is not None:
+        _check_number("max_peaks", max_peaks, "[1, inf)", integer=True)
     failures, spectra = {}, {}
     for trace in traces:
         pid = trace.probe_id
@@ -467,7 +458,7 @@ def fit_run(traces, bin_width_mv: float = DEFAULT_BIN_WIDTH_MV,
                 if all(_admits_zero(w, n, z) for w, _, n in solved.values())), default=None)
 
     fits = {}
-    for pid, (w, goodness, n_events) in solved.items():
+    for pid, (w, goodness, _) in solved.items():
         kept = np.flatnonzero(w >= WEIGHT_FLOOR_EVENTS)
         if zero is None and lowest:
             failures[pid] = CalibrationError("no tooth is a zero-count tooth every probe admits")
@@ -476,12 +467,11 @@ def fit_run(traces, bin_width_mv: float = DEFAULT_BIN_WIDTH_MV,
             failures[pid] = CalibrationError("every comb tooth fell below the weight floor")
             continue
         weights = w[zero:kept[-1] + 1]
-        if weights.size > max_peaks:
+        if max_peaks is not None and weights.size > max_peaks:
             weights = np.append(weights[:max_peaks - 1], weights[max_peaks - 1:].sum())
         comps = [GaussianComponent(float(wk), base + k * spacing, sigma0 + k * sigma_slope)
                  for k, wk in enumerate(weights, start=zero)]
-        fits[pid] = GaussianMixtureFit(comps, goodness, float(bin_width_mv), n_events,
-                                       spacing)
+        fits[pid] = GaussianMixtureFit(comps, goodness, spacing)
     return fits, failures
 
 
@@ -501,8 +491,8 @@ def _admits_zero(weights, n_events: int, zero: int) -> bool:
 
 
 def fit_peaks(trace: AmplitudeTrace, bin_width_mv: float = DEFAULT_BIN_WIDTH_MV,
-              max_peaks: int = DEFAULT_MAX_PEAKS) -> GaussianMixtureFit:
-    """:func:`fit_run` on a run of one trace; raises its failure.
+              max_peaks: int | None = None) -> GaussianMixtureFit:
+    """:func:`fit_run` on a run of one trace, folding as it does; raises its failure.
 
     Alone, a trace's comb is fitted to its own histogram; in a run it is
     the run's. Where the trace shows its own zero tooth, the two give

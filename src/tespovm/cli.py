@@ -9,7 +9,9 @@ key before a trace is written. It records it as the run config in
 Each stage has one route. ``calibrate`` fits one comb to the run and
 counts each probe's class ``n`` as its tooth-``n`` weight
 (:func:`~tespovm.calibration.bin_counts_by_area`); the run config's
-``reconstruction.n_outcomes`` alone sets the classes. ``estimate`` fits
+``reconstruction.n_outcomes`` alone sets the classes. It writes the comb
+once, with each probe's tooth weights and goodness, to ``fits.json``
+(:func:`files.write_fit_report`). ``estimate`` fits
 efficiency and dark rate jointly
 (:func:`~tespovm.estimation.estimate_eta_gamma`), which needs
 usable probes at two or more mean photon numbers (exit 3 otherwise).
@@ -41,10 +43,10 @@ from . import files
 from .calibration import CountTable, bin_counts_by_area, fit_run
 from .errors import CalibrationError, EstimationError, LineageError, SchemaError
 from .estimation import estimate_eta_gamma
-from .metrics import fidelity_curve, sensitivity_sweep, three_way_comparison
+from .metrics import DEFAULT_SPLIT, fidelity_curve, sensitivity_sweep, three_way_comparison
 from .photon_stats import _check_number, binomial_povm
 from .tes_sim import _SEED_RANGE, simulate_ensemble
-from .tomography import reconstruct_povm
+from .tomography import TOL, reconstruct_povm
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
@@ -108,8 +110,7 @@ def cmd_calibrate(args) -> int:
     files.write_count_table(
         out / "counts.json", table, cfg_hash, skipped_probe_ids=sorted(failures),
     )
-    for pid in kept_ids:
-        files.write_fit_report(out / "fits" / f"probe_{pid:03d}.json", fits[pid], cfg_hash)
+    files.write_fit_report(out / "fits.json", fits, cfg_hash)
     for pid, exc in sorted(failures.items()):
         print(f"probe {pid}: skipped ({exc})", file=sys.stderr)
     print(f"calibrated {len(kept_ids)} probes -> {out}")
@@ -141,7 +142,7 @@ def cmd_reconstruct(args) -> int:
     out = Path(args.out)
     files.write_povm(out / "povm.json", result, cfg.init_eta, counts_hash)
     files.write_convergence_log(out / "convergence.log", result)
-    certificate = f"gradient-mapping norm {result.gradient_mapping_norm:.3e}, tol {cfg.tol:g}"
+    certificate = f"gradient-mapping norm {result.gradient_mapping_norm:.3e}, tol {TOL:g}"
     if not result.converged:
         print(f"warning: solver hit max_iters={cfg.max_iters} ({certificate})",
               file=sys.stderr)
@@ -258,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     val.add_argument("--ensemble", required=True)
     val.add_argument("--estimate", required=True)
     val.add_argument("--out", required=True)
-    val.add_argument("--split", type=int, default=100)
+    val.add_argument("--split", type=int, default=DEFAULT_SPLIT)
     val.add_argument("--energy-scale", type=float, default=0.0)
     val.add_argument("--attenuation-db", type=float, default=0.0)
     val.add_argument("--force", action="store_true")

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .calibration import DEFAULT_BIN_WIDTH_MV, CountTable, GaussianMixtureFit, fit_run
+from .calibration import DEFAULT_BIN_WIDTH_MV, CountTable, fit_run
 from .errors import LineageError, SchemaError
 from .photon_stats import (Probe, ProbeEnsemble, PovmMatrix, _check_number,
                            geometric_ensemble)
@@ -368,19 +368,20 @@ def write_convergence_log(path, result: ReconstructionResult):
     path.write_text("\n".join(lines) + "\n")
 
 
-def write_fit_report(path, fit: GaussianMixtureFit, cfg_hash: str):
-    write_json(
-        path,
-        {
-            "config_hash": cfg_hash,
-            "bin_width_mv": fit.bin_width_mv,
-            "n_events": fit.n_events,
-            "goodness": fit.goodness,
-            "baseline_mv": fit.baseline_mv,
-            "spacing_mv": fit.spacing_mv,
-            "components": [dataclasses.asdict(c) for c in fit.components],
-        },
-    )
+def write_fit_report(path, fits: dict, cfg_hash: str):
+    """Write the run's comb once, its ``spacing_mv`` and its ``teeth`` from
+    class 0 up, then each probe's ``id``, ``goodness`` and tooth ``weights``
+    in id order. ``fits`` holds the fits of one :func:`fit_run` by
+    probe id, so the teeth of each are a prefix of the longest one's."""
+    longest = max(fits.values(), key=lambda fit: fit.n_components)
+    write_json(path, {
+        "config_hash": cfg_hash,
+        "spacing_mv": longest.spacing_mv,
+        "teeth": [{"mean_mv": c.mean_mv, "sigma_mv": c.sigma_mv} for c in longest.components],
+        "probes": [{"id": pid, "goodness": fits[pid].goodness,
+                    "weights": [c.weight for c in fits[pid].components]}
+                   for pid in sorted(fits)],
+    })
 
 
 def write_estimate(path, estimate, cfg_hash: str):

@@ -26,6 +26,9 @@ __all__ = [
     "sensitivity_sweep",
 ]
 
+# Fidelity summaries split at the paper's M = 100 unless told otherwise.
+DEFAULT_SPLIT = 100
+
 
 @dataclass(frozen=True, eq=False)
 class FidelityCurve:
@@ -74,7 +77,7 @@ class SweepResult:
 
 
 def fidelity_curve(
-    reconstructed: PovmMatrix, model: PovmMatrix, split: int = 100
+    reconstructed: PovmMatrix, model: PovmMatrix, split: int = DEFAULT_SPLIT
 ) -> FidelityCurve:
     """Column-wise Bhattacharyya fidelity between two POVM matrices."""
     _check_number("split", split, "[0, inf)", integer=True)
@@ -143,7 +146,7 @@ def sensitivity_sweep(
     reference: PovmMatrix,
     energy_scale: float = 0.0,
     attenuation_db: float = 0.0,
-    split: int = 100,
+    split: int = DEFAULT_SPLIT,
 ) -> SweepResult:
     """Rerun the reconstruction under perturbed probe-energy assumptions.
 

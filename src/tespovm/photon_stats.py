@@ -24,7 +24,6 @@ import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import linalg
 from scipy.special import gammaln, xlogy
 
 __all__ = [
@@ -335,9 +334,11 @@ def binomial_povm(
     _check_number("gamma", gamma, "[0, inf)")
     _check_number("n_outcomes", n_outcomes, "[2, inf)", integer=True)
     _check_number("truncation", truncation, "[1, inf)", integer=True)
-    w = poisson_pmf(gamma, np.arange(n_outcomes - 1))
+    i = np.arange(n_outcomes - 1)
+    w = poisson_pmf(gamma, i)
     # Lower-triangular Toeplitz matrix: row n holds w[n], w[n-1], ..., w[0].
-    body = linalg.toeplitz(w, np.zeros_like(w)) @ _binomial_rows(
+    d = i[:, None] - i[None, :]
+    body = np.where(d >= 0, w[np.maximum(d, 0)], 0.0) @ _binomial_rows(
         eta, n_outcomes - 1, truncation
     )
     top = np.maximum(1.0 - body.sum(axis=0), 0.0)

@@ -22,9 +22,9 @@ Its optimality certificate is the norm of the gradient mapping,
 
 which is zero exactly at a minimizer. A plain step from Pi_k gives it as
 ||Pi_{k+1} - Pi_k||_F / s, so checking it costs one norm. An extrapolated
-step whose own norm falls to ``tol`` makes the next step plain; the solve
-stops at the first iterate whose plain step certifies it and reports that
-iterate.
+step whose own norm falls to :data:`TOL` makes the next step plain; the
+solve stops at the first iterate whose plain step certifies it and reports
+that iterate.
 """
 
 from __future__ import annotations
@@ -52,6 +52,13 @@ __all__ = [
 # Spectral norm bound for the first-difference Laplacian on a path.
 _LAPLACIAN_NORM_BOUND = 4.0
 
+# Gradient-mapping norm at or below which the solve stops. Tighter values
+# are reached but score worse: on exact default-design probabilities 1e-8
+# stops after about 280 steps with minimum fidelity (m <= 100) 0.99999,
+# 1e-9 after about 12 000 with 0.991 and 1e-10 after about 37 000 with
+# 0.957, as the exact ``reg_weight`` 1e-8 optimum is further from the truth.
+TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class ReconstructionConfig:
@@ -68,18 +75,12 @@ class ReconstructionConfig:
             flattens those columns toward their probed neighbours
             (weight 1e-3 drags the m=0 column fidelity below 0.95 even
             on noise-free input).
-        max_iters: Iteration cap, >= 1.
-        tol: Gradient-mapping norm, >= 0, at or below which the solve stops
-            (the module docstring defines it). Tighter values are reached
-            but score worse: on exact probabilities from the default design,
-            1e-8 stops after about 280 steps with minimum fidelity
-            (m <= 100) 0.99999, 1e-9 after about 12 000 with 0.991 and
-            1e-10 after about 37 000 with 0.957, because the exact
-            ``reg_weight`` 1e-8 optimum is further from the truth.
+        max_iters: Iteration cap, >= 1. The solve stops sooner once the
+            gradient-mapping norm is at most the module's :data:`TOL`.
         init_eta: When given, in [0, 1], iterate from ``binomial_povm(init_eta)``
             instead of uniform columns. The start shapes the result: on
             noisy counts the solve stops at the noise floor within a few
-            iterations (2 on the default design), so the reported POVM
+            iterations (3 on the seed-42 default run), so the reported POVM
             stays close to this start.
     """
 
@@ -87,7 +88,6 @@ class ReconstructionConfig:
     n_outcomes: int = 12
     reg_weight: float = 1e-8
     max_iters: int = 200_000
-    tol: float = 1e-8
     init_eta: float | None = None
 
     def __post_init__(self):
@@ -95,7 +95,6 @@ class ReconstructionConfig:
         _check_number("n_outcomes", self.n_outcomes, "[2, inf)", integer=True)
         _check_number("reg_weight", self.reg_weight, "[0, inf)")
         _check_number("max_iters", self.max_iters, "[1, inf)", integer=True)
-        _check_number("tol", self.tol, "[0, inf)")
         if self.init_eta is not None:
             _check_number("init_eta", self.init_eta, "[0, 1]")
 
@@ -106,7 +105,7 @@ class ReconstructionResult:
 
     ``stop_reason`` is one of ``"noise_floor"`` (data term reached the
     multinomial noise level of the counts), ``"objective_tol"``
-    (gradient-mapping norm <= tol) or ``"max_iters"``.
+    (gradient-mapping norm <= :data:`TOL`) or ``"max_iters"``.
     ``gradient_mapping_norm`` is that norm at the reported POVM, whatever
     stopped the solve. ``noise_floor`` is None when the table carries no
     raw counts.
@@ -183,7 +182,7 @@ def reconstruct_povm(
     columns or of the ensemble.
 
     Iteration stops once the gradient-mapping norm (module docstring) is
-    at most ``tol``. When the table carries raw counts, it also stops
+    at most :data:`TOL`. When the table carries raw counts, it also stops
     once the data term falls to the multinomial noise floor of the
     counts, ``sum_j (1 - sum_n p_nj^2) / n_j`` (discrepancy principle). Pushing
     the fit below that level only transfers counting noise into the
@@ -249,14 +248,14 @@ def reconstruct_povm(
                 # Momentum raised the objective: restart with a plain step.
                 beta, k = 0.0, 0
                 pi_new, gmap, new = mapped_step(beta)
-            if beta == 0 and gmap <= cfg.tol:
+            if beta == 0 and gmap <= TOL:
                 # First-order optimality certificate at pi; keep it.
                 converged = True
                 stop_reason = "objective_tol"
                 iters -= 1
                 break
             # After a step this short, a plain step checks the certificate.
-            k = 0 if gmap <= cfg.tol else k + 1
+            k = 0 if gmap <= TOL else k + 1
             pi_prev, grad_prev = pi, grad
             pi = pi_new
             f, data, reg, resid, grad = new

@@ -22,6 +22,7 @@ from scipy import optimize
 import tespovm as tp
 from tespovm import files
 from tespovm.cli import main
+from tespovm.tomography import TOL
 
 
 def _config(gamma: float = 0.0) -> dict:
@@ -83,29 +84,42 @@ def pipeline(tmp_path_factory):
 
 
 def test_pipeline_artifacts_exist(pipeline):
-    sim = pipeline["sim"]
-    assert (sim / "manifest.json").exists()
-    assert (sim / "ensemble.json").exists()
-    for pid in range(5):
-        assert (sim / files.trace_filename(pid)).exists()
-        assert (sim / files.truth_filename(pid)).exists()
-    assert (pipeline["cal"] / "counts.json").exists()
-    fits = sorted((pipeline["cal"] / "fits").glob("probe_*.json"))
-    assert len(fits) == 5
-    assert (pipeline["rec"] / "povm.json").exists()
-    assert (pipeline["rec"] / "convergence.log").exists()
-    assert (pipeline["est"] / "estimate.json").exists()
-    assert (pipeline["val"] / "fidelity.json").exists()
-    assert (pipeline["val"] / "comparison.json").exists()
-    assert (pipeline["val"] / "sweep.json").exists()
+    # Each stage writes exactly these files, so a stray one cannot come back
+    # unnoticed.
+    traces = {name(pid) for pid in range(5)
+              for name in (files.trace_filename, files.truth_filename)}
+    expected = {
+        "sim": {"manifest.json", "ensemble.json", *traces},
+        "cal": {"counts.json", "fits.json"},
+        "rec": {"povm.json", "convergence.log"},
+        "est": {"estimate.json"},
+        "val": {"fidelity.json", "comparison.json", "sweep.json"},
+    }
+    for stage, names in expected.items():
+        written = {str(path.relative_to(pipeline[stage]))
+                   for path in pipeline[stage].rglob("*")}
+        assert written == names, stage
 
 
 def test_pipeline_fit_reports(pipeline):
-    for pid in range(5):
-        payload = json.loads((pipeline["cal"] / "fits" / f"probe_{pid:03d}.json").read_text())
-        assert payload["baseline_mv"] == payload["components"][0]["mean_mv"]
-        assert abs(payload["baseline_mv"]) < 0.5
-        assert abs(payload["spacing_mv"] - 13.0) < 0.2
+    # One record of the run's comb: its teeth once, then each probe's
+    # goodness and tooth weights, in id order.
+    payload = json.loads((pipeline["cal"] / "fits.json").read_text())
+    run, cfg_hash = files.read_ensemble(pipeline["sim"] / "ensemble.json")
+    assert set(payload) == {"config_hash", "spacing_mv", "teeth", "probes"}
+    assert payload["config_hash"] == cfg_hash
+    teeth = payload["teeth"]
+    assert abs(teeth[0]["mean_mv"]) < 0.5
+    assert abs(payload["spacing_mv"] - 13.0) < 0.2
+    means = [tooth["mean_mv"] for tooth in teeth]
+    assert np.allclose(np.diff(means), payload["spacing_mv"], rtol=1e-12)
+    assert len(teeth) <= run.reconstruction.n_outcomes
+    assert [probe["id"] for probe in payload["probes"]] == list(range(5))
+    table, _ = files.read_count_table(pipeline["cal"] / "counts.json")
+    for probe, column in zip(payload["probes"], table.counts.T):
+        assert probe["goodness"] < 3.0
+        assert 1 <= len(probe["weights"]) <= len(teeth)
+        assert abs(sum(probe["weights"]) - column.sum()) < 0.01 * column.sum()
 
 
 def test_calibrate_counts_are_tooth_weights_of_one_comb_fit(pipeline, tmp_path, monkeypatch):
@@ -136,9 +150,15 @@ def test_calibrate_counts_are_tooth_weights_of_one_comb_fit(pipeline, tmp_path, 
         table, _ = files.read_count_table(cal / "counts.json")
         assert table.probe_ids == run.ensemble.ids
         assert np.array_equal(table.counts, expected)
-        for pid in run.ensemble.ids:
-            report = json.loads((cal / "fits" / f"probe_{pid:03d}.json").read_text())
-            assert len(report["components"]) <= n_outcomes
+        record = json.loads((cal / "fits.json").read_text())
+        assert len(record["teeth"]) <= n_outcomes
+        longest = max(fits.values(), key=lambda fit: fit.n_components)
+        assert record["teeth"] == [{"mean_mv": c.mean_mv, "sigma_mv": c.sigma_mv}
+                                   for c in longest.components]
+        assert record["probes"] == [
+            {"id": pid, "goodness": fits[pid].goodness,
+             "weights": [c.weight for c in fits[pid].components]}
+            for pid in run.ensemble.ids]
 
 
 def _simulate_default(tmp_path, edit_config, seed=3):
@@ -217,8 +237,9 @@ def test_calibrate_no_light_probe_gets_its_dark_count_tooth(tmp_path):
 
     sim, cal = _simulate_default(tmp_path, edit, seed=1), tmp_path / "cal"
     assert main(["calibrate", "--traces", str(sim), "--out", str(cal)]) == 0
-    report = json.loads((cal / "fits" / "probe_020.json").read_text())
-    assert len(report["components"]) == 2
+    record = json.loads((cal / "fits.json").read_text())
+    (report,) = [probe for probe in record["probes"] if probe["id"] == 20]
+    assert len(report["weights"]) == 2
     table, _ = files.read_count_table(cal / "counts.json")
     dark = int(_true_counts(sim, [20])[1, 0])
     counted = int(table.counts[1, table.probe_ids.index(20)])
@@ -489,8 +510,10 @@ def test_bad_config_exits_2(tmp_path, capsys):
      r"config: calibration: bin_width_mv must lie in \(0, inf\), got nan"),
     (("reconstruction", "reg_weight"), float("inf"),
      r"config: reconstruction: reg_weight must lie in \[0, inf\), got inf"),
-    (("reconstruction", "tol"), float("-inf"),
-     r"config: reconstruction: tol must lie in \[0, inf\), got -inf"),
+    # The solve tolerance is the solver's constant, not a config key, so
+    # its old default is refused too.
+    (("reconstruction", "tol"), float("-inf"), r"config: reconstruction: .*'tol'"),
+    (("reconstruction", "tol"), 1e-8, r"config: reconstruction: .*'tol'"),
     (("probes", 1, "attenuation_db"), float("nan"), r"config: probes\[1\]: .*'attenuation_db'"),
     (("probes", 1, "attenuation_db"), 70.0, r"config: probes\[1\]: .*'attenuation_db'"),
     (("detector", "eta"), True, r"config: detector: eta must be a real number, got True"),
@@ -509,6 +532,7 @@ def test_bad_config_exits_2(tmp_path, capsys):
         "truncation_20.5", "id_2.5", "n_pulses_3000.5", "truncation_-1", "max_peaks_10.5",
         "max_peaks_12", "baseline_mv_NaN", "peak_spacing_mv_Infinity", "sigma_slope_mv_-Infinity",
         "sigma0_mv_NaN", "bin_width_mv_NaN", "reg_weight_Infinity", "tol_-Infinity",
+        "tol_1e-8",
         "attenuation_db_NaN", "attenuation_db_70", "eta_true", "max_iters_true", "n_pulses_true", "baseline_mv_string", "baseline_mv_null",
         "baseline_mv_10^400"])
 def test_bad_config_exits_2_before_a_trace(tmp_path, capsys, path, value, named):
@@ -564,8 +588,7 @@ def test_outcome_mismatch_exits_2(pipeline, tmp_path, capsys):
     assert np.asarray(payload["entries"]).shape == (8, 50)
     run, _ = files.read_ensemble(pipeline["sim"] / "ensemble.json")
     assert run.reconstruction.max_iters == 30000
-    assert (run.reconstruction.reg_weight, run.reconstruction.tol) == (
-        tp.ReconstructionConfig().reg_weight, tp.ReconstructionConfig().tol)
+    assert run.reconstruction.reg_weight == tp.ReconstructionConfig().reg_weight
     assert not {"reg_weight", "max_iters", "tol"} & set(payload)
 
     # A run config of 12 outcomes, mixed in by --force, disagrees with the
@@ -604,11 +627,11 @@ def test_reconstruct_reports_its_certificate(tmp_path, capsys, max_iters):
     printed = capsys.readouterr()
     povm = json.loads((tmp_path / "rec" / "povm.json").read_text())
     certificate = (f"gradient-mapping norm {povm['gradient_mapping_norm']:.3e}, "
-                   f"tol {tp.ReconstructionConfig().tol:g}")
+                   f"tol {TOL:g}")
     assert certificate in printed.out
     assert povm["converged"] == (max_iters is None)
     assert (certificate in printed.err) == (max_iters is not None)
-    assert (povm["gradient_mapping_norm"] <= run.reconstruction.tol) == (max_iters is None)
+    assert (povm["gradient_mapping_norm"] <= TOL) == (max_iters is None)
 
 
 def test_sweep_baseline_is_the_reported_povm(tmp_path):
@@ -687,6 +710,8 @@ def test_calibrate_short_trace_exits_3_unless_skipped(pipeline, tmp_path, capsys
     assert payload["skipped_probe_ids"] == [2]
     table, _ = files.read_count_table(tmp_path / "cal" / "counts.json")
     assert table.probe_ids == (0, 1, 3, 4)
+    record = json.loads((tmp_path / "cal" / "fits.json").read_text())
+    assert [probe["id"] for probe in record["probes"]] == [0, 1, 3, 4]
 
 
 def test_chain_is_bitwise_the_same_for_any_jobs(tmp_path):

@@ -69,7 +69,7 @@ def test_config_calibration_defaults_are_fit_peaks_defaults():
 
 def test_default_config_hash_is_pinned():
     # Artifact lineage depends on this value; a default that drifts changes it.
-    assert files.config_hash(files.default_config()) == "d8a8f3ec35c5b3ff"
+    assert files.config_hash(files.default_config()) == "1e7c6b953e310dd2"
 
 
 def test_public_names_are_pinned():
@@ -401,25 +401,27 @@ def test_write_json_deterministic(tmp_path):
     assert parsed["b"] == [1.5, 2.5]
 
 
-def test_fit_report(tmp_path):
-    fit = tp.GaussianMixtureFit(
-        components=(
-            tp.GaussianComponent(weight=90.0, mean_mv=0.0, sigma_mv=2.0),
-            tp.GaussianComponent(weight=10.0, mean_mv=13.0, sigma_mv=2.1),
-        ),
-        goodness=1.2,
-        bin_width_mv=1.3,
-        n_events=100,
-        spacing_mv=13.0,
+def _comb_fit(weights, goodness=1.0):
+    return tp.GaussianMixtureFit(
+        components=tuple(tp.GaussianComponent(w, 13.0 * k, 2.0 + 0.1 * k)
+                         for k, w in enumerate(weights)),
+        goodness=goodness, spacing_mv=13.0,
     )
-    files.write_fit_report(tmp_path / "fit.json", fit, "h")
-    payload = json.loads((tmp_path / "fit.json").read_text())
-    assert payload["config_hash"] == "h"
-    assert "thresholds_mv" not in payload
-    assert len(payload["components"]) == 2
-    assert payload["components"][1]["mean_mv"] == 13.0
-    assert payload["n_events"] == 100
-    assert (payload["baseline_mv"], payload["spacing_mv"]) == (0.0, 13.0)
+
+
+def test_fit_report(tmp_path):
+    # The run's comb once, from class 0 up, then each probe in id order.
+    fits = {3: _comb_fit([90.0, 10.0], goodness=1.2), 1: _comb_fit([50.0, 30.0, 20.0])}
+    files.write_fit_report(tmp_path / "fits.json", fits, "h")
+    payload = json.loads((tmp_path / "fits.json").read_text())
+    assert payload == {
+        "config_hash": "h",
+        "spacing_mv": 13.0,
+        "teeth": [{"mean_mv": 0.0, "sigma_mv": 2.0}, {"mean_mv": 13.0, "sigma_mv": 2.1},
+                  {"mean_mv": 26.0, "sigma_mv": 2.2}],
+        "probes": [{"id": 1, "goodness": 1.0, "weights": [50.0, 30.0, 20.0]},
+                   {"id": 3, "goodness": 1.2, "weights": [90.0, 10.0]}],
+    }
 
 
 def test_estimate_roundtrip_preserves_nan(tmp_path):

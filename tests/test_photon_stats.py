@@ -124,6 +124,26 @@ def test_dark_count_povm_matches_convolution_loop():
     np.testing.assert_allclose(dark.entries[-1], 1.0 - body.sum(axis=0), atol=1e-14)
 
 
+@pytest.mark.parametrize("gamma", [0.0, 1e-3, 0.2, 3.0])
+@pytest.mark.parametrize("n_outcomes", [2, 3, 12, 40])
+def test_dark_count_povm_is_the_handwritten_convolution(gamma, n_outcomes):
+    # Pi[n, m] = sum_{j <= n} Poisson(j; gamma) * Binomial(n - j; m, eta),
+    # summed term by term from the binomial rows, with the top row the
+    # remainder. The terms are nonnegative, so each entry is within a few
+    # ulps per term of up to 39 terms.
+    eta, truncation = 0.4, 45
+    raw = _binomial_rows(eta, n_outcomes - 1, truncation)
+    w = [math.exp(-gamma) * gamma**j / math.factorial(j) for j in range(n_outcomes - 1)]
+    body = np.zeros_like(raw)
+    for n in range(n_outcomes - 1):
+        for j in range(n + 1):
+            body[n] += w[j] * raw[n - j]
+    dark = tp.binomial_povm(eta, n_outcomes, truncation, gamma=gamma).entries
+    np.testing.assert_allclose(dark[:-1], body, rtol=1e-13, atol=1e-300)
+    np.testing.assert_allclose(dark[-1], np.maximum(1.0 - body.sum(axis=0), 0.0),
+                               rtol=0, atol=1e-14)
+
+
 def test_dark_count_povm_column_stochastic():
     povm = tp.binomial_povm(0.051, 12, 140, gamma=0.2)
     assert povm.entries.min() >= 0.0
