@@ -20,7 +20,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, special
 
 from .errors import CalibrationError
 from .photon_stats import _check_number, _check_stochastic
@@ -297,11 +296,13 @@ class _Spectrum:
 
     def mass(self, comb, teeth) -> np.ndarray:
         """Share of each tooth's events in each bin under one trial comb."""
+        from scipy import special
         return np.diff(special.ndtr(self.standard(comb, teeth)), axis=0)
 
     def weigh(self, mass, variance):
         """Nonnegative least-squares tooth weights, bins weighted by their
         ``variance`` (at least 1), and the weighted residuals."""
+        from scipy import optimize
         inv_err = 1.0 / np.sqrt(np.maximum(variance, 1.0))
         design = mass * inv_err[:, None]
         target = self.counts * inv_err
@@ -312,6 +313,7 @@ class _Spectrum:
         """The Poisson-weighted tooth weights under ``comb``, with what the
         Jacobian needs of them. The last solve is kept: ``least_squares``
         asks for the Jacobian at the comb whose residuals it has just had."""
+        from scipy import special
         comb = np.array(comb, dtype=float)
         last = self._last
         if last is None or last[1] is not teeth or not np.array_equal(last[0], comb):
@@ -424,6 +426,7 @@ def fit_run(traces, bin_width_mv: float = DEFAULT_BIN_WIDTH_MV,
     lo = [base - spacing / 2.0, spacing / 2.0, bin_width_mv / 4.0, 0.0]
     hi = [base + spacing / 2.0, 1.5 * spacing, spacing, spacing / 2.0]
     teeth = {pid: s.teeth(base, spacing) for pid, s in spectra.items()}
+    from scipy import optimize
     res = optimize.least_squares(
         lambda comb: np.concatenate([s.residuals(comb, teeth[pid])
                                      for pid, s in spectra.items()]),

@@ -17,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
-from scipy.special import gammainc, gammaln, xlogy
 
 from .calibration import CountTable
 from .errors import EstimationError
@@ -68,6 +66,7 @@ def _log_probs(lam, n_outcomes: int) -> np.ndarray:
     ``(n_outcomes, lam.size)``. The top bin is P(X >= N-1) =
     ``gammainc(N-1, lam)``.
     """
+    from scipy.special import gammainc, gammaln, xlogy
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     ns = np.arange(n_outcomes - 1.0)[:, None]
     with np.errstate(divide="ignore"):
@@ -102,6 +101,7 @@ def _maximize(cols: np.ndarray, design: np.ndarray, lower, upper, x0) -> np.ndar
     one row per probe. The objective is scaled to the mean per event, so
     the tolerances mean the same for any sample size.
     """
+    from scipy import optimize
     scale = 1.0 / cols.sum()
 
     def nll(theta):

@@ -24,7 +24,6 @@ import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import gammaln, xlogy
 
 __all__ = [
     "COLUMN_SUM_TOL",
@@ -247,6 +246,7 @@ def poisson_pmf(mu: float, m) -> float | np.ndarray:
     Returns:
         Scalar float for scalar ``m``, else an array of the same shape.
     """
+    from scipy.special import gammaln, xlogy
     _check_number("mu", mu, "[0, inf)")
     m_arr = np.asarray(m)
     scalar = m_arr.ndim == 0
@@ -293,6 +293,7 @@ def probe_q_matrix(
 
 def _binomial_rows(eta: float, n_rows: int, truncation: int) -> np.ndarray:
     """Raw binomial pmf table B[n, m] for n < n_rows, without a cumulative row."""
+    from scipy.special import gammaln
     ns = np.arange(n_rows)[:, None]
     ms = np.arange(truncation)[None, :]
     if eta == 0.0:

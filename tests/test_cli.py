@@ -580,6 +580,51 @@ def test_cli_import_leaves_out_scipy_signal_and_stats():
     assert proc.stdout.strip() == "[]"
 
 
+def _fresh_interpreter(code, *args):
+    """The last line ``code`` prints in a new interpreter, given ``args``."""
+    src = Path(tp.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    return proc.stdout.splitlines()[-1]
+
+
+_LOADED_SCIPY = "sorted(m for m in sys.modules if m.startswith('scipy'))"
+
+
+def test_cli_import_loads_no_scipy():
+    # Only the functions that call scipy import it, so a stage that never
+    # calls one does not pay for its import.
+    code = f"import sys, tespovm, tespovm.cli; print({_LOADED_SCIPY})"
+    assert _fresh_interpreter(code) == "[]"
+
+
+def _fresh_main(*argv):
+    """``main(argv)`` in a new interpreter: its exit code and the scipy
+    modules loaded when it returned."""
+    code = ("import json, sys\n"
+            "from tespovm.cli import main\n"
+            "try:\n"
+            "    rc = main(sys.argv[1:])\n"
+            "except SystemExit as exc:\n"
+            "    rc = exc.code\n"
+            f"print(json.dumps([rc, {_LOADED_SCIPY}]))")
+    return tuple(json.loads(_fresh_interpreter(code, *argv)))
+
+
+def test_scipy_loads_at_first_use(tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(_config()))
+    sim, cal = str(tmp_path / "sim"), str(tmp_path / "cal")
+    assert _fresh_main("simulate", "--config", str(cfg), "--seed", "1", "--out", sim) == (0, [])
+    assert _fresh_main("--help") == (0, [])
+    assert _fresh_main("calibrate", "--traces", sim, "--jobs", "0", "--out", cal) == (2, [])
+    rc, loaded = _fresh_main("calibrate", "--traces", sim, "--out", cal)
+    assert rc == 0
+    assert "scipy.optimize" in loaded
+
+
 def test_outcome_mismatch_exits_2(pipeline, tmp_path, capsys):
     # The pipeline reconstructed with no config flag, in the run config's
     # 8 outcomes, truncation 50 and max_iters 30000, which ensemble.json
