@@ -2,13 +2,13 @@
 
 A TES puts the pulse height of ``k`` detected photons at ``baseline + k *
 spacing`` with a width ``sigma0 + k * sigma_slope``. That four-parameter
-Gaussian comb is fitted once to the histograms of all traces of a run,
-which numbers its teeth, so component index is detected count in every
-probe; each trace keeps its own nonnegative weight (expected events) per
-tooth of that one comb. A probe whose histogram the comb does not
-describe fails loudly. Count class ``n`` holds a probe's tooth-``n``
-weight (:func:`bin_counts_by_area`), so events where two teeth overlap
-are shared as the fit shares them; :func:`bin_counts` cuts at the
+Gaussian comb is fitted once to a run's pooled histogram, its traces'
+counts summed on one grid, which numbers its teeth, so component index is
+detected count in every probe; each trace keeps its own nonnegative weight
+(expected events) per tooth of that one comb. A probe whose histogram the
+comb does not describe fails loudly. Count class ``n`` holds a probe's
+tooth-``n`` weight (:func:`bin_counts_by_area`), so events where two teeth
+overlap are shared as the fit shares them; :func:`bin_counts` cuts at the
 density minima between adjacent teeth instead (:func:`place_thresholds`).
 """
 
@@ -245,8 +245,8 @@ def _peak_search(x: np.ndarray):
 
 @dataclass(eq=False)
 class _Spectrum:
-    """A trace histogrammed over its own data on the run's grid, whose bin
-    edges are multiples of the bin width, and its prominent peaks.
+    """Events per bin on the run's grid, whose edges are the bin width
+    times the integers from ``first`` on, and their prominent peaks.
 
     The histogram is smoothed by a three-bin running mean. Its peaks are
     the local maxima of :func:`_peak_search` whose prominence is at least
@@ -256,14 +256,29 @@ class _Spectrum:
     their widths at half prominence, in bins.
     """
 
-    amps: np.ndarray
+    counts: np.ndarray
+    first: int
     bin_width: float
+
+    @classmethod
+    def of(cls, amps: np.ndarray, bin_width: float) -> "_Spectrum":
+        """A trace histogrammed over its own data."""
+        first = math.floor(amps.min() / bin_width)
+        edges = bin_width * (first + np.arange(math.ceil(amps.max() / bin_width - first) + 2))
+        return cls(np.histogram(amps, bins=edges)[0].astype(float), first, bin_width)
+
+    @classmethod
+    def pooled(cls, spectra) -> "_Spectrum":
+        """The sum of spectra on one grid, over all of their bins."""
+        first = min(s.first for s in spectra)
+        counts = np.zeros(max(s.first + s.counts.size for s in spectra) - first)
+        for s in spectra:
+            counts[s.first - first:s.first - first + s.counts.size] += s.counts
+        return cls(counts, first, spectra[0].bin_width)
 
     def __post_init__(self):
         bw = self.bin_width
-        first = math.floor(self.amps.min() / bw)
-        self.edges = bw * (first + np.arange(math.ceil(self.amps.max() / bw - first) + 2))
-        self.counts = np.histogram(self.amps, bins=self.edges)[0].astype(float)
+        self.edges = bw * (self.first + np.arange(self.counts.size + 1))
         self.centers = self.edges[:-1] + 0.5 * bw
         self.smooth = y = np.convolve(self.counts, np.ones(3) / 3.0, mode="same")
         peaks, prominences, _, _, widths = _peak_search(y)
@@ -355,20 +370,23 @@ def fit_run(traces, bin_width_mv: float = DEFAULT_BIN_WIDTH_MV,
 
     One detector puts tooth ``k`` at ``baseline + k * spacing`` with width
     ``sigma0 + k * sigma_slope`` in every trace, so a tooth has one label
-    in every probe. The traces' prominent peaks on one histogram grid seed
-    the comb; one Poisson-weighted least squares over all their bins fits
-    it and numbers the teeth, with Kaufman's variable-projection Jacobian
-    (:meth:`_Spectrum.jacobian`) in closed form, so a step solves the
-    tooth weights once per trace. Every probe's components sit on that
-    comb: a trace's tooth weights, over the teeth centred within its data,
-    solve its own nonnegative least squares, last with the model's bin
-    variances, and a trace whose peaks leave the comb fails its goodness
-    gate rather than moving the comb. The zero tooth is the lowest to
-    which some probe gives ``WEIGHT_FLOOR_EVENTS`` events and beside which
-    no probe holds more one-count events than Poisson light allows
-    (:func:`_admits_zero`): a tooth fitted to the tail of a zero peak, or
-    to stray events below it, is not the zero. A probe's components run
-    from it, empty or not, to its highest tooth holding
+    in every probe. The traces' prominent peaks, in probe-id order, seed
+    the comb. A trace's expected bins are linear in its tooth weights, so
+    the run's pooled histogram, its traces' counts summed on one grid, is
+    the same comb with summed weights: one Poisson-weighted least squares
+    over the pooled bins fits it and numbers the teeth, with Kaufman's
+    variable-projection Jacobian (:meth:`_Spectrum.jacobian`) in closed
+    form, so a step solves one set of tooth weights for the whole run. A
+    run of one trace pools to its own histogram. Every probe's components
+    sit on that comb: a trace's tooth weights, over the teeth centred
+    within its data, solve its own nonnegative least squares, last with
+    the model's bin variances, and a trace whose peaks leave the comb
+    fails its goodness gate rather than moving the comb. The zero tooth is
+    the lowest to which some probe gives ``WEIGHT_FLOOR_EVENTS`` events
+    and beside which no probe holds more one-count events than Poisson
+    light allows (:func:`_admits_zero`): a tooth fitted to the tail of a
+    zero peak, or to stray events below it, is not the zero. A probe's
+    components run from it, empty or not, to its highest tooth holding
     ``WEIGHT_FLOOR_EVENTS``, and the count classes fold once, when binned.
     Only teeth past a given ``max_peaks`` fold into the last component;
     ``calibrate`` passes the run's ``reconstruction.n_outcomes``. A run of
@@ -400,10 +418,11 @@ def fit_run(traces, bin_width_mv: float = DEFAULT_BIN_WIDTH_MV,
                 f"trace has {trace.n_pulses} events, need at least {MIN_EVENTS}"
             )
         else:
-            spectra[pid] = _Spectrum(np.asarray(trace.amplitudes_mv, float), bin_width_mv)
+            spectra[pid] = _Spectrum.of(np.asarray(trace.amplitudes_mv, float), bin_width_mv)
 
     if not spectra:
         return {}, failures
+    spectra = dict(sorted(spectra.items()))
     resolved = [s.centers[s.peaks] for s in spectra.values() if s.peaks.size >= 2]
     if not resolved:
         raise CalibrationError("no trace shows two prominent peaks: the run has no "
@@ -425,15 +444,10 @@ def fit_run(traces, bin_width_mv: float = DEFAULT_BIN_WIDTH_MV,
     x0 = [base, spacing, min(width, spacing / 4.0), 0.0]
     lo = [base - spacing / 2.0, spacing / 2.0, bin_width_mv / 4.0, 0.0]
     hi = [base + spacing / 2.0, 1.5 * spacing, spacing, spacing / 2.0]
-    teeth = {pid: s.teeth(base, spacing) for pid, s in spectra.items()}
+    pool = _Spectrum.pooled(list(spectra.values()))
     from scipy import optimize
-    res = optimize.least_squares(
-        lambda comb: np.concatenate([s.residuals(comb, teeth[pid])
-                                     for pid, s in spectra.items()]),
-        np.clip(x0, lo, hi), bounds=(lo, hi),
-        jac=lambda comb: np.concatenate([s.jacobian(comb, teeth[pid])
-                                         for pid, s in spectra.items()]),
-    )
+    res = optimize.least_squares(pool.residuals, np.clip(x0, lo, hi), pool.jacobian,
+                                 bounds=(lo, hi), args=(pool.teeth(base, spacing),))
     if res.status == 0:
         raise CalibrationError(f"comb fit did not converge ({res.nfev} evaluations)")
     comb = base, spacing, sigma0, sigma_slope = tuple(map(float, res.x))
@@ -454,7 +468,7 @@ def fit_run(traces, bin_width_mv: float = DEFAULT_BIN_WIDTH_MV,
             continue
         lowest.update(numbers[w >= WEIGHT_FLOOR_EVENTS][:1].tolist())
         # Teeth below the trace's data hold none of its events.
-        solved[pid] = np.bincount(numbers, w), goodness, s.amps.size
+        solved[pid] = np.bincount(numbers, w), goodness, s.counts.sum()
     # A tooth proposed by one probe's tail is the zero only if every probe
     # admits it, and a probe with a zero peak of its own admits no lower one.
     zero = min((z for z in lowest

@@ -174,13 +174,30 @@ def test_fit_run_failures_stay_out_of_the_scale():
     fits, failures = tp.fit_run(traces)
     assert failures == {} and sorted(fits) == [0, 1, 2, 3]
     tiny = _trace(np.linspace(-50.0, 50.0, 50), probe_id=7)
-    with_tiny, failed = tp.fit_run([*traces, tiny])
-    assert list(failed) == [7] and "need at least 100" in str(failed[7])
-    for pid, fit in fits.items():
-        assert with_tiny[pid].components == fit.components
+    # A trace too sparse to fit stays out of the pool: beside it, a lone
+    # trace keeps its own fit bit for bit.
+    for run, expected in ((traces, fits), (traces[:1], {0: tp.fit_peaks(traces[0])})):
+        with_tiny, failed = tp.fit_run([*run, tiny])
+        assert list(failed) == [7] and "need at least 100" in str(failed[7])
+        for pid, fit in expected.items():
+            got = with_tiny[pid]
+            assert (got.components, got.goodness, got.spacing_mv) == (
+                fit.components, fit.goodness, fit.spacing_mv)
     with pytest.raises(ValueError, match="repeated"):
         tp.fit_run([traces[0], traces[0]])
     assert tp.fit_run([]) == ({}, {})
+
+
+def test_fit_run_is_the_same_for_any_trace_order():
+    ensemble = tp.geometric_ensemble(n_probes=6, n_pulses=20_000)
+    traces = tp.simulate_ensemble(tp.DetectorPhysicalConfig(), ensemble, seed=4)
+    fits, failures = tp.fit_run(traces)
+    reversed_fits, reversed_failures = tp.fit_run(traces[::-1])
+    assert failures == reversed_failures == {} and sorted(fits) == sorted(reversed_fits)
+    for pid, fit in fits.items():
+        other = reversed_fits[pid]
+        assert (fit.spacing_mv, fit.components, fit.goodness) == (
+            other.spacing_mv, other.components, other.goodness)
 
 
 @pytest.mark.parametrize("max_peaks", [20, None], ids=["max_peaks_20", "default"])
@@ -299,13 +316,34 @@ def test_two_maxima_of_one_hump_are_one_peak():
     # The shallow valley between them makes them one peak. Teeth keep theirs.
     hump = [10, 30, 60, 80, 90, 95, 90, 85, 90, 95, 90, 80, 60, 30, 10]
     amps = np.repeat(np.arange(len(hump)) + 0.5, hump)
-    spectrum = _Spectrum(amps, 1.0)
+    spectrum = _Spectrum.of(amps, 1.0)
     heights = spectrum.smooth[_peak_search(spectrum.smooth)[0]]
     assert heights.size == 2 and heights[0] == heights[1]
     assert spectrum.peaks.size == 1
     rng = np.random.default_rng(0)
     teeth = np.concatenate([rng.normal(0.0, 2.0, 5000), rng.normal(13.0, 2.0, 500)])
-    assert _Spectrum(teeth, 1.3).peaks.size == 2
+    assert _Spectrum.of(teeth, 1.3).peaks.size == 2
+
+
+@given(st.floats(0.1, 10.0),
+       st.lists(st.tuples(st.floats(-200.0, 200.0),
+                          hnp.arrays(float, st.integers(1, 30), elements=st.floats(-20.0, 20.0))),
+                min_size=1, max_size=4))
+def test_pooled_spectrum_sums_its_traces_on_one_grid(bin_width, traces):
+    spectra = [_Spectrum.of(offset + amps, bin_width) for offset, amps in traces]
+    pool = _Spectrum.pooled(spectra)
+    total = np.zeros_like(pool.counts)
+    for s in spectra:
+        at = s.first - pool.first
+        # Every edge is the bin width times the same integer in both grids.
+        assert np.array_equal(s.edges, pool.edges[at:at + s.edges.size])
+        total[at:at + s.counts.size] += s.counts
+    assert np.array_equal(pool.counts, total)
+    assert pool.counts.sum() == sum(s.counts.sum() for s in spectra)
+    alone, own = _Spectrum.pooled(spectra[:1]), spectra[0]
+    assert alone.first == own.first
+    for name in ("counts", "edges", "centers", "smooth", "peaks", "widths"):
+        assert np.array_equal(getattr(alone, name), getattr(own, name)), name
 
 
 @given(hnp.arrays(np.int64, st.integers(1, 40), elements=st.integers(0, 5)))
@@ -326,7 +364,7 @@ def _comb_spectrum():
     # sigma_slope > 0, so every comb parameter moves the bins.
     detector = tp.DetectorPhysicalConfig(eta=0.3, sigma_slope_mv=0.2)
     trace = tp.simulate_trace(detector, 10.0, 20_000, seed=1)
-    return _Spectrum(trace.amplitudes_mv, 1.3), np.array([0.0, 13.0, 2.0, 0.2])
+    return _Spectrum.of(trace.amplitudes_mv, 1.3), np.array([0.0, 13.0, 2.0, 0.2])
 
 
 def _central_difference(f, comb, h=1e-5):
