@@ -14,6 +14,7 @@ density minima between adjacent teeth instead (:func:`place_thresholds`).
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from collections.abc import Sequence
@@ -39,6 +40,7 @@ __all__ = [
     "place_thresholds",
     "bin_counts",
     "bin_counts_by_area",
+    "counts_by_area",
 ]
 
 # Histogram bin width, unless the run's config says otherwise.
@@ -280,7 +282,25 @@ class _Spectrum:
         bw = self.bin_width
         self.edges = bw * (self.first + np.arange(self.counts.size + 1))
         self.centers = self.edges[:-1] + 0.5 * bw
-        self.smooth = y = np.convolve(self.counts, np.ones(3) / 3.0, mode="same")
+        self._last = None
+
+    @functools.cached_property
+    def smooth(self) -> np.ndarray:
+        return np.convolve(self.counts, np.ones(3) / 3.0, mode="same")
+
+    @property
+    def peaks(self) -> np.ndarray:
+        return self._prominent[0]
+
+    @property
+    def widths(self) -> np.ndarray:
+        return self._prominent[1]
+
+    @functools.cached_property
+    def _prominent(self):
+        """The prominent peaks and their widths, searched for when first
+        asked: the comb is fitted to a pool whose peaks nothing reads."""
+        y = self.smooth
         peaks, prominences, _, _, widths = _peak_search(y)
         # A bump that rises only a few Poisson deviations above its
         # surroundings is noise; one in the tail would skew the spacing.
@@ -295,8 +315,7 @@ class _Spectrum:
                     kept[-1] = i if y[peaks[i]] > y[peaks[j]] else j
                     continue
             kept.append(i)
-        self.peaks, self.widths = peaks[kept], widths[kept]
-        self._last = None
+        return peaks[kept], widths[kept]
 
     def teeth(self, base, spacing) -> np.ndarray:
         """Teeth centred within the data, which alone may hold its events
@@ -618,13 +637,22 @@ def bin_counts_by_area(
 ) -> np.ndarray:
     """Bin a trace by fitted Gaussian areas instead of thresholds.
 
+    Only the trace's event count is read: this is
+    :func:`counts_by_area` of ``trace.n_pulses``.
+    """
+    return counts_by_area(fit, n_outcomes, trace.n_pulses)
+
+
+def counts_by_area(fit: GaussianMixtureFit, n_outcomes: int, n_events: int) -> np.ndarray:
+    """``n_events`` shared among count classes by fitted Gaussian areas.
+
     Count class ``i`` receives the fitted weight of component ``i``
-    (components beyond the top class fold into it), scaled to the number
-    of events in the trace with total-preserving rounding.
+    (components beyond the top class fold into it), scaled to ``n_events``
+    with total-preserving rounding.
     """
     _check_number("n_outcomes", n_outcomes, "[2, inf)", integer=True)
     folded = np.zeros(n_outcomes)
     for i, comp in enumerate(fit.components):
         folded[min(i, n_outcomes - 1)] += comp.weight
     probs = folded / folded.sum()
-    return _round_preserving_total(probs * trace.n_pulses, trace.n_pulses)
+    return _round_preserving_total(probs * n_events, n_events)

@@ -6,9 +6,14 @@ takes a config; :func:`files.parse_config` refuses an unknown or mistyped
 key before a trace is written. It records it as the run config in
 ``ensemble.json``, the one copy every later stage reads, and its hash in
 ``manifest.json``.
+``simulate`` and ``calibrate`` work one probe at a time on their
+``--jobs`` threads: ``simulate`` writes each trace from the thread that
+drew it, and ``calibrate`` reads traces at most ``--jobs`` ahead of the
+fit, which keeps only each trace's histogram. So each stage holds about
+``--jobs`` traces at a time, whatever the number of probes.
 Each stage has one route. ``calibrate`` fits one comb to the run and
 counts each probe's class ``n`` as its tooth-``n`` weight
-(:func:`~tespovm.calibration.bin_counts_by_area`); the run config's
+(:func:`~tespovm.calibration.counts_by_area`); the run config's
 ``reconstruction.n_outcomes`` alone sets the classes. It writes the comb
 once, with each probe's tooth weights and goodness, to ``fits.json``
 (:func:`files.write_fit_report`). ``estimate`` fits
@@ -34,18 +39,20 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
 from . import files
-from .calibration import CountTable, bin_counts_by_area, fit_run
+from .calibration import CountTable, counts_by_area, fit_run
 from .errors import CalibrationError, EstimationError, LineageError, SchemaError
 from .estimation import estimate_eta_gamma
 from .metrics import DEFAULT_SPLIT, fidelity_curve, sensitivity_sweep, three_way_comparison
 from .photon_stats import _check_number, binomial_povm
-from .tes_sim import _SEED_RANGE, simulate_ensemble
+from .tes_sim import _SEED_RANGE, simulate_probe
 from .tomography import TOL, reconstruct_povm
 
 EXIT_OK = 0
@@ -60,13 +67,44 @@ def cmd_simulate(args) -> int:
     config = files.read_json(args.config) if args.config else files.default_config()
     run = files.parse_config(config)
     out = Path(args.out)
-    traces = simulate_ensemble(run.detector, run.ensemble, args.seed, jobs=args.jobs)
-    for trace in traces:
-        files.write_trace_csv(out, trace)
+
+    # Each trace is written by the thread that drew it, then dropped.
+    def simulate(probe):
+        files.write_trace_csv(out, simulate_probe(run.detector, probe, args.seed))
+
+    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+        list(pool.map(simulate, run.ensemble.probes))
     files.write_manifest(out, config, args.seed)
     files.write_ensemble(out / "ensemble.json", config)
-    print(f"simulated {len(traces)} traces -> {out}")
+    print(f"simulated {len(run.ensemble.probes)} traces -> {out}")
     return EXIT_OK
+
+
+def _read_traces(trace_dir, probe_ids, jobs, n_events, failures):
+    """The trace of each probe id, in order, read on ``jobs`` threads at
+    most ``jobs`` reads ahead of the trace last yielded, so that at most
+    ``jobs`` + 1 traces, the consumer's among them, are held at a time.
+    Each yielded trace's event count goes into ``n_events`` and each
+    unreadable trace's :class:`SchemaError` into ``failures``, by probe id."""
+    def read(pid):
+        return files.read_trace_csv(trace_dir / files.trace_filename(pid), probe_id=pid)
+
+    probe_ids = iter(probe_ids)
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        ahead = deque((pid, pool.submit(read, pid)) for pid in islice(probe_ids, jobs))
+        while ahead:
+            pid, fut = ahead.popleft()
+            try:
+                trace = fut.result()
+            except SchemaError as exc:
+                failures[pid] = exc
+            else:
+                n_events[pid] = trace.n_pulses
+                yield trace
+            # The next read starts once the consumer asks for the next trace.
+            pid = next(probe_ids, None)
+            if pid is not None:
+                ahead.append((pid, pool.submit(read, pid)))
 
 
 def cmd_calibrate(args) -> int:
@@ -78,18 +116,9 @@ def cmd_calibrate(args) -> int:
                          trace_dir / "ensemble.json": cfg_hash})
     n_outcomes = run.reconstruction.n_outcomes
 
-    def read(pid):
-        return files.read_trace_csv(trace_dir / files.trace_filename(pid), probe_id=pid)
-
-    traces, failures = {}, {}
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        futures = {pid: pool.submit(read, pid) for pid in run.ensemble.ids}
-        for pid, fut in futures.items():
-            try:
-                traces[pid] = fut.result()
-            except SchemaError as exc:
-                failures[pid] = exc
-    fits, fit_failures = fit_run(traces.values(), **run.calibration, max_peaks=n_outcomes)
+    n_events, failures = {}, {}
+    traces = _read_traces(trace_dir, sorted(run.ensemble.ids), args.jobs, n_events, failures)
+    fits, fit_failures = fit_run(traces, **run.calibration, max_peaks=n_outcomes)
     failures.update(fit_failures)
     if failures and not args.skip_failed:
         pid = min(failures)
@@ -103,7 +132,7 @@ def cmd_calibrate(args) -> int:
     kept_ids = sorted(fits)
     out = Path(args.out)
     table = CountTable.from_counts(
-        np.column_stack([bin_counts_by_area(traces[pid], fits[pid], n_outcomes)
+        np.column_stack([counts_by_area(fits[pid], n_outcomes, n_events[pid])
                          for pid in kept_ids]),
         probe_ids=tuple(kept_ids),
     )
@@ -228,13 +257,15 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--config", help="pipeline config JSON (defaults built in)")
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--out", required=True)
-    sim.add_argument("--jobs", type=int, default=1)
+    sim.add_argument("--jobs", type=int, default=1,
+                     help="threads that simulate and write traces")
     sim.set_defaults(func=cmd_simulate)
 
     cal = sub.add_parser("calibrate", help="fit the run's comb and count by tooth weights")
     cal.add_argument("--traces", required=True, help="simulate output directory")
     cal.add_argument("--out", required=True)
-    cal.add_argument("--jobs", type=int, default=1, help="threads that read traces")
+    cal.add_argument("--jobs", type=int, default=1,
+                     help="threads that read traces ahead of the fit")
     cal.add_argument("--skip-failed", action="store_true",
                      help="drop probes that fail calibration instead of aborting")
     cal.set_defaults(func=cmd_calibrate)

@@ -13,16 +13,18 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .photon_stats import ProbeEnsemble, _check_number
+from .photon_stats import Probe, ProbeEnsemble, _check_number
 
 __all__ = [
     "DetectorPhysicalConfig",
     "AmplitudeTrace",
     "derive_subseed",
     "simulate_trace",
+    "simulate_probe",
     "simulate_ensemble",
 ]
 
@@ -136,31 +138,35 @@ def simulate_trace(
     return AmplitudeTrace(probe_id=probe_id, amplitudes_mv=amps, truth_counts=c)
 
 
+def simulate_probe(config: DetectorPhysicalConfig, probe: Probe, seed: int) -> AmplitudeTrace:
+    """Simulate one probe of a seeded run.
+
+    ``seed`` is the run's seed, an integer in [0, 2**64); the probe's
+    stream is ``derive_subseed(seed, probe.id)``, so its trace does not
+    depend on which other probes are simulated, or on which thread.
+    """
+    _check_number("seed", seed, _SEED_RANGE, integer=True)
+    return simulate_trace(
+        config,
+        probe.mean_photons,
+        probe.n_pulses,
+        derive_subseed(seed, probe.id),
+        probe_id=probe.id,
+    )
+
+
 def simulate_ensemble(
     config: DetectorPhysicalConfig,
     ensemble: ProbeEnsemble,
     seed: int,
     jobs: int = 1,
 ) -> list[AmplitudeTrace]:
-    """Simulate every probe of an ensemble.
+    """:func:`simulate_probe` over every probe of an ensemble.
 
     ``seed`` is an integer in [0, 2**64) and ``jobs``, the number of
-    worker threads, an integer >= 1. Each probe gets an independent stream
-    via ``derive_subseed(seed, probe.id)``, so results do not depend on
-    ``jobs`` or on the presence of other probes. Traces are returned in
-    ensemble order.
+    worker threads, an integer >= 1. Results do not depend on ``jobs``.
+    Traces are returned in ensemble order.
     """
-    _check_number("seed", seed, _SEED_RANGE, integer=True)
     _check_number("jobs", jobs, "[1, inf)", integer=True)
-
-    def one(probe):
-        return simulate_trace(
-            config,
-            probe.mean_photons,
-            probe.n_pulses,
-            derive_subseed(seed, probe.id),
-            probe_id=probe.id,
-        )
-
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(one, ensemble.probes))
+        return list(pool.map(partial(simulate_probe, config, seed=seed), ensemble.probes))

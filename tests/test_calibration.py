@@ -105,6 +105,20 @@ def _fit_ensemble(detector, seed, n_pulses=100_000):
     return traces, fits, failures
 
 
+def test_fit_run_streams_a_generator_as_it_does_a_list():
+    detector = tp.DetectorPhysicalConfig()
+    ensemble = tp.geometric_ensemble(n_probes=6, n_pulses=20_000)
+    traces = tp.simulate_ensemble(detector, ensemble, seed=4)
+    traces.append(_trace(traces[0].amplitudes_mv[:50], probe_id=99))
+    listed, listed_failures = tp.fit_run(traces, max_peaks=12)
+    fits, failures = tp.fit_run((t for t in traces), max_peaks=12)
+    assert sorted(failures) == sorted(listed_failures) == [99]
+    assert sorted(fits) == sorted(listed)
+    for pid, fit in fits.items():
+        assert fit.components == listed[pid].components
+        assert (fit.goodness, fit.spacing_mv) == (listed[pid].goodness, listed[pid].spacing_mv)
+
+
 def _worst_scale(fits):
     """The largest distance of any probe's zero peak from 0 mV, and of its
     spacing from 13 mV: every probe's component 0 must be the zero peak."""

@@ -11,6 +11,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -775,6 +776,43 @@ def test_chain_is_bitwise_the_same_for_any_jobs(tmp_path):
     assert Path("val/sweep.json") in written[0]
     for path, data in written[0].items():
         assert data == written[1][path], path
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_simulate_writes_the_ensembles_traces(tmp_path, jobs):
+    # simulate draws and writes each probe on its --jobs threads; the files
+    # hold simulate_ensemble's arrays at the same seed, truth included.
+    (tmp_path / "config.json").write_text(json.dumps(_config()))
+    assert main(["simulate", "--config", str(tmp_path / "config.json"), "--seed", "3",
+                 "--out", str(tmp_path / "sim"), "--jobs", jobs]) == 0
+    run = files.parse_config(_config())
+    traces = tp.simulate_ensemble(run.detector, run.ensemble, 3)
+    for trace in traces:
+        amps = np.load(tmp_path / "sim" / files.trace_filename(trace.probe_id))
+        truth = np.load(tmp_path / "sim" / files.truth_filename(trace.probe_id))
+        assert amps.dtype == np.float64
+        assert np.array_equal(amps, trace.amplitudes_mv)
+        assert np.array_equal(truth, trace.truth_counts)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_calibrate_holds_about_jobs_traces(pipeline, tmp_path, monkeypatch, jobs):
+    # Traces are read at most --jobs ahead of the fit, which keeps none of
+    # them: at each read no more than --jobs + 1 are alive.
+    read, alive = files.read_trace_csv, []
+
+    def tracked(*args, **kwargs):
+        trace = read(*args, **kwargs)
+        alive.append(weakref.ref(trace))
+        assert sum(ref() is not None for ref in alive) <= jobs + 1
+        return trace
+
+    monkeypatch.setattr(files, "read_trace_csv", tracked)
+    assert main(["calibrate", "--traces", str(pipeline["sim"]), "--out", str(tmp_path / "cal"),
+                 "--jobs", str(jobs)]) == 0
+    assert len(alive) == 5
+    assert ((tmp_path / "cal" / "counts.json").read_bytes()
+            == (pipeline["cal"] / "counts.json").read_bytes())
 
 
 def _copy_sim(pipeline, tmp_path, edit=None):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import tespovm as tp
+from tespovm.tes_sim import simulate_probe
 
 
 def test_derive_subseed_reference_vectors():
@@ -42,6 +43,18 @@ def test_simulate_ensemble_jobs_invariant():
         assert a.probe_id == b.probe_id
         assert np.array_equal(a.amplitudes_mv, b.amplitudes_mv)
         assert np.array_equal(a.truth_counts, b.truth_counts)
+
+
+def test_simulate_probe_is_its_ensemble_trace():
+    cfg = tp.DetectorPhysicalConfig(eta=0.2)
+    ens = tp.geometric_ensemble(n_probes=3, mu_min=2.0, mu_max=20.0, n_pulses=2000)
+    for probe, trace in zip(ens.probes, tp.simulate_ensemble(cfg, ens, 11, jobs=2)):
+        alone = simulate_probe(cfg, probe, 11)
+        assert alone.probe_id == trace.probe_id == probe.id
+        assert np.array_equal(alone.amplitudes_mv, trace.amplitudes_mv)
+        assert np.array_equal(alone.truth_counts, trace.truth_counts)
+    with pytest.raises(ValueError, match=r"seed must lie in \[0, 18446744073709551616\), got -1"):
+        simulate_probe(cfg, ens.probes[0], -1)
 
 
 @pytest.mark.parametrize("kwargs, error, match", [
