@@ -1,8 +1,8 @@
 """On-disk formats for the batch pipeline.
 
-Traces are NumPy ``.npy`` files: float64 amplitudes in mV, with ground
-truth in a ``.truth.npy`` sidecar of the smallest unsigned integer type
-that holds its largest count; any NumPy reads them with ``np.load``.
+Traces are NumPy ``.npy`` files: float64 amplitudes in mV, and ground truth
+in a ``.truth.npy`` sidecar of the smallest unsigned integer type that holds
+its largest count, as in memory; any NumPy reads them with ``np.load``.
 Count tables, POVM matrices, estimates and reports are JSON with
 row-major nested arrays. Each fact is stored once: ``ensemble.json`` is
 the one copy of the run config, and a counted table stores only its
@@ -177,18 +177,15 @@ def write_trace_csv(directory, trace: AmplitudeTrace):
     """Write ``trace`` into ``directory`` as ``.npy`` files.
 
     Amplitudes go to :func:`trace_filename` as float64 and the truth, when
-    present, to :func:`truth_filename` in the smallest unsigned integer
-    type that holds its largest count (uint8 on the default design);
-    :class:`AmplitudeTrace` widens it back to int64 on reading. The name
-    predates the ``.npy`` format and is kept for callers that wrap it.
+    present, to :func:`truth_filename` in the type :class:`AmplitudeTrace`
+    holds it in. The name predates the ``.npy`` format and is kept for
+    callers that wrap it.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     np.save(directory / trace_filename(trace.probe_id), trace.amplitudes_mv)
-    truth = trace.truth_counts
-    if truth is not None:
-        dtype = np.min_scalar_type(truth.max(initial=0))
-        np.save(directory / truth_filename(trace.probe_id), truth.astype(dtype))
+    if trace.truth_counts is not None:
+        np.save(directory / truth_filename(trace.probe_id), trace.truth_counts)
 
 
 def read_trace_csv(path, probe_id: int) -> AmplitudeTrace:

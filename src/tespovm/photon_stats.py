@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import operator
 import sys
 from dataclasses import dataclass, replace
 
@@ -65,17 +64,14 @@ def _check_number(name: str, value, interval: str, integer: bool = False):
     bool, a non-real value or, with ``integer``, a non-integer raises
     TypeError; a value out of range ValueError.
     """
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    number_type = numbers.Integral if integer else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, number_type):
         kind = "an integer" if integer else "a real number"
         raise TypeError(f"{name} must be {kind}, got {value!r}")
-    number = value
-    if integer:
-        try:
-            # As a Python int it compares exactly; a NumPy integer past
-            # 2**53 would be rounded to a float first.
-            number = operator.index(value)
-        except TypeError:
-            raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    # As the Python int or float it holds, a NumPy scalar compares exactly:
+    # a NumPy integer past 2**53 would be rounded to a float first, and a
+    # float32 would round sys.float_info.max to inf.
+    number = value.item() if isinstance(value, np.generic) else value
     lo, hi = (float(end) for end in interval[1:-1].split(","))
     above = lo < number if interval[0] == "(" else lo <= number
     below = number < hi if interval[-1] == ")" else number <= hi

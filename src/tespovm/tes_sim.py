@@ -72,7 +72,8 @@ class DetectorPhysicalConfig:
 
 @dataclass(frozen=True, eq=False)
 class AmplitudeTrace:
-    """Per-pulse amplitudes for one probe, with optional ground truth."""
+    """Per-pulse amplitudes for one probe, with optional ground truth
+    counts held in the smallest unsigned integer type that holds the largest."""
 
     probe_id: int
     amplitudes_mv: np.ndarray
@@ -86,11 +87,14 @@ class AmplitudeTrace:
             raise ValueError("amplitudes_mv must be finite")
         object.__setattr__(self, "amplitudes_mv", amps)
         if self.truth_counts is not None:
-            truth = np.asarray(self.truth_counts, dtype=np.int64)
+            truth = np.asarray(self.truth_counts)
+            if truth.dtype.kind not in "ui":
+                raise ValueError(f"truth_counts must be integers, got dtype {truth.dtype}")
             if truth.shape != amps.shape:
                 raise ValueError("truth_counts must match amplitudes_mv in length")
             if truth.size and truth.min() < 0:
                 raise ValueError("truth_counts must be >= 0")
+            truth = truth.astype(np.min_scalar_type(truth.max(initial=0)), copy=False)
             object.__setattr__(self, "truth_counts", truth)
 
     @property
@@ -122,19 +126,21 @@ def simulate_trace(
     Per pulse: draw ``c ~ Poisson(eta * mu + gamma)``, the law of Poisson(mu)
     photons thinned with efficiency ``eta`` plus Poisson(gamma) dark counts;
     cap it at ``saturation_count`` if set; emit ``baseline + c * spacing``
-    plus Gaussian noise of width ``sigma0 + c * sigma_slope``.
+    plus Gaussian noise of width ``sigma0 + c * sigma_slope``, in float64.
 
     Deterministic for a fixed ``(config, mu, n_pulses, seed)``.
     """
     _check_number("mu", mu, "[0, inf)")
     _check_number("n_pulses", n_pulses, "[1, inf)", integer=True)
     rng = np.random.default_rng(seed)
-    c = rng.poisson(config.eta * mu + config.gamma, n_pulses)
+    c = rng.poisson(float(config.eta) * mu + float(config.gamma), n_pulses)
     if config.saturation_count is not None:
         c = np.minimum(c, config.saturation_count)
+    # Narrowed before the amplitudes are drawn, so the int64 draw is freed first.
+    c = c.astype(np.min_scalar_type(c.max(initial=0)))
     amps = rng.standard_normal(n_pulses)
-    amps *= config.sigma0_mv + c * config.sigma_slope_mv
-    amps += config.baseline_mv + c * config.peak_spacing_mv
+    amps *= float(config.sigma0_mv) + c * float(config.sigma_slope_mv)
+    amps += float(config.baseline_mv) + c * float(config.peak_spacing_mv)
     return AmplitudeTrace(probe_id=probe_id, amplitudes_mv=amps, truth_counts=c)
 
 

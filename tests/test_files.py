@@ -129,10 +129,15 @@ def test_trace_csv_roundtrip(tmp_path):
     pytest.param(np.array([0, 20, 3]), np.uint8, id="uint8"),
     pytest.param(np.array([0, 255, 256]), np.uint16, id="uint16"),
     pytest.param(np.array([], dtype=np.int64), np.uint8, id="empty"),
+    # Unsaturated counts at a mean of 400 detected photons need 16 bits.
+    pytest.param(tp.simulate_trace(tp.DetectorPhysicalConfig(eta=1.0), 400.0, 1000,
+                                   seed=3).truth_counts, np.uint16, id="simulated-uint16"),
 ])
 def test_truth_sidecar_roundtrip(tmp_path, truth, dtype):
     trace = tp.AmplitudeTrace(probe_id=2, amplitudes_mv=np.zeros(truth.size),
                               truth_counts=truth)
+    # The trace holds its truth in the sidecar's type.
+    assert trace.truth_counts.dtype == dtype
     files.write_trace_csv(tmp_path, trace)
     back = np.load(tmp_path / files.truth_filename(2), allow_pickle=False)
     assert back.dtype == dtype

@@ -1,6 +1,7 @@
 """Tests for the closed-form photon statistics primitives."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from scipy import stats
 
 import tespovm as tp
-from tespovm.photon_stats import _binomial_rows
+from tespovm.photon_stats import _binomial_rows, _check_number
 
 # One-sided Poisson mass beyond m = 139 at mu = 130 (scipy.stats.poisson.sf).
 TAIL_139_130 = 0.20106831223210758
@@ -264,6 +265,28 @@ def test_probe_validation():
     with pytest.raises(TypeError, match="n_pulses must be an integer, got 3000.5"):
         tp.Probe(id=0, mean_photons=1.0, n_pulses=3000.5)
     assert tp.Probe(id=np.int64(3), mean_photons=1.0, n_pulses=np.int32(5)).id == 3
+
+
+@pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+def test_check_number_takes_numpy_floats_without_a_warning(dtype):
+    # A float32 compared with sys.float_info.max would round it to inf and warn.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _check_number("x", dtype(2.1), "(0, inf)")
+        _check_number("x", dtype(0.0), "[0, 1]")
+        _check_number("x", np.finfo(dtype).max, "(-inf, inf)")
+        tp.DetectorPhysicalConfig(sigma0_mv=dtype(2.1))
+        tp.Probe(id=0, mean_photons=dtype(6.5))
+    for bad in (dtype("inf"), dtype("-inf"), dtype("nan"), dtype(-1.0)):
+        with pytest.raises(ValueError, match="x must lie in"):
+            _check_number("x", bad, "[0, inf)")
+
+
+def test_check_number_refuses_an_int_too_large_for_a_float():
+    with pytest.raises(ValueError, match=r"x must lie in \(-inf, inf\)"):
+        _check_number("x", 10**400, "(-inf, inf)")
+    with pytest.raises(ValueError, match=r"n must lie in \[1, inf\)"):
+        _check_number("n", 10**400, "[1, inf)", integer=True)
 
 
 def test_povm_matrix_validation():

@@ -1,5 +1,7 @@
 """Tests for the seeded pulse-amplitude simulator."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -141,6 +143,38 @@ def test_simulate_trace_stream_is_pinned():
     )
 
 
+def test_simulate_trace_stays_float64_for_float32_fields():
+    fields = dict(eta=0.3, gamma=0.2, baseline_mv=1.5, peak_spacing_mv=13.0,
+                  sigma0_mv=2.1, sigma_slope_mv=0.3)
+    as_float = {k: float(np.float32(v)) for k, v in fields.items()}
+    # uint8 counts times a float32 field would round the product to float32.
+    narrow = tp.DetectorPhysicalConfig(**{k: np.float32(v) for k, v in fields.items()},
+                                       saturation_count=7)
+    wide = tp.DetectorPhysicalConfig(**as_float, saturation_count=7)
+    a = tp.simulate_trace(narrow, 30.0, 20_000, seed=5)
+    b = tp.simulate_trace(wide, 30.0, 20_000, seed=5)
+    assert a.amplitudes_mv.dtype == np.float64
+    assert np.array_equal(a.amplitudes_mv, b.amplitudes_mv)
+    assert np.array_equal(a.truth_counts, b.truth_counts)
+
+
+def test_simulate_trace_keeps_nine_bytes_per_pulse():
+    # float64 amplitudes plus uint8 truth; an int64 truth would keep 16.
+    n = 100_000
+    cfg = tp.DetectorPhysicalConfig()
+    tp.simulate_trace(cfg, 130.0, 1000, seed=1)  # warm up lazy imports
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        trace = tp.simulate_trace(cfg, 130.0, n, seed=1)
+        kept, peak = (m - base for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert trace.truth_counts.dtype == np.uint8
+    assert kept / n <= 9.1
+    assert peak / n <= 18.0
+
+
 def test_amplitude_peak_positions():
     cfg = tp.DetectorPhysicalConfig(
         eta=0.4, baseline_mv=5.0, peak_spacing_mv=13.0, sigma0_mv=0.5
@@ -224,3 +258,30 @@ def test_amplitude_trace_validation():
     trace = tp.AmplitudeTrace(probe_id=3, amplitudes_mv=np.array([1.0, 2.0]))
     assert trace.n_pulses == 2
     assert trace.truth_counts is None
+
+
+@pytest.mark.parametrize("truth", [
+    pytest.param(np.array([1.7, 0.2, 2.9]), id="fractional"),
+    pytest.param(np.array([1.0, 0.0, 2.0]), id="whole-floats"),
+    pytest.param(np.array([True, False, True]), id="bool"),
+    pytest.param(np.array([np.nan, 0.0, 1.0]), id="nan"),
+    pytest.param(np.array([1e30, 0.0, 1.0]), id="huge"),
+])
+def test_amplitude_trace_takes_integer_truth_only(truth):
+    with pytest.raises(ValueError, match=f"truth_counts must be integers, got dtype {truth.dtype}"):
+        tp.AmplitudeTrace(probe_id=0, amplitudes_mv=np.ones(3), truth_counts=truth)
+
+
+@pytest.mark.parametrize("truth, dtype", [
+    pytest.param(np.array([0, 20, 3], dtype=np.int64), np.uint8, id="int64-to-uint8"),
+    pytest.param(np.array([0, 300, 3], dtype=np.int32), np.uint16, id="int32-to-uint16"),
+    pytest.param([2, 0, 1], np.uint8, id="list"),
+])
+def test_amplitude_trace_narrows_its_truth(truth, dtype):
+    trace = tp.AmplitudeTrace(probe_id=0, amplitudes_mv=np.ones(3), truth_counts=truth)
+    assert trace.truth_counts.dtype == dtype
+    assert np.array_equal(trace.truth_counts, truth)
+    # Truth already in its narrow type is held without a copy.
+    again = tp.AmplitudeTrace(probe_id=0, amplitudes_mv=np.ones(3),
+                              truth_counts=trace.truth_counts)
+    assert again.truth_counts is trace.truth_counts
