@@ -60,7 +60,7 @@ def config_hash(config: dict) -> str:
 
 def _jsonable(obj):
     if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
+        return obj.tolist()
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
     if isinstance(obj, dict):

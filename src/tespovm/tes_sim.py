@@ -3,14 +3,20 @@
 Only the pulse-height summary statistic is modeled. Each optical pulse
 yields one Poisson(eta * mu + gamma) detected count, the law of Poisson
 photons thinned with efficiency eta plus Poisson dark counts, capped at
-saturation afterwards, and a Gaussian-smeared amplitude around that
-count's peak. Pulse shapes, readout bandwidth and trigger logic are out
-of scope; the point is to exercise calibration and tomography against a
-known ground truth.
+saturation, and a Gaussian-smeared amplitude around that count's peak.
+The count is drawn from one uniform per pulse, inverted through the
+Poisson CDF by sequential search (Devroye 1986, ch. X): each pass over
+the trace adds one CDF edge, and the edges between the trace's smallest
+and largest uniform number about 9 * sqrt(eta * mu + gamma) at 1e5
+pulses once that mean is above a few, so the cost grows like the square
+root of the mean. Pulse shapes, readout bandwidth and trigger logic are
+out of scope; the point is to exercise calibration and tomography
+against a known ground truth.
 """
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -114,6 +120,24 @@ def derive_subseed(seed: int, probe_id: int) -> int:
     return (z ^ (z >> 31)) & _MASK64
 
 
+def _poisson_cdf(lam: float) -> np.ndarray:
+    """Poisson(lam) CDF ``F(0), ..., F(K)``, normalised so ``F(K)`` is exactly 1.0.
+
+    The pmf is summed from log space, so ``exp(-lam)`` never underflows.
+    K = ceil(lam + 10 sqrt(lam) + 90) drops a tail below 1e-18: with
+    t = K - lam, Bennett's inequality gives P(X >= lam + t) <=
+    exp(-t**2 / (2 (lam + t))), whose exponent then exceeds 41.45 >
+    ln(1e18). That is below the 2**-53 resolution of a uniform draw.
+    """
+    if lam == 0.0:
+        return np.ones(1)
+    n = math.ceil(lam + 10.0 * math.sqrt(lam) + 90.0) + 1
+    log_factorial = np.array([math.lgamma(k + 1.0) for k in range(n)])
+    cdf = np.cumsum(np.exp(np.arange(n) * math.log(lam) - lam - log_factorial))
+    cdf /= cdf[-1]
+    return cdf
+
+
 def simulate_trace(
     config: DetectorPhysicalConfig,
     mu: float,
@@ -124,20 +148,34 @@ def simulate_trace(
     """Simulate pulse amplitudes for one coherent probe.
 
     Per pulse: draw ``c ~ Poisson(eta * mu + gamma)``, the law of Poisson(mu)
-    photons thinned with efficiency ``eta`` plus Poisson(gamma) dark counts;
-    cap it at ``saturation_count`` if set; emit ``baseline + c * spacing``
+    photons thinned with efficiency ``eta`` plus Poisson(gamma) dark counts,
+    capped at ``saturation_count`` if set; emit ``baseline + c * spacing``
     plus Gaussian noise of width ``sigma0 + c * sigma_slope``, in float64.
+
+    ``c`` is the number of Poisson CDF edges ``F(0), F(1), ...`` at or
+    below one uniform draw per pulse, counting at most ``saturation_count``
+    edges. Every count starts at the number of edges at or below the
+    trace's smallest uniform, and each edge up to its largest adds one
+    pass over the trace: about ``9 * sqrt(eta * mu + gamma)`` passes at
+    1e5 pulses once that mean is above a few.
 
     Deterministic for a fixed ``(config, mu, n_pulses, seed)``.
     """
     _check_number("mu", mu, "[0, inf)")
     _check_number("n_pulses", n_pulses, "[1, inf)", integer=True)
     rng = np.random.default_rng(seed)
-    c = rng.poisson(float(config.eta) * mu + float(config.gamma), n_pulses)
+    cdf = _poisson_cdf(float(config.eta) * float(mu) + float(config.gamma))
+    # F(K) is 1.0 and a uniform is below it, so it is never counted.
+    n_edges = len(cdf) - 1
     if config.saturation_count is not None:
-        c = np.minimum(c, config.saturation_count)
-    # Narrowed before the amplitudes are drawn, so the int64 draw is freed first.
-    c = c.astype(np.min_scalar_type(c.max(initial=0)))
+        n_edges = min(n_edges, config.saturation_count)
+    edges = cdf[:n_edges]
+    u = rng.random(n_pulses)
+    lo, hi = np.searchsorted(edges, (u.min(), u.max()), side="right").tolist()
+    c = np.full(n_pulses, lo, dtype=np.min_scalar_type(hi))
+    for edge in edges[lo:hi]:
+        c += u >= edge
+    del u  # freed before the amplitudes are drawn
     amps = rng.standard_normal(n_pulses)
     amps *= float(config.sigma0_mv) + c * float(config.sigma_slope_mv)
     amps += float(config.baseline_mv) + c * float(config.peak_spacing_mv)

@@ -553,6 +553,22 @@ def test_bad_config_exits_2_before_a_trace(tmp_path, capsys, path, value, named)
     assert not out.exists()
 
 
+def test_simulate_takes_a_saturation_count_past_int64(tmp_path):
+    # Any integer a float can hold is a valid cap; one no count reaches
+    # leaves every trace as it is without saturation.
+    config = _config()
+    config["detector"]["saturation_count"] = 10**30
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    assert main(["simulate", "--config", str(tmp_path / "config.json"), "--seed", "3",
+                 "--out", str(tmp_path / "sim")]) == 0
+    run = files.parse_config(_config())
+    for trace in tp.simulate_ensemble(run.detector, run.ensemble, 3):
+        amps = np.load(tmp_path / "sim" / files.trace_filename(trace.probe_id))
+        truth = np.load(tmp_path / "sim" / files.truth_filename(trace.probe_id))
+        assert np.array_equal(amps, trace.amplitudes_mv)
+        assert np.array_equal(truth, trace.truth_counts)
+
+
 @pytest.mark.parametrize("stage, flags, named", [
     ("simulate", ["--seed", "-1"], r"--seed must lie in \[0, 18446744073709551616\), got -1"),
     ("simulate", ["--seed", str(2**64)], r"--seed must lie in .*, got 18446744073709551616"),

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import tespovm as tp
-from tespovm.tes_sim import simulate_probe
+from tespovm.tes_sim import _poisson_cdf, simulate_probe
 
 
 def test_derive_subseed_reference_vectors():
@@ -93,52 +93,85 @@ def test_probe_streams_independent_of_ensemble_shape():
 
 
 @pytest.mark.parametrize(
-    "eta, mu, gamma, saturation",
+    "eta, mu, gamma, saturation, dtype",
     [
-        (0.5, 4.0, 0.3, None),
-        (0.0, 4.0, 0.3, None),  # dark counts only
-        (0.5, 0.0, 0.3, None),  # vacuum probe
-        (1.0, 4.0, 0.3, None),  # every photon detected
-        (0.051, 130.0, 0.0, None),  # the default design's brightest probe
-        (0.5, 4.0, 0.3, 2),  # every class >= 2 piles up at 2
+        (0.5, 4.0, 0.3, None, np.uint8),
+        (0.0, 4.0, 0.3, None, np.uint8),  # dark counts only
+        (0.5, 0.0, 0.3, None, np.uint8),  # vacuum probe
+        (0.5, 0.0, 0.0, None, np.uint8),  # vacuum probe without dark counts: all zero
+        (1.0, 4.0, 0.3, None, np.uint8),  # every photon detected
+        (0.051, 130.0, 0.0, None, np.uint8),  # the default design's brightest probe
+        (1.0, 10.0, 0.0, None, np.uint8),  # where NumPy's Poisson sampler switches method
+        (1.0, 30.0, 0.0, None, np.uint8),
+        (1.0, 250.0, 0.0, None, np.uint16),  # counts above 255
+        (0.5, 4.0, 0.3, 2, np.uint8),  # every class >= 2 piles up at 2
     ],
 )
-def test_truth_count_marginals_match_model(eta, mu, gamma, saturation):
+def test_truth_count_marginals_match_model(eta, mu, gamma, saturation, dtype):
     # Detected counts follow the thinned-photon model binomial_povm, here
-    # at a truncation whose Poisson tail is negligible even at mu = 130,
-    # with saturation folding every class >= saturation_count into it.
-    # 4 / sqrt(n) of total variation covers multinomial noise with wide
-    # margin.
+    # at a truncation and a class count whose Poisson tails are
+    # negligible, with saturation folding every class >= saturation_count
+    # into it. 4 / sqrt(n) of total variation, over 12 classes from the
+    # mean's lower side, covers multinomial noise with wide margin.
     cfg = tp.DetectorPhysicalConfig(eta=eta, gamma=gamma, saturation_count=saturation)
     n = 200_000
     trace = tp.simulate_trace(cfg, mu, n, seed=17)
-    k = np.arange(40)
-    model = tp.predict_distribution(tp.binomial_povm(eta, 40, 300, gamma=gamma), mu).probs
+    assert trace.truth_counts.dtype == dtype
+    lam = eta * mu + gamma
+    k = np.arange(int(lam + 10 * np.sqrt(lam)) + 20)
+    truncation = int(mu + 10 * np.sqrt(mu)) + 50
+    model = tp.predict_distribution(tp.binomial_povm(eta, k.size, truncation, gamma=gamma),
+                                    mu).probs
     if saturation is not None:
-        model = np.bincount(np.minimum(k, saturation), weights=model, minlength=40)
+        model = np.bincount(np.minimum(k, saturation), weights=model, minlength=k.size)
     mean = model @ k
     se = np.sqrt((model @ k**2 - mean**2) / n)
-    assert abs(trace.truth_counts.mean() - mean) < 5.0 * se
-    emp = np.bincount(np.minimum(trace.truth_counts, 11), minlength=12) / n
-    tv = 0.5 * np.abs(emp - np.bincount(np.minimum(k, 11), weights=model)).sum()
+    assert abs(trace.truth_counts.mean() - mean) <= 5.0 * se
+    low = max(0, int(mean) - 6)
+    emp = np.bincount(np.clip(trace.truth_counts, low, low + 11) - low, minlength=12) / n
+    tv = 0.5 * np.abs(emp - np.bincount(np.clip(k, low, low + 11) - low, weights=model)).sum()
     assert tv < 4.0 / np.sqrt(n)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.05, 0.33, 1.0, 6.63, 10.0, 30.0, 130.0, 1000.0])
+def test_poisson_cdf_table_is_the_pmf_summed(lam):
+    cdf = _poisson_cdf(lam)
+    k = np.arange(cdf.size)
+    assert cdf[-1] == 1.0
+    assert np.all(np.diff(cdf) >= 0.0)
+    assert np.abs(np.diff(cdf, prepend=0.0) - tp.poisson_pmf(lam, k)).max() <= 1e-12
+    # The table stops where the Poisson tail it drops is below 1e-18.
+    assert tp.poisson_pmf(lam, np.arange(cdf.size, cdf.size + 1000)).sum() < 1e-18
+
+
+@pytest.mark.parametrize("saturation", [300, 2**63, 10**30])
+def test_saturation_above_every_count_changes_nothing(saturation):
+    # The cap counts at most saturation_count CDF edges, a comparison of
+    # Python ints, so a cap no count reaches is bitwise no cap at all.
+    free = tp.simulate_trace(tp.DetectorPhysicalConfig(eta=0.5, gamma=0.2), 40.0, 5000, seed=8)
+    capped = tp.simulate_trace(
+        tp.DetectorPhysicalConfig(eta=0.5, gamma=0.2, saturation_count=saturation),
+        40.0, 5000, seed=8)
+    assert np.array_equal(capped.amplitudes_mv, free.amplitudes_mv)
+    assert capped.truth_counts.dtype == free.truth_counts.dtype
+    assert np.array_equal(capped.truth_counts, free.truth_counts)
 
 
 def test_simulate_trace_stream_is_pinned():
     """The seeded stream is part of the contract: a change to it shows here."""
     trace = tp.simulate_trace(tp.DetectorPhysicalConfig(gamma=0.2), 10.0, 8, seed=1)
-    assert np.array_equal(trace.truth_counts, [1, 0, 1, 0, 1, 1, 1, 0])
+    assert np.array_equal(trace.truth_counts, [1, 2, 0, 2, 0, 0, 1, 0])
     assert np.array_equal(
         trace.amplitudes_mv,
         [
-            12.674180104013894,
-            -0.9642386253599565,
-            14.197692425269254,
-            0.07944421496331798,
-            12.415086498069822,
-            11.436183075286316,
-            12.485615518762259,
-            0.016284361036687015,
+            13.729144792372152,
+            26.588264993311054,
+            0.05684448263159358,
+            27.093425973224893,
+            -1.4729081740033338,
+            -0.32581989598610556,
+            12.035761374640044,
+            1.1976924252692551,
         ],
     )
 
