@@ -30,6 +30,7 @@ __all__ = [
     "DEFAULT_BIN_WIDTH_MV",
     "MIN_EVENTS",
     "MAX_GOODNESS",
+    "MAX_BINS",
     "WEIGHT_FLOOR_EVENTS",
     "GaussianComponent",
     "GaussianMixtureFit",
@@ -56,6 +57,11 @@ WEIGHT_FLOOR_EVENTS = 10.0
 # A fit whose reduced chi-square exceeds this does not describe its
 # histogram: its peaks are unresolved or not on one comb.
 MAX_GOODNESS = 3.0
+
+# A trace's histogram, and the run's pool of them, may have at most this
+# many bins: 40 times the 1 637 of a bright run's pool (eta 0.9, gamma
+# 0.2), whose 164 comb teeth would then take 86 MB of bin masses.
+MAX_BINS = 2**16
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 _PEAK_SIGMAS = 4.0  # a peak's least prominence, in sqrt(height)
@@ -264,16 +270,25 @@ class _Spectrum:
 
     @classmethod
     def of(cls, amps: np.ndarray, bin_width: float) -> "_Spectrum":
-        """A trace histogrammed over its own data."""
-        first = math.floor(amps.min() / bin_width)
-        edges = bin_width * (first + np.arange(math.ceil(amps.max() / bin_width - first) + 2))
+        """A trace histogrammed over its own data, in at most ``MAX_BINS`` bins."""
+        lo, hi = float(amps.min()) / bin_width, float(amps.max()) / bin_width
+        # It has at most hi - lo + 3 bins; NaN or inf if either overflows.
+        if not hi - lo + 3 <= MAX_BINS:
+            raise ValueError(f"bin_width_mv {bin_width:g} cuts amplitudes from {amps.min():g} "
+                             f"to {amps.max():g} mV into more than {MAX_BINS} bins")
+        first = math.floor(lo)
+        edges = bin_width * (first + np.arange(math.ceil(hi - first) + 2))
         return cls(np.histogram(amps, bins=edges)[0].astype(float), first, bin_width)
 
     @classmethod
     def pooled(cls, spectra) -> "_Spectrum":
         """The sum of spectra on one grid, over all of their bins."""
         first = min(s.first for s in spectra)
-        counts = np.zeros(max(s.first + s.counts.size for s in spectra) - first)
+        n_bins = max(s.first + s.counts.size for s in spectra) - first
+        if n_bins > MAX_BINS:
+            raise ValueError(f"bin_width_mv {spectra[0].bin_width:g} cuts the run's amplitudes "
+                             f"into {n_bins} bins, more than {MAX_BINS}")
+        counts = np.zeros(n_bins)
         for s in spectra:
             counts[s.first - first:s.first - first + s.counts.size] += s.counts
         return cls(counts, first, spectra[0].bin_width)

@@ -118,7 +118,10 @@ def cmd_calibrate(args) -> int:
 
     n_events, failures = {}, {}
     traces = _read_traces(trace_dir, sorted(run.ensemble.ids), args.jobs, n_events, failures)
-    fits, fit_failures = fit_run(traces, **run.calibration, max_peaks=n_outcomes)
+    try:
+        fits, fit_failures = fit_run(traces, **run.calibration, max_peaks=n_outcomes)
+    except ValueError as exc:  # a bin width too fine for the traces
+        raise SchemaError(f"calibration.{exc}") from exc
     failures.update(fit_failures)
     if failures and not args.skip_failed:
         pid = min(failures)

@@ -7,8 +7,8 @@ gamma) (the linear-detector model). Each probe's outcome probabilities
 follow in closed form, with the last outcome cumulative.
 
 Both estimators maximize one pooled likelihood over all probes, in eta
-alone or in (eta, gamma), by bounded L-BFGS-B with an analytic gradient.
-Standard errors come from the Fisher information at the optimum, so
+alone or in (eta, gamma), by Fisher scoring within the parameter bounds.
+Standard errors come from the same Fisher information at the optimum, so
 they need the raw event counts of the table.
 """
 
@@ -20,7 +20,7 @@ import numpy as np
 
 from .calibration import CountTable
 from .errors import EstimationError
-from .photon_stats import ProbeEnsemble
+from .photon_stats import ProbeEnsemble, _poisson_log_probs
 
 __all__ = [
     "EfficiencyEstimate",
@@ -32,6 +32,8 @@ _Z_ONE_SIDED_95 = 1.6448536269514722
 # Smallest Poisson mean the fit evaluates: the search may touch
 # eta = gamma = 0, where log(lam) and the score diverge.
 _LAM_MIN = 1e-12
+# Fisher scoring stops after a step shorter than 1e-10 standard errors.
+_DECREMENT_TOL = 1e-20
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,63 +61,50 @@ class EfficiencyEstimate:
     per_probe_gammas: np.ndarray | None = None
 
 
-def _log_probs(lam, n_outcomes: int) -> np.ndarray:
-    """Log outcome probabilities of Poisson(lam) with a cumulative top bin.
-
-    ``lam`` holds one mean per probe; the result has shape
-    ``(n_outcomes, lam.size)``. The top bin is P(X >= N-1) =
-    ``gammainc(N-1, lam)``.
-    """
-    from scipy.special import gammainc, gammaln, xlogy
-    lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    ns = np.arange(n_outcomes - 1.0)[:, None]
-    with np.errstate(divide="ignore"):
-        body = xlogy(ns, lam) - lam - gammaln(ns + 1.0)
-        top = np.log(gammainc(n_outcomes - 1, lam))
-        # Deep in the lower tail gammainc underflows; its leading term,
-        # pmf(N-1), does not.
-        top = np.where(np.isneginf(top), body[-1] + np.log(lam / (n_outcomes - 1)), top)
-    return np.vstack([body, top])
-
-
-def _scores(lam: np.ndarray, log_probs: np.ndarray) -> np.ndarray:
-    """Derivatives in ``lam`` > 0 of :func:`_log_probs`.
-
-    n / lam - 1 in the body; at the top, d gammainc(N-1, lam) / d lam =
-    pmf(N-2), divided by the top probability.
-    """
-    ns = np.arange(log_probs.shape[0] - 1.0)[:, None]
-    return np.vstack([ns / lam - 1.0, np.exp(log_probs[-2] - log_probs[-1])])
-
-
 def _weighted_loglik(weights: np.ndarray, log_probs: np.ndarray) -> float:
     with np.errstate(invalid="ignore"):
         terms = np.where(weights > 0, weights * log_probs, 0.0)
     return float(terms.sum())
 
 
-def _maximize(cols: np.ndarray, design: np.ndarray, lower, upper, x0) -> np.ndarray:
-    """Maximize the pooled log likelihood over theta, with lam = design @ theta.
+def _score(cols: np.ndarray, design: np.ndarray, theta: np.ndarray):
+    """Log likelihood, gradient and expected information at theta. Column j
+    of ``cols`` weighs the outcomes of probe j, of Poisson mean
+    ``design[j] @ theta``: its score is n / lam - 1 in the body and
+    pmf(N-2) / P(X >= N-1) at the top."""
+    lam = np.maximum(design @ theta, _LAM_MIN)
+    log_probs = _poisson_log_probs(lam, cols.shape[0])
+    ns = np.arange(cols.shape[0] - 1.0)[:, None]
+    scores = np.vstack([ns / lam - 1.0, np.exp(log_probs[-2] - log_probs[-1])])
+    per_event = (np.exp(log_probs) * scores**2).sum(axis=0)
+    info = design.T @ ((cols.sum(axis=0) * per_event)[:, None] * design)
+    return _weighted_loglik(cols, log_probs), design.T @ (cols * scores).sum(axis=0), info
 
-    ``cols`` holds one probe's outcome weights per column and ``design``
-    one row per probe. The objective is scaled to the mean per event, so
-    the tolerances mean the same for any sample size.
-    """
-    from scipy import optimize
-    scale = 1.0 / cols.sum()
 
-    def nll(theta):
-        lam = np.maximum(design @ theta, _LAM_MIN)
-        log_probs = _log_probs(lam, cols.shape[0])
-        dlam = (cols * _scores(lam, log_probs)).sum(axis=0)
-        return -scale * float((cols * log_probs).sum()), -scale * (design.T @ dlam)
-
-    res = optimize.minimize(
-        nll, np.clip(x0, lower, upper), jac=True, method="L-BFGS-B",
-        bounds=optimize.Bounds(lower, upper),
-        options={"ftol": 1e-15, "gtol": 1e-11, "maxiter": 1000},
-    )
-    return res.x
+def _maximize(cols: np.ndarray, design: np.ndarray, lower, upper, x0):
+    """Maximize :func:`_score`'s log likelihood over theta in [lower, upper]
+    by Fisher scoring (Osborne 1992): Newton's method with the expected
+    information. A parameter at a bound that its gradient points past is
+    held there; the others take the step, clipped to the bounds and halved
+    while the log likelihood falls by more than rounding, until a step's
+    Newton decrement, its squared length in standard errors, is below
+    ``_DECREMENT_TOL``. Returns ``(theta, loglik, info)``."""
+    theta = np.clip(x0, lower, upper)
+    loglik, grad, info = _score(cols, design, theta)
+    for _ in range(100):
+        free = ~(((theta <= lower) & (grad <= 0)) | ((theta >= upper) & (grad >= 0)))
+        step = np.zeros_like(theta)
+        step[free] = np.linalg.solve(info[np.ix_(free, free)], grad[free])
+        decrement = grad @ step
+        for halvings in range(20):
+            trial = np.clip(theta + step / 2**halvings, lower, upper)
+            result = _score(cols, design, trial)
+            if result[0] >= loglik - 1e-12 * abs(loglik):
+                break
+        theta, (loglik, grad, info) = trial, result
+        if decrement <= _DECREMENT_TOL:
+            break
+    return theta, loglik, info
 
 
 def _fit(counts: CountTable, ensemble: ProbeEnsemble, joint: bool) -> EfficiencyEstimate:
@@ -147,21 +136,17 @@ def _fit(counts: CountTable, ensemble: ProbeEnsemble, joint: bool) -> Efficiency
     lam_j = _maximize(
         cols, np.eye(n_used), _LAM_MIN, np.inf,
         np.arange(n_outcomes) @ cols / cols.sum(axis=0),
-    )
+    )[0]
     # The pooled fit starts from the ratio of those means to mu, at gamma = 0.
     design = np.column_stack([mus, np.ones(n_used)]) if joint else mus[:, None]
     upper = np.array([1.0, np.inf])[: design.shape[1]]
     x0 = np.array([lam_j.sum() / mus.sum(), 0.0])[: design.shape[1]]
-    theta = _maximize(cols, design, 0.0, upper, x0)
+    theta, loglik, info = _maximize(cols, design, 0.0, upper, x0)
     eta_hat = float(theta[0])
     gamma_hat = float(theta[1]) if joint else 0.0
 
-    lam = np.maximum(design @ theta, _LAM_MIN)
-    log_probs = _log_probs(lam, n_outcomes)
     eta_se = gamma_se = None
     if counts.counts is not None:
-        per_event = (np.exp(log_probs) * _scores(lam, log_probs) ** 2).sum(axis=0)
-        info = design.T @ ((cols.sum(axis=0) * per_event)[:, None] * design)
         se = np.sqrt(np.diag(np.linalg.inv(info)))
         eta_se = float(se[0])
         gamma_se = float(se[1]) if joint else None
@@ -175,7 +160,7 @@ def _fit(counts: CountTable, ensemble: ProbeEnsemble, joint: bool) -> Efficiency
         eta_hat=eta_hat,
         eta_se=eta_se,
         per_probe_etas=etas,
-        loglik=_weighted_loglik(cols, log_probs),
+        loglik=loglik,
         gamma_hat=gamma_hat if joint else None,
         gamma_se=gamma_se,
         gamma_upper=None if gamma_se is None else gamma_hat + _Z_ONE_SIDED_95 * gamma_se,

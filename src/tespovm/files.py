@@ -26,7 +26,7 @@ from .calibration import DEFAULT_BIN_WIDTH_MV, CountTable, fit_run
 from .errors import LineageError, SchemaError
 from .photon_stats import (Probe, ProbeEnsemble, PovmMatrix, _check_number,
                            geometric_ensemble)
-from .tes_sim import AmplitudeTrace, DetectorPhysicalConfig
+from .tes_sim import MAX_MEAN_COUNT, AmplitudeTrace, DetectorPhysicalConfig
 from .tomography import ReconstructionConfig, ReconstructionResult
 
 TRACE_PREFIX = "trace_probe_"
@@ -132,9 +132,11 @@ def parse_config(config: dict) -> RunConfig:
     number of the right kind (a bool is not one) or out of range raises
     :class:`SchemaError` naming the section and the key. So do other
     top-level keys, ``reconstruction.init_eta``, since ``reconstruct``
-    starts from :func:`~tespovm.estimation.estimate_eta_gamma`, and
+    starts from :func:`~tespovm.estimation.estimate_eta_gamma`,
     ``calibration.max_peaks``, since ``reconstruction.n_outcomes`` alone
-    sets the count classes. A probe's ``id`` defaults to its index.
+    sets the count classes, and a probe whose mean count exceeds
+    :data:`~tespovm.tes_sim.MAX_MEAN_COUNT`. A probe's ``id`` defaults to
+    its index.
     """
     if not isinstance(config, dict):
         raise SchemaError("config: top level must be an object")
@@ -152,7 +154,7 @@ def parse_config(config: dict) -> RunConfig:
             raise SchemaError(f"config: {section}: {key} is not a config key; {why}")
     calibration = config.get("calibration", {})
     _build("calibration", functools.partial(fit_run, ()), calibration)
-    return RunConfig(
+    run = RunConfig(
         detector=_build("detector", DetectorPhysicalConfig, config.get("detector", {})),
         ensemble=_build("probes", ProbeEnsemble, {"probes": [
             _build(f"probes[{i}]", functools.partial(Probe, id=i), entry)
@@ -161,6 +163,12 @@ def parse_config(config: dict) -> RunConfig:
         reconstruction=_build("reconstruction", ReconstructionConfig,
                               config.get("reconstruction", {})),
     )
+    for i, probe in enumerate(run.ensemble.probes):
+        lam = run.detector.eta * probe.mean_photons + run.detector.gamma
+        if lam > MAX_MEAN_COUNT:
+            raise SchemaError(f"config: probes[{i}]: probe {probe.id} has a mean count eta * "
+                              f"mean_photons + gamma of {lam:g}, above {MAX_MEAN_COUNT:g}")
+    return run
 
 
 # -- traces ------------------------------------------------------------------

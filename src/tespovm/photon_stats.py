@@ -229,11 +229,55 @@ class CountDistribution:
         return self.probs.shape[0]
 
 
+def _tail_end(lam: float) -> int:
+    """K beyond which Poisson(lam) holds below 1e-18: with t = K - lam,
+    Bennett's inequality gives P(X >= K) <= exp(-t**2 / (2 (lam + t))),
+    whose exponent then exceeds 41.45 > ln(1e18)."""
+    return math.ceil(lam + 10.0 * math.sqrt(lam) + 90.0)
+
+
+# log k! by math.lgamma for k < 4096, beyond the truncation and outcome
+# count of any design; a larger k takes one math.lgamma of its own.
+_LOG_FACTORIAL = np.array([math.lgamma(k + 1.0) for k in range(4096)])
+
+
+def _log_factorial(ks: np.ndarray) -> np.ndarray:
+    """log k! at each nonnegative integer of ``ks``."""
+    if ks.max(initial=0) < _LOG_FACTORIAL.size:
+        return _LOG_FACTORIAL[ks]
+    return np.array([math.lgamma(k + 1.0) for k in ks.ravel().tolist()]).reshape(ks.shape)
+
+
+def _poisson_log_pmf(lam, ks: np.ndarray) -> np.ndarray:
+    """log P(X = k) of Poisson(``lam``), broadcast over the integers ``ks``
+    and the means ``lam``; a mean of 0 is the point mass at k = 0."""
+    lam = np.asarray(lam, dtype=float)
+    log_lam = np.array([math.log(x) if x > 0 else -math.inf for x in lam.ravel().tolist()])
+    with np.errstate(invalid="ignore"):  # 0 * log(0) is taken as 0
+        k_log_lam = np.where(ks == 0, 0.0, ks * log_lam.reshape(lam.shape))
+    return k_log_lam - lam - _log_factorial(ks)
+
+
+def _poisson_log_probs(lam, n_outcomes: int) -> np.ndarray:
+    """Log outcome probabilities, shape ``(n_outcomes, lam.size)``, of
+    Poisson(``lam``) with a cumulative top bin P(X >= N-1). Above mean N-1
+    the top bin is one less the body; below, its terms summed to the tail
+    bound at mean N-1, so its cost does not grow with the mean."""
+    lam = np.atleast_1d(np.asarray(lam, dtype=float))
+    top = n_outcomes - 1
+    log_pmf = _poisson_log_pmf(lam, np.arange(_tail_end(top) + 1)[:, None])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rest = np.log1p(-np.exp(log_pmf[:top]).sum(axis=0))
+    tail = np.where(lam > top, rest, np.logaddexp.reduce(log_pmf[top:], axis=0))
+    return np.vstack([log_pmf[:top], tail])
+
+
 def poisson_pmf(mu: float, m) -> float | np.ndarray:
     """Poisson probability mass exp(-mu) mu^m / m!.
 
-    Evaluated in log space through ``gammaln`` so that photon numbers of
-    several hundred stay finite.
+    Evaluated in log space from ``math.lgamma`` log-factorials, so that
+    photon numbers of several hundred stay finite, at a cost that grows
+    with the number of values of ``m``, not with the largest.
 
     Args:
         mu: Mean, finite and >= 0.
@@ -242,7 +286,6 @@ def poisson_pmf(mu: float, m) -> float | np.ndarray:
     Returns:
         Scalar float for scalar ``m``, else an array of the same shape.
     """
-    from scipy.special import gammaln, xlogy
     _check_number("mu", mu, "[0, inf)")
     m_arr = np.asarray(m)
     scalar = m_arr.ndim == 0
@@ -252,8 +295,7 @@ def poisson_pmf(mu: float, m) -> float | np.ndarray:
         m_arr = m_arr.astype(np.int64)
     if m_arr.size and m_arr.min() < 0:
         raise ValueError("m must be >= 0")
-    # xlogy takes 0 * log(0) as 0, so mu = 0 gives the point mass at m = 0.
-    out = np.exp(xlogy(m_arr, mu) - mu - gammaln(m_arr + 1.0))
+    out = np.exp(_poisson_log_pmf(mu, m_arr))
     return float(out) if scalar else out
 
 
@@ -289,7 +331,6 @@ def probe_q_matrix(
 
 def _binomial_rows(eta: float, n_rows: int, truncation: int) -> np.ndarray:
     """Raw binomial pmf table B[n, m] for n < n_rows, without a cumulative row."""
-    from scipy.special import gammaln
     ns = np.arange(n_rows)[:, None]
     ms = np.arange(truncation)[None, :]
     if eta == 0.0:
@@ -298,9 +339,9 @@ def _binomial_rows(eta: float, n_rows: int, truncation: int) -> np.ndarray:
         return (ns == ms).astype(float)
     diff = np.maximum(ms - ns, 0)
     logpmf = (
-        gammaln(ms + 1.0)
-        - gammaln(ns + 1.0)
-        - gammaln(diff + 1.0)
+        _log_factorial(ms)
+        - _log_factorial(ns)
+        - _log_factorial(diff)
         + ns * math.log(eta)
         + diff * math.log1p(-eta)
     )
@@ -365,12 +406,10 @@ def linear_prediction(
     Binomial thinning of a Poisson source is again Poisson, and Poisson
     dark counts add to its mean, so the body of the distribution is the
     Poisson(eta * mu + gamma) pmf and the last outcome absorbs the upper
-    tail.
+    tail, as the estimators fit it.
     """
     _check_number("eta", eta, "[0, 1]")
     _check_number("mu", mu, "[0, inf)")
     _check_number("gamma", gamma, "[0, inf)")
     _check_number("n_outcomes", n_outcomes, "[2, inf)", integer=True)
-    body = poisson_pmf(eta * mu + gamma, np.arange(n_outcomes - 1))
-    top = max(1.0 - float(body.sum()), 0.0)
-    return CountDistribution(np.append(body, top))
+    return CountDistribution(np.exp(_poisson_log_probs(eta * mu + gamma, n_outcomes)[:, 0]))

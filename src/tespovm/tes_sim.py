@@ -4,8 +4,9 @@ Only the pulse-height summary statistic is modeled. Each optical pulse
 yields one Poisson(eta * mu + gamma) detected count, the law of Poisson
 photons thinned with efficiency eta plus Poisson dark counts, capped at
 saturation, and a Gaussian-smeared amplitude around that count's peak.
-The count is drawn from one uniform per pulse, inverted through the
-Poisson CDF by sequential search (Devroye 1986, ch. X): each pass over
+The count is drawn from one uniform per pulse, inverted by sequential
+search (Devroye 1986, ch. X) through a Poisson CDF summed from
+:mod:`~tespovm.photon_stats`' Poisson log-pmf: each pass over
 the trace adds one CDF edge, and the edges between the trace's smallest
 and largest uniform number about 9 * sqrt(eta * mu + gamma) at 1e5
 pulses once that mean is above a few, so the cost grows like the square
@@ -16,14 +17,13 @@ against a known ground truth.
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from .photon_stats import Probe, ProbeEnsemble, _check_number
+from .photon_stats import Probe, ProbeEnsemble, _check_number, _poisson_log_pmf, _tail_end
 
 __all__ = [
     "DetectorPhysicalConfig",
@@ -37,6 +37,9 @@ __all__ = [
 _MASK64 = (1 << 64) - 1
 # The seeds a run accepts: every sub-seed is derived modulo 2**64.
 _SEED_RANGE = f"[0, {1 << 64})"
+# The largest mean count eta * mu + gamma a run config may ask for: its
+# CDF table then holds at most 103 254 entries, 0.8 MB (10 MB while built).
+MAX_MEAN_COUNT = 1e5
 
 
 @dataclass(frozen=True)
@@ -124,16 +127,13 @@ def _poisson_cdf(lam: float) -> np.ndarray:
     """Poisson(lam) CDF ``F(0), ..., F(K)``, normalised so ``F(K)`` is exactly 1.0.
 
     The pmf is summed from log space, so ``exp(-lam)`` never underflows.
-    K = ceil(lam + 10 sqrt(lam) + 90) drops a tail below 1e-18: with
-    t = K - lam, Bennett's inequality gives P(X >= lam + t) <=
-    exp(-t**2 / (2 (lam + t))), whose exponent then exceeds 41.45 >
-    ln(1e18). That is below the 2**-53 resolution of a uniform draw.
+    K is the tail bound of :func:`~tespovm.photon_stats._tail_end`, which
+    drops a tail below 1e-18, under the 2**-53 resolution of a uniform
+    draw.
     """
     if lam == 0.0:
         return np.ones(1)
-    n = math.ceil(lam + 10.0 * math.sqrt(lam) + 90.0) + 1
-    log_factorial = np.array([math.lgamma(k + 1.0) for k in range(n)])
-    cdf = np.cumsum(np.exp(np.arange(n) * math.log(lam) - lam - log_factorial))
+    cdf = np.cumsum(np.exp(_poisson_log_pmf(lam, np.arange(_tail_end(lam) + 1))))
     cdf /= cdf[-1]
     return cdf
 

@@ -360,6 +360,20 @@ def test_pooled_spectrum_sums_its_traces_on_one_grid(bin_width, traces):
         assert np.array_equal(getattr(alone, name), getattr(own, name)), name
 
 
+def test_spectra_refuse_more_than_max_bins():
+    # Each histogram is refused from its ends, before its grid is built:
+    # a trace's own range, or the range the run's traces span together.
+    ramp = np.linspace(0.0, 100.0, 1000)
+    assert _Spectrum.of(ramp, 100.0 / (tp.calibration.MAX_BINS - 3)).counts.size <= (
+        tp.calibration.MAX_BINS)
+    for width in (100.0 / (tp.calibration.MAX_BINS - 2), 1e-300, 5e-324):
+        with pytest.raises(ValueError, match="bin_width_mv .* more than 65536 bins"):
+            _Spectrum.of(ramp, width)
+    apart = [_Spectrum.of(ramp + offset, 1.0) for offset in (0.0, 1e5)]
+    with pytest.raises(ValueError, match=r"the run's amplitudes into 100101 bins"):
+        _Spectrum.pooled(apart)
+
+
 @given(hnp.arrays(np.int64, st.integers(1, 40), elements=st.integers(0, 5)))
 @example(np.array([0, 3, 3, 3, 0, 3, 3, 1, 3, 3, 0]))
 def test_peak_search_is_scipy_bit_for_bit(steps):

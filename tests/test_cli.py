@@ -11,6 +11,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -640,6 +641,47 @@ def test_scipy_loads_at_first_use(tmp_path):
     rc, loaded = _fresh_main("calibrate", "--traces", sim, "--out", cal)
     assert rc == 0
     assert "scipy.optimize" in loaded
+    # The Poisson law and the (eta, gamma) fit are numpy and math alone.
+    for stage, out in (("reconstruct", "rec"), ("estimate", "est"), ("validate", "val")):
+        assert _fresh_main(*_stage_argv(stage, tmp_path, tmp_path / out)) == (0, [])
+    assert (tmp_path / "val" / "sweep.json").exists()
+
+
+def _main_peak_memory(argv):
+    """``main(argv)``'s exit code and the peak memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        return main(argv), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_unaffordable_runs_are_refused_in_small_memory(tmp_path, capsys):
+    # A probe of mean count 2.04e5 would ask simulate for a Poisson CDF
+    # table of 2e5 entries, and a bin width of 1e-12 mV calibrate for
+    # about 1e14 histogram bins; each is refused before it allocates.
+    config = _config()
+    config["probes"][2]["mean_photons"] = 4e6
+    (tmp_path / "bright.json").write_text(json.dumps(config))
+    code, peak = _main_peak_memory(["simulate", "--config", str(tmp_path / "bright.json"),
+                                    "--out", str(tmp_path / "bright")])
+    assert code == 2 and peak < 1_000_000
+    assert re.search(r"probes\[2\]: probe 2 has a mean count .* of 204000, above 100000",
+                     capsys.readouterr().err)
+    assert not (tmp_path / "bright").exists()
+
+    config = _config()
+    config["calibration"]["bin_width_mv"] = 1e-12
+    (tmp_path / "fine.json").write_text(json.dumps(config))
+    assert main(["simulate", "--config", str(tmp_path / "fine.json"),
+                 "--out", str(tmp_path / "sim")]) == 0
+    capsys.readouterr()
+    code, peak = _main_peak_memory(["calibrate", "--traces", str(tmp_path / "sim"),
+                                    "--out", str(tmp_path / "cal")])
+    assert code == 2 and peak < 1_000_000
+    assert re.search(r"calibration\.bin_width_mv 1e-12 .* more than 65536 bins",
+                     capsys.readouterr().err)
+    assert not (tmp_path / "cal").exists()
 
 
 def test_outcome_mismatch_exits_2(pipeline, tmp_path, capsys):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import tespovm as tp
-from tespovm import estimation
+from tespovm import estimation, photon_stats
 
 
 def _poisson_column(lam, n_outcomes):
@@ -23,7 +23,7 @@ def test_loglik_routes_agree(mu, eta):
     rng = np.random.default_rng(3)
     counts = rng.multinomial(100_000, tp.linear_prediction(0.051, mu, 12).probs)
     seen = counts > 0
-    closed = estimation._log_probs(eta * mu, 12)[seen, 0]
+    closed = photon_stats._poisson_log_probs(eta * mu, 12)[seen, 0]
     probs = tp.binomial_povm(eta, 12, 600).entries @ tp.poisson_pmf(mu, np.arange(600))
     with np.errstate(divide="ignore"):
         msum = np.log(probs[seen])
@@ -42,7 +42,7 @@ def test_loglik_eta_is_linear_in_weights():
 
 def test_loglik_eta_zero_probability_outcome():
     # eta * mu = 0 puts all mass on outcome 0; any other count is -inf.
-    log_probs = estimation._log_probs(0.0, 2)[:, 0]
+    log_probs = photon_stats._poisson_log_probs(0.0, 2)[:, 0]
     assert estimation._weighted_loglik(np.array([5.0, 1.0]), log_probs) == -math.inf
     assert estimation._weighted_loglik(np.array([5.0, 0.0]), log_probs) == 0.0
 

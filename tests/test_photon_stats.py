@@ -1,15 +1,19 @@
 """Tests for the closed-form photon statistics primitives."""
 
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from scipy import stats
+from scipy.special import gammainc, gammaln, xlogy
 
 import tespovm as tp
-from tespovm.photon_stats import _binomial_rows, _check_number
+from tespovm.photon_stats import _binomial_rows, _check_number, _poisson_log_probs
 
 # One-sided Poisson mass beyond m = 139 at mu = 130 (scipy.stats.poisson.sf).
 TAIL_139_130 = 0.20106831223210758
@@ -21,6 +25,38 @@ def test_poisson_pmf_matches_scipy(mu):
     ours = tp.poisson_pmf(mu, m)
     ref = stats.poisson.pmf(m, mu)
     assert np.allclose(ours, ref, rtol=1e-10, atol=1e-18)
+
+
+@given(lam=st.one_of(st.just(0.0), st.floats(-6.0, 3.0).map(lambda e: 10.0**e)),
+       n_outcomes=st.integers(2, 20))
+@example(lam=1e3, n_outcomes=20)
+@example(lam=19.0, n_outcomes=20)  # the mean where the top bin changes route
+def test_poisson_log_probs_match_scipy(lam, n_outcomes):
+    """Body and cumulative top bin within 1e-10 relative of scipy's
+    ``gammaln`` and ``gammainc``; a mean of 0 is the point mass at 0."""
+    ours = _poisson_log_probs(lam, n_outcomes)[:, 0]
+    ns = np.arange(n_outcomes - 1.0)
+    with np.errstate(divide="ignore"):
+        ref = np.append(xlogy(ns, lam) - lam - gammaln(ns + 1.0),
+                        np.log(gammainc(n_outcomes - 1, lam)))
+    finite = np.isfinite(ref)
+    assert np.array_equal(ours[~finite], ref[~finite])
+    assert np.abs(ours[finite] - ref[finite]).max() <= 1e-10
+
+
+def test_poisson_law_costs_do_not_grow_with_m_or_lam():
+    # One log-factorial per value of m, and a top bin summed no further
+    # than the tail bound at mean N - 1, whatever the mean.
+    tracemalloc.start()
+    try:
+        pmf = tp.poisson_pmf(2.0, 10**9)
+        top = _poisson_log_probs(1e8, 12)[-1, 0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pmf == stats.poisson.pmf(10**9, 2.0) == 0.0
+    assert top == 0.0
+    assert peak < 100_000
 
 
 def test_poisson_pmf_scalar_and_validation():

@@ -92,21 +92,24 @@ def test_probe_streams_independent_of_ensemble_shape():
     assert np.array_equal(full[2].amplitudes_mv, alone[0].amplitudes_mv)
 
 
-@pytest.mark.parametrize(
-    "eta, mu, gamma, saturation, dtype",
-    [
-        (0.5, 4.0, 0.3, None, np.uint8),
-        (0.0, 4.0, 0.3, None, np.uint8),  # dark counts only
-        (0.5, 0.0, 0.3, None, np.uint8),  # vacuum probe
-        (0.5, 0.0, 0.0, None, np.uint8),  # vacuum probe without dark counts: all zero
-        (1.0, 4.0, 0.3, None, np.uint8),  # every photon detected
-        (0.051, 130.0, 0.0, None, np.uint8),  # the default design's brightest probe
-        (1.0, 10.0, 0.0, None, np.uint8),  # where NumPy's Poisson sampler switches method
-        (1.0, 30.0, 0.0, None, np.uint8),
-        (1.0, 250.0, 0.0, None, np.uint16),  # counts above 255
-        (0.5, 4.0, 0.3, 2, np.uint8),  # every class >= 2 piles up at 2
-    ],
-)
+# Each case draws at its own seed, derive_subseed(17, its index here), so
+# the cases check the sampler independently: at one shared seed they would
+# invert the same uniforms, and their mean errors would move together.
+_MARGINAL_CASES = [
+    (0.5, 4.0, 0.3, None, np.uint8),
+    (0.0, 4.0, 0.3, None, np.uint8),  # dark counts only
+    (0.5, 0.0, 0.3, None, np.uint8),  # vacuum probe
+    (0.5, 0.0, 0.0, None, np.uint8),  # vacuum probe without dark counts: all zero
+    (1.0, 4.0, 0.3, None, np.uint8),  # every photon detected
+    (0.051, 130.0, 0.0, None, np.uint8),  # the default design's brightest probe
+    (1.0, 10.0, 0.0, None, np.uint8),  # where NumPy's Poisson sampler switches method
+    (1.0, 30.0, 0.0, None, np.uint8),
+    (1.0, 250.0, 0.0, None, np.uint16),  # counts above 255
+    (0.5, 4.0, 0.3, 2, np.uint8),  # every class >= 2 piles up at 2
+]
+
+
+@pytest.mark.parametrize("eta, mu, gamma, saturation, dtype", _MARGINAL_CASES)
 def test_truth_count_marginals_match_model(eta, mu, gamma, saturation, dtype):
     # Detected counts follow the thinned-photon model binomial_povm, here
     # at a truncation and a class count whose Poisson tails are
@@ -115,7 +118,8 @@ def test_truth_count_marginals_match_model(eta, mu, gamma, saturation, dtype):
     # mean's lower side, covers multinomial noise with wide margin.
     cfg = tp.DetectorPhysicalConfig(eta=eta, gamma=gamma, saturation_count=saturation)
     n = 200_000
-    trace = tp.simulate_trace(cfg, mu, n, seed=17)
+    case = _MARGINAL_CASES.index((eta, mu, gamma, saturation, dtype))
+    trace = tp.simulate_trace(cfg, mu, n, seed=tp.derive_subseed(17, case))
     assert trace.truth_counts.dtype == dtype
     lam = eta * mu + gamma
     k = np.arange(int(lam + 10 * np.sqrt(lam)) + 20)
