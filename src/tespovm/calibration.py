@@ -124,7 +124,8 @@ class GaussianMixtureFit:
 
 @dataclass(frozen=True)
 class ThresholdSet:
-    """Sorted decision boundaries between adjacent count classes."""
+    """Sorted decision boundaries between adjacent count classes, which
+    only the acceptance criteria and the benchmark's library chain use."""
 
     cut_points_mv: tuple[float, ...]
 
@@ -425,7 +426,9 @@ def fit_run(traces, bin_width_mv: float = DEFAULT_BIN_WIDTH_MV,
     Only teeth past a given ``max_peaks`` fold into the last component;
     ``calibrate`` passes the run's ``reconstruction.n_outcomes``. A run of
     no traces, or of traces too sparse to fit, only checks the settings
-    and gives no fits.
+    and gives no fits. It keeps of each trace only its histogram
+    (:func:`_histogram`, which ``calibrate`` takes on the thread that read
+    the trace) and fits the comb to those (:func:`_fit_comb`).
 
     Returns:
         ``(fits, failures)`` by probe id. A probe fails with a
@@ -440,23 +443,31 @@ def fit_run(traces, bin_width_mv: float = DEFAULT_BIN_WIDTH_MV,
             comb fit did not converge.
     """
     _check_number("bin_width_mv", bin_width_mv, "(0, inf)")
+    return _fit_comb(((t.probe_id, _histogram(t, bin_width_mv)) for t in traces), max_peaks)
+
+
+def _histogram(trace: AmplitudeTrace, bin_width_mv: float = DEFAULT_BIN_WIDTH_MV):
+    """What :func:`fit_run` keeps of a trace: its histogram, or the
+    :class:`CalibrationError` of a trace with fewer than ``MIN_EVENTS`` events."""
+    if trace.n_pulses < MIN_EVENTS:
+        return CalibrationError(f"trace has {trace.n_pulses} events, need at least {MIN_EVENTS}")
+    return _Spectrum.of(np.asarray(trace.amplitudes_mv, float), bin_width_mv)
+
+
+def _fit_comb(histograms, max_peaks: int | None = None) -> tuple[dict, dict]:
+    """:func:`fit_run` on ``(probe id, histogram or exception)`` pairs;
+    a probe paired with an exception fails with it."""
     if max_peaks is not None:
         _check_number("max_peaks", max_peaks, "[1, inf)", integer=True)
-    failures, spectra = {}, {}
-    for trace in traces:
-        pid = trace.probe_id
-        if pid in failures or pid in spectra:
+    by_id = {}
+    for pid, histogram in histograms:
+        if pid in by_id:
             raise ValueError(f"probe id {pid} is repeated")
-        if trace.n_pulses < MIN_EVENTS:
-            failures[pid] = CalibrationError(
-                f"trace has {trace.n_pulses} events, need at least {MIN_EVENTS}"
-            )
-        else:
-            spectra[pid] = _Spectrum.of(np.asarray(trace.amplitudes_mv, float), bin_width_mv)
-
+        by_id[pid] = histogram
+    failures = {pid: h for pid, h in by_id.items() if isinstance(h, Exception)}
+    spectra = {pid: h for pid, h in sorted(by_id.items()) if pid not in failures}
     if not spectra:
         return {}, failures
-    spectra = dict(sorted(spectra.items()))
     resolved = [s.centers[s.peaks] for s in spectra.values() if s.peaks.size >= 2]
     if not resolved:
         raise CalibrationError("no trace shows two prominent peaks: the run has no "
@@ -474,9 +485,9 @@ def fit_run(traces, bin_width_mv: float = DEFAULT_BIN_WIDTH_MV,
     start = min(s.edges[0] for s in spectra.values())
     base = first - math.floor((first - start) / spacing) * spacing
     # A first peak merged with its neighbour looks wider than its tooth.
-    width = low.widths[0] * bin_width_mv / 2.355
+    width = low.widths[0] * low.bin_width / 2.355
     x0 = [base, spacing, min(width, spacing / 4.0), 0.0]
-    lo = [base - spacing / 2.0, spacing / 2.0, bin_width_mv / 4.0, 0.0]
+    lo = [base - spacing / 2.0, spacing / 2.0, low.bin_width / 4.0, 0.0]
     hi = [base + spacing / 2.0, 1.5 * spacing, spacing, spacing / 2.0]
     pool = _Spectrum.pooled(list(spectra.values()))
     from scipy import optimize
@@ -561,7 +572,8 @@ def fit_peaks(trace: AmplitudeTrace, bin_width_mv: float = DEFAULT_BIN_WIDTH_MV,
 
 
 def place_thresholds(fit: GaussianMixtureFit, xatol: float = 1e-3) -> ThresholdSet:
-    """Place decision thresholds at the mixture-density minima.
+    """Place decision thresholds at the mixture-density minima, as only the
+    acceptance criteria and the benchmark's library chain do.
 
     Between each pair of adjacent component means the fitted mixture
     density is evaluated on 510 interior grid points, all pairs in one
@@ -616,7 +628,8 @@ def place_thresholds(fit: GaussianMixtureFit, xatol: float = 1e-3) -> ThresholdS
 def bin_counts(
     trace: AmplitudeTrace, thresholds: ThresholdSet, n_outcomes: int
 ) -> np.ndarray:
-    """Bin trace amplitudes into count classes by thresholding.
+    """Bin trace amplitudes into count classes by thresholding, as only the
+    acceptance criteria and the benchmark's library chain do.
 
     Intervals are half-open with the upper side owning the boundary: an
     amplitude exactly on a cut point belongs to the upper class. Classes

@@ -8,8 +8,8 @@ key before a trace is written. It records it as the run config in
 ``manifest.json``.
 ``simulate`` and ``calibrate`` work one probe at a time on their
 ``--jobs`` threads: ``simulate`` writes each trace from the thread that
-drew it, and ``calibrate`` reads traces at most ``--jobs`` ahead of the
-fit, which keeps only each trace's histogram. So each stage holds about
+drew it, and ``calibrate`` histograms each trace on the thread that read
+it and fits the run's comb to the histograms. So each stage holds at most
 ``--jobs`` traces at a time, whatever the number of probes.
 Each stage has one route. ``calibrate`` fits one comb to the run and
 counts each probe's class ``n`` as its tooth-``n`` weight
@@ -39,15 +39,13 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
 from . import files
-from .calibration import CountTable, counts_by_area, fit_run
+from .calibration import CountTable, _fit_comb, _histogram, counts_by_area
 from .errors import CalibrationError, EstimationError, LineageError, SchemaError
 from .estimation import estimate_eta_gamma
 from .metrics import DEFAULT_SPLIT, fidelity_curve, sensitivity_sweep, three_way_comparison
@@ -80,33 +78,6 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _read_traces(trace_dir, probe_ids, jobs, n_events, failures):
-    """The trace of each probe id, in order, read on ``jobs`` threads at
-    most ``jobs`` reads ahead of the trace last yielded, so that at most
-    ``jobs`` + 1 traces, the consumer's among them, are held at a time.
-    Each yielded trace's event count goes into ``n_events`` and each
-    unreadable trace's :class:`SchemaError` into ``failures``, by probe id."""
-    def read(pid):
-        return files.read_trace_csv(trace_dir / files.trace_filename(pid), probe_id=pid)
-
-    probe_ids = iter(probe_ids)
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        ahead = deque((pid, pool.submit(read, pid)) for pid in islice(probe_ids, jobs))
-        while ahead:
-            pid, fut = ahead.popleft()
-            try:
-                trace = fut.result()
-            except SchemaError as exc:
-                failures[pid] = exc
-            else:
-                n_events[pid] = trace.n_pulses
-                yield trace
-            # The next read starts once the consumer asks for the next trace.
-            pid = next(probe_ids, None)
-            if pid is not None:
-                ahead.append((pid, pool.submit(read, pid)))
-
-
 def cmd_calibrate(args) -> int:
     _check_number("--jobs", args.jobs, "[1, inf)", integer=True)
     trace_dir = Path(args.traces)
@@ -116,13 +87,21 @@ def cmd_calibrate(args) -> int:
                          trace_dir / "ensemble.json": cfg_hash})
     n_outcomes = run.reconstruction.n_outcomes
 
-    n_events, failures = {}, {}
-    traces = _read_traces(trace_dir, sorted(run.ensemble.ids), args.jobs, n_events, failures)
+    # A thread keeps only its trace's histogram and event count, or its failure.
+    def histogram(pid):
+        try:
+            trace = files.read_trace_csv(trace_dir / files.trace_filename(pid), probe_id=pid)
+        except SchemaError as exc:
+            return pid, exc, None
+        return pid, _histogram(trace, **run.calibration), trace.n_pulses
+
     try:
-        fits, fit_failures = fit_run(traces, **run.calibration, max_peaks=n_outcomes)
+        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+            histograms = list(pool.map(histogram, sorted(run.ensemble.ids)))
+        fits, failures = _fit_comb([(pid, h) for pid, h, _ in histograms], max_peaks=n_outcomes)
     except ValueError as exc:  # a bin width too fine for the traces
         raise SchemaError(f"calibration.{exc}") from exc
-    failures.update(fit_failures)
+    n_events = {pid: n for pid, _, n in histograms}
     if failures and not args.skip_failed:
         pid = min(failures)
         exc = failures[pid]
@@ -268,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     cal.add_argument("--traces", required=True, help="simulate output directory")
     cal.add_argument("--out", required=True)
     cal.add_argument("--jobs", type=int, default=1,
-                     help="threads that read traces ahead of the fit")
+                     help="threads that read and histogram traces")
     cal.add_argument("--skip-failed", action="store_true",
                      help="drop probes that fail calibration instead of aborting")
     cal.set_defaults(func=cmd_calibrate)

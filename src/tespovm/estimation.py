@@ -47,8 +47,9 @@ class EfficiencyEstimate:
     then no sample size. ``gamma_upper`` is a one-sided 95 percent upper
     bound, relevant when the estimate sits at the zero boundary.
     ``per_probe_etas`` and ``per_probe_gammas`` are each probe's own
-    maximizer with the other parameter held at its pooled value;
-    skipped probes, and the eta of a probe of mu 0, hold NaN.
+    maximizer with the other parameter held at its pooled value; skipped
+    probes, a probe with every event in the top class (whose likelihood
+    has no maximum) and the eta of a probe of mu 0 hold NaN.
     """
 
     eta_hat: float
@@ -132,15 +133,20 @@ def _fit(counts: CountTable, ensemble: ProbeEnsemble, joint: bool) -> Efficiency
         )
     n_outcomes, n_used = cols.shape
 
-    # Each probe's own Poisson mean, started from its censored mean count.
-    lam_j = _maximize(
-        cols, np.eye(n_used), _LAM_MIN, np.inf,
-        np.arange(n_outcomes) @ cols / cols.sum(axis=0),
+    # Each probe's own Poisson mean, started from its censored mean count; a
+    # probe with every event in the top class has none and keeps NaN.
+    lam_j = np.full(n_used, np.nan)
+    finite = cols[:-1].any(axis=0)
+    lam_j[finite] = _maximize(
+        cols[:, finite], np.eye(finite.sum()), _LAM_MIN, np.inf,
+        np.arange(n_outcomes) @ cols[:, finite] / cols[:, finite].sum(axis=0),
     )[0]
-    # The pooled fit starts from the ratio of those means to mu, at gamma = 0.
+    # The pooled fit starts from the ratio of the finite means to their mu,
+    # at gamma = 0, or at eta = 1 when no lit probe has a finite mean.
     design = np.column_stack([mus, np.ones(n_used)]) if joint else mus[:, None]
     upper = np.array([1.0, np.inf])[: design.shape[1]]
-    x0 = np.array([lam_j.sum() / mus.sum(), 0.0])[: design.shape[1]]
+    lit = mus[finite].sum()
+    x0 = np.array([lam_j[finite].sum() / lit if lit > 0 else 1.0, 0.0])[: design.shape[1]]
     theta, loglik, info = _maximize(cols, design, 0.0, upper, x0)
     eta_hat = float(theta[0])
     gamma_hat = float(theta[1]) if joint else 0.0

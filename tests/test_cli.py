@@ -836,6 +836,28 @@ def test_chain_is_bitwise_the_same_for_any_jobs(tmp_path):
         assert data == written[1][path], path
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_cli_route_meets_the_acceptance_floors(tmp_path, seed):
+    # The five stages on the built-in default design (20 probes of 1e5
+    # pulses, eta 0.051), as the benchmark runs them, against criterion 1's
+    # fidelity floor and criterion 2's efficiency bound.
+    sim, ens = tmp_path / "sim", str(tmp_path / "sim" / "ensemble.json")
+    counts, povm, est = (str(tmp_path / rel) for rel in
+                         ("cal/counts.json", "rec/povm.json", "est/estimate.json"))
+    assert main(["simulate", "--seed", str(seed), "--out", str(sim), "--jobs", "2"]) == 0
+    assert main(["calibrate", "--traces", str(sim), "--out", str(tmp_path / "cal"),
+                 "--jobs", "2"]) == 0
+    for stage, out in (("reconstruct", "rec"), ("estimate", "est")):
+        assert main([stage, "--counts", counts, "--ensemble", ens,
+                     "--out", str(tmp_path / out)]) == 0
+    assert main(["validate", "--povm", povm, "--counts", counts, "--ensemble", ens,
+                 "--estimate", est, "--out", str(tmp_path / "val"),
+                 "--energy-scale", "0.03", "--attenuation-db", "0.1"]) == 0
+    fidelity = json.loads((tmp_path / "val" / "fidelity.json").read_text())
+    assert fidelity["min_low"] >= 0.99
+    assert abs(json.loads(Path(est).read_text())["eta_hat"] - 0.051) <= 0.002
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_simulate_writes_the_ensembles_traces(tmp_path, jobs):
     # simulate draws and writes each probe on its --jobs threads; the files
@@ -855,14 +877,14 @@ def test_simulate_writes_the_ensembles_traces(tmp_path, jobs):
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_calibrate_holds_about_jobs_traces(pipeline, tmp_path, monkeypatch, jobs):
-    # Traces are read at most --jobs ahead of the fit, which keeps none of
-    # them: at each read no more than --jobs + 1 are alive.
+    # Each of the --jobs threads keeps only the histogram of the trace it
+    # read: at each read no more than --jobs are alive.
     read, alive = files.read_trace_csv, []
 
     def tracked(*args, **kwargs):
         trace = read(*args, **kwargs)
         alive.append(weakref.ref(trace))
-        assert sum(ref() is not None for ref in alive) <= jobs + 1
+        assert sum(ref() is not None for ref in alive) <= jobs
         return trace
 
     monkeypatch.setattr(files, "read_trace_csv", tracked)

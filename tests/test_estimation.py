@@ -241,6 +241,31 @@ def test_vacuum_column_in_class_0_still_fits():
         assert abs(est.eta_hat - 0.051) < 4.0 * est.eta_se
 
 
+def test_all_top_probe_has_no_per_probe_entry():
+    """A probe with every event in the top class has a likelihood that rises
+    with its Poisson mean without bound: its per-probe entries hold NaN, as
+    a skipped probe's do, and the pooled fit is unchanged. The pinned values
+    are the pooled fit of an earlier version, which iterated on that column
+    until its step fell below tolerance."""
+    ens = tp.geometric_ensemble(n_probes=4, mu_min=5.0, mu_max=40.0)
+    rng = np.random.default_rng(3)
+    counts = np.column_stack([
+        rng.multinomial(10_000, tp.linear_prediction(0.051, p.mean_photons, 6, 0.2).probs)
+        for p in ens.probes
+    ])
+    counts[:, 3] = 0
+    counts[-1, 3] = 10_000
+    table = tp.CountTable.from_counts(counts, probe_ids=ens.ids)
+    alone, joint = tp.estimate_eta(table, ens), tp.estimate_eta_gamma(table, ens)
+    for est in (alone, joint):
+        assert np.isnan(est.per_probe_etas[3])
+        assert np.isfinite(est.per_probe_etas[:3]).all()
+        assert abs(est.eta_hat - 0.11688310032772528) <= 1e-8 * est.eta_se
+    assert np.isnan(joint.per_probe_gammas[3])
+    assert np.isfinite(joint.per_probe_gammas[:3]).all()
+    assert joint.gamma_hat <= 1e-8 * joint.gamma_se
+
+
 def test_estimate_alignment_validation():
     ens = tp.geometric_ensemble(n_probes=3, mu_min=2.0, mu_max=10.0)
     # Two of the three probes, out of order: columns pair with probes by id.
