@@ -67,6 +67,161 @@ _SQRT2PI = math.sqrt(2.0 * math.pi)
 _PEAK_SIGMAS = 4.0  # a peak's least prominence, in sqrt(height)
 _REFINE_POINTS = 17  # points of each nested grid that narrows a threshold's bracket
 
+# The comb fit stops on a step below _FIT_TOL relative to the parameters or
+# a projected gradient below _FIT_TOL, and fails after _FIT_MAX_EVALUATIONS
+# evaluations: scipy's least_squares defaults. It has no test on the fall of
+# the cost, which shrinks with the square of the distance to the optimum:
+# least_squares' one (also 1e-8) stopped its fits of the default design up
+# to 2.6e-6 relative short of the optimum's baseline.
+_FIT_TOL = 1e-8
+_FIT_MAX_EVALUATIONS = 400
+
+# The normal CDF is Marsaglia's power series where |z| < _SERIES_Z, 40 terms
+# whose ratios to their predecessors are z^2 times these, and beyond it the
+# even part of Laplace's continued fraction for the Mills ratio, 25 levels
+# (50 of Laplace's terms); both are within 1e-15 absolute and 3e-13
+# relative of the CDF where it exceeds 1e-300. The CDF rounds to exactly 0
+# below -38.5 and to exactly 1 above 8.5.
+_SERIES_Z = 2.5
+_SERIES_RATIOS = 1.0 / np.arange(3.0, 82.0, 2.0)
+_MILLS_LEVELS = np.arange(25.0, 0.0, -1.0)
+
+
+def _ndtr(z) -> np.ndarray:
+    """The standard normal CDF at each entry of ``z``.
+
+    Where ``|z| < 2.5`` it is ``1/2 + phi(z) (z + z^3/3 + z^5/15 + ...)``;
+    elsewhere ``phi(|z|) R(|z|)`` below zero and ``1 - phi(z) R(z)`` above,
+    with the Mills ratio ``R(t) = t/(t^2 + 1 - 1*2/(t^2 + 5 - 3*4/(t^2 + 9
+    - ...)))``. Entries where the CDF rounds to 0 or 1 are set, not
+    evaluated.
+    """
+    z = np.asarray(z, dtype=float)
+    out = (z > 0).astype(float)
+    near = np.abs(z) < _SERIES_Z
+    x = z[near]
+    x2 = x * x
+    series = np.cumprod(np.multiply.outer(x2, _SERIES_RATIOS), axis=-1).sum(axis=-1)
+    out[near] = 0.5 + x * (1.0 + series) * np.exp(-0.5 * x2) / _SQRT2PI
+    tail = ~near & (z > -38.5) & (z < 8.5)
+    t = np.abs(z[tail])
+    t2 = t * t
+    # Level k is t^2 + 4k - 3 - (2k - 1) 2k / (level k + 1), from level 26 down.
+    fraction = t2 + (4.0 * _MILLS_LEVELS[0] + 1.0)
+    for k in _MILLS_LEVELS:
+        np.divide((2.0 * k - 1.0) * 2.0 * k, fraction, out=fraction)
+        np.subtract(t2, fraction, out=fraction)
+        fraction += 4.0 * k - 3.0
+    upper = t * np.exp(-0.5 * t2) / (_SQRT2PI * fraction)
+    out[tail] = np.where(z[tail] > 0, 1.0 - upper, upper)
+    return out
+
+
+def _nnls(gram: np.ndarray, rhs: np.ndarray, passive: np.ndarray) -> np.ndarray:
+    """Lawson and Hanson's nonnegative least squares on the normal equations.
+
+    Returns the ``x >= 0`` that minimises ``|A x - b|`` given ``gram = A.T @
+    A`` and ``rhs = A.T @ b``. ``passive`` marks the entries first taken to
+    be positive: the least squares solution on them, less every entry that
+    is not positive, starts Lawson and Hanson's loop, which frees the entry
+    of largest gradient ``rhs - gram @ x`` and re-solves, stepping back to
+    the last feasible point and dropping the entries that reach zero while
+    an entry would not be positive. It returns only at a point that meets
+    the Karush-Kuhn-Tucker conditions, every gradient entry of a zero entry
+    at most its rounding error, so the start changes the time taken and not
+    the answer.
+
+    Raises:
+        CalibrationError: The loop freed an entry ``3 * n`` times, scipy's
+            default limit, without meeting the conditions.
+    """
+    n = rhs.size
+    # A column of zeros takes no weight, and would make the solves singular.
+    passive = np.array(passive, dtype=bool) & (np.diag(gram) > 0.0)
+    x = np.zeros(n)
+    for _ in range(3 * n):
+        while True:
+            at = np.flatnonzero(passive)
+            solution = np.zeros(n)
+            solution[at] = np.linalg.solve(gram[np.ix_(at, at)], rhs[at])
+            blocked = at[solution[at] <= 0.0]
+            if blocked.size == 0:
+                break
+            # Zero where x is: those entries leave without a step.
+            share = np.divide(x[blocked], x[blocked] - solution[blocked],
+                              out=np.zeros(blocked.size), where=x[blocked] > 0.0)
+            step = share.min()
+            x += step * (solution - x)
+            stopped = blocked[share <= step]
+            x[stopped] = 0.0
+            passive[stopped] = False
+        x = solution
+        zero = np.flatnonzero(~passive)
+        gradient = rhs[zero] - gram[zero] @ x
+        rounding = 10.0 * n * np.finfo(float).eps * (np.abs(rhs[zero]) + np.abs(gram[zero]) @ x)
+        rising = gradient > rounding
+        if not rising.any():
+            return x
+        passive[zero[rising][np.argmax(gradient[rising])]] = True
+    raise CalibrationError(f"tooth weights did not converge ({3 * n} iterations)")
+
+
+def _fit_box(evaluate, x0, lo, hi) -> np.ndarray:
+    """Levenberg-Marquardt over the box ``lo <= x <= hi``.
+
+    Minimises half the squared residuals that ``evaluate(x, last)`` gives
+    as ``.residuals``, with their Jacobian from ``.jacobian()``; ``last`` is
+    the evaluation at the current point, from which the next may start.
+    Each step holds every parameter at a bound that its gradient points
+    past, solves Marquardt's damped Gauss-Newton system for the others and
+    projects the step onto the box. A step that lowers the cost is taken,
+    and the damping follows the ratio of that fall to the predicted one
+    (Nielsen's rule); after a step that does not, it grows. A step shorter
+    than ``_FIT_TOL * (_FIT_TOL + |x|)`` is taken untried and ends the fit,
+    as does a start where no free entry of the gradient reaches
+    ``_FIT_TOL``.
+
+    Raises:
+        CalibrationError: ``_FIT_MAX_EVALUATIONS`` evaluations did not stop it.
+    """
+    x = np.clip(np.asarray(x0, dtype=float), lo, hi)
+    trial = evaluate(x, None)
+    cost = 0.5 * float(trial.residuals @ trial.residuals)
+    evaluations, damping, scale = 1, 1e-3, np.zeros_like(x)
+    while True:
+        jac = trial.jacobian()
+        gradient = jac.T @ trial.residuals
+        free = ~(((x <= lo) & (gradient > 0)) | ((x >= hi) & (gradient < 0)))
+        if np.abs(gradient[free]).max(initial=0.0) < _FIT_TOL:
+            return x
+        hessian = jac.T @ jac
+        # Marquardt's scaling: each parameter's largest curvature so far.
+        scale = np.maximum(scale, np.diag(hessian))
+        system = hessian[np.ix_(free, free)]
+        damped = np.diag(np.where(scale > 0, scale, 1.0)[free])
+        growth = 2.0
+        while True:
+            step = np.zeros_like(x)
+            step[free] = np.linalg.solve(system + damping * damped, -gradient[free])
+            new_x = np.clip(x + step, lo, hi)
+            step = new_x - x
+            # The cost may not resolve the fall of a step this short.
+            if np.linalg.norm(step) < _FIT_TOL * (_FIT_TOL + np.linalg.norm(x)):
+                return new_x
+            if evaluations >= _FIT_MAX_EVALUATIONS:
+                raise CalibrationError(f"comb fit did not converge ({evaluations} evaluations)")
+            new = evaluate(new_x, trial)
+            evaluations += 1
+            new_cost = 0.5 * float(new.residuals @ new.residuals)
+            if new_cost < cost:
+                predicted = -(gradient @ step + 0.5 * step @ hessian @ step)
+                ratio = (cost - new_cost) / predicted if predicted > 0 else 0.0
+                damping *= max(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3)
+                x, trial, cost = new_x, new, new_cost
+                break
+            damping *= growth
+            growth *= 2.0
+
 
 @dataclass(frozen=True)
 class GaussianComponent:
@@ -298,7 +453,6 @@ class _Spectrum:
         bw = self.bin_width
         self.edges = bw * (self.first + np.arange(self.counts.size + 1))
         self.centers = self.edges[:-1] + 0.5 * bw
-        self._last = None
 
     @functools.cached_property
     def smooth(self) -> np.ndarray:
@@ -346,57 +500,65 @@ class _Spectrum:
 
     def mass(self, comb, teeth) -> np.ndarray:
         """Share of each tooth's events in each bin under one trial comb."""
-        from scipy import special
-        return np.diff(special.ndtr(self.standard(comb, teeth)), axis=0)
-
-    def weigh(self, mass, variance):
-        """Nonnegative least-squares tooth weights, bins weighted by their
-        ``variance`` (at least 1), and the weighted residuals."""
-        from scipy import optimize
-        inv_err = 1.0 / np.sqrt(np.maximum(variance, 1.0))
-        design = mass * inv_err[:, None]
-        target = self.counts * inv_err
-        weights, _ = optimize.nnls(design, target)
-        return weights, design @ weights - target
-
-    def _solve(self, comb, teeth):
-        """The Poisson-weighted tooth weights under ``comb``, with what the
-        Jacobian needs of them. The last solve is kept: ``least_squares``
-        asks for the Jacobian at the comb whose residuals it has just had."""
-        from scipy import special
-        comb = np.array(comb, dtype=float)
-        last = self._last
-        if last is None or last[1] is not teeth or not np.array_equal(last[0], comb):
-            z = self.standard(comb, teeth)
-            mass = np.diff(special.ndtr(z), axis=0)
-            self._last = comb, teeth, z, mass, *self.weigh(mass, self.counts)
-        return self._last[2:]
+        return np.diff(_ndtr(self.standard(comb, teeth)), axis=0)
 
     def residuals(self, comb, teeth) -> np.ndarray:
         """Poisson-weighted residuals of the best tooth weights under ``comb``."""
-        return self._solve(comb, teeth)[-1]
+        return _CombSolve(self, comb, teeth).residuals
 
     def jacobian(self, comb, teeth) -> np.ndarray:
-        """Kaufman's variable-projection Jacobian of :meth:`residuals`.
+        """Kaufman's variable-projection Jacobian of :meth:`residuals`."""
+        return _CombSolve(self, comb, teeth).jacobian()
+
+
+class _Weighing:
+    """The nonnegative least-squares weights of a histogram's tooth
+    ``mass`` columns, bins weighted by their ``variance`` (at least 1), from
+    the ``passive`` start of :func:`_nnls`, and the weighted residuals; with
+    the weighted ``design``, its Gram matrix and the bins' ``inv_err``."""
+
+    def __init__(self, mass, counts, variance, passive):
+        self.inv_err = 1.0 / np.sqrt(np.maximum(variance, 1.0))
+        self.design = mass * self.inv_err[:, None]
+        target = counts * self.inv_err
+        self.gram = self.design.T @ self.design
+        self.weights = _nnls(self.gram, self.design.T @ target, passive)
+        self.residuals = self.design @ self.weights - target
+
+
+class _CombSolve(_Weighing):
+    """A histogram's Poisson-weighted tooth weights under one trial comb,
+    from every tooth taken to carry weight unless a ``passive`` start is
+    given, with the standardised bin edges ``z`` its Jacobian needs."""
+
+    def __init__(self, spectrum: _Spectrum, comb, teeth, passive=None):
+        self.comb, self.teeth = np.array(comb, dtype=float), teeth
+        self.z = spectrum.standard(self.comb, teeth)
+        if passive is None:
+            passive = np.ones(teeth.size, dtype=bool)
+        super().__init__(np.diff(_ndtr(self.z), axis=0), spectrum.counts, spectrum.counts,
+                         passive)
+
+    def jacobian(self) -> np.ndarray:
+        """Kaufman's variable-projection Jacobian of the residuals.
 
         The derivative of the weighted bins at fixed tooth weights, taken
         off the span of the teeth that carry weight. It drops a term that
         lies in that span, to which the residuals are orthogonal, so its
         gradient of half the squared residuals is exact.
         """
-        z, mass, weights, _ = self._solve(comb, teeth)
-        free = weights > 0
-        k = teeth[free]
-        z = z[:, free]
+        comb = self.comb
+        free = self.weights > 0
+        k = self.teeth[free]
+        z = self.z[:, free]
         # The event density at each edge per standard deviation of its tooth;
         # dz/d(base, spacing, sigma0, sigma_slope) = -(1, k, z, k z) / sigma_k.
-        u = np.exp(-0.5 * z * z) * (weights[free] / ((comb[2] + k * comb[3]) * _SQRT2PI))
+        u = np.exp(-0.5 * z * z) * (self.weights[free] / ((comb[2] + k * comb[3]) * _SQRT2PI))
         zu = z * u
         edge = np.stack([u.sum(axis=1), u @ k, zu.sum(axis=1), zu @ k], axis=1)
-        inv_err = 1.0 / np.sqrt(np.maximum(self.counts, 1.0))[:, None]
-        grad = -np.diff(edge, axis=0) * inv_err
-        q = np.linalg.qr(mass[:, free] * inv_err)[0]
-        return grad - q @ (q.T @ grad)
+        grad = -np.diff(edge, axis=0) * self.inv_err[:, None]
+        design = self.design[:, free]
+        return grad - design @ np.linalg.solve(self.gram[np.ix_(free, free)], design.T @ grad)
 
 
 def fit_run(traces, bin_width_mv: float = DEFAULT_BIN_WIDTH_MV,
@@ -404,29 +566,29 @@ def fit_run(traces, bin_width_mv: float = DEFAULT_BIN_WIDTH_MV,
     """Fit one Gaussian comb to all traces of a run.
 
     One detector puts tooth ``k`` at ``baseline + k * spacing`` with width
-    ``sigma0 + k * sigma_slope`` in every trace, so a tooth has one label
-    in every probe. The traces' prominent peaks, in probe-id order, seed
-    the comb. A trace's expected bins are linear in its tooth weights, so
-    the run's pooled histogram, its traces' counts summed on one grid, is
-    the same comb with summed weights: one Poisson-weighted least squares
-    over the pooled bins fits it and numbers the teeth, with Kaufman's
-    variable-projection Jacobian (:meth:`_Spectrum.jacobian`) in closed
-    form, so a step solves one set of tooth weights for the whole run. A
-    run of one trace pools to its own histogram. Every probe's components
-    sit on that comb: a trace's tooth weights, over the teeth centred
-    within its data, solve its own nonnegative least squares, last with
-    the model's bin variances, and a trace whose peaks leave the comb
-    fails its goodness gate rather than moving the comb. The zero tooth is
-    the lowest to which some probe gives ``WEIGHT_FLOOR_EVENTS`` events
-    and beside which no probe holds more one-count events than Poisson
-    light allows (:func:`_admits_zero`): a tooth fitted to the tail of a
-    zero peak, or to stray events below it, is not the zero. A probe's
-    components run from it, empty or not, to its highest tooth holding
+    ``sigma0 + k * sigma_slope`` in every trace, so a tooth has one label in
+    every probe. The traces' prominent peaks, in probe-id order, seed the
+    comb. A trace's expected bins are linear in its tooth weights, so the
+    run's pooled histogram, its traces' counts summed on one grid, is the
+    same comb with summed weights: one Poisson-weighted least squares over
+    the pooled bins (:func:`_fit_box`) fits it and numbers the teeth, with
+    Kaufman's variable-projection Jacobian (:meth:`_CombSolve.jacobian`) in
+    closed form, so a step solves one set of tooth weights for the whole run
+    (:func:`_nnls`). A run of one trace pools to its own histogram. Every
+    probe's components sit on that comb: a trace's tooth weights, over the
+    teeth centred within its data, solve its own nonnegative least squares,
+    last with the model's bin variances, and a trace whose peaks leave the
+    comb fails its goodness gate rather than moving the comb. The zero tooth
+    is the lowest to which some probe gives ``WEIGHT_FLOOR_EVENTS`` events
+    and beside which no probe holds more one-count events than Poisson light
+    allows (:func:`_admits_zero`): a tooth fitted to the tail of a zero
+    peak, or to stray events below it, is not the zero. A probe's components
+    run from it, empty or not, to its highest tooth holding
     ``WEIGHT_FLOOR_EVENTS``, and the count classes fold once, when binned.
     Only teeth past a given ``max_peaks`` fold into the last component;
     ``calibrate`` passes the run's ``reconstruction.n_outcomes``. A run of
-    no traces, or of traces too sparse to fit, only checks the settings
-    and gives no fits. It keeps of each trace only its histogram
+    no traces, or of traces too sparse to fit, only checks the settings and
+    gives no fits. It keeps of each trace only its histogram
     (:func:`_histogram`, which ``calibrate`` takes on the thread that read
     the trace) and fits the comb to those (:func:`_fit_comb`).
 
@@ -490,20 +652,28 @@ def _fit_comb(histograms, max_peaks: int | None = None) -> tuple[dict, dict]:
     lo = [base - spacing / 2.0, spacing / 2.0, low.bin_width / 4.0, 0.0]
     hi = [base + spacing / 2.0, 1.5 * spacing, spacing, spacing / 2.0]
     pool = _Spectrum.pooled(list(spectra.values()))
-    from scipy import optimize
-    res = optimize.least_squares(pool.residuals, np.clip(x0, lo, hi), pool.jacobian,
-                                 bounds=(lo, hi), args=(pool.teeth(base, spacing),))
-    if res.status == 0:
-        raise CalibrationError(f"comb fit did not converge ({res.nfev} evaluations)")
-    comb = base, spacing, sigma0, sigma_slope = tuple(map(float, res.x))
+    pool_teeth = pool.teeth(base, spacing)
+    # Each evaluation starts its tooth weights from the last one's.
+    x = _fit_box(lambda comb, last: _CombSolve(pool, comb, pool_teeth,
+                                               None if last is None else last.weights > 0),
+                 x0, lo, hi)
+    comb = base, spacing, sigma0, sigma_slope = tuple(map(float, x))
 
+    # Every trace's edges and teeth are some of the pool's edges and of
+    # these teeth, so its bin masses are a block of theirs.
+    teeth_of = {pid: s.teeth(base, spacing) for pid, s in spectra.items()}
+    low_tooth = min(t[0] for t in teeth_of.values())
+    masses = pool.mass(comb, np.arange(low_tooth, max(t[-1] for t in teeth_of.values()) + 1))
     solved, lowest = {}, set()
     for pid, s in spectra.items():
-        numbers = s.teeth(base, spacing)
-        mass = s.mass(comb, numbers)
+        numbers = teeth_of[pid]
+        at = s.first - pool.first
+        mass = masses[at:at + s.counts.size, numbers[0] - low_tooth:numbers[-1] - low_tooth + 1]
         # Counts as variances bias the weights low where counts are sparse;
         # the fitted model's variances do not.
-        w, resid = s.weigh(mass, mass @ s.weigh(mass, s.counts)[0])
+        counted = _Weighing(mass, s.counts, s.counts, np.ones(numbers.size, dtype=bool))
+        modelled = _Weighing(mass, s.counts, mass @ counted.weights, counted.weights > 0)
+        w, resid = modelled.weights, modelled.residuals
         goodness = float(resid @ resid) / max(1, resid.size - len(comb) - numbers.size)
         if goodness > MAX_GOODNESS:
             failures[pid] = CalibrationError(

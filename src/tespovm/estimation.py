@@ -125,6 +125,11 @@ def _fit(counts: CountTable, ensemble: ProbeEnsemble, joint: bool) -> Efficiency
             "every usable probe has all its events in class 0: the fit sits on its "
             "zero bound, where the Fisher information gives no standard error"
         )
+    if not cols[:-1].any():
+        raise EstimationError(
+            "every usable probe has all its events in the top class: the likelihood "
+            "rises without bound in the mean count, so it has no maximum"
+        )
     mus = probes.mean_photons[used]
     if joint and np.unique(mus).size < 2:
         raise EstimationError(
@@ -189,7 +194,7 @@ def estimate_eta(counts: CountTable, ensemble: ProbeEnsemble) -> EfficiencyEstim
     Raises:
         ValueError: A column id names no probe of the ensemble.
         EstimationError: Every probe was degenerate, or every probe of mu
-            above zero has all its events in class 0.
+            above zero has all its events in class 0, or all in the top class.
     """
     return _fit(counts, ensemble, joint=False)
 
@@ -209,6 +214,6 @@ def estimate_eta_gamma(counts: CountTable, ensemble: ProbeEnsemble) -> Efficienc
     Raises:
         ValueError: A column id names no probe of the ensemble.
         EstimationError: The probes share a single mean photon number, or
-            every probe has all its events in class 0.
+            every probe has all its events in class 0, or all in the top class.
     """
     return _fit(counts, ensemble, joint=True)

@@ -4,13 +4,14 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from scipy import signal
+from scipy import optimize, signal, special
 
 import tespovm as tp
-from tespovm.calibration import _peak_search, _Spectrum
+from tespovm import calibration
+from tespovm.calibration import _fit_box, _ndtr, _nnls, _peak_search, _Spectrum
 
 # Density minimum between Gaussians of weight 9:1 at 0 and 13 mV, both
 # sigma 2 (root of the mixture-density derivative, scipy brentq).
@@ -425,6 +426,72 @@ def test_comb_jacobian_gives_the_exact_gradient(offset):
     expected = _central_difference(
         lambda c: 0.5 * float(spectrum.residuals(c, teeth) @ spectrum.residuals(c, teeth)), comb)
     np.testing.assert_allclose(gradient, expected, rtol=1e-6)
+
+
+def test_ndtr_matches_scipy():
+    # A dense grid, with the points where the method changes.
+    z = np.r_[np.linspace(-40.0, 40.0, 800_001), -38.5, -2.5, 2.5, 8.5,
+              np.nextafter([-38.5, -2.5, 2.5, 8.5], 0.0)]
+    expected = special.ndtr(z)
+    error = np.abs(_ndtr(z) - expected)
+    assert error.max() <= 1e-15
+    tail = expected > 1e-300
+    assert (error[tail] / expected[tail]).max() <= 1e-12
+    assert np.array_equal(_ndtr(z[-12:].reshape(4, 3)), _ndtr(z[-12:]).reshape(4, 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 8), st.integers(0, 2**32 - 1), st.booleans())
+def test_nnls_matches_scipy_from_any_start(n, extra_rows, seed, empty_column):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n + extra_rows, n))
+    b = rng.normal(size=n + extra_rows)
+    # A tooth may have no mass in any bin of a trace.
+    a[:, :empty_column] = 0.0
+    assume(n == empty_column or np.linalg.cond(a[:, empty_column:]) < 1e3)
+    expected, _ = optimize.nnls(a, b)
+    gram, rhs = a.T @ a, a.T @ b
+    # A cold start, and one that starts every entry on the wrong side.
+    for start in (np.zeros(n, dtype=bool), expected == 0):
+        x = _nnls(gram, rhs, start)
+        np.testing.assert_allclose(x, expected, rtol=1e-9, atol=1e-9 * np.abs(expected).max())
+        # Karush-Kuhn-Tucker: x >= 0, a zero gradient where x > 0, none
+        # pointing into the feasible set where x = 0.
+        gradient = rhs - gram @ x
+        scale = 1e-9 * (np.abs(rhs).max() + 1.0)
+        assert (x >= 0).all()
+        assert np.abs(gradient[x > 0]).max(initial=0.0) <= scale
+        assert gradient[x == 0].max(initial=0.0) <= scale
+
+
+def test_fit_box_agrees_with_least_squares(monkeypatch):
+    # The run comb fit of the default design's seed-1 pool, and scipy's
+    # trust-region fit from the same start, within each other's stops.
+    calls = []
+
+    def recorded(evaluate, x0, lo, hi):
+        calls.append((evaluate, x0, lo, hi, _fit_box(evaluate, x0, lo, hi)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(calibration, "_fit_box", recorded)
+    traces = tp.simulate_ensemble(tp.DetectorPhysicalConfig(eta=0.051),
+                                  tp.geometric_ensemble(), seed=1, jobs=2)
+    tp.fit_run(traces, max_peaks=12)
+    (evaluate, x0, lo, hi, x), = calls
+    expected = optimize.least_squares(
+        lambda comb: evaluate(comb, None).residuals, np.clip(x0, lo, hi),
+        lambda comb: evaluate(comb, None).jacobian(), bounds=(lo, hi))
+    assert expected.status > 0
+    np.testing.assert_allclose(x[:3], expected.x[:3], rtol=1e-7)
+    # sigma_slope sits on its zero bound.
+    assert x[3] == 0.0 and abs(expected.x[3]) <= 1e-9
+    # What is left of the gradient, once the parameter held on its bound is
+    # dropped, is within 1e-8 standard errors of the optimum.
+    at = evaluate(x, None)
+    jac = at.jacobian()[:, :3]
+    gradient = jac.T @ at.residuals
+    assert gradient @ np.linalg.solve(jac.T @ jac, gradient) <= 1e-16
+    assert (at.jacobian().T @ at.residuals)[3] > 0
 
 
 def test_fit_peaks_rejects_tiny_traces():

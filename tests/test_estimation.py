@@ -224,6 +224,20 @@ def test_all_events_in_class_0_raise():
             estimate(table, ens)
 
 
+def test_all_events_in_the_top_class_raise():
+    """With every event in the top class the likelihood rises without bound
+    in each probe's mean count: both estimators raise, as for class 0,
+    rather than report where the search stopped (once eta 1.0, gamma 65.9
+    with a gamma standard error of 2.7e11)."""
+    ens = tp.geometric_ensemble(n_probes=4, mu_min=5.0, mu_max=40.0)
+    counts = np.zeros((6, 4), dtype=int)
+    counts[-1] = 10_000
+    table = tp.CountTable.from_counts(counts, probe_ids=ens.ids)
+    for estimate in (tp.estimate_eta, tp.estimate_eta_gamma):
+        with pytest.raises(tp.EstimationError, match="all its events in the top class"):
+            estimate(table, ens)
+
+
 def test_vacuum_column_in_class_0_still_fits():
     """A dark-free probe of mu 0 puts every event in class 0 by right;
     beside lit probes both estimators still fit."""
