@@ -67,14 +67,10 @@ _SQRT2PI = math.sqrt(2.0 * math.pi)
 _PEAK_SIGMAS = 4.0  # a peak's least prominence, in sqrt(height)
 _REFINE_POINTS = 17  # points of each nested grid that narrows a threshold's bracket
 
-# The comb fit stops on a step below _FIT_TOL relative to the parameters or
-# a projected gradient below _FIT_TOL, and fails after _FIT_MAX_EVALUATIONS
-# evaluations: scipy's least_squares defaults. It has no test on the fall of
-# the cost, which shrinks with the square of the distance to the optimum:
-# least_squares' one (also 1e-8) stopped its fits of the default design up
-# to 2.6e-6 relative short of the optimum's baseline.
-_FIT_TOL = 1e-8
-_FIT_MAX_EVALUATIONS = 400
+# A bounded Newton-type fit (_maximize) stops after a step shorter than 1e-10
+# standard errors, and fails after _MAX_STEPS steps.
+_DECREMENT_TOL = 1e-20
+_MAX_STEPS = 100
 
 # The normal CDF is Marsaglia's power series where |z| < _SERIES_Z, 40 terms
 # whose ratios to their predecessors are z^2 times these, and beyond it the
@@ -166,61 +162,38 @@ def _nnls(gram: np.ndarray, rhs: np.ndarray, passive: np.ndarray) -> np.ndarray:
     raise CalibrationError(f"tooth weights did not converge ({3 * n} iterations)")
 
 
-def _fit_box(evaluate, x0, lo, hi) -> np.ndarray:
-    """Levenberg-Marquardt over the box ``lo <= x <= hi``.
+def _maximize(score, lower, upper, x0, failure: Exception):
+    """Maximize a log likelihood over x in [lower, upper] by Fisher scoring
+    (Osborne 1992): Newton's method with the expected information.
 
-    Minimises half the squared residuals that ``evaluate(x, last)`` gives
-    as ``.residuals``, with their Jacobian from ``.jacobian()``; ``last`` is
-    the evaluation at the current point, from which the next may start.
-    Each step holds every parameter at a bound that its gradient points
-    past, solves Marquardt's damped Gauss-Newton system for the others and
-    projects the step onto the box. A step that lowers the cost is taken,
-    and the damping follows the ratio of that fall to the predicted one
-    (Nielsen's rule); after a step that does not, it grows. A step shorter
-    than ``_FIT_TOL * (_FIT_TOL + |x|)`` is taken untried and ends the fit,
-    as does a start where no free entry of the gradient reaches
-    ``_FIT_TOL``.
+    ``score(x)`` gives ``(loglik, gradient, information)`` at ``x``. A
+    parameter at a bound that its gradient points past is held there; the
+    others take the step, clipped to the bounds and halved while the log
+    likelihood falls by more than rounding. It returns, untried, the first
+    step whose Newton decrement, its squared length in standard errors, is
+    below ``_DECREMENT_TOL``. A Poisson-weighted least squares is one such
+    likelihood, with half its squared residuals ``r`` the negative log
+    likelihood, ``-J.T @ r`` the gradient and ``J.T @ J`` the information of
+    their Jacobian ``J`` (Gauss-Newton).
 
     Raises:
-        CalibrationError: ``_FIT_MAX_EVALUATIONS`` evaluations did not stop it.
+        failure: ``_MAX_STEPS`` steps left the decrement above tolerance.
     """
-    x = np.clip(np.asarray(x0, dtype=float), lo, hi)
-    trial = evaluate(x, None)
-    cost = 0.5 * float(trial.residuals @ trial.residuals)
-    evaluations, damping, scale = 1, 1e-3, np.zeros_like(x)
-    while True:
-        jac = trial.jacobian()
-        gradient = jac.T @ trial.residuals
-        free = ~(((x <= lo) & (gradient > 0)) | ((x >= hi) & (gradient < 0)))
-        if np.abs(gradient[free]).max(initial=0.0) < _FIT_TOL:
-            return x
-        hessian = jac.T @ jac
-        # Marquardt's scaling: each parameter's largest curvature so far.
-        scale = np.maximum(scale, np.diag(hessian))
-        system = hessian[np.ix_(free, free)]
-        damped = np.diag(np.where(scale > 0, scale, 1.0)[free])
-        growth = 2.0
-        while True:
-            step = np.zeros_like(x)
-            step[free] = np.linalg.solve(system + damping * damped, -gradient[free])
-            new_x = np.clip(x + step, lo, hi)
-            step = new_x - x
-            # The cost may not resolve the fall of a step this short.
-            if np.linalg.norm(step) < _FIT_TOL * (_FIT_TOL + np.linalg.norm(x)):
-                return new_x
-            if evaluations >= _FIT_MAX_EVALUATIONS:
-                raise CalibrationError(f"comb fit did not converge ({evaluations} evaluations)")
-            new = evaluate(new_x, trial)
-            evaluations += 1
-            new_cost = 0.5 * float(new.residuals @ new.residuals)
-            if new_cost < cost:
-                predicted = -(gradient @ step + 0.5 * step @ hessian @ step)
-                ratio = (cost - new_cost) / predicted if predicted > 0 else 0.0
-                damping *= max(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3)
-                x, trial, cost = new_x, new, new_cost
+    theta = np.clip(x0, lower, upper)
+    loglik, grad, info = score(theta)
+    for _ in range(_MAX_STEPS):
+        free = ~(((theta <= lower) & (grad <= 0)) | ((theta >= upper) & (grad >= 0)))
+        step = np.zeros_like(theta)
+        step[free] = np.linalg.solve(info[np.ix_(free, free)], grad[free])
+        if grad @ step <= _DECREMENT_TOL:
+            return np.clip(theta + step, lower, upper)
+        for halvings in range(20):
+            trial = np.clip(theta + step / 2**halvings, lower, upper)
+            result = score(trial)
+            if result[0] >= loglik - 1e-12 * abs(loglik):
                 break
-            damping *= growth
-            growth *= 2.0
+        theta, (loglik, grad, info) = trial, result
+    raise failure
 
 
 @dataclass(frozen=True)
@@ -502,14 +475,6 @@ class _Spectrum:
         """Share of each tooth's events in each bin under one trial comb."""
         return np.diff(_ndtr(self.standard(comb, teeth)), axis=0)
 
-    def residuals(self, comb, teeth) -> np.ndarray:
-        """Poisson-weighted residuals of the best tooth weights under ``comb``."""
-        return _CombSolve(self, comb, teeth).residuals
-
-    def jacobian(self, comb, teeth) -> np.ndarray:
-        """Kaufman's variable-projection Jacobian of :meth:`residuals`."""
-        return _CombSolve(self, comb, teeth).jacobian()
-
 
 class _Weighing:
     """The nonnegative least-squares weights of a histogram's tooth
@@ -571,26 +536,29 @@ def fit_run(traces, bin_width_mv: float = DEFAULT_BIN_WIDTH_MV,
     comb. A trace's expected bins are linear in its tooth weights, so the
     run's pooled histogram, its traces' counts summed on one grid, is the
     same comb with summed weights: one Poisson-weighted least squares over
-    the pooled bins (:func:`_fit_box`) fits it and numbers the teeth, with
-    Kaufman's variable-projection Jacobian (:meth:`_CombSolve.jacobian`) in
-    closed form, so a step solves one set of tooth weights for the whole run
-    (:func:`_nnls`). A run of one trace pools to its own histogram. Every
-    probe's components sit on that comb: a trace's tooth weights, over the
-    teeth centred within its data, solve its own nonnegative least squares,
-    last with the model's bin variances, and a trace whose peaks leave the
-    comb fails its goodness gate rather than moving the comb. The zero tooth
-    is the lowest to which some probe gives ``WEIGHT_FLOOR_EVENTS`` events
-    and beside which no probe holds more one-count events than Poisson light
-    allows (:func:`_admits_zero`): a tooth fitted to the tail of a zero
-    peak, or to stray events below it, is not the zero. A probe's components
-    run from it, empty or not, to its highest tooth holding
-    ``WEIGHT_FLOOR_EVENTS``, and the count classes fold once, when binned.
-    Only teeth past a given ``max_peaks`` fold into the last component;
-    ``calibrate`` passes the run's ``reconstruction.n_outcomes``. A run of
-    no traces, or of traces too sparse to fit, only checks the settings and
-    gives no fits. It keeps of each trace only its histogram
-    (:func:`_histogram`, which ``calibrate`` takes on the thread that read
-    the trace) and fits the comb to those (:func:`_fit_comb`).
+    the pooled bins fits it and numbers the teeth. It is solved as a
+    likelihood by the bounded Fisher scoring that fits (eta, gamma)
+    (:func:`_maximize`), here Gauss-Newton, until a step is shorter than
+    1e-10 standard errors, with Kaufman's variable-projection Jacobian
+    (:meth:`_CombSolve.jacobian`) in closed form, so an evaluation solves
+    one set of tooth weights for the whole run (:func:`_nnls`). A run of one
+    trace pools to its own histogram. Every probe's components sit on that
+    comb: a trace's tooth weights, over the teeth centred within its data,
+    solve its own nonnegative least squares, last with the model's bin
+    variances, and a trace whose peaks leave the comb fails its goodness
+    gate rather than moving the comb. The zero tooth is the lowest to which
+    some probe gives ``WEIGHT_FLOOR_EVENTS`` events and beside which no
+    probe holds more one-count events than Poisson light allows
+    (:func:`_admits_zero`): a tooth fitted to the tail of a zero peak, or to
+    stray events below it, is not the zero. A probe's components run from
+    it, empty or not, to its highest tooth holding ``WEIGHT_FLOOR_EVENTS``,
+    and the count classes fold once, when binned. Only teeth past a given
+    ``max_peaks`` fold into the last component; ``calibrate`` passes the
+    run's ``reconstruction.n_outcomes``. A run of no traces, or of traces
+    too sparse to fit, only checks the settings and gives no fits. It keeps
+    of each trace only its histogram (:func:`_histogram`, which
+    ``calibrate`` takes on the thread that read the trace) and fits the comb
+    to those (:func:`_fit_comb`).
 
     Returns:
         ``(fits, failures)`` by probe id. A probe fails with a
@@ -602,7 +570,7 @@ def fit_run(traces, bin_width_mv: float = DEFAULT_BIN_WIDTH_MV,
     Raises:
         CalibrationError: No trace with enough events shows two prominent
             peaks, so the run has no photon-number scale, or the run's
-            comb fit did not converge.
+            comb fit did not converge in ``_MAX_STEPS`` steps.
     """
     _check_number("bin_width_mv", bin_width_mv, "(0, inf)")
     return _fit_comb(((t.probe_id, _histogram(t, bin_width_mv)) for t in traces), max_peaks)
@@ -653,10 +621,18 @@ def _fit_comb(histograms, max_peaks: int | None = None) -> tuple[dict, dict]:
     hi = [base + spacing / 2.0, 1.5 * spacing, spacing, spacing / 2.0]
     pool = _Spectrum.pooled(list(spectra.values()))
     pool_teeth = pool.teeth(base, spacing)
-    # Each evaluation starts its tooth weights from the last one's.
-    x = _fit_box(lambda comb, last: _CombSolve(pool, comb, pool_teeth,
-                                               None if last is None else last.weights > 0),
-                 x0, lo, hi)
+    support = None
+
+    def score(comb):
+        # Each evaluation starts its tooth weights from the last one's.
+        nonlocal support
+        solve = _CombSolve(pool, comb, pool_teeth, support)
+        support = solve.weights > 0
+        jac, resid = solve.jacobian(), solve.residuals
+        return -0.5 * float(resid @ resid), -(jac.T @ resid), jac.T @ jac
+
+    x = _maximize(score, lo, hi, x0,
+                  CalibrationError(f"comb fit did not converge ({_MAX_STEPS} steps)"))
     comb = base, spacing, sigma0, sigma_slope = tuple(map(float, x))
 
     # Every trace's edges and teeth are some of the pool's edges and of

@@ -7,7 +7,9 @@ gamma) (the linear-detector model). Each probe's outcome probabilities
 follow in closed form, with the last outcome cumulative.
 
 Both estimators maximize one pooled likelihood over all probes, in eta
-alone or in (eta, gamma), by Fisher scoring within the parameter bounds.
+alone or in (eta, gamma), by the bounded Fisher scoring that also fits the
+calibration comb (``calibration._maximize``), until a step is shorter than
+1e-10 standard errors; a fit that does not get there in 100 steps raises.
 Standard errors come from the same Fisher information at the optimum, so
 they need the raw event counts of the table.
 """
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calibration import CountTable
+from .calibration import _MAX_STEPS, CountTable, _maximize
 from .errors import EstimationError
 from .photon_stats import ProbeEnsemble, _poisson_log_probs
 
@@ -32,8 +34,6 @@ _Z_ONE_SIDED_95 = 1.6448536269514722
 # Smallest Poisson mean the fit evaluates: the search may touch
 # eta = gamma = 0, where log(lam) and the score diverge.
 _LAM_MIN = 1e-12
-# Fisher scoring stops after a step shorter than 1e-10 standard errors.
-_DECREMENT_TOL = 1e-20
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,32 +82,6 @@ def _score(cols: np.ndarray, design: np.ndarray, theta: np.ndarray):
     return _weighted_loglik(cols, log_probs), design.T @ (cols * scores).sum(axis=0), info
 
 
-def _maximize(cols: np.ndarray, design: np.ndarray, lower, upper, x0):
-    """Maximize :func:`_score`'s log likelihood over theta in [lower, upper]
-    by Fisher scoring (Osborne 1992): Newton's method with the expected
-    information. A parameter at a bound that its gradient points past is
-    held there; the others take the step, clipped to the bounds and halved
-    while the log likelihood falls by more than rounding, until a step's
-    Newton decrement, its squared length in standard errors, is below
-    ``_DECREMENT_TOL``. Returns ``(theta, loglik, info)``."""
-    theta = np.clip(x0, lower, upper)
-    loglik, grad, info = _score(cols, design, theta)
-    for _ in range(100):
-        free = ~(((theta <= lower) & (grad <= 0)) | ((theta >= upper) & (grad >= 0)))
-        step = np.zeros_like(theta)
-        step[free] = np.linalg.solve(info[np.ix_(free, free)], grad[free])
-        decrement = grad @ step
-        for halvings in range(20):
-            trial = np.clip(theta + step / 2**halvings, lower, upper)
-            result = _score(cols, design, trial)
-            if result[0] >= loglik - 1e-12 * abs(loglik):
-                break
-        theta, (loglik, grad, info) = trial, result
-        if decrement <= _DECREMENT_TOL:
-            break
-    return theta, loglik, info
-
-
 def _fit(counts: CountTable, ensemble: ProbeEnsemble, joint: bool) -> EfficiencyEstimate:
     """Pooled fit of eta, and of gamma when ``joint``, over the usable probes."""
     probes = ensemble.subset(counts.probe_ids)
@@ -142,17 +116,21 @@ def _fit(counts: CountTable, ensemble: ProbeEnsemble, joint: bool) -> Efficiency
     # probe with every event in the top class has none and keeps NaN.
     lam_j = np.full(n_used, np.nan)
     finite = cols[:-1].any(axis=0)
+    own, identity = cols[:, finite], np.eye(finite.sum())
     lam_j[finite] = _maximize(
-        cols[:, finite], np.eye(finite.sum()), _LAM_MIN, np.inf,
-        np.arange(n_outcomes) @ cols[:, finite] / cols[:, finite].sum(axis=0),
-    )[0]
+        lambda lam: _score(own, identity, lam), _LAM_MIN, np.inf,
+        np.arange(n_outcomes) @ own / own.sum(axis=0),
+        EstimationError(f"the per-probe fits did not converge ({_MAX_STEPS} steps)"),
+    )
     # The pooled fit starts from the ratio of the finite means to their mu,
     # at gamma = 0, or at eta = 1 when no lit probe has a finite mean.
     design = np.column_stack([mus, np.ones(n_used)]) if joint else mus[:, None]
     upper = np.array([1.0, np.inf])[: design.shape[1]]
     lit = mus[finite].sum()
     x0 = np.array([lam_j[finite].sum() / lit if lit > 0 else 1.0, 0.0])[: design.shape[1]]
-    theta, loglik, info = _maximize(cols, design, 0.0, upper, x0)
+    theta = _maximize(lambda theta: _score(cols, design, theta), 0.0, upper, x0,
+                      EstimationError(f"the pooled fit did not converge ({_MAX_STEPS} steps)"))
+    loglik, _, info = _score(cols, design, theta)
     eta_hat = float(theta[0])
     gamma_hat = float(theta[1]) if joint else 0.0
 

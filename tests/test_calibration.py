@@ -11,7 +11,7 @@ from scipy import optimize, signal, special
 
 import tespovm as tp
 from tespovm import calibration
-from tespovm.calibration import _fit_box, _ndtr, _nnls, _peak_search, _Spectrum
+from tespovm.calibration import _CombSolve, _maximize, _ndtr, _nnls, _peak_search, _Spectrum
 
 # Density minimum between Gaussians of weight 9:1 at 0 and 13 mV, both
 # sigma 2 (root of the mixture-density derivative, scipy brentq).
@@ -407,9 +407,9 @@ def test_comb_jacobian_is_exact_on_noise_free_bins():
     # Counts set to the model's own bins: the residuals vanish at this comb,
     # and with them the one term Kaufman's Jacobian leaves out.
     spectrum.counts = spectrum.mass(comb, teeth) @ (1000.0 * np.exp(-0.3 * teeth) + 50.0)
-    jac = spectrum.jacobian(comb, teeth)
-    expected = _central_difference(lambda c: spectrum.residuals(c, teeth), comb)
-    assert np.abs(spectrum.residuals(comb, teeth)).max() < 1e-9
+    jac = _CombSolve(spectrum, comb, teeth).jacobian()
+    expected = _central_difference(lambda c: _CombSolve(spectrum, c, teeth).residuals, comb)
+    assert np.abs(_CombSolve(spectrum, comb, teeth).residuals).max() < 1e-9
     np.testing.assert_allclose(jac, expected, rtol=1e-6, atol=1e-6 * np.abs(expected).max())
 
 
@@ -421,11 +421,14 @@ def test_comb_jacobian_gives_the_exact_gradient(offset):
     spectrum, comb = _comb_spectrum()
     comb = comb + offset
     teeth = spectrum.teeth(0.0, 13.0)
-    resid = spectrum.residuals(comb, teeth)
-    gradient = spectrum.jacobian(comb, teeth).T @ resid
-    expected = _central_difference(
-        lambda c: 0.5 * float(spectrum.residuals(c, teeth) @ spectrum.residuals(c, teeth)), comb)
-    np.testing.assert_allclose(gradient, expected, rtol=1e-6)
+    solve = _CombSolve(spectrum, comb, teeth)
+    gradient = solve.jacobian().T @ solve.residuals
+
+    def cost(c):
+        resid = _CombSolve(spectrum, c, teeth).residuals
+        return 0.5 * float(resid @ resid)
+
+    np.testing.assert_allclose(gradient, _central_difference(cost, comb), rtol=1e-6)
 
 
 def test_ndtr_matches_scipy():
@@ -464,34 +467,55 @@ def test_nnls_matches_scipy_from_any_start(n, extra_rows, seed, empty_column):
         assert gradient[x == 0].max(initial=0.0) <= scale
 
 
-def test_fit_box_agrees_with_least_squares(monkeypatch):
-    # The run comb fit of the default design's seed-1 pool, and scipy's
-    # trust-region fit from the same start, within each other's stops.
-    calls = []
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_comb_fit_agrees_with_least_squares(monkeypatch, seed):
+    # The run comb fit of the default design's pool, and scipy's dogbox fit
+    # from the same start at scipy's tightest stops (its trust-region fit
+    # stops up to 2e-6 relative short on the baseline at seed 3).
+    fits, pools = [], []
 
-    def recorded(evaluate, x0, lo, hi):
-        calls.append((evaluate, x0, lo, hi, _fit_box(evaluate, x0, lo, hi)))
-        return calls[-1][-1]
+    def recorded(score, lo, hi, x0, failure):
+        fits.append((lo, hi, x0, _maximize(score, lo, hi, x0, failure)))
+        return fits[-1][-1]
 
-    monkeypatch.setattr(calibration, "_fit_box", recorded)
+    class Recorded(_CombSolve):
+        def __init__(self, spectrum, comb, teeth, passive=None):
+            pools.append((spectrum, teeth))
+            super().__init__(spectrum, comb, teeth, passive)
+
+    monkeypatch.setattr(calibration, "_maximize", recorded)
+    monkeypatch.setattr(calibration, "_CombSolve", Recorded)
     traces = tp.simulate_ensemble(tp.DetectorPhysicalConfig(eta=0.051),
-                                  tp.geometric_ensemble(), seed=1, jobs=2)
+                                  tp.geometric_ensemble(), seed=seed, jobs=2)
     tp.fit_run(traces, max_peaks=12)
-    (evaluate, x0, lo, hi, x), = calls
+    (lo, hi, x0, x), = fits
+    pool, teeth = pools[0]
     expected = optimize.least_squares(
-        lambda comb: evaluate(comb, None).residuals, np.clip(x0, lo, hi),
-        lambda comb: evaluate(comb, None).jacobian(), bounds=(lo, hi))
+        lambda comb: _CombSolve(pool, comb, teeth).residuals, np.clip(x0, lo, hi),
+        lambda comb: _CombSolve(pool, comb, teeth).jacobian(), bounds=(lo, hi),
+        method="dogbox", xtol=1e-15, ftol=1e-15, gtol=1e-15)
     assert expected.status > 0
-    np.testing.assert_allclose(x[:3], expected.x[:3], rtol=1e-7)
-    # sigma_slope sits on its zero bound.
-    assert x[3] == 0.0 and abs(expected.x[3]) <= 1e-9
-    # What is left of the gradient, once the parameter held on its bound is
-    # dropped, is within 1e-8 standard errors of the optimum.
-    at = evaluate(x, None)
-    jac = at.jacobian()[:, :3]
+    np.testing.assert_allclose(x, expected.x, rtol=1e-7)
+    # The fit stops on the Newton decrement: what is left of the gradient,
+    # once each parameter held on a bound is dropped, is within 1e-10
+    # standard errors of the optimum.
+    at = _CombSolve(pool, x, teeth)
+    jac = at.jacobian()
     gradient = jac.T @ at.residuals
-    assert gradient @ np.linalg.solve(jac.T @ jac, gradient) <= 1e-16
-    assert (at.jacobian().T @ at.residuals)[3] > 0
+    free = ~(((x <= lo) & (gradient > 0)) | ((x >= hi) & (gradient < 0)))
+    jac, gradient = jac[:, free], gradient[free]
+    assert gradient @ np.linalg.solve(jac.T @ jac, gradient) <= 1e-20
+
+
+def test_comb_fit_raises_at_the_step_cap(monkeypatch):
+    # A Jacobian 1000 times too steep takes steps 1000 times too short, so
+    # the Newton decrement, which does not scale with it, barely falls.
+    jacobian = _CombSolve.jacobian
+    monkeypatch.setattr(_CombSolve, "jacobian", lambda self: 1e3 * jacobian(self))
+    traces = tp.simulate_ensemble(tp.DetectorPhysicalConfig(eta=0.3),
+                                  tp.geometric_ensemble(n_probes=2, n_pulses=2_000), seed=1)
+    with pytest.raises(tp.CalibrationError, match=r"comb fit did not converge \(100 steps\)"):
+        tp.fit_run(traces)
 
 
 def test_fit_peaks_rejects_tiny_traces():

@@ -21,7 +21,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import tespovm as tp
-from tespovm import calibration, files
+from tespovm import calibration, estimation, files
 from tespovm.cli import main
 from tespovm.tomography import TOL
 
@@ -128,13 +128,13 @@ def test_calibrate_counts_are_tooth_weights_of_one_comb_fit(pipeline, tmp_path, 
     # classes are its tooth weights on that comb, folded once, at the
     # run's n_outcomes.
     fits_done = []
-    fit_box = calibration._fit_box
+    maximize = calibration._maximize
 
     def counted(*args, **kwargs):
         fits_done.append(1)
-        return fit_box(*args, **kwargs)
+        return maximize(*args, **kwargs)
 
-    monkeypatch.setattr(calibration, "_fit_box", counted)
+    monkeypatch.setattr(calibration, "_maximize", counted)
     sim = pipeline["sim"]
     assert main(["calibrate", "--traces", str(sim), "--out", str(tmp_path / "cal")]) == 0
     assert len(fits_done) == 1
@@ -262,6 +262,23 @@ def test_calibrate_run_without_a_scale_exits_3(tmp_path, capsys, skip):
     assert main(["calibrate", "--traces", str(sim), "--out", str(cal), *skip]) == 3
     assert "no photon-number scale" in capsys.readouterr().err
     assert not (cal / "counts.json").exists()
+
+
+@pytest.mark.parametrize("stage", ["calibrate", "estimate"])
+def test_fit_at_its_step_cap_exits_3(pipeline, tmp_path, capsys, monkeypatch, stage):
+    # Steps far too short to converge, as in the library's step-cap tests:
+    # the comb fit and the (eta, gamma) fit each raise at their step cap.
+    jacobian, score = calibration._CombSolve.jacobian, estimation._score
+
+    def flat(cols, design, theta):
+        loglik, grad, info = score(cols, design, theta)
+        return loglik, grad, 1e6 * info
+
+    monkeypatch.setattr(calibration._CombSolve, "jacobian", lambda self: 1e3 * jacobian(self))
+    monkeypatch.setattr(estimation, "_score", flat)
+    assert main(_stage_argv(stage, pipeline["sim"].parent, tmp_path / "out")) == 3
+    assert "did not converge (100 steps)" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("stage", ["estimate", "reconstruct"])

@@ -238,6 +238,28 @@ def test_all_events_in_the_top_class_raise():
             estimate(table, ens)
 
 
+@pytest.mark.parametrize("estimate", [tp.estimate_eta, tp.estimate_eta_gamma])
+def test_fit_raises_at_the_step_cap(monkeypatch, estimate):
+    """An information a million times too large takes steps a million times
+    too short, so the Newton decrement barely falls: the fit raises at its
+    step cap rather than report where it stopped."""
+    score = estimation._score
+
+    def flat(cols, design, theta):
+        loglik, grad, info = score(cols, design, theta)
+        return loglik, grad, 1e6 * info
+
+    monkeypatch.setattr(estimation, "_score", flat)
+    ens = tp.geometric_ensemble(n_probes=4)
+    rng = np.random.default_rng(1)
+    counts = np.column_stack([
+        rng.multinomial(10_000, tp.linear_prediction(0.051, p.mean_photons, 8, 0.1).probs)
+        for p in ens.probes])
+    table = tp.CountTable.from_counts(counts, probe_ids=ens.ids)
+    with pytest.raises(tp.EstimationError, match=r"did not converge \(100 steps\)"):
+        estimate(table, ens)
+
+
 def test_vacuum_column_in_class_0_still_fits():
     """A dark-free probe of mu 0 puts every event in class 0 by right;
     beside lit probes both estimators still fit."""
