@@ -18,7 +18,7 @@ import functools
 import math
 import warnings
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -405,7 +405,8 @@ class _Spectrum:
         if not hi - lo + 3 <= MAX_BINS:
             raise ValueError(f"bin_width_mv {bin_width:g} cuts amplitudes from {amps.min():g} "
                              f"to {amps.max():g} mV into more than {MAX_BINS} bins")
-        first = math.floor(lo)
+        # One bin lower where lo rounded up onto an integer above the data.
+        first = math.floor(lo) - int(bin_width * math.floor(lo) > amps.min())
         edges = bin_width * (first + np.arange(math.ceil(hi - first) + 2))
         return cls(np.histogram(amps, bins=edges)[0].astype(float), first, bin_width)
 
@@ -526,8 +527,7 @@ class _CombSolve(_Weighing):
         return grad - design @ np.linalg.solve(self.gram[np.ix_(free, free)], design.T @ grad)
 
 
-def fit_run(traces, bin_width_mv: float = DEFAULT_BIN_WIDTH_MV,
-            max_peaks: int | None = None) -> tuple[dict, dict]:
+def fit_run(traces, bin_width_mv: float = DEFAULT_BIN_WIDTH_MV) -> tuple[dict, dict]:
     """Fit one Gaussian comb to all traces of a run.
 
     One detector puts tooth ``k`` at ``baseline + k * spacing`` with width
@@ -552,13 +552,12 @@ def fit_run(traces, bin_width_mv: float = DEFAULT_BIN_WIDTH_MV,
     (:func:`_admits_zero`): a tooth fitted to the tail of a zero peak, or to
     stray events below it, is not the zero. A probe's components run from
     it, empty or not, to its highest tooth holding ``WEIGHT_FLOOR_EVENTS``,
-    and the count classes fold once, when binned. Only teeth past a given
-    ``max_peaks`` fold into the last component; ``calibrate`` passes the
-    run's ``reconstruction.n_outcomes``. A run of no traces, or of traces
-    too sparse to fit, only checks the settings and gives no fits. It keeps
-    of each trace only its histogram (:func:`_histogram`, which
-    ``calibrate`` takes on the thread that read the trace) and fits the comb
-    to those (:func:`_fit_comb`).
+    unfolded: the count classes fold once, when counted
+    (:func:`counts_by_area`, :func:`bin_counts`). A run of no traces, or of
+    traces too sparse to fit, only checks the settings and gives no fits. It
+    keeps of each trace only its histogram, which holds every one of its
+    events (:func:`_histogram`, which ``calibrate`` takes on the thread that
+    read the trace), and fits the comb to those (:func:`_fit_comb`).
 
     Returns:
         ``(fits, failures)`` by probe id. A probe fails with a
@@ -573,7 +572,7 @@ def fit_run(traces, bin_width_mv: float = DEFAULT_BIN_WIDTH_MV,
             comb fit did not converge in ``_MAX_STEPS`` steps.
     """
     _check_number("bin_width_mv", bin_width_mv, "(0, inf)")
-    return _fit_comb(((t.probe_id, _histogram(t, bin_width_mv)) for t in traces), max_peaks)
+    return _fit_comb((t.probe_id, _histogram(t, bin_width_mv)) for t in traces)
 
 
 def _histogram(trace: AmplitudeTrace, bin_width_mv: float = DEFAULT_BIN_WIDTH_MV):
@@ -584,11 +583,9 @@ def _histogram(trace: AmplitudeTrace, bin_width_mv: float = DEFAULT_BIN_WIDTH_MV
     return _Spectrum.of(np.asarray(trace.amplitudes_mv, float), bin_width_mv)
 
 
-def _fit_comb(histograms, max_peaks: int | None = None) -> tuple[dict, dict]:
+def _fit_comb(histograms) -> tuple[dict, dict]:
     """:func:`fit_run` on ``(probe id, histogram or exception)`` pairs;
     a probe paired with an exception fails with it."""
-    if max_peaks is not None:
-        _check_number("max_peaks", max_peaks, "[1, inf)", integer=True)
     by_id = {}
     for pid, histogram in histograms:
         if pid in by_id:
@@ -674,11 +671,8 @@ def _fit_comb(histograms, max_peaks: int | None = None) -> tuple[dict, dict]:
         if zero is None or kept.size == 0 or kept[-1] < zero:
             failures[pid] = CalibrationError("every comb tooth fell below the weight floor")
             continue
-        weights = w[zero:kept[-1] + 1]
-        if max_peaks is not None and weights.size > max_peaks:
-            weights = np.append(weights[:max_peaks - 1], weights[max_peaks - 1:].sum())
         comps = [GaussianComponent(float(wk), base + k * spacing, sigma0 + k * sigma_slope)
-                 for k, wk in enumerate(weights, start=zero)]
+                 for k, wk in enumerate(w[zero:kept[-1] + 1], start=zero)]
         fits[pid] = GaussianMixtureFit(comps, goodness, spacing)
     return fits, failures
 
@@ -700,8 +694,10 @@ def _admits_zero(weights, n_events: int, zero: int) -> bool:
 
 def fit_peaks(trace: AmplitudeTrace, bin_width_mv: float = DEFAULT_BIN_WIDTH_MV,
               max_peaks: int | None = None) -> GaussianMixtureFit:
-    """:func:`fit_run` on a run of one trace, folding as it does; raises its failure.
+    """:func:`fit_run` on a run of one trace; raises its failure.
 
+    Teeth past a given ``max_peaks`` fold into the last component, which
+    keeps the mean and width of tooth ``max_peaks - 1``; no other fit folds.
     Alone, a trace's comb is fitted to its own histogram; in a run it is
     the run's. Where the trace shows its own zero tooth, the two give
     tooth weights that agree to about an event per class. A bright trace
@@ -711,10 +707,17 @@ def fit_peaks(trace: AmplitudeTrace, bin_width_mv: float = DEFAULT_BIN_WIDTH_MV,
     dark one, has no photon-number scale of its own and raises; in a run
     with a resolved trace it sits on the run's comb.
     """
-    fits, failures = fit_run([trace], bin_width_mv, max_peaks)
+    if max_peaks is not None:
+        _check_number("max_peaks", max_peaks, "[1, inf)", integer=True)
+    fits, failures = fit_run([trace], bin_width_mv)
     if failures:
         raise failures[trace.probe_id]
-    return fits[trace.probe_id]
+    fit = fits[trace.probe_id]
+    if max_peaks is None or fit.n_components <= max_peaks:
+        return fit
+    *kept, top = fit.components[:max_peaks]
+    folded = np.sum([c.weight for c in fit.components[max_peaks - 1:]])
+    return replace(fit, components=(*kept, replace(top, weight=float(folded))))
 
 
 def place_thresholds(fit: GaussianMixtureFit, xatol: float = 1e-3) -> ThresholdSet:

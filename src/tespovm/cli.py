@@ -13,10 +13,11 @@ it and fits the run's comb to the histograms. So each stage holds at most
 ``--jobs`` traces at a time, whatever the number of probes.
 Each stage has one route. ``calibrate`` fits one comb to the run and
 counts each probe's class ``n`` as its tooth-``n`` weight
-(:func:`~tespovm.calibration.counts_by_area`); the run config's
-``reconstruction.n_outcomes`` alone sets the classes. It writes the comb
-once, with each probe's tooth weights and goodness, to ``fits.json``
-(:func:`files.write_fit_report`). ``estimate`` fits
+(:func:`~tespovm.calibration.counts_by_area`), which folds the teeth
+past the last class into it; the run config's
+``reconstruction.n_outcomes`` alone sets the classes. It writes the whole
+comb once, with each probe's unfolded tooth weights and goodness, to
+``fits.json`` (:func:`files.write_fit_report`). ``estimate`` fits
 efficiency and dark rate jointly
 (:func:`~tespovm.estimation.estimate_eta_gamma`), which needs
 usable probes at two or more mean photon numbers (exit 3 otherwise).
@@ -87,21 +88,20 @@ def cmd_calibrate(args) -> int:
                          trace_dir / "ensemble.json": cfg_hash})
     n_outcomes = run.reconstruction.n_outcomes
 
-    # A thread keeps only its trace's histogram and event count, or its failure.
+    # A thread keeps only its trace's histogram, or its failure.
     def histogram(pid):
         try:
             trace = files.read_trace_csv(trace_dir / files.trace_filename(pid), probe_id=pid)
         except SchemaError as exc:
-            return pid, exc, None
-        return pid, _histogram(trace, **run.calibration), trace.n_pulses
+            return pid, exc
+        return pid, _histogram(trace, **run.calibration)
 
     try:
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            histograms = list(pool.map(histogram, sorted(run.ensemble.ids)))
-        fits, failures = _fit_comb([(pid, h) for pid, h, _ in histograms], max_peaks=n_outcomes)
+            histograms = dict(pool.map(histogram, sorted(run.ensemble.ids)))
+        fits, failures = _fit_comb(histograms.items())
     except ValueError as exc:  # a bin width too fine for the traces
         raise SchemaError(f"calibration.{exc}") from exc
-    n_events = {pid: n for pid, _, n in histograms}
     if failures and not args.skip_failed:
         pid = min(failures)
         exc = failures[pid]
@@ -109,12 +109,12 @@ def cmd_calibrate(args) -> int:
     if not fits:
         raise CalibrationError("every probe failed calibration")
 
-    # Class n of a probe holds its comb's tooth-n weight: events in the
-    # overlap of two teeth are shared by the fit, not cut.
+    # Class n holds a probe's tooth-n weight, teeth past the last folded in:
+    # events in the overlap of two teeth are shared by the fit, not cut.
     kept_ids = sorted(fits)
     out = Path(args.out)
     table = CountTable.from_counts(
-        np.column_stack([counts_by_area(fits[pid], n_outcomes, n_events[pid])
+        np.column_stack([counts_by_area(fits[pid], n_outcomes, int(histograms[pid].counts.sum()))
                          for pid in kept_ids]),
         probe_ids=tuple(kept_ids),
     )

@@ -108,8 +108,7 @@ def check_lineage(hashes: dict, force: bool = False):
 class RunConfig:
     """A run config, each section built by the type that uses it;
     ``calibration`` holds the keyword arguments of
-    :func:`~tespovm.calibration.fit_run` but ``max_peaks``, which is
-    ``reconstruction.n_outcomes``."""
+    :func:`~tespovm.calibration.fit_run`."""
 
     detector: DetectorPhysicalConfig
     ensemble: ProbeEnsemble
@@ -132,11 +131,9 @@ def parse_config(config: dict) -> RunConfig:
     number of the right kind (a bool is not one) or out of range raises
     :class:`SchemaError` naming the section and the key. So do other
     top-level keys, ``reconstruction.init_eta``, since ``reconstruct``
-    starts from :func:`~tespovm.estimation.estimate_eta_gamma`,
-    ``calibration.max_peaks``, since ``reconstruction.n_outcomes`` alone
-    sets the count classes, and a probe whose mean count exceeds
-    :data:`~tespovm.tes_sim.MAX_MEAN_COUNT`. A probe's ``id`` defaults to
-    its index.
+    starts from :func:`~tespovm.estimation.estimate_eta_gamma`, and a probe
+    whose mean count exceeds :data:`~tespovm.tes_sim.MAX_MEAN_COUNT`. A
+    probe's ``id`` defaults to its index.
     """
     if not isinstance(config, dict):
         raise SchemaError("config: top level must be an object")
@@ -146,12 +143,10 @@ def parse_config(config: dict) -> RunConfig:
     probes = _require(config, "probes", "config")
     if not isinstance(probes, list) or not probes:
         raise SchemaError("config: 'probes' must be a nonempty list")
-    # Keys a section's type takes but the run sets from elsewhere.
-    for section, key, why in (
-            ("reconstruction", "init_eta", "reconstruct starts from the fitted efficiency"),
-            ("calibration", "max_peaks", "reconstruction.n_outcomes sets the count classes")):
-        if isinstance(config.get(section), dict) and key in config[section]:
-            raise SchemaError(f"config: {section}: {key} is not a config key; {why}")
+    # A key ReconstructionConfig takes but the run sets from the data.
+    if isinstance(config.get("reconstruction"), dict) and "init_eta" in config["reconstruction"]:
+        raise SchemaError("config: reconstruction: init_eta is not a config key; "
+                          "reconstruct starts from the fitted efficiency")
     calibration = config.get("calibration", {})
     _build("calibration", functools.partial(fit_run, ()), calibration)
     run = RunConfig(
@@ -374,10 +369,11 @@ def write_convergence_log(path, result: ReconstructionResult):
 
 
 def write_fit_report(path, fits: dict, cfg_hash: str):
-    """Write the run's comb once, its ``spacing_mv`` and its ``teeth`` from
-    class 0 up, then each probe's ``id``, ``goodness`` and tooth ``weights``
-    in id order. ``fits`` holds the fits of one :func:`fit_run` by
-    probe id, so the teeth of each are a prefix of the longest one's."""
+    """Write the run's comb once, its ``spacing_mv`` and every one of its
+    ``teeth`` from the zero peak up, then each probe's ``id``, ``goodness``
+    and unfolded tooth ``weights`` in id order. ``fits`` holds the fits of
+    one :func:`fit_run` by probe id, so the teeth of each are a prefix of
+    the longest one's."""
     longest = max(fits.values(), key=lambda fit: fit.n_components)
     write_json(path, {
         "config_hash": cfg_hash,

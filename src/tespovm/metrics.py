@@ -155,6 +155,7 @@ def sensitivity_sweep(
     at a time, plus the unperturbed baseline. Each point is reconstructed
     and scored against ``reference``; the envelope is the pointwise
     minimum fidelity, so it can only sit at or below the baseline curve.
+    An ``attenuation_db`` above about 3 082 dB overflows and raises ValueError.
     """
     _check_number("energy_scale", energy_scale, "[0, 1)")
     _check_number("attenuation_db", attenuation_db, "[0, inf)")
@@ -163,12 +164,12 @@ def sensitivity_sweep(
         factors.append((f"energy -{energy_scale:g}", 1.0 - energy_scale))
         factors.append((f"energy +{energy_scale:g}", 1.0 + energy_scale))
     if attenuation_db > 0:
-        factors.append(
-            (f"attenuation +{attenuation_db:g} dB", 10.0 ** (-attenuation_db / 10.0))
-        )
-        factors.append(
-            (f"attenuation -{attenuation_db:g} dB", 10.0 ** (attenuation_db / 10.0))
-        )
+        try:
+            gain = 10.0 ** (attenuation_db / 10.0)
+        except OverflowError:
+            raise ValueError(f"attenuation_db {attenuation_db:g} overflows 10^(dB / 10)") from None
+        factors.append((f"attenuation +{attenuation_db:g} dB", 10.0 ** (-attenuation_db / 10.0)))
+        factors.append((f"attenuation -{attenuation_db:g} dB", gain))
     points = []
     for label, factor in factors:
         scaled = ensemble.with_scaled_means(factor)

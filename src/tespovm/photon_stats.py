@@ -210,8 +210,8 @@ class CountDistribution:
     """A normalized distribution over detector outcomes.
 
     ``truncation_tail`` records any Poisson probe mass beyond the model
-    truncation that was folded back in by renormalization; zero for
-    exact distributions.
+    truncation, which was folded into its last photon-number column; zero
+    for exact distributions.
     """
 
     probs: np.ndarray
@@ -386,16 +386,14 @@ def binomial_povm(
 def predict_distribution(povm: PovmMatrix, mu: float) -> CountDistribution:
     """Outcome distribution of a detector POVM probed with a coherent state.
 
-    Computes ``r_n = sum_m Pi[n, m] q_m(mu)`` over the POVM truncation.
-    Poisson mass beyond the truncation is folded into the last
-    photon-number column, mirroring :func:`probe_q_matrix`, and reported
+    Computes ``r_n = sum_m Pi[n, m] q_m(mu)`` over the POVM truncation, with
+    ``q`` the column of :func:`probe_q_matrix`: Poisson mass beyond the
+    truncation is folded into the last photon-number column and reported
     in ``truncation_tail``.
     """
-    q = poisson_pmf(mu, np.arange(povm.truncation))
-    tail = max(0.0, 1.0 - float(q.sum()))
-    q[-1] += tail
-    probs = np.maximum(povm.entries @ q, 0.0)
-    return CountDistribution(probs, truncation_tail=tail)
+    q, tail = probe_q_matrix(ProbeEnsemble((Probe(id=0, mean_photons=mu),)), povm.truncation)
+    probs = np.maximum(povm.entries @ q[:, 0], 0.0)
+    return CountDistribution(probs, truncation_tail=float(tail[0]))
 
 
 def linear_prediction(

@@ -111,8 +111,8 @@ def test_fit_run_streams_a_generator_as_it_does_a_list():
     ensemble = tp.geometric_ensemble(n_probes=6, n_pulses=20_000)
     traces = tp.simulate_ensemble(detector, ensemble, seed=4)
     traces.append(_trace(traces[0].amplitudes_mv[:50], probe_id=99))
-    listed, listed_failures = tp.fit_run(traces, max_peaks=12)
-    fits, failures = tp.fit_run((t for t in traces), max_peaks=12)
+    listed, listed_failures = tp.fit_run(traces)
+    fits, failures = tp.fit_run(t for t in traces)
     assert sorted(failures) == sorted(listed_failures) == [99]
     assert sorted(fits) == sorted(listed)
     for pid, fit in fits.items():
@@ -215,25 +215,27 @@ def test_fit_run_is_the_same_for_any_trace_order():
             other.spacing_mv, other.components, other.goodness)
 
 
-@pytest.mark.parametrize("max_peaks", [20, None], ids=["max_peaks_20", "default"])
-def test_fit_run_folds_teeth_once_at_max_peaks(max_peaks):
-    # With max_peaks at the 20 count classes, or at the default of no fold,
-    # the teeth fold once, at the last class. When the library default
-    # folded at 16 the brightest probe put 6458 events in class 15 and none
-    # in classes 16-19, and eta_hat read 0.095377, 24 standard errors low.
+@pytest.mark.parametrize("n_outcomes", [20, 24])
+def test_run_fits_fold_once_when_counted(n_outcomes):
+    # A run's fits keep every tooth up to the last that holds the weight
+    # floor, and the teeth fold once, at the last count class. When the
+    # library default folded the fits at 16 the brightest probe put 6458
+    # events in class 15 and none in classes 16-19, and eta_hat read
+    # 0.095377, 24 standard errors low.
     ensemble = tp.geometric_ensemble(n_probes=4, n_pulses=20_000)
     traces = tp.simulate_ensemble(tp.DetectorPhysicalConfig(eta=0.1), ensemble, seed=1)
-    fits, failures = (tp.fit_run(traces) if max_peaks is None
-                      else tp.fit_run(traces, max_peaks=max_peaks))
+    fits, failures = tp.fit_run(traces)
     assert failures == {}
     for trace in traces:
-        if max_peaks is not None:
-            assert fits[trace.probe_id].n_components <= max_peaks
-        assert _area_tv(trace, fits[trace.probe_id], n_outcomes=20) <= 0.01, trace.probe_id
+        assert fits[trace.probe_id].components[-1].weight >= calibration.WEIGHT_FLOOR_EVENTS
+        assert _area_tv(trace, fits[trace.probe_id], n_outcomes) <= 0.01, trace.probe_id
     brightest = traces[-1]
-    assert np.all(tp.bin_counts_by_area(brightest, fits[brightest.probe_id], 20)[16:] > 0)
+    assert fits[brightest.probe_id].n_components > n_outcomes
+    assert np.all(tp.bin_counts_by_area(brightest, fits[brightest.probe_id],
+                                        n_outcomes)[16:] > 0)
     table = tp.CountTable.from_counts(
-        np.column_stack([tp.bin_counts_by_area(t, fits[t.probe_id], 20) for t in traces]),
+        np.column_stack([tp.bin_counts_by_area(t, fits[t.probe_id], n_outcomes)
+                         for t in traces]),
         probe_ids=ensemble.ids,
     )
     est = tp.estimate_eta_gamma(table, ensemble)
@@ -242,20 +244,19 @@ def test_fit_run_folds_teeth_once_at_max_peaks(max_peaks):
 
 def test_fits_of_one_run_share_its_teeth():
     # One comb per run: every probe's teeth are a prefix of the longest
-    # fit's, whatever its brightness, folded or not.
+    # fit's, whatever its brightness.
     ensemble = tp.geometric_ensemble(n_probes=4, n_pulses=20_000)
     traces = tp.simulate_ensemble(tp.DetectorPhysicalConfig(gamma=0.2), ensemble, seed=7)
-    for max_peaks in (None, 12):
-        fits, failures = tp.fit_run(traces, max_peaks=max_peaks)
-        assert failures == {}
-        longest = max(fits.values(), key=lambda fit: fit.n_components)
-        assert len({fit.n_components for fit in fits.values()}) > 1
-        for fit in fits.values():
-            n = fit.n_components
-            assert np.array_equal(fit.means, longest.means[:n])
-            assert [c.sigma_mv for c in fit.components] == [
-                c.sigma_mv for c in longest.components[:n]]
-            assert fit.spacing_mv == longest.spacing_mv
+    fits, failures = tp.fit_run(traces)
+    assert failures == {}
+    longest = max(fits.values(), key=lambda fit: fit.n_components)
+    assert len({fit.n_components for fit in fits.values()}) > 1
+    for fit in fits.values():
+        n = fit.n_components
+        assert np.array_equal(fit.means, longest.means[:n])
+        assert [c.sigma_mv for c in fit.components] == [
+            c.sigma_mv for c in longest.components[:n]]
+        assert fit.spacing_mv == longest.spacing_mv
 
 
 def test_fit_run_trace_off_the_comb_fails_its_goodness_gate():
@@ -375,6 +376,18 @@ def test_spectra_refuse_more_than_max_bins():
         _Spectrum.pooled(apart)
 
 
+@pytest.mark.parametrize("bin_width", [0.1, 0.2, 0.3, 1.1, 1.3, 2.6])
+def test_histogram_keeps_every_amplitude_on_a_quantised_grid(bin_width):
+    # Amplitudes on an ADC's 0.1 mV steps: where lowest / bin_width rounds
+    # up onto an integer, that integer's edge lies above the lowest
+    # amplitude, and the grid must start one bin lower to hold it.
+    for k in range(-100, 400):
+        trace = _trace(np.arange(k, k + 200) / 10.0)
+        histogram = calibration._histogram(trace, bin_width)
+        assert histogram.edges[0] <= trace.amplitudes_mv.min(), k
+        assert histogram.counts.sum() == trace.n_pulses, k
+
+
 @given(hnp.arrays(np.int64, st.integers(1, 40), elements=st.integers(0, 5)))
 @example(np.array([0, 3, 3, 3, 0, 3, 3, 1, 3, 3, 0]))
 def test_peak_search_is_scipy_bit_for_bit(steps):
@@ -487,7 +500,7 @@ def test_comb_fit_agrees_with_least_squares(monkeypatch, seed):
     monkeypatch.setattr(calibration, "_CombSolve", Recorded)
     traces = tp.simulate_ensemble(tp.DetectorPhysicalConfig(eta=0.051),
                                   tp.geometric_ensemble(), seed=seed, jobs=2)
-    tp.fit_run(traces, max_peaks=12)
+    tp.fit_run(traces)
     (lo, hi, x0, x), = fits
     pool, teeth = pools[0]
     expected = optimize.least_squares(
@@ -531,8 +544,14 @@ def test_fit_peaks_input_validation():
         tp.fit_peaks(trace, max_peaks=0)
     with pytest.raises(TypeError, match="max_peaks must be an integer, got 2.5"):
         tp.fit_peaks(trace, max_peaks=2.5)
-    # A run of no traces only checks the settings.
-    assert tp.fit_run((), bin_width_mv=2.0, max_peaks=3) == ({}, {})
+    # The one fold's setting is refused before a fit.
+    for bad in (np.nan, np.inf, -np.inf, True, "1"):
+        with pytest.raises((TypeError, ValueError), match=r"^max_peaks must "):
+            tp.fit_peaks(trace, max_peaks=bad)
+    # A run of no traces only checks the settings; its fits are unfolded.
+    assert tp.fit_run((), bin_width_mv=2.0) == ({}, {})
+    with pytest.raises(TypeError, match="'max_peaks'"):
+        tp.fit_run((), bin_width_mv=2.0, max_peaks=3)
 
 
 def test_place_thresholds_finds_density_valley():

@@ -125,8 +125,8 @@ def test_pipeline_fit_reports(pipeline):
 
 def test_calibrate_counts_are_tooth_weights_of_one_comb_fit(pipeline, tmp_path, monkeypatch):
     # The run's comb is the one nonlinear fit, and each probe's count
-    # classes are its tooth weights on that comb, folded once, at the
-    # run's n_outcomes.
+    # classes are its tooth weights on that comb, folded once, when
+    # counted at the run's n_outcomes.
     fits_done = []
     maximize = calibration._maximize
 
@@ -142,7 +142,7 @@ def test_calibrate_counts_are_tooth_weights_of_one_comb_fit(pipeline, tmp_path, 
     traces = [files.read_trace_csv(sim / files.trace_filename(pid), probe_id=pid)
               for pid in run.ensemble.ids]
     n_outcomes = run.reconstruction.n_outcomes
-    fits, failures = tp.fit_run(traces, **run.calibration, max_peaks=n_outcomes)
+    fits, failures = tp.fit_run(traces, **run.calibration)
     assert failures == {} and len(fits_done) == 2
     expected = np.column_stack([
         tp.bin_counts_by_area(t, fits[t.probe_id], n_outcomes) for t in traces
@@ -152,7 +152,9 @@ def test_calibrate_counts_are_tooth_weights_of_one_comb_fit(pipeline, tmp_path, 
         assert table.probe_ids == run.ensemble.ids
         assert np.array_equal(table.counts, expected)
         record = json.loads((cal / "fits.json").read_text())
-        assert len(record["teeth"]) <= n_outcomes
+        # Unfolded: each probe's weights end at its last tooth over the floor.
+        assert all(probe["weights"][-1] >= calibration.WEIGHT_FLOOR_EVENTS
+                   for probe in record["probes"])
         longest = max(fits.values(), key=lambda fit: fit.n_components)
         assert record["teeth"] == [{"mean_mv": c.mean_mv, "sigma_mv": c.sigma_mv}
                                    for c in longest.components]
@@ -160,6 +162,26 @@ def test_calibrate_counts_are_tooth_weights_of_one_comb_fit(pipeline, tmp_path, 
             {"id": pid, "goodness": fits[pid].goodness,
              "weights": [c.weight for c in fits[pid].components]}
             for pid in run.ensemble.ids]
+
+
+def test_fits_json_records_the_whole_comb(tmp_path):
+    # fits.json keeps the teeth past the last count class, unfolded, and
+    # counts.json is their fold: each column is counts_by_area of the
+    # recorded weights.
+    sim = _simulate_default(tmp_path, lambda config: None)
+    cal = tmp_path / "cal"
+    assert main(["calibrate", "--traces", str(sim), "--out", str(cal), "--jobs", "2"]) == 0
+    table, _ = files.read_count_table(cal / "counts.json")
+    record = json.loads((cal / "fits.json").read_text())
+    assert len(record["teeth"]) > table.n_outcomes == 12
+    assert [probe["id"] for probe in record["probes"]] == list(table.probe_ids)
+    for probe, column in zip(record["probes"], table.counts.T):
+        fit = tp.GaussianMixtureFit(
+            [tp.GaussianComponent(w, tooth["mean_mv"], tooth["sigma_mv"])
+             for w, tooth in zip(probe["weights"], record["teeth"])],
+            probe["goodness"], record["spacing_mv"])
+        assert np.array_equal(calibration.counts_by_area(fit, table.n_outcomes, int(column.sum())),
+                              column), probe["id"]
 
 
 def _simulate_default(tmp_path, edit_config, seed=3):
@@ -410,6 +432,7 @@ _MISSING = object()  # an estimate.json edit that deletes the key
     (["--energy-scale", "-0.03"], {}, r"--energy-scale must lie in \[0, 1\), got -0\.03"),
     (["--attenuation-db", "inf"], {}, r"--attenuation-db must lie in \[0, inf\), got inf"),
     (["--attenuation-db", "-0.1"], {}, r"--attenuation-db must lie in \[0, inf\), got -0\.1"),
+    (["--attenuation-db", "4000"], {}, r"attenuation_db 4000 overflows 10\^\(dB / 10\)"),
     (["--split", "-5"], {}, r"--split must lie in \[0, inf\), got -5"),
     ([], {"eta_hat": True}, r"estimate\.json: eta_hat must be a real number, got True"),
     ([], {"eta_hat": "0.05"}, r"estimate\.json: eta_hat must be a real number, got '0\.05'"),
@@ -418,8 +441,8 @@ _MISSING = object()  # an estimate.json edit that deletes the key
     ([], {"gamma_hat": None}, r"estimate\.json: gamma_hat must be a real number, got None"),
     ([], {"gamma_hat": _MISSING}, r"estimate\.json: missing field 'gamma_hat'"),
 ], ids=["energy-scale_nan", "energy-scale_-0.03", "attenuation-db_inf", "attenuation-db_-0.1",
-        "split_-5", "eta_hat_true", "eta_hat_string", "eta_hat_NaN", "gamma_hat_-0.1",
-        "gamma_hat_null", "gamma_hat_missing"])
+        "attenuation-db_4000", "split_-5", "eta_hat_true", "eta_hat_string", "eta_hat_NaN",
+        "gamma_hat_-0.1", "gamma_hat_null", "gamma_hat_missing"])
 def test_validate_refuses_a_bad_flag_or_estimate(pipeline, tmp_path, capsys, flags, estimate,
                                                  named):
     # Each is refused where it enters, naming the flag or the file, before
@@ -527,11 +550,9 @@ def test_bad_config_exits_2(tmp_path, capsys):
     (("probes", 0, "n_pulses"), 3000.5, r"config: probes\[0\]: n_pulses must be an integer"),
     (("reconstruction", "truncation"), -1,
      r"config: reconstruction: truncation must lie in \[1, inf\), got -1"),
-    (("calibration", "max_peaks"), 10.5,
-     r"config: calibration: max_peaks is not a config key; reconstruction\.n_outcomes sets"),
-    # A value the key once took is refused too: the key itself is gone.
-    (("calibration", "max_peaks"), 12,
-     r"config: calibration: max_peaks is not a config key; reconstruction\.n_outcomes sets"),
+    (("calibration", "max_peaks"), 10.5, r"config: calibration: .*'max_peaks'"),
+    # A value the key once took is refused too: fit_run takes no fold.
+    (("calibration", "max_peaks"), 12, r"config: calibration: .*'max_peaks'"),
     # JSON's NaN and Infinity are numbers but not finite; true, "0" and null are not numbers.
     (("detector", "baseline_mv"), float("nan"),
      r"config: detector: baseline_mv must lie in \(-inf, inf\), got nan"),

@@ -1,6 +1,7 @@
 """Tests for fidelity curves, model comparison and the sensitivity sweep."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -155,3 +156,8 @@ def test_sensitivity_sweep_validation():
         tp.sensitivity_sweep(table, ens, cfg, truth, energy_scale=-0.1)
     with pytest.raises(ValueError):
         tp.sensitivity_sweep(table, ens, cfg, truth, attenuation_db=-1.0)
+    # The gain 10^(dB / 10) overflows past about 3 082 dB.
+    for attenuation_db in (3083.0, 4000.0, 1e308):
+        named = re.escape(f"attenuation_db {attenuation_db:g} overflows")
+        with pytest.raises(ValueError, match=named):
+            tp.sensitivity_sweep(table, ens, cfg, truth, attenuation_db=attenuation_db)
