@@ -72,44 +72,19 @@ _REFINE_POINTS = 17  # points of each nested grid that narrows a threshold's bra
 _DECREMENT_TOL = 1e-20
 _MAX_STEPS = 100
 
-# The normal CDF is Marsaglia's power series where |z| < _SERIES_Z, 40 terms
-# whose ratios to their predecessors are z^2 times these, and beyond it the
-# even part of Laplace's continued fraction for the Mills ratio, 25 levels
-# (50 of Laplace's terms); both are within 1e-15 absolute and 3e-13
-# relative of the CDF where it exceeds 1e-300. The CDF rounds to exactly 0
-# below -38.5 and to exactly 1 above 8.5.
-_SERIES_Z = 2.5
-_SERIES_RATIOS = 1.0 / np.arange(3.0, 82.0, 2.0)
-_MILLS_LEVELS = np.arange(25.0, 0.0, -1.0)
+_erfc = np.vectorize(math.erfc, otypes=[float])
 
 
 def _ndtr(z) -> np.ndarray:
-    """The standard normal CDF at each entry of ``z``.
+    """The standard normal CDF at each entry of ``z``, ``erfc(-z / sqrt(2)) / 2``.
 
-    Where ``|z| < 2.5`` it is ``1/2 + phi(z) (z + z^3/3 + z^5/15 + ...)``;
-    elsewhere ``phi(|z|) R(|z|)`` below zero and ``1 - phi(z) R(z)`` above,
-    with the Mills ratio ``R(t) = t/(t^2 + 1 - 1*2/(t^2 + 5 - 3*4/(t^2 + 9
-    - ...)))``. Entries where the CDF rounds to 0 or 1 are set, not
-    evaluated.
+    Entries where it rounds to exactly 0 (below -38.5) or 1 (above 8.5)
+    are set, not evaluated.
     """
     z = np.asarray(z, dtype=float)
     out = (z > 0).astype(float)
-    near = np.abs(z) < _SERIES_Z
-    x = z[near]
-    x2 = x * x
-    series = np.cumprod(np.multiply.outer(x2, _SERIES_RATIOS), axis=-1).sum(axis=-1)
-    out[near] = 0.5 + x * (1.0 + series) * np.exp(-0.5 * x2) / _SQRT2PI
-    tail = ~near & (z > -38.5) & (z < 8.5)
-    t = np.abs(z[tail])
-    t2 = t * t
-    # Level k is t^2 + 4k - 3 - (2k - 1) 2k / (level k + 1), from level 26 down.
-    fraction = t2 + (4.0 * _MILLS_LEVELS[0] + 1.0)
-    for k in _MILLS_LEVELS:
-        np.divide((2.0 * k - 1.0) * 2.0 * k, fraction, out=fraction)
-        np.subtract(t2, fraction, out=fraction)
-        fraction += 4.0 * k - 3.0
-    upper = t * np.exp(-0.5 * t2) / (_SQRT2PI * fraction)
-    out[tail] = np.where(z[tail] > 0, 1.0 - upper, upper)
+    inside = (z > -38.5) & (z < 8.5)
+    out[inside] = 0.5 * _erfc(-z[inside] * math.sqrt(0.5))
     return out
 
 
@@ -401,13 +376,15 @@ class _Spectrum:
     def of(cls, amps: np.ndarray, bin_width: float) -> "_Spectrum":
         """A trace histogrammed over its own data, in at most ``MAX_BINS`` bins."""
         lo, hi = float(amps.min()) / bin_width, float(amps.max()) / bin_width
-        # It has at most hi - lo + 3 bins; NaN or inf if either overflows.
-        if not hi - lo + 3 <= MAX_BINS:
+        n_bins = math.inf  # if either end overflows
+        if math.isfinite(hi - lo):
+            # One bin lower where lo rounded up onto an integer above the data.
+            first = math.floor(lo) - int(bin_width * math.floor(lo) > amps.min())
+            n_bins = math.ceil(hi - first) + 1
+        if n_bins > MAX_BINS:
             raise ValueError(f"bin_width_mv {bin_width:g} cuts amplitudes from {amps.min():g} "
                              f"to {amps.max():g} mV into more than {MAX_BINS} bins")
-        # One bin lower where lo rounded up onto an integer above the data.
-        first = math.floor(lo) - int(bin_width * math.floor(lo) > amps.min())
-        edges = bin_width * (first + np.arange(math.ceil(hi - first) + 2))
+        edges = bin_width * (first + np.arange(n_bins + 1))
         return cls(np.histogram(amps, bins=edges)[0].astype(float), first, bin_width)
 
     @classmethod

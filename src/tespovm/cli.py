@@ -4,8 +4,11 @@ Five stages: simulate -> calibrate -> reconstruct -> estimate ->
 validate, each reading the previous stage's artifacts. Only ``simulate``
 takes a config; :func:`files.parse_config` refuses an unknown or mistyped
 key before a trace is written. It records it as the run config in
-``ensemble.json``, the one copy every later stage reads, and its hash in
-``manifest.json``.
+``ensemble.json``, the one copy every later stage reads, and its hash and
+the seed in ``manifest.json``, its own record, which no stage reads.
+``calibrate`` reads only the ``trace_probe_NNN.npy`` file of each probe
+id and ``ensemble.json``, so measured traces beside an ``ensemble.json``
+that has no ``detector`` section enter the chain as simulated ones do.
 ``simulate`` and ``calibrate`` work one probe at a time on their
 ``--jobs`` threads: ``simulate`` writes each trace from the thread that
 drew it, and ``calibrate`` histograms each trace on the thread that read
@@ -82,10 +85,7 @@ def cmd_simulate(args) -> int:
 def cmd_calibrate(args) -> int:
     _check_number("--jobs", args.jobs, "[1, inf)", integer=True)
     trace_dir = Path(args.traces)
-    manifest = files.read_manifest(trace_dir)
     run, cfg_hash = files.read_ensemble(trace_dir / "ensemble.json")
-    files.check_lineage({trace_dir / "manifest.json": manifest["config_hash"],
-                         trace_dir / "ensemble.json": cfg_hash})
     n_outcomes = run.reconstruction.n_outcomes
 
     # A thread keeps only its trace's histogram, or its failure.
@@ -244,7 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.set_defaults(func=cmd_simulate)
 
     cal = sub.add_parser("calibrate", help="fit the run's comb and count by tooth weights")
-    cal.add_argument("--traces", required=True, help="simulate output directory")
+    cal.add_argument("--traces", required=True,
+                     help="directory of trace_probe_NNN.npy files and ensemble.json")
     cal.add_argument("--out", required=True)
     cal.add_argument("--jobs", type=int, default=1,
                      help="threads that read and histogram traces")

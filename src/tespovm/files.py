@@ -227,15 +227,19 @@ def read_trace_csv(path, probe_id: int) -> AmplitudeTrace:
 def write_manifest(directory, config: dict, seed: int):
     """Record the hash of the run config and the seed of a simulate output.
 
-    The config itself is :func:`write_ensemble`'s ``ensemble.json``. Each
-    probe's trace is :func:`trace_filename` of its id in the same
-    directory, so the manifest lists no files.
+    It is ``simulate``'s own record, and no stage reads it. The config
+    itself is :func:`write_ensemble`'s ``ensemble.json``. Each probe's
+    trace is :func:`trace_filename` of its id in the same directory, so the
+    manifest lists no files.
     """
     write_json(Path(directory) / "manifest.json",
                {"config_hash": config_hash(config), "seed": seed})
 
 
 def read_manifest(directory) -> dict:
+    """The config hash and seed that :func:`write_manifest` recorded. No
+    stage reads them: ``calibrate`` takes measured traces too, which have
+    no manifest."""
     path = Path(directory) / "manifest.json"
     if not path.exists():
         raise SchemaError(f"{directory}: no manifest.json; not a simulate output?")

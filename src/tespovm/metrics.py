@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,7 +156,8 @@ def sensitivity_sweep(
     at a time, plus the unperturbed baseline. Each point is reconstructed
     and scored against ``reference``; the envelope is the pointwise
     minimum fidelity, so it can only sit at or below the baseline curve.
-    An ``attenuation_db`` above about 3 082 dB overflows and raises ValueError.
+    An ``attenuation_db`` whose gain ``10^(dB / 10)``, or that gain times
+    the largest mean photon number, overflows raises ValueError.
     """
     _check_number("energy_scale", energy_scale, "[0, 1)")
     _check_number("attenuation_db", attenuation_db, "[0, inf)")
@@ -167,7 +169,10 @@ def sensitivity_sweep(
         try:
             gain = 10.0 ** (attenuation_db / 10.0)
         except OverflowError:
-            raise ValueError(f"attenuation_db {attenuation_db:g} overflows 10^(dB / 10)") from None
+            gain = math.inf
+        if not math.isfinite(gain * float(ensemble.mean_photons.max())):
+            raise ValueError(f"attenuation_db {attenuation_db:g} overflows 10^(dB / 10) "
+                             "times the probes' mean photon numbers")
         factors.append((f"attenuation +{attenuation_db:g} dB", 10.0 ** (-attenuation_db / 10.0)))
         factors.append((f"attenuation -{attenuation_db:g} dB", gain))
     points = []

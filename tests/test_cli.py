@@ -432,6 +432,7 @@ _MISSING = object()  # an estimate.json edit that deletes the key
     (["--energy-scale", "-0.03"], {}, r"--energy-scale must lie in \[0, 1\), got -0\.03"),
     (["--attenuation-db", "inf"], {}, r"--attenuation-db must lie in \[0, inf\), got inf"),
     (["--attenuation-db", "-0.1"], {}, r"--attenuation-db must lie in \[0, inf\), got -0\.1"),
+    (["--attenuation-db", "3070"], {}, r"attenuation_db 3070 overflows 10\^\(dB / 10\)"),
     (["--attenuation-db", "4000"], {}, r"attenuation_db 4000 overflows 10\^\(dB / 10\)"),
     (["--split", "-5"], {}, r"--split must lie in \[0, inf\), got -5"),
     ([], {"eta_hat": True}, r"estimate\.json: eta_hat must be a real number, got True"),
@@ -441,8 +442,8 @@ _MISSING = object()  # an estimate.json edit that deletes the key
     ([], {"gamma_hat": None}, r"estimate\.json: gamma_hat must be a real number, got None"),
     ([], {"gamma_hat": _MISSING}, r"estimate\.json: missing field 'gamma_hat'"),
 ], ids=["energy-scale_nan", "energy-scale_-0.03", "attenuation-db_inf", "attenuation-db_-0.1",
-        "attenuation-db_4000", "split_-5", "eta_hat_true", "eta_hat_string", "eta_hat_NaN",
-        "gamma_hat_-0.1", "gamma_hat_null", "gamma_hat_missing"])
+        "attenuation-db_3070", "attenuation-db_4000", "split_-5", "eta_hat_true",
+        "eta_hat_string", "eta_hat_NaN", "gamma_hat_-0.1", "gamma_hat_null", "gamma_hat_missing"])
 def test_validate_refuses_a_bad_flag_or_estimate(pipeline, tmp_path, capsys, flags, estimate,
                                                  named):
     # Each is refused where it enters, naming the flag or the file, before
@@ -866,19 +867,6 @@ def test_ensemble_hash_of_another_config_exits_2_even_forced(pipeline, tmp_path,
     assert not (tmp_path / "rec").exists()
 
 
-def test_calibrate_refuses_ensemble_of_another_run(pipeline, tmp_path, capsys):
-    # An ensemble.json swapped in from another run is honest about its own
-    # config, but not the one the manifest records.
-    sim = tmp_path / "sim"
-    shutil.copytree(pipeline["sim"], sim)
-    files.write_ensemble(sim / "ensemble.json", _config(gamma=0.1))
-    assert main(["calibrate", "--traces", str(sim), "--out", str(tmp_path / "cal")]) == 4
-    err = capsys.readouterr().err
-    assert str(sim / "manifest.json") in err and str(sim / "ensemble.json") in err
-    assert "--force" not in err
-    assert not (tmp_path / "cal").exists()
-
-
 def test_calibrate_short_trace_exits_3_unless_skipped(pipeline, tmp_path, capsys):
     sim = tmp_path / "sim"
     shutil.copytree(pipeline["sim"], sim)
@@ -1006,17 +994,15 @@ def test_calibrate_holds_about_jobs_traces(pipeline, tmp_path, monkeypatch, jobs
 def _copy_sim(pipeline, tmp_path, edit=None):
     """A copy of the pipeline's simulate output, edited by ``edit(sim, config)``.
 
-    ``config`` is the run config; edits to it are written back through the
-    ``files`` writers, which record its new hash in the manifest too.
+    ``config`` is the run config; edits to it are written back through
+    :func:`files.write_ensemble`.
     """
     sim = tmp_path / "sim"
     shutil.copytree(pipeline["sim"], sim)
     if edit is not None:
-        seed = files.read_manifest(sim)["seed"]
         config = _config()
         edit(sim, config)
         files.write_ensemble(sim / "ensemble.json", config)
-        files.write_manifest(sim, config, seed)
     return sim
 
 
@@ -1071,6 +1057,41 @@ def test_calibrate_ignores_truth_sidecar(pipeline, tmp_path, jobs):
             == (pipeline["cal"] / "counts.json").read_bytes())
 
 
+def test_measured_traces_enter_the_chain(tmp_path):
+    # Measured data is trace files and a design: no manifest, no truth
+    # sidecars and no detector section. From calibrate on, it runs as the
+    # simulated run it came from, and only the config hash tells them apart.
+    def outputs(root):
+        """The config hashes calibrate to validate record, and each file
+        they write, a JSON file without its hash."""
+        hashes, written = set(), {}
+        for stage, out in (("calibrate", "cal"), ("reconstruct", "rec"),
+                           ("estimate", "est"), ("validate", "val")):
+            assert main(_stage_argv(stage, root, root / out)) == 0, stage
+            for path in sorted((root / out).iterdir()):
+                content = path.read_bytes()
+                if path.suffix == ".json":
+                    content = json.loads(content)
+                    hashes.add(content.pop("config_hash"))
+                written[path.relative_to(root)] = content
+        return hashes, written
+
+    simulated, measured = tmp_path / "simulated", tmp_path / "measured"
+    assert main(["simulate", "--seed", "7", "--out", str(simulated / "sim")]) == 0
+    config = files.default_config()
+    del config["detector"]
+    (measured / "sim").mkdir(parents=True)
+    for probe in config["probes"]:
+        shutil.copy(simulated / "sim" / files.trace_filename(probe["id"]), measured / "sim")
+    files.write_ensemble(measured / "sim" / "ensemble.json", config)
+
+    (expected_hash,), expected = outputs(simulated)
+    (measured_hash,), written = outputs(measured)
+    assert measured_hash == files.config_hash(config) != expected_hash
+    assert len(written) == 8
+    assert written == expected
+
+
 @pytest.mark.parametrize("stage", ["reconstruct", "estimate", "validate"])
 def test_counts_naming_unknown_probe_exits_2(pipeline, tmp_path, capsys, stage):
     # Columns pair with the run config's probes by id; the config has no probe 25.
@@ -1112,7 +1133,7 @@ def test_skipped_probes_pair_by_id(pipeline, tmp_path):
 
 
 _READERS = {
-    "manifest": ["calibrate"],
+    "manifest": [],  # no stage reads it
     "ensemble": ["calibrate", "reconstruct", "estimate", "validate"],
     "counts": ["reconstruct", "estimate", "validate"],
     "povm": ["validate"],

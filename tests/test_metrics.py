@@ -156,8 +156,11 @@ def test_sensitivity_sweep_validation():
         tp.sensitivity_sweep(table, ens, cfg, truth, energy_scale=-0.1)
     with pytest.raises(ValueError):
         tp.sensitivity_sweep(table, ens, cfg, truth, attenuation_db=-1.0)
-    # The gain 10^(dB / 10) overflows past about 3 082 dB.
-    for attenuation_db in (3083.0, 4000.0, 1e308):
+    # The gain 10^(dB / 10) overflows past about 3 082 dB, and the gain
+    # times a largest mean photon number of 130, the default design's, past
+    # about 3 061 dB.
+    bright = ens.with_scaled_means(26.0)
+    for attenuation_db in (3070.0, 3080.0, 3083.0, 4000.0, 1e308):
         named = re.escape(f"attenuation_db {attenuation_db:g} overflows")
         with pytest.raises(ValueError, match=named):
-            tp.sensitivity_sweep(table, ens, cfg, truth, attenuation_db=attenuation_db)
+            tp.sensitivity_sweep(table, bright, cfg, truth, attenuation_db=attenuation_db)
