@@ -3,12 +3,16 @@
 Five stages: simulate -> calibrate -> reconstruct -> estimate ->
 validate, each reading the previous stage's artifacts. Only ``simulate``
 takes a config; :func:`files.parse_config` refuses an unknown or mistyped
-key before a trace is written. It records it as the run config in
-``ensemble.json``, the one copy every later stage reads, and its hash and
-the seed in ``manifest.json``, its own record, which no stage reads.
+key, and ``simulate`` alone a probe whose mean count exceeds
+:data:`~tespovm.tes_sim.MAX_MEAN_COUNT`, before a trace is written. It
+records the config as the run config in ``ensemble.json``, the one copy
+every later stage reads, and its hash and the seed in ``manifest.json``,
+its own record, which no stage reads. It writes no truth:
+:func:`~tespovm.tes_sim.simulate_probe` at that seed draws it again.
 ``calibrate`` reads only the ``trace_probe_NNN.npy`` file of each probe
 id and ``ensemble.json``, so measured traces beside an ``ensemble.json``
-that has no ``detector`` section enter the chain as simulated ones do.
+that has no ``detector`` section, at any mean photon numbers, enter the
+chain as simulated ones do.
 ``simulate`` and ``calibrate`` work one probe at a time on their
 ``--jobs`` threads: ``simulate`` writes each trace from the thread that
 drew it, and ``calibrate`` histograms each trace on the thread that read
@@ -54,7 +58,7 @@ from .errors import CalibrationError, EstimationError, LineageError, SchemaError
 from .estimation import estimate_eta_gamma
 from .metrics import DEFAULT_SPLIT, fidelity_curve, sensitivity_sweep, three_way_comparison
 from .photon_stats import _check_number, binomial_povm
-from .tes_sim import _SEED_RANGE, simulate_probe
+from .tes_sim import _SEED_RANGE, MAX_MEAN_COUNT, simulate_probe
 from .tomography import TOL, reconstruct_povm
 
 EXIT_OK = 0
@@ -68,6 +72,11 @@ def cmd_simulate(args) -> int:
     _check_number("--jobs", args.jobs, "[1, inf)", integer=True)
     config = files.read_json(args.config) if args.config else files.default_config()
     run = files.parse_config(config)
+    for i, probe in enumerate(run.ensemble.probes):
+        lam = run.detector.eta * probe.mean_photons + run.detector.gamma
+        if lam > MAX_MEAN_COUNT:
+            raise SchemaError(f"config: probes[{i}]: probe {probe.id} has a mean count eta * "
+                              f"mean_photons + gamma of {lam:g}, above {MAX_MEAN_COUNT:g}")
     out = Path(args.out)
 
     # Each trace is written by the thread that drew it, then dropped.

@@ -1,10 +1,10 @@
 """On-disk formats for the batch pipeline.
 
-Traces are NumPy ``.npy`` files: float64 amplitudes in mV, and ground truth
-in a ``.truth.npy`` sidecar of the smallest unsigned integer type that holds
-its largest count, as in memory; any NumPy reads them with ``np.load``.
-Count tables, POVM matrices, estimates and reports are JSON with
-row-major nested arrays. Each fact is stored once: ``ensemble.json`` is
+Traces are NumPy ``.npy`` files of float64 amplitudes in mV, one a probe;
+any NumPy reads them with ``np.load``. A simulated trace's true counts are
+not stored: :func:`~tespovm.tes_sim.simulate_probe` at the run's seed
+draws them again. Count tables, POVM matrices, estimates and reports are
+JSON with row-major nested arrays. Each fact is stored once: ``ensemble.json`` is
 the one copy of the run config, and a counted table stores only its
 counts. Every artifact embeds the hash of the producing config so stages
 refuse to mix runs; :func:`read_ensemble` checks that hash against the
@@ -26,7 +26,7 @@ from .calibration import DEFAULT_BIN_WIDTH_MV, CountTable, fit_run
 from .errors import LineageError, SchemaError
 from .photon_stats import (Probe, ProbeEnsemble, PovmMatrix, _check_number,
                            geometric_ensemble)
-from .tes_sim import MAX_MEAN_COUNT, AmplitudeTrace, DetectorPhysicalConfig
+from .tes_sim import AmplitudeTrace, DetectorPhysicalConfig
 from .tomography import ReconstructionConfig, ReconstructionResult
 
 TRACE_PREFIX = "trace_probe_"
@@ -130,10 +130,10 @@ def parse_config(config: dict) -> RunConfig:
     default, and a key it does not take or a value that is not a finite
     number of the right kind (a bool is not one) or out of range raises
     :class:`SchemaError` naming the section and the key. So do other
-    top-level keys, ``reconstruction.init_eta``, since ``reconstruct``
-    starts from :func:`~tespovm.estimation.estimate_eta_gamma`, and a probe
-    whose mean count exceeds :data:`~tespovm.tes_sim.MAX_MEAN_COUNT`. A
-    probe's ``id`` defaults to its index.
+    top-level keys and ``reconstruction.init_eta``, since ``reconstruct``
+    starts from :func:`~tespovm.estimation.estimate_eta_gamma`. A probe's
+    ``id`` defaults to its index. A probe's mean count is not bounded
+    here: only ``simulate`` draws from the ``detector`` section.
     """
     if not isinstance(config, dict):
         raise SchemaError("config: top level must be an object")
@@ -149,7 +149,7 @@ def parse_config(config: dict) -> RunConfig:
                           "reconstruct starts from the fitted efficiency")
     calibration = config.get("calibration", {})
     _build("calibration", functools.partial(fit_run, ()), calibration)
-    run = RunConfig(
+    return RunConfig(
         detector=_build("detector", DetectorPhysicalConfig, config.get("detector", {})),
         ensemble=_build("probes", ProbeEnsemble, {"probes": [
             _build(f"probes[{i}]", functools.partial(Probe, id=i), entry)
@@ -158,12 +158,6 @@ def parse_config(config: dict) -> RunConfig:
         reconstruction=_build("reconstruction", ReconstructionConfig,
                               config.get("reconstruction", {})),
     )
-    for i, probe in enumerate(run.ensemble.probes):
-        lam = run.detector.eta * probe.mean_photons + run.detector.gamma
-        if lam > MAX_MEAN_COUNT:
-            raise SchemaError(f"config: probes[{i}]: probe {probe.id} has a mean count eta * "
-                              f"mean_photons + gamma of {lam:g}, above {MAX_MEAN_COUNT:g}")
-    return run
 
 
 # -- traces ------------------------------------------------------------------
@@ -172,32 +166,23 @@ def trace_filename(probe_id: int) -> str:
     return f"{TRACE_PREFIX}{probe_id:03d}.npy"
 
 
-def truth_filename(probe_id: int) -> str:
-    return f"{TRACE_PREFIX}{probe_id:03d}.truth.npy"
-
-
 def write_trace_csv(directory, trace: AmplitudeTrace):
-    """Write ``trace`` into ``directory`` as ``.npy`` files.
-
-    Amplitudes go to :func:`trace_filename` as float64 and the truth, when
-    present, to :func:`truth_filename` in the type :class:`AmplitudeTrace`
-    holds it in. The name predates the ``.npy`` format and is kept for
-    callers that wrap it.
+    """Write ``trace``'s amplitudes into ``directory`` as the float64
+    ``.npy`` file :func:`trace_filename`; its truth, if any, is not written.
+    The name predates the ``.npy`` format and is kept for callers that
+    wrap it.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     np.save(directory / trace_filename(trace.probe_id), trace.amplitudes_mv)
-    if trace.truth_counts is not None:
-        np.save(directory / truth_filename(trace.probe_id), trace.truth_counts)
 
 
 def read_trace_csv(path, probe_id: int) -> AmplitudeTrace:
     """Read the amplitudes :func:`write_trace_csv` wrote to ``path``.
 
     Pickled, object, structured or non-1-D arrays, a dtype other than
-    float and non-finite amplitudes raise :class:`SchemaError`. The
-    truth sidecar is not read here; ``np.load`` reads it. The name
-    predates the ``.npy`` format.
+    float and non-finite amplitudes raise :class:`SchemaError`. The trace
+    has no truth. The name predates the ``.npy`` format.
     """
     magic = np.lib.format.MAGIC_PREFIX
     try:

@@ -37,7 +37,7 @@ __all__ = [
 _MASK64 = (1 << 64) - 1
 # The seeds a run accepts: every sub-seed is derived modulo 2**64.
 _SEED_RANGE = f"[0, {1 << 64})"
-# The largest mean count eta * mu + gamma a run config may ask for: its
+# The largest mean count eta * mu + gamma `simulate` may draw: its
 # CDF table then holds at most 103 254 entries, 0.8 MB (10 MB while built).
 MAX_MEAN_COUNT = 1e5
 

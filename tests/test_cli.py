@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 import tespovm as tp
 from tespovm import calibration, estimation, files
 from tespovm.cli import main
+from tespovm.tes_sim import simulate_probe
 from tespovm.tomography import TOL
 
 
@@ -87,8 +88,7 @@ def pipeline(tmp_path_factory):
 def test_pipeline_artifacts_exist(pipeline):
     # Each stage writes exactly these files, so a stray one cannot come back
     # unnoticed.
-    traces = {name(pid) for pid in range(5)
-              for name in (files.trace_filename, files.truth_filename)}
+    traces = {files.trace_filename(pid) for pid in range(5)}
     expected = {
         "sim": {"manifest.json", "ensemble.json", *traces},
         "cal": {"counts.json", "fits.json"},
@@ -197,11 +197,15 @@ def _simulate_default(tmp_path, edit_config, seed=3):
 
 
 def _true_counts(sim, probe_ids, n_outcomes=12):
-    """True detected-count histograms, top class cumulative, one column a probe."""
+    """True detected-count histograms of the simulate output ``sim``, top
+    class cumulative, one column a probe: simulate_probe at the run's seed
+    draws each trace again, its truth included."""
+    run, _ = files.read_ensemble(sim / "ensemble.json")
+    seed = files.read_manifest(sim)["seed"]
     return np.column_stack([
-        np.bincount(np.minimum(np.load(sim / files.truth_filename(pid)), n_outcomes - 1),
-                    minlength=n_outcomes)
-        for pid in probe_ids
+        np.bincount(np.minimum(simulate_probe(run.detector, probe, seed).truth_counts,
+                               n_outcomes - 1), minlength=n_outcomes)
+        for probe in run.ensemble.subset(tuple(probe_ids)).probes
     ])
 
 
@@ -620,9 +624,7 @@ def test_simulate_takes_a_saturation_count_past_int64(tmp_path):
     run = files.parse_config(_config())
     for trace in tp.simulate_ensemble(run.detector, run.ensemble, 3):
         amps = np.load(tmp_path / "sim" / files.trace_filename(trace.probe_id))
-        truth = np.load(tmp_path / "sim" / files.truth_filename(trace.probe_id))
         assert np.array_equal(amps, trace.amplitudes_mv)
-        assert np.array_equal(truth, trace.truth_counts)
 
 
 @pytest.mark.parametrize("stage, flags, named", [
@@ -641,18 +643,6 @@ def test_bad_seed_or_jobs_exits_2_before_writing(pipeline, tmp_path, capsys, sta
     assert not out.exists()
 
 
-def test_cli_import_leaves_out_scipy_signal_and_stats():
-    # Every stage is a fresh interpreter that pays for what tespovm imports.
-    src = Path(tp.__file__).resolve().parents[1]
-    code = ("import sys, tespovm.cli; "
-            "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, check=True, timeout=120)
-    assert proc.stdout.strip() == "[]"
-
-
 def _fresh_interpreter(code, *args):
     """The last line ``code`` prints in a new interpreter, given ``args``."""
     src = Path(tp.__file__).resolve().parents[1]
@@ -663,70 +653,47 @@ def _fresh_interpreter(code, *args):
     return proc.stdout.splitlines()[-1]
 
 
-_LOADED_SCIPY = "sorted(m for m in sys.modules if m.startswith('scipy'))"
-
-
-def test_cli_import_loads_no_scipy():
-    # Only the functions that call scipy import it, so a stage that never
-    # calls one does not pay for its import.
-    code = f"import sys, tespovm, tespovm.cli; print({_LOADED_SCIPY})"
-    assert _fresh_interpreter(code) == "[]"
-
-
-def _fresh_main(*argv):
-    """``main(argv)`` in a new interpreter: its exit code and the scipy
-    modules loaded when it returned."""
-    code = ("import json, sys\n"
-            "from tespovm.cli import main\n"
-            "try:\n"
-            "    rc = main(sys.argv[1:])\n"
-            "except SystemExit as exc:\n"
-            "    rc = exc.code\n"
-            f"print(json.dumps([rc, {_LOADED_SCIPY}]))")
-    return tuple(json.loads(_fresh_interpreter(code, *argv)))
-
-
-def test_scipy_loads_at_first_use(tmp_path):
-    cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps(_config()))
-    sim, cal = str(tmp_path / "sim"), str(tmp_path / "cal")
-    assert _fresh_main("simulate", "--config", str(cfg), "--seed", "1", "--out", sim) == (0, [])
-    assert _fresh_main("--help") == (0, [])
-    assert _fresh_main("calibrate", "--traces", sim, "--jobs", "0", "--out", cal) == (2, [])
-    # The comb fit, the Poisson law and the (eta, gamma) fit are numpy and
-    # math alone.
-    assert _fresh_main("calibrate", "--traces", sim, "--out", cal) == (0, [])
-    for stage, out in (("reconstruct", "rec"), ("estimate", "est"), ("validate", "val")):
-        assert _fresh_main(*_stage_argv(stage, tmp_path, tmp_path / out)) == (0, [])
-    assert (tmp_path / "val" / "sweep.json").exists()
-
-
 _BLOCK_SCIPY = (
     "import sys\n"
+    "asked = []\n"
     "class NoScipy:\n"
     "    def find_spec(self, name, path=None, target=None):\n"
     "        if name.partition('.')[0] == 'scipy':\n"
+    "            asked.append(name)\n"
     "            raise ModuleNotFoundError(f'{name} is blocked', name=name)\n"
     "sys.meta_path.insert(0, NoScipy())\n"
 )
 
 
 def test_five_stages_run_where_scipy_cannot_load(tmp_path):
-    # numpy is the one runtime dependency.
+    # numpy is the one runtime dependency: no import, flag check or stage
+    # asks for scipy, so none pays for loading it.
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(_config()))
-    stages = [["simulate", "--config", str(cfg), "--seed", "1", "--out", str(tmp_path / "sim")]]
-    stages += [_stage_argv(stage, tmp_path, tmp_path / out) for stage, out in
-               (("calibrate", "cal"), ("reconstruct", "rec"), ("estimate", "est"),
-                ("validate", "val"))]
+    sim = str(tmp_path / "sim")
+    argvs = [["--help"],
+             ["calibrate", "--traces", sim, "--jobs", "0", "--out", str(tmp_path / "cal")],
+             ["simulate", "--config", str(cfg), "--seed", "1", "--out", sim]]
+    argvs += [_stage_argv(stage, tmp_path, tmp_path / out) for stage, out in
+              (("calibrate", "cal"), ("reconstruct", "rec"), ("estimate", "est"),
+               ("validate", "val"))]
     code = _BLOCK_SCIPY + (
         "import json\n"
-        "from tespovm.cli import main\n"
+        "import tespovm, tespovm.cli\n"
+        "def run(argv):\n"
+        "    try:\n"
+        "        return tespovm.cli.main(argv)\n"
+        "    except SystemExit as exc:\n"
+        "        return exc.code\n"
+        "codes = [run(argv) for argv in json.loads(sys.argv[1])]\n"
+        "record = asked[:]\n"
         "try:\n"
         "    import scipy\n"
         "except ModuleNotFoundError:\n"
-        "    print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))\n")
-    assert _fresh_interpreter(code, json.dumps(stages)) == "[0, 0, 0, 0, 0]"
+        "    print(json.dumps([codes, record]))\n")
+    codes, record = json.loads(_fresh_interpreter(code, json.dumps(argvs)))
+    assert codes == [0, 2, 0, 0, 0, 0, 0]
+    assert record == []
     assert (tmp_path / "val" / "sweep.json").exists()
 
 
@@ -871,7 +838,6 @@ def test_calibrate_short_trace_exits_3_unless_skipped(pipeline, tmp_path, capsys
     sim = tmp_path / "sim"
     shutil.copytree(pipeline["sim"], sim)
     np.save(sim / files.trace_filename(2), np.full(50, 0.25))
-    (sim / files.truth_filename(2)).unlink()
 
     rc = main(["calibrate", "--traces", str(sim), "--out", str(tmp_path / "cal")])
     assert rc == 3
@@ -900,7 +866,7 @@ def test_chain_is_bitwise_the_same_for_any_jobs(tmp_path):
                         for stage in ("sim", "cal", "rec", "est", "val")
                         for path in sorted((root / stage).rglob("*")) if path.is_file()})
     assert sorted(written[0]) == sorted(written[1])
-    assert len([p for p in written[0] if p.name.startswith("trace_probe_")]) == 10
+    assert len([p for p in written[0] if p.name.startswith("trace_probe_")]) == 5
     assert Path("val/sweep.json") in written[0]
     for path, data in written[0].items():
         assert data == written[1][path], path
@@ -957,7 +923,7 @@ def test_cli_route_flags_a_saturating_detector(tmp_path):
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_simulate_writes_the_ensembles_traces(tmp_path, jobs):
     # simulate draws and writes each probe on its --jobs threads; the files
-    # hold simulate_ensemble's arrays at the same seed, truth included.
+    # hold simulate_ensemble's amplitudes at the same seed.
     (tmp_path / "config.json").write_text(json.dumps(_config()))
     assert main(["simulate", "--config", str(tmp_path / "config.json"), "--seed", "3",
                  "--out", str(tmp_path / "sim"), "--jobs", jobs]) == 0
@@ -965,10 +931,8 @@ def test_simulate_writes_the_ensembles_traces(tmp_path, jobs):
     traces = tp.simulate_ensemble(run.detector, run.ensemble, 3)
     for trace in traces:
         amps = np.load(tmp_path / "sim" / files.trace_filename(trace.probe_id))
-        truth = np.load(tmp_path / "sim" / files.truth_filename(trace.probe_id))
         assert amps.dtype == np.float64
         assert np.array_equal(amps, trace.amplitudes_mv)
-        assert np.array_equal(truth, trace.truth_counts)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -1043,24 +1007,10 @@ def test_calibrate_bad_trace_input_exits_2(pipeline, tmp_path, capsys, jobs, edi
     assert not (tmp_path / "cal").exists()
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
-def test_calibrate_ignores_truth_sidecar(pipeline, tmp_path, jobs):
-    def drop_truth(sim, config):
-        for probe in config["probes"]:
-            (sim / files.truth_filename(probe["id"])).unlink()
-
-    sim = _copy_sim(pipeline, tmp_path, drop_truth)
-    rc = main(["calibrate", "--traces", str(sim), "--out", str(tmp_path / "cal"),
-               "--jobs", jobs])
-    assert rc == 0
-    assert ((tmp_path / "cal" / "counts.json").read_bytes()
-            == (pipeline["cal"] / "counts.json").read_bytes())
-
-
 def test_measured_traces_enter_the_chain(tmp_path):
-    # Measured data is trace files and a design: no manifest, no truth
-    # sidecars and no detector section. From calibrate on, it runs as the
-    # simulated run it came from, and only the config hash tells them apart.
+    # Measured data is trace files and a design: no manifest and no
+    # detector section. From calibrate on, it runs as the simulated run it
+    # came from, and only the config hash tells them apart.
     def outputs(root):
         """The config hashes calibrate to validate record, and each file
         they write, a JSON file without its hash."""
@@ -1090,6 +1040,32 @@ def test_measured_traces_enter_the_chain(tmp_path):
     assert measured_hash == files.config_hash(config) != expected_hash
     assert len(written) == 8
     assert written == expected
+
+
+def test_only_simulate_bounds_the_mean_count(pipeline, tmp_path, capsys):
+    # A measured design's mean photon numbers meet no detector: calibrate
+    # counts its traces, although the default detector could not simulate
+    # probe 3 (eta * mu = 153000).
+    config = _config()
+    del config["detector"]
+    config["probes"][3]["mean_photons"] = 3e6
+    measured = tmp_path / "measured"
+    measured.mkdir()
+    for probe in config["probes"]:
+        shutil.copy(pipeline["sim"] / files.trace_filename(probe["id"]), measured)
+    files.write_ensemble(measured / "ensemble.json", config)
+    assert main(["calibrate", "--traces", str(measured), "--out", str(tmp_path / "cal")]) == 0
+    table, _ = files.read_count_table(tmp_path / "cal" / "counts.json")
+    expected, _ = files.read_count_table(pipeline["cal"] / "counts.json")
+    assert np.array_equal(table.counts, expected.counts)
+    capsys.readouterr()
+
+    (tmp_path / "bright.json").write_text(json.dumps(config))
+    assert main(["simulate", "--config", str(tmp_path / "bright.json"),
+                 "--out", str(tmp_path / "sim")]) == 2
+    assert re.search(r"probes\[3\]: probe 3 has a mean count .* of 153000, above 100000",
+                     capsys.readouterr().err)
+    assert not (tmp_path / "sim").exists()
 
 
 @pytest.mark.parametrize("stage", ["reconstruct", "estimate", "validate"])

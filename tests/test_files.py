@@ -111,37 +111,15 @@ def test_trace_csv_roundtrip(tmp_path):
     trace = tp.simulate_trace(tp.DetectorPhysicalConfig(), 2.0, 500, seed=1, probe_id=7)
     files.write_trace_csv(tmp_path, trace)
     assert files.trace_filename(7) == "trace_probe_007.npy"
-    assert files.truth_filename(7) == "trace_probe_007.truth.npy"
-    # Plain NumPy reads the files without the package.
+    # The amplitudes alone are written: simulate_trace draws the truth again.
+    assert [path.name for path in tmp_path.iterdir()] == ["trace_probe_007.npy"]
+    # Plain NumPy reads the file without the package.
     amps = np.load(tmp_path / files.trace_filename(7), allow_pickle=False)
-    truth = np.load(tmp_path / files.truth_filename(7), allow_pickle=False)
-    # The truth sidecar takes the smallest type that holds its largest count.
-    assert (amps.dtype, truth.dtype) == (np.float64, np.uint8)
-    assert np.array_equal(truth, trace.truth_counts)
-    # The package reads only the amplitudes.
+    assert amps.dtype == np.float64
     back = files.read_trace_csv(tmp_path / files.trace_filename(7), probe_id=7)
     assert back.probe_id == 7
     assert np.array_equal(back.amplitudes_mv, trace.amplitudes_mv)
     assert back.truth_counts is None
-
-
-@pytest.mark.parametrize("truth, dtype", [
-    pytest.param(np.array([0, 20, 3]), np.uint8, id="uint8"),
-    pytest.param(np.array([0, 255, 256]), np.uint16, id="uint16"),
-    pytest.param(np.array([], dtype=np.int64), np.uint8, id="empty"),
-    # Unsaturated counts at a mean of 400 detected photons need 16 bits.
-    pytest.param(tp.simulate_trace(tp.DetectorPhysicalConfig(eta=1.0), 400.0, 1000,
-                                   seed=3).truth_counts, np.uint16, id="simulated-uint16"),
-])
-def test_truth_sidecar_roundtrip(tmp_path, truth, dtype):
-    trace = tp.AmplitudeTrace(probe_id=2, amplitudes_mv=np.zeros(truth.size),
-                              truth_counts=truth)
-    # The trace holds its truth in the sidecar's type.
-    assert trace.truth_counts.dtype == dtype
-    files.write_trace_csv(tmp_path, trace)
-    back = np.load(tmp_path / files.truth_filename(2), allow_pickle=False)
-    assert back.dtype == dtype
-    assert np.array_equal(back, truth)
 
 
 def test_trace_csv_schema_errors(tmp_path):

@@ -313,12 +313,18 @@ def test_amplitude_trace_takes_integer_truth_only(truth):
     pytest.param(np.array([0, 20, 3], dtype=np.int64), np.uint8, id="int64-to-uint8"),
     pytest.param(np.array([0, 300, 3], dtype=np.int32), np.uint16, id="int32-to-uint16"),
     pytest.param([2, 0, 1], np.uint8, id="list"),
+    pytest.param(np.array([0, 255, 256]), np.uint16, id="uint16"),
+    pytest.param(np.array([], dtype=np.int64), np.uint8, id="empty"),
+    # Unsaturated counts at a mean of 400 detected photons need 16 bits.
+    pytest.param(tp.simulate_trace(tp.DetectorPhysicalConfig(eta=1.0), 400.0, 1000,
+                                   seed=3).truth_counts, np.uint16, id="simulated-uint16"),
 ])
 def test_amplitude_trace_narrows_its_truth(truth, dtype):
-    trace = tp.AmplitudeTrace(probe_id=0, amplitudes_mv=np.ones(3), truth_counts=truth)
+    amps = np.ones(len(truth))
+    trace = tp.AmplitudeTrace(probe_id=0, amplitudes_mv=amps, truth_counts=truth)
     assert trace.truth_counts.dtype == dtype
     assert np.array_equal(trace.truth_counts, truth)
     # Truth already in its narrow type is held without a copy.
-    again = tp.AmplitudeTrace(probe_id=0, amplitudes_mv=np.ones(3),
+    again = tp.AmplitudeTrace(probe_id=0, amplitudes_mv=amps,
                               truth_counts=trace.truth_counts)
     assert again.truth_counts is trace.truth_counts
