@@ -1042,18 +1042,25 @@ def test_measured_traces_enter_the_chain(tmp_path):
     assert written == expected
 
 
-def test_only_simulate_bounds_the_mean_count(pipeline, tmp_path, capsys):
-    # A measured design's mean photon numbers meet no detector: calibrate
-    # counts its traces, although the default detector could not simulate
-    # probe 3 (eta * mu = 153000).
+def _bright_measured(pipeline, measured):
+    """The pipeline's traces under ``measured``, beside a design without a
+    detector section whose probe 3 has 3e6 mean photons; returns the design."""
     config = _config()
     del config["detector"]
     config["probes"][3]["mean_photons"] = 3e6
-    measured = tmp_path / "measured"
     measured.mkdir()
     for probe in config["probes"]:
         shutil.copy(pipeline["sim"] / files.trace_filename(probe["id"]), measured)
     files.write_ensemble(measured / "ensemble.json", config)
+    return config
+
+
+def test_only_simulate_bounds_the_mean_count(pipeline, tmp_path, capsys):
+    # A measured design's mean photon numbers meet no detector: calibrate
+    # counts its traces, although the default detector could not simulate
+    # probe 3 (eta * mu = 153000).
+    measured = tmp_path / "measured"
+    config = _bright_measured(pipeline, measured)
     assert main(["calibrate", "--traces", str(measured), "--out", str(tmp_path / "cal")]) == 0
     table, _ = files.read_count_table(tmp_path / "cal" / "counts.json")
     expected, _ = files.read_count_table(pipeline["cal"] / "counts.json")
@@ -1066,6 +1073,22 @@ def test_only_simulate_bounds_the_mean_count(pipeline, tmp_path, capsys):
     assert re.search(r"probes\[3\]: probe 3 has a mean count .* of 153000, above 100000",
                      capsys.readouterr().err)
     assert not (tmp_path / "sim").exists()
+
+
+@pytest.mark.parametrize("stage, out", [("reconstruct", "rec/povm.json"),
+                                        ("estimate", "est/estimate.json"),
+                                        ("validate", "val/sweep.json")],
+                         ids=["reconstruct", "estimate", "validate"])
+def test_later_stages_take_a_design_past_the_mean_count(pipeline, tmp_path, stage, out):
+    # Each stage reads the measured design through read_ensemble, which no
+    # longer bounds eta * mu + gamma, and runs to the end on it.
+    _bright_measured(pipeline, tmp_path / "sim")
+    for before, out_dir in (("calibrate", "cal"), ("reconstruct", "rec"),
+                            ("estimate", "est"), ("validate", "val")):
+        assert main(_stage_argv(before, tmp_path, tmp_path / out_dir)) == 0
+        if before == stage:
+            break
+    assert (tmp_path / out).is_file()
 
 
 @pytest.mark.parametrize("stage", ["reconstruct", "estimate", "validate"])

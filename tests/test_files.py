@@ -205,6 +205,26 @@ def test_ensemble_roundtrip(tmp_path):
         files.read_ensemble(tmp_path / "typo.json")
 
 
+@pytest.mark.parametrize("detector, mean_photons", [
+    pytest.param(None, 3e6, id="no-detector"),
+    pytest.param({"eta": 1.0}, 2e5, id="eta-one"),
+    pytest.param({"gamma": 2e5}, 1.0, id="dark-counts"),
+])
+def test_read_ensemble_leaves_the_mean_count_unbounded(tmp_path, detector, mean_photons):
+    # Each design asks for eta * mean_photons + gamma above MAX_MEAN_COUNT,
+    # which only simulate refuses: a measured design is read as it stands.
+    config = {"probes": [{"mean_photons": 1.0}, {"mean_photons": mean_photons}]}
+    if detector is not None:
+        config["detector"] = detector
+    files.write_ensemble(tmp_path / "ensemble.json", config)
+    run, h = files.read_ensemble(tmp_path / "ensemble.json")
+    assert h == files.config_hash(config)
+    assert run == files.parse_config(config)
+    assert run.ensemble.probes[1].mean_photons == mean_photons
+    assert (run.detector.eta * mean_photons + run.detector.gamma
+            > tp.tes_sim.MAX_MEAN_COUNT)
+
+
 def test_count_table_roundtrip(tmp_path):
     counts = np.array([[120, 30], [40, 60], [0, 10]], dtype=np.int64)
     table = tp.CountTable.from_counts(counts, probe_ids=(3, 1))
