@@ -66,13 +66,12 @@ MAX_BINS = 2**16
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 _PEAK_SIGMAS = 4.0  # a peak's least prominence, in sqrt(height)
 _REFINE_POINTS = 17  # points of each nested grid that narrows a threshold's bracket
+_THRESHOLD_XATOL_MV = 1e-3  # width at which a threshold's bracket stops narrowing
 
 # A bounded Newton-type fit (_maximize) stops after a step shorter than 1e-10
 # standard errors, and fails after _MAX_STEPS steps.
 _DECREMENT_TOL = 1e-20
 _MAX_STEPS = 100
-
-_erfc = np.vectorize(math.erfc, otypes=[float])
 
 
 def _ndtr(z) -> np.ndarray:
@@ -84,7 +83,8 @@ def _ndtr(z) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     out = (z > 0).astype(float)
     inside = (z > -38.5) & (z < 8.5)
-    out[inside] = 0.5 * _erfc(-z[inside] * math.sqrt(0.5))
+    v = (-z[inside] * math.sqrt(0.5)).tolist()
+    out[inside] = 0.5 * np.fromiter(map(math.erfc, v), float, len(v))
     return out
 
 
@@ -697,7 +697,7 @@ def fit_peaks(trace: AmplitudeTrace, bin_width_mv: float = DEFAULT_BIN_WIDTH_MV,
     return replace(fit, components=(*kept, replace(top, weight=float(folded))))
 
 
-def place_thresholds(fit: GaussianMixtureFit, xatol: float = 1e-3) -> ThresholdSet:
+def place_thresholds(fit: GaussianMixtureFit) -> ThresholdSet:
     """Place decision thresholds at the mixture-density minima, as only the
     acceptance criteria and the benchmark's library chain do.
 
@@ -706,15 +706,14 @@ def place_thresholds(fit: GaussianMixtureFit, xatol: float = 1e-3) -> ThresholdS
     call. The lowest point and its two neighbours bracket the minimum.
     Every bracket is then narrowed at once on nested grids of
     ``_REFINE_POINTS`` points, each spanning the previous grid's lowest
-    point and its neighbours, until it is at most ``xatol`` mV wide or as
-    narrow as floats allow. The cut is the vertex of the parabola through
-    the last grid's lowest point and its neighbours, kept within the
-    bracket, so it lies within ``xatol`` of the minimum. ``xatol`` must be
-    a positive real number. Next to a component that holds no events, and
-    wherever the density has no interior valley, the midpoint is used; in
-    the latter case a warning is emitted.
+    point and its neighbours, until it is at most ``_THRESHOLD_XATOL_MV``
+    (1e-3 mV) wide or as narrow as floats allow. The cut is the vertex of
+    the parabola through the last grid's lowest point and its neighbours,
+    kept within the bracket, so it lies within that width of the minimum.
+    Next to a component that holds no events, and wherever the density has
+    no interior valley, the midpoint is used; in the latter case a warning
+    is emitted.
     """
-    _check_number("xatol", xatol, "(0, inf)")
     means = fit.means
     cuts = 0.5 * (means[:-1] + means[1:])
     weights = np.array([c.weight for c in fit.components])
@@ -735,8 +734,9 @@ def place_thresholds(fit: GaussianMixtureFit, xatol: float = 1e-3) -> ThresholdS
     while True:
         lo = grid[rows, np.maximum(i - 1, 0)]
         hi = grid[rows, np.minimum(i + 1, grid.shape[1] - 1)]
-        # Stop at xatol, or where floats resolve the brackets no finer.
-        if not np.any(hi - lo > xatol) or (last is not None and np.array_equal(last, [lo, hi])):
+        # Stop at that width, or where floats resolve the brackets no finer.
+        if (not np.any(hi - lo > _THRESHOLD_XATOL_MV)
+                or (last is not None and np.array_equal(last, [lo, hi]))):
             break
         last = [lo, hi]
         grid = lo[:, None] + (hi - lo)[:, None] * step

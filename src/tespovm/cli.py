@@ -56,7 +56,7 @@ from . import files
 from .calibration import CountTable, _fit_comb, _histogram, counts_by_area
 from .errors import CalibrationError, EstimationError, LineageError, SchemaError
 from .estimation import estimate_eta_gamma
-from .metrics import DEFAULT_SPLIT, fidelity_curve, sensitivity_sweep, three_way_comparison
+from .metrics import fidelity_curve, sensitivity_sweep, three_way_comparison
 from .photon_stats import _check_number, binomial_povm
 from .tes_sim import _SEED_RANGE, MAX_MEAN_COUNT, simulate_probe
 from .tomography import TOL, reconstruct_povm
@@ -164,8 +164,8 @@ def cmd_reconstruct(args) -> int:
     files.write_convergence_log(out / "convergence.log", result)
     certificate = f"gradient-mapping norm {result.gradient_mapping_norm:.3e}, tol {TOL:g}"
     if not result.converged:
-        print(f"warning: solver hit max_iters={cfg.max_iters} ({certificate})",
-              file=sys.stderr)
+        print(f"warning: solver hit tomography.MAX_ITERS, {result.n_iters} iterations "
+              f"({certificate})", file=sys.stderr)
     print(
         f"reconstructed {result.povm.n_outcomes}x{result.povm.truncation} POVM "
         f"in {result.n_iters} iterations (data term {result.data_term:.3e}, "
@@ -185,7 +185,6 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    _check_number("--split", args.split, "[0, inf)", integer=True)
     _check_number("--energy-scale", args.energy_scale, "[0, 1)")
     _check_number("--attenuation-db", args.attenuation_db, "[0, inf)")
     povm, povm_hash, init_eta = files.read_povm(args.povm)
@@ -196,7 +195,7 @@ def cmd_validate(args) -> int:
     eta_hat, gamma_hat = float(estimate["eta_hat"]), float(estimate["gamma_hat"])
     comparisons = three_way_comparison(table, povm, eta_hat, run.ensemble, gamma_hat)
     reference = binomial_povm(eta_hat, povm.n_outcomes, povm.truncation, gamma_hat)
-    curve = fidelity_curve(povm, reference, split=args.split)
+    curve = fidelity_curve(povm, reference)
     # Every report is computed before the first is written.
     reports = {
         "fidelity.json": {
@@ -221,7 +220,6 @@ def cmd_validate(args) -> int:
             reference,
             energy_scale=args.energy_scale,
             attenuation_db=args.attenuation_db,
-            split=args.split,
         )
         reports["sweep.json"] = {
             "config_hash": povm_hash,
@@ -282,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     val.add_argument("--ensemble", required=True)
     val.add_argument("--estimate", required=True)
     val.add_argument("--out", required=True)
-    val.add_argument("--split", type=int, default=DEFAULT_SPLIT)
     val.add_argument("--energy-scale", type=float, default=0.0)
     val.add_argument("--attenuation-db", type=float, default=0.0)
     val.add_argument("--force", action="store_true")

@@ -296,10 +296,9 @@ def read_count_table(path) -> tuple[CountTable, str]:
 
 # -- POVM and results --------------------------------------------------------
 
-def write_povm(path, result: ReconstructionResult, init_eta: float | None,
-               cfg_hash: str):
+def write_povm(path, result: ReconstructionResult, init_eta: float, cfg_hash: str):
     """Write the POVM, the efficiency ``init_eta`` its solve started from
-    (None for uniform columns) and the solve's record.
+    and the solve's record.
 
     The other solver settings are the run config's reconstruction section,
     stored once in ``ensemble.json``, to which ``config_hash`` ties the file.
@@ -323,18 +322,16 @@ def write_povm(path, result: ReconstructionResult, init_eta: float | None,
     )
 
 
-def read_povm(path) -> tuple[PovmMatrix, str, float | None]:
+def read_povm(path) -> tuple[PovmMatrix, str, float]:
     """The POVM, config hash and starting efficiency ``init_eta`` of a
-    ``povm.json``; an ``init_eta`` that is null or absent is a uniform
-    start, any other must be a number in [0, 1]."""
+    ``povm.json``; ``init_eta`` must be a number in [0, 1]."""
     payload = read_json(path)
     cfg_hash = _require(payload, "config_hash", str(path))
     entries = np.asarray(_require(payload, "entries", str(path)), dtype=float)
-    init_eta = payload.get("init_eta")
+    init_eta = _require(payload, "init_eta", str(path))
     try:
         povm = PovmMatrix(entries)
-        if init_eta is not None:
-            _check_number("init_eta", init_eta, "[0, 1]")
+        _check_number("init_eta", init_eta, "[0, 1]")
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"{path}: {exc}") from exc
     return povm, cfg_hash, init_eta

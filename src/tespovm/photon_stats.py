@@ -322,8 +322,7 @@ def probe_q_matrix(
         and ``tail[j]`` is the folded Poisson mass of probe ``j``.
     """
     _check_number("truncation", truncation, "[1, inf)", integer=True)
-    ms = np.arange(truncation)
-    q = np.column_stack([poisson_pmf(p.mean_photons, ms) for p in ensemble.probes])
+    q = np.exp(_poisson_log_pmf(ensemble.mean_photons[None, :], np.arange(truncation)[:, None]))
     tail = np.maximum(0.0, 1.0 - q.sum(axis=0))
     q[-1] += tail
     return q, tail

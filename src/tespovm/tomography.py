@@ -59,10 +59,15 @@ _LAPLACIAN_NORM_BOUND = 4.0
 # 0.957, as the exact ``reg_weight`` 1e-8 optimum is further from the truth.
 TOL = 1e-8
 
+# Iteration cap of every solve, which stops sooner at TOL or the noise floor.
+MAX_ITERS = 200_000
+
 
 @dataclass(frozen=True)
 class ReconstructionConfig:
-    """Solver settings for :func:`reconstruct_povm`.
+    """Solver settings for :func:`reconstruct_povm`. Its tolerance
+    :data:`TOL` and iteration cap :data:`MAX_ITERS` are module constants,
+    not settings.
 
     Attributes:
         truncation: Photon-number cutoff M (columns m = 0 .. M-1), >= 1.
@@ -75,8 +80,6 @@ class ReconstructionConfig:
             flattens those columns toward their probed neighbours
             (weight 1e-3 drags the m=0 column fidelity below 0.95 even
             on noise-free input).
-        max_iters: Iteration cap, >= 1. The solve stops sooner once the
-            gradient-mapping norm is at most the module's :data:`TOL`.
         init_eta: When given, in [0, 1], iterate from ``binomial_povm(init_eta)``
             instead of uniform columns. The start shapes the result: on
             noisy counts the solve stops at the noise floor within a few
@@ -87,14 +90,12 @@ class ReconstructionConfig:
     truncation: int = 140
     n_outcomes: int = 12
     reg_weight: float = 1e-8
-    max_iters: int = 200_000
     init_eta: float | None = None
 
     def __post_init__(self):
         _check_number("truncation", self.truncation, "[1, inf)", integer=True)
         _check_number("n_outcomes", self.n_outcomes, "[2, inf)", integer=True)
         _check_number("reg_weight", self.reg_weight, "[0, inf)")
-        _check_number("max_iters", self.max_iters, "[1, inf)", integer=True)
         if self.init_eta is not None:
             _check_number("init_eta", self.init_eta, "[0, 1]")
 
@@ -105,7 +106,8 @@ class ReconstructionResult:
 
     ``stop_reason`` is one of ``"noise_floor"`` (data term reached the
     multinomial noise level of the counts), ``"objective_tol"``
-    (gradient-mapping norm <= :data:`TOL`) or ``"max_iters"``.
+    (gradient-mapping norm <= :data:`TOL`) or ``"max_iters"`` (the solve
+    ran :data:`MAX_ITERS` steps); ``converged`` is whether it stopped sooner.
     ``gradient_mapping_norm`` is that norm at the reported POVM, whatever
     stopped the solve. ``noise_floor`` is None when the table carries no
     raw counts.
@@ -117,11 +119,14 @@ class ReconstructionResult:
     reg_term: float
     per_probe_residuals: np.ndarray
     probe_tail_mass: np.ndarray
-    converged: bool
     n_iters: int
     stop_reason: str
     noise_floor: float | None
     gradient_mapping_norm: float
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason != "max_iters"
 
 
 def project_simplex(v) -> np.ndarray:
@@ -182,9 +187,10 @@ def reconstruct_povm(
     columns or of the ensemble.
 
     Iteration stops once the gradient-mapping norm (module docstring) is
-    at most :data:`TOL`. When the table carries raw counts, it also stops
-    once the data term falls to the multinomial noise floor of the
-    counts, ``sum_j (1 - sum_n p_nj^2) / n_j`` (discrepancy principle). Pushing
+    at most :data:`TOL`, or after :data:`MAX_ITERS` steps. When the table
+    carries raw counts, it also stops once the data term falls to the
+    multinomial noise floor of the counts, ``sum_j (1 - sum_n p_nj^2) /
+    n_j`` (discrepancy principle). Pushing
     the fit below that level only transfers counting noise into the
     POVM through the ill-conditioned probe design; stopping there keeps
     statistically silent directions at their initialization while any
@@ -233,15 +239,13 @@ def reconstruct_povm(
     f, data, reg, resid, grad = _objective(pi, q, p, cfg.reg_weight)
     pi_prev, grad_prev = pi, grad
     history = [f]
-    converged = False
     stop_reason = "max_iters"
     iters = 0
     if noise_floor is not None and data <= noise_floor:
-        converged = True
         stop_reason = "noise_floor"
     else:
         k = 0  # steps since momentum last restarted
-        for iters in range(1, cfg.max_iters + 1):
+        for iters in range(1, MAX_ITERS + 1):
             beta = max(k - 1, 0) / (k + 2)
             pi_new, gmap, new = mapped_step(beta)
             if beta > 0 and new[0] > f:
@@ -250,7 +254,6 @@ def reconstruct_povm(
                 pi_new, gmap, new = mapped_step(beta)
             if beta == 0 and gmap <= TOL:
                 # First-order optimality certificate at pi; keep it.
-                converged = True
                 stop_reason = "objective_tol"
                 iters -= 1
                 break
@@ -261,7 +264,6 @@ def reconstruct_povm(
             f, data, reg, resid, grad = new
             history.append(f)
             if noise_floor is not None and data <= noise_floor:
-                converged = True
                 stop_reason = "noise_floor"
                 break
     if stop_reason != "objective_tol":
@@ -279,7 +281,6 @@ def reconstruct_povm(
         reg_term=reg,
         per_probe_residuals=per_probe,
         probe_tail_mass=tail,
-        converged=converged,
         n_iters=iters,
         stop_reason=stop_reason,
         noise_floor=noise_floor,

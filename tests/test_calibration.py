@@ -559,7 +559,7 @@ def test_fit_peaks_input_validation():
         tp.fit_run((), bin_width_mv=2.0, max_peaks=3)
 
 
-def test_place_thresholds_finds_density_valley():
+def test_place_thresholds_finds_density_valley(monkeypatch):
     fit = tp.GaussianMixtureFit(
         components=(
             tp.GaussianComponent(weight=90_000.0, mean_mv=0.0, sigma_mv=2.0),
@@ -567,11 +567,13 @@ def test_place_thresholds_finds_density_valley():
         ),
         goodness=1.0,
     )
-    cuts = tp.place_thresholds(fit, xatol=1e-6)
+    # At the module's 1e-3 mV bracket the parabola's vertex lands on the valley.
+    cuts = tp.place_thresholds(fit)
     assert len(cuts.cut_points_mv) == 1
-    assert abs(cuts.cut_points_mv[0] - VALLEY_9_TO_1) < 1e-4
-    # At the default xatol the parabola's vertex still lands on the valley.
-    assert abs(tp.place_thresholds(fit).cut_points_mv[0] - VALLEY_9_TO_1) < 1e-6
+    assert abs(cuts.cut_points_mv[0] - VALLEY_9_TO_1) < 1e-6
+    # So does a bracket narrowed to 1e-6 mV.
+    monkeypatch.setattr(calibration, "_THRESHOLD_XATOL_MV", 1e-6)
+    assert abs(tp.place_thresholds(fit).cut_points_mv[0] - VALLEY_9_TO_1) < 1e-4
 
 
 def test_place_thresholds_midpoint_fallback():
@@ -588,17 +590,15 @@ def test_place_thresholds_midpoint_fallback():
     assert cuts.cut_points_mv[0] == 6.5
 
 
-@pytest.mark.parametrize("xatol, error", [(0, ValueError), (-1.0, ValueError),
-                                           (float("nan"), ValueError), (float("inf"), ValueError),
-                                           (True, TypeError), ("1e-3", TypeError)])
-def test_place_thresholds_refuses_a_bad_xatol(xatol, error):
+def test_place_thresholds_takes_only_the_fit():
+    # The bracket width is the module's constant, not a parameter.
     fit = tp.GaussianMixtureFit(
         components=(tp.GaussianComponent(9_000.0, 0.0, 2.0),
                     tp.GaussianComponent(1_000.0, 13.0, 2.0)),
         goodness=1.0,
     )
-    with pytest.raises(error, match="xatol"):
-        tp.place_thresholds(fit, xatol=xatol)
+    with pytest.raises(TypeError, match="xatol"):
+        tp.place_thresholds(fit, xatol=1e-3)
 
 
 def test_bin_counts_boundary_and_fold():

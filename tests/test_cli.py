@@ -21,7 +21,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import tespovm as tp
-from tespovm import calibration, estimation, files
+from tespovm import calibration, estimation, files, tomography
 from tespovm.cli import main
 from tespovm.tes_sim import simulate_probe
 from tespovm.tomography import TOL
@@ -36,8 +36,23 @@ def _config(gamma: float = 0.0) -> dict:
         ],
         "detector": {"eta": 0.051, "gamma": gamma},
         "calibration": {"bin_width_mv": 1.3},
-        "reconstruction": {"truncation": 50, "n_outcomes": 8, "max_iters": 30000},
+        "reconstruction": {"truncation": 50, "n_outcomes": 8},
     }
+
+
+@contextlib.contextmanager
+def _max_iters(n):
+    """Cap every solve at ``n`` steps in place of ``tomography.MAX_ITERS``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tomography, "MAX_ITERS", n)
+        yield
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _small_design_cap():
+    """The small design's in-process solves stop at 30 000 steps."""
+    with _max_iters(30_000):
+        yield
 
 
 _ARTIFACTS = {
@@ -58,7 +73,7 @@ def _stage_argv(stage, run, out):
         "estimate": ["--counts", art["counts"], "--ensemble", art["ensemble"]],
         "validate": ["--povm", art["povm"], "--counts", art["counts"],
                      "--ensemble", art["ensemble"], "--estimate", art["estimate"],
-                     "--split", "20", "--energy-scale", "0.05"],
+                     "--energy-scale", "0.05"],
     }[stage]
     return [stage, *inputs, "--out", str(out)]
 
@@ -371,12 +386,14 @@ def test_pipeline_estimate_artifact(pipeline):
 
 
 def test_pipeline_fidelity_artifact(pipeline):
+    # validate splits at the paper's M = 100, past this design's truncation.
     payload = json.loads((pipeline["val"] / "fidelity.json").read_text())
-    assert payload["split"] == 20
+    assert payload["split"] == 100
     values = np.array(payload["fidelity"])
     assert values.shape == (50,)
     assert np.all((values >= 0.0) & (values <= 1.0 + 1e-12))
-    assert payload["min_low"] == pytest.approx(values[:21].min())
+    assert payload["min_low"] == values[:101].min()
+    assert np.isnan(payload["min_high"])
 
 
 def test_pipeline_comparison_artifact(pipeline):
@@ -407,7 +424,7 @@ def test_validate_without_perturbation_skips_sweep(pipeline, tmp_path):
         "--counts", str(pipeline["cal"] / "counts.json"),
         "--ensemble", str(pipeline["sim"] / "ensemble.json"),
         "--estimate", str(pipeline["est"] / "estimate.json"),
-        "--out", str(tmp_path), "--split", "20",
+        "--out", str(tmp_path),
     ])
     assert rc == 0
     assert (tmp_path / "fidelity.json").exists()
@@ -438,7 +455,6 @@ _MISSING = object()  # an estimate.json edit that deletes the key
     (["--attenuation-db", "-0.1"], {}, r"--attenuation-db must lie in \[0, inf\), got -0\.1"),
     (["--attenuation-db", "3070"], {}, r"attenuation_db 3070 overflows 10\^\(dB / 10\)"),
     (["--attenuation-db", "4000"], {}, r"attenuation_db 4000 overflows 10\^\(dB / 10\)"),
-    (["--split", "-5"], {}, r"--split must lie in \[0, inf\), got -5"),
     ([], {"eta_hat": True}, r"estimate\.json: eta_hat must be a real number, got True"),
     ([], {"eta_hat": "0.05"}, r"estimate\.json: eta_hat must be a real number, got '0\.05'"),
     ([], {"eta_hat": float("nan")}, r"estimate\.json: eta_hat must lie in \[0, 1\], got nan"),
@@ -446,7 +462,7 @@ _MISSING = object()  # an estimate.json edit that deletes the key
     ([], {"gamma_hat": None}, r"estimate\.json: gamma_hat must be a real number, got None"),
     ([], {"gamma_hat": _MISSING}, r"estimate\.json: missing field 'gamma_hat'"),
 ], ids=["energy-scale_nan", "energy-scale_-0.03", "attenuation-db_inf", "attenuation-db_-0.1",
-        "attenuation-db_3070", "attenuation-db_4000", "split_-5", "eta_hat_true",
+        "attenuation-db_3070", "attenuation-db_4000", "eta_hat_true",
         "eta_hat_string", "eta_hat_NaN", "gamma_hat_-0.1", "gamma_hat_null", "gamma_hat_missing"])
 def test_validate_refuses_a_bad_flag_or_estimate(pipeline, tmp_path, capsys, flags, estimate,
                                                  named):
@@ -468,11 +484,33 @@ def test_validate_refuses_a_bad_flag_or_estimate(pipeline, tmp_path, capsys, fla
     assert not out.exists()
 
 
+@pytest.mark.parametrize("init_eta", [None, _MISSING], ids=["null", "missing"])
+def test_validate_refuses_a_povm_without_its_start(pipeline, tmp_path, capsys, init_eta):
+    # Every solve starts from the fitted efficiency, so povm.json records it.
+    payload = json.loads((pipeline["rec"] / "povm.json").read_text())
+    payload["init_eta"] = init_eta
+    path = tmp_path / "povm.json"
+    files.write_json(path, {k: v for k, v in payload.items() if v is not _MISSING})
+    out = tmp_path / "val"
+    rc = main([
+        "validate", "--povm", str(path),
+        "--counts", str(pipeline["cal"] / "counts.json"),
+        "--ensemble", str(pipeline["sim"] / "ensemble.json"),
+        "--estimate", str(pipeline["est"] / "estimate.json"),
+        "--out", str(out),
+    ])
+    assert rc == 2
+    assert f"error: {path}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("stage, flag", [
     ("calibrate", ["--method", "area"]), ("estimate", ["--dark-counts"]),
+    ("validate", ["--split", "20"]),
 ])
 def test_removed_route_flags_exit_2(pipeline, tmp_path, capsys, stage, flag):
-    # Each stage has one route: threshold binning, the (eta, gamma) fit.
+    # Each stage has one route: tooth-weight counts, the (eta, gamma) fit,
+    # the fidelity summary split at the paper's M = 100.
     with pytest.raises(SystemExit) as exit_info:
         main(_stage_argv(stage, pipeline["config"].parent, tmp_path / stage) + flag)
     assert exit_info.value.code == 2
@@ -575,11 +613,12 @@ def test_bad_config_exits_2(tmp_path, capsys):
     # its old default is refused too.
     (("reconstruction", "tol"), float("-inf"), r"config: reconstruction: .*'tol'"),
     (("reconstruction", "tol"), 1e-8, r"config: reconstruction: .*'tol'"),
+    # So is the iteration cap, at its old default and at a non-number.
+    (("reconstruction", "max_iters"), 200_000, r"config: reconstruction: .*'max_iters'"),
+    (("reconstruction", "max_iters"), True, r"config: reconstruction: .*'max_iters'"),
     (("probes", 1, "attenuation_db"), float("nan"), r"config: probes\[1\]: .*'attenuation_db'"),
     (("probes", 1, "attenuation_db"), 70.0, r"config: probes\[1\]: .*'attenuation_db'"),
     (("detector", "eta"), True, r"config: detector: eta must be a real number, got True"),
-    (("reconstruction", "max_iters"), True,
-     r"config: reconstruction: max_iters must be an integer, got True"),
     (("probes", 0, "n_pulses"), True,
      r"config: probes\[0\]: n_pulses must be an integer, got True"),
     (("detector", "baseline_mv"), "0",
@@ -593,8 +632,8 @@ def test_bad_config_exits_2(tmp_path, capsys):
         "truncation_20.5", "id_2.5", "n_pulses_3000.5", "truncation_-1", "max_peaks_10.5",
         "max_peaks_12", "baseline_mv_NaN", "peak_spacing_mv_Infinity", "sigma_slope_mv_-Infinity",
         "sigma0_mv_NaN", "bin_width_mv_NaN", "reg_weight_Infinity", "tol_-Infinity",
-        "tol_1e-8",
-        "attenuation_db_NaN", "attenuation_db_70", "eta_true", "max_iters_true", "n_pulses_true", "baseline_mv_string", "baseline_mv_null",
+        "tol_1e-8", "max_iters_200000", "max_iters_true",
+        "attenuation_db_NaN", "attenuation_db_70", "eta_true", "n_pulses_true", "baseline_mv_string", "baseline_mv_null",
         "baseline_mv_10^400"])
 def test_bad_config_exits_2_before_a_trace(tmp_path, capsys, path, value, named):
     """A key that no section's type takes, a key that no stage reads and a
@@ -736,12 +775,10 @@ def test_unaffordable_runs_are_refused_in_small_memory(tmp_path, capsys):
 
 def test_outcome_mismatch_exits_2(pipeline, tmp_path, capsys):
     # The pipeline reconstructed with no config flag, in the run config's
-    # 8 outcomes, truncation 50 and max_iters 30000, which ensemble.json
-    # alone records.
+    # 8 outcomes and truncation 50, which ensemble.json alone records.
     payload = json.loads((pipeline["rec"] / "povm.json").read_text())
     assert np.asarray(payload["entries"]).shape == (8, 50)
     run, _ = files.read_ensemble(pipeline["sim"] / "ensemble.json")
-    assert run.reconstruction.max_iters == 30000
     assert run.reconstruction.reg_weight == tp.ReconstructionConfig().reg_weight
     assert not {"reg_weight", "max_iters", "tol"} & set(payload)
 
@@ -758,16 +795,13 @@ def test_outcome_mismatch_exits_2(pipeline, tmp_path, capsys):
     assert not (tmp_path / "povm.json").exists()
 
 
-@pytest.mark.parametrize("max_iters", [50, None])
+@pytest.mark.parametrize("max_iters", [50, 200_000])
 def test_reconstruct_reports_its_certificate(tmp_path, capsys, max_iters):
     # Exact probabilities have no noise floor, so only the certificate
-    # stops the solve; 50 steps do not reach it, the default cap does.
+    # stops the solve; a cap of 50 steps does not reach it, the default does.
     mus = (0.3, 1.0, 2.5, 5.0)
-    section = {"truncation": 4, "n_outcomes": 4}
-    if max_iters is not None:
-        section["max_iters"] = max_iters
     config = {"probes": [{"id": i, "mean_photons": m} for i, m in enumerate(mus)],
-              "reconstruction": section}
+              "reconstruction": {"truncation": 4, "n_outcomes": 4}}
     files.write_ensemble(tmp_path / "ensemble.json", config)
     run, cfg_hash = files.read_ensemble(tmp_path / "ensemble.json")
     ensemble = run.ensemble
@@ -775,17 +809,19 @@ def test_reconstruct_reports_its_certificate(tmp_path, capsys, max_iters):
     table = tp.CountTable.from_probs(tp.binomial_povm(0.6, 4, 4).entries @ q,
                                      probe_ids=ensemble.ids)
     files.write_count_table(tmp_path / "counts.json", table, cfg_hash)
-    assert main(["reconstruct", "--counts", str(tmp_path / "counts.json"),
-                 "--ensemble", str(tmp_path / "ensemble.json"),
-                 "--out", str(tmp_path / "rec")]) == 0
+    with _max_iters(max_iters):
+        assert main(["reconstruct", "--counts", str(tmp_path / "counts.json"),
+                     "--ensemble", str(tmp_path / "ensemble.json"),
+                     "--out", str(tmp_path / "rec")]) == 0
     printed = capsys.readouterr()
     povm = json.loads((tmp_path / "rec" / "povm.json").read_text())
     certificate = (f"gradient-mapping norm {povm['gradient_mapping_norm']:.3e}, "
                    f"tol {TOL:g}")
+    capped = max_iters == 50
     assert certificate in printed.out
-    assert povm["converged"] == (max_iters is None)
-    assert (certificate in printed.err) == (max_iters is not None)
-    assert (povm["gradient_mapping_norm"] <= TOL) == (max_iters is None)
+    assert povm["converged"] == (not capped)
+    assert (f"hit tomography.MAX_ITERS, 50 iterations ({certificate})" in printed.err) == capped
+    assert (povm["gradient_mapping_norm"] <= TOL) == (not capped)
 
 
 def test_sweep_baseline_is_the_reported_povm(tmp_path):
@@ -1139,7 +1175,7 @@ _READERS = {
     "estimate": ["validate"],
 }
 _RUN_CONFIG_FIELDS = [
-    ("reconstruction", "reg_weight"), ("reconstruction", "max_iters"),
+    ("reconstruction", "reg_weight"), ("reconstruction", "truncation"),
     ("calibration", "bin_width_mv"), ("detector", "eta"), ("probes", 2, "mean_photons"),
 ]
 _TAMPERS = st.one_of(
@@ -1180,12 +1216,9 @@ def _write_honest_counts(payload, path) -> bool:
 
 @pytest.fixture(scope="module")
 def tamper_run(tmp_path_factory):
-    """The small design, its solves capped at 2000 iterations: a tampered
-    table may keep the solver from its noise floor, and the property checks
-    what the stages read, not how far they solve."""
-    config = _config()
-    config["reconstruction"]["max_iters"] = 2000
-    return _run_pipeline(tmp_path_factory.mktemp("tamper"), config)
+    """The small design, its solves capped as the property's are."""
+    with _max_iters(2000):
+        return _run_pipeline(tmp_path_factory.mktemp("tamper"), _config())
 
 
 @settings(max_examples=25)
@@ -1197,7 +1230,9 @@ def tamper_run(tmp_path_factory):
 def test_tampered_artifact_fails_loudly_or_reads_as_honest(tamper_run, tamper):
     """One field of one artifact is changed. Each stage that reads it either
     exits 2 or 4 naming the file and writes nothing, or writes exactly what
-    it writes from an honest artifact holding that value."""
+    it writes from an honest artifact holding that value. Solves stop at
+    2000 steps: a tampered table may keep the solver from its noise floor,
+    and the property checks what the stages read, not how far they solve."""
     artifact, key, value = tamper
     with tempfile.TemporaryDirectory() as tmp:
         tampered, honest = Path(tmp) / "tampered", Path(tmp) / "honest"
@@ -1217,14 +1252,15 @@ def test_tampered_artifact_fails_loudly_or_reads_as_honest(tamper_run, tamper):
         has_honest = (artifact == "counts"
                       and _write_honest_counts(payload, honest / _ARTIFACTS["counts"]))
 
-        for stage in _READERS[artifact]:
-            code, err, written = _run_stage(stage, tampered, Path(tmp) / "out" / stage)
-            if code in (2, 4) and str(path) in err and written is None:
-                continue
-            assert has_honest, (stage, code, err)
-            honest_code, _, honest_written = _run_stage(
-                stage, honest, Path(tmp) / "honest_out" / stage)
-            assert (code, written) == (honest_code, honest_written), stage
+        with _max_iters(2000):
+            for stage in _READERS[artifact]:
+                code, err, written = _run_stage(stage, tampered, Path(tmp) / "out" / stage)
+                if code in (2, 4) and str(path) in err and written is None:
+                    continue
+                assert has_honest, (stage, code, err)
+                honest_code, _, honest_written = _run_stage(
+                    stage, honest, Path(tmp) / "honest_out" / stage)
+                assert (code, written) == (honest_code, honest_written), stage
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

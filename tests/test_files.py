@@ -29,8 +29,7 @@ def _small_reconstruction():
     truth = tp.binomial_povm(0.4, 3, 5)
     q, _ = tp.probe_q_matrix(ens, 5)
     table = tp.CountTable.from_probs(truth.entries @ q, probe_ids=ens.ids)
-    cfg = tp.ReconstructionConfig(truncation=5, n_outcomes=3, max_iters=2000,
-                                  init_eta=0.4)
+    cfg = tp.ReconstructionConfig(truncation=5, n_outcomes=3, init_eta=0.4)
     return tp.reconstruct_povm(table, ens, cfg), cfg, table, ens
 
 
@@ -69,7 +68,7 @@ def test_config_calibration_defaults_are_fit_peaks_defaults():
 
 def test_default_config_hash_is_pinned():
     # Artifact lineage depends on this value; a default that drifts changes it.
-    assert files.config_hash(files.default_config()) == "1e7c6b953e310dd2"
+    assert files.config_hash(files.default_config()) == "61c58cb3816cd507"
 
 
 def test_public_names_are_pinned():
@@ -103,7 +102,7 @@ def test_cli_options_are_pinned():
         "reconstruct": ["--counts", "--ensemble", "--force", "--help", "--out", "-h"],
         "estimate": ["--counts", "--ensemble", "--force", "--help", "--out", "-h"],
         "validate": ["--attenuation-db", "--counts", "--energy-scale", "--ensemble",
-                     "--estimate", "--force", "--help", "--out", "--povm", "--split", "-h"],
+                     "--estimate", "--force", "--help", "--out", "--povm", "-h"],
     }
 
 
@@ -179,13 +178,13 @@ def test_trace_roundtrip_is_bitwise(amps):
 
 def test_ensemble_roundtrip(tmp_path):
     config = files.default_config()
-    config["reconstruction"]["max_iters"] = 30000
+    config["reconstruction"]["reg_weight"] = 1e-6
     files.write_ensemble(tmp_path / "ensemble.json", config)
     run, h = files.read_ensemble(tmp_path / "ensemble.json")
     assert h == files.config_hash(config)
     assert run == files.parse_config(config)
     assert run.ensemble.probes == tp.geometric_ensemble().probes
-    assert run.reconstruction.max_iters == 30000
+    assert run.reconstruction.reg_weight == 1e-6
     # Files that carry only probes, under their own hash, give the default
     # solver settings.
     probes_only = {"probes": config["probes"][:2]}
@@ -271,16 +270,17 @@ def test_povm_roundtrip(tmp_path):
     old, _, old_init_eta = files.read_povm(tmp_path / "old.json")
     assert np.array_equal(old.entries, rec.povm.entries)
     assert old_init_eta == 0.4
-    # A solve from uniform columns records no start.
-    files.write_povm(tmp_path / "uniform.json", rec, None, "beef")
-    assert files.read_povm(tmp_path / "uniform.json")[2] is None
 
 
 def test_read_povm_rejects_bad_columns(tmp_path):
     path = tmp_path / "povm.json"
-    files.write_json(path, {"config_hash": "h", "entries": [[0.9, 0.5], [0.3, 0.5]]})
+    files.write_json(path, {"config_hash": "h", "entries": [[0.9, 0.5], [0.3, 0.5]],
+                            "init_eta": 0.4})
     with pytest.raises(tp.SchemaError, match="sum to 1"):
         files.read_povm(path)
+
+
+_MISSING = object()  # a povm.json edit that leaves the key out
 
 
 @pytest.mark.parametrize("init_eta, match", [
@@ -289,12 +289,15 @@ def test_read_povm_rejects_bad_columns(tmp_path):
     # JSON's NaN is a number but not in [0, 1]; true is not a number.
     (math.nan, r"init_eta must lie in \[0, 1\], got nan"),
     (True, r"init_eta must be a real number, got True"),
-], ids=["out_of_range", "string", "nan", "true"])
+    # Every solve starts from a fitted efficiency, so a start is required.
+    (None, r"init_eta must be a real number, got None"),
+    (_MISSING, r"missing field 'init_eta'"),
+], ids=["out_of_range", "string", "nan", "true", "null", "missing"])
 def test_read_povm_rejects_a_bad_init_eta(tmp_path, init_eta, match):
     path = tmp_path / "povm.json"
-    files.write_json(path, {"config_hash": "h", "entries": [[1.0, 0.5], [0.0, 0.5]],
-                            "init_eta": init_eta})
-    with pytest.raises(tp.SchemaError, match=match):
+    payload = {"config_hash": "h", "entries": [[1.0, 0.5], [0.0, 0.5]], "init_eta": init_eta}
+    files.write_json(path, {k: v for k, v in payload.items() if v is not _MISSING})
+    with pytest.raises(tp.SchemaError, match=rf"povm\.json: {match}"):
         files.read_povm(path)
 
 

@@ -108,8 +108,7 @@ def _sweep_setup():
     ))
     truth = tp.binomial_povm(0.6, 4, 4)
     table = _exact_table(ens, truth)
-    cfg = tp.ReconstructionConfig(truncation=4, n_outcomes=4, max_iters=5000,
-                                  init_eta=0.6)
+    cfg = tp.ReconstructionConfig(truncation=4, n_outcomes=4, init_eta=0.6)
     return ens, truth, table, cfg
 
 

@@ -56,8 +56,7 @@ def test_columns_pair_with_probes_by_id(n_probes, n_extra, eta, gamma, seed, dat
     order = data.draw(st.permutations(range(len(probes))), label="ensemble order")
     superset = tp.ProbeEnsemble(tuple(probes[k] for k in order))
 
-    cfg = tp.ReconstructionConfig(truncation=40, n_outcomes=N_OUTCOMES, max_iters=2000,
-                                  init_eta=eta)
+    cfg = tp.ReconstructionConfig(truncation=40, n_outcomes=N_OUTCOMES, init_eta=eta)
     rec = tp.reconstruct_povm(table, measured, cfg)
     rec_shuffled = tp.reconstruct_povm(shuffled, superset, cfg)
     assert np.array_equal(rec.povm.entries, rec_shuffled.povm.entries)

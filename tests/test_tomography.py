@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import tespovm as tp
+from tespovm import tomography
 from tespovm.tomography import TOL
 
 
@@ -149,11 +150,11 @@ def test_reconstruct_starting_below_floor_takes_no_steps():
     assert np.array_equal(rec.povm.entries, init.entries)
 
 
-def test_reconstruct_hits_max_iters_without_counts():
+def test_reconstruct_hits_max_iters_without_counts(monkeypatch):
     ens, truth, q = _square_setup()
     table = tp.CountTable.from_probs(truth.entries @ q, probe_ids=ens.ids)
-    cfg = tp.ReconstructionConfig(truncation=4, n_outcomes=4, max_iters=5)
-    rec = tp.reconstruct_povm(table, ens, cfg)
+    monkeypatch.setattr(tomography, "MAX_ITERS", 5)
+    rec = tp.reconstruct_povm(table, ens, tp.ReconstructionConfig(truncation=4, n_outcomes=4))
     assert rec.stop_reason == "max_iters"
     assert not rec.converged
     assert rec.n_iters == 5
@@ -181,7 +182,7 @@ def _gradient_mapping_norm(pi, q, p, reg_weight):
     return float(np.linalg.norm(pi - proj)) / step
 
 
-def test_first_two_steps_are_plain_projected_gradient_steps():
+def test_first_two_steps_are_plain_projected_gradient_steps(monkeypatch):
     """Momentum starts at the third step, so a noise-floor stop within two
     steps gives the same POVM as plain projected gradient."""
     ens, truth, q = _square_setup()
@@ -189,15 +190,16 @@ def test_first_two_steps_are_plain_projected_gradient_steps():
     cols = [rng.multinomial(20_000, p / p.sum()) for p in (truth.entries @ q).T]
     table = tp.CountTable.from_counts(np.array(cols).T, probe_ids=ens.ids)
     pi = np.full((4, 4), 0.25)
+    cfg = tp.ReconstructionConfig(truncation=4, n_outcomes=4)
     for n_steps in (1, 2):
-        cfg = tp.ReconstructionConfig(truncation=4, n_outcomes=4, max_iters=n_steps)
+        monkeypatch.setattr(tomography, "MAX_ITERS", n_steps)
         pi = _plain_step(pi, q, table.probs, cfg.reg_weight)[0]
         rec = tp.reconstruct_povm(table, ens, cfg)
         assert rec.stop_reason == "max_iters"
         assert np.array_equal(rec.povm.entries, pi)
 
 
-def test_momentum_overshoot_keeps_objective_monotone():
+def test_momentum_overshoot_keeps_objective_monotone(monkeypatch):
     """The small CLI design with probe 0's zero-count entry set to 0 sits
     far from the model; momentum overshoots there, and each overshooting
     step is redone as a plain one, so the objective never rises."""
@@ -212,13 +214,13 @@ def test_momentum_overshoot_keeps_objective_monotone():
     counts[0, 0] = 0
     table = tp.CountTable.from_counts(counts, probe_ids=ens.ids)
     cfg = tp.ReconstructionConfig(
-        truncation=50, n_outcomes=8, max_iters=500,
-        init_eta=tp.estimate_eta(table, ens).eta_hat,
+        truncation=50, n_outcomes=8, init_eta=tp.estimate_eta(table, ens).eta_hat,
     )
+    monkeypatch.setattr(tomography, "MAX_ITERS", 500)
     rec = tp.reconstruct_povm(table, ens, cfg)
     history = rec.objective_history
     assert np.all(np.diff(history) <= 0.0)
-    assert rec.n_iters == history.size - 1 == cfg.max_iters
+    assert rec.n_iters == history.size - 1 == 500
     assert rec.stop_reason == "max_iters"
 
 
@@ -282,7 +284,7 @@ def test_reconstruct_permutation_invariant():
 def test_reconstruct_zero_photon_probe_pins_first_column():
     ens = tp.ProbeEnsemble((tp.Probe(id=0, mean_photons=0.0, n_pulses=100),))
     table = tp.CountTable.from_probs(np.array([[1.0], [0.0], [0.0]]), probe_ids=(0,))
-    cfg = tp.ReconstructionConfig(truncation=6, n_outcomes=3, max_iters=50_000)
+    cfg = tp.ReconstructionConfig(truncation=6, n_outcomes=3)
     rec = tp.reconstruct_povm(table, ens, cfg)
     assert rec.stop_reason == "objective_tol"
     assert np.allclose(rec.povm.column(0), [1.0, 0.0, 0.0], atol=1e-6)
@@ -328,14 +330,15 @@ def test_reconstruction_config_validation():
         tp.ReconstructionConfig(n_outcomes=1)
     with pytest.raises(ValueError):
         tp.ReconstructionConfig(truncation=0)
-    with pytest.raises(ValueError):
-        tp.ReconstructionConfig(max_iters=0)
-    # The solve tolerance is the solver's constant, not a setting.
+    # The solve tolerance and iteration cap are the solver's constants,
+    # not settings.
     with pytest.raises(TypeError, match="tol"):
         tp.ReconstructionConfig(tol=1e-8)
+    with pytest.raises(TypeError, match="max_iters"):
+        tp.ReconstructionConfig(max_iters=200_000)
     with pytest.raises(ValueError):
         tp.ReconstructionConfig(init_eta=1.5)
-    for name in ("truncation", "n_outcomes", "max_iters"):
+    for name in ("truncation", "n_outcomes"):
         with pytest.raises(TypeError, match=f"{name} must be an integer, got 20.5"):
             tp.ReconstructionConfig(**{name: 20.5})
     assert tp.ReconstructionConfig().reg_weight == 1e-8
