@@ -1,5 +1,6 @@
 """Tests for peak fitting, threshold placement and count binning."""
 
+import math
 import re
 
 import numpy as np
@@ -459,6 +460,24 @@ def test_ndtr_matches_scipy():
     assert np.array_equal(got[rounded], expected[rounded])
     assert set(expected[rounded]) == {0.0, 1.0}
     assert np.array_equal(_ndtr(z[-12:].reshape(4, 3)), _ndtr(z[-12:]).reshape(4, 3))
+
+
+@pytest.mark.parametrize("z", [
+    np.array([]),
+    np.array([-1e300, -40.0, -38.5, 8.5, 9.0, np.inf, -np.inf]),
+    np.r_[np.nextafter(-38.5, 0.0), -2.5, -0.0, 0.0, 2.5, np.nextafter(8.5, 0.0)],
+    np.linspace(-38.4, 8.4, 3_170),
+    np.linspace(-5.0, 5.0, 12).reshape(3, 4),
+], ids=["empty", "set-only", "edges", "grid", "two-d"])
+def test_ndtr_is_bitwise_math_erfc(z):
+    # Each entry is the standard library's erfc(-z * sqrt(1/2)) / 2, taken
+    # one at a time, or the 0.0 or 1.0 it rounds to beyond the cut-offs.
+    expected = np.array([0.0 if x <= -38.5 else 1.0 if x >= 8.5
+                         else 0.5 * math.erfc(-x * math.sqrt(0.5))
+                         for x in z.ravel().tolist()]).reshape(z.shape)
+    got = _ndtr(z)
+    assert got.shape == z.shape and got.dtype == np.float64
+    assert np.array_equal(got, expected)
 
 
 @settings(max_examples=200, deadline=None)

@@ -214,6 +214,22 @@ def test_probe_q_matrix_folds_tail():
         tp.probe_q_matrix(ens, 0)
 
 
+@pytest.mark.parametrize("truncation", [1, 2, 50, 140, 400])
+def test_probe_q_matrix_is_bitwise_each_probes_pmf(truncation):
+    # Q is built for every probe at once; it equals, bit for bit, the matrix
+    # stacked from each probe's own pmf and folded the same way. A dark
+    # probe (mean 0) is the point mass at m = 0.
+    ens = tp.ProbeEnsemble((tp.Probe(id=100, mean_photons=0.0), *tp.geometric_ensemble().probes))
+    q, tail = tp.probe_q_matrix(ens, truncation)
+    ref = np.column_stack([tp.poisson_pmf(p.mean_photons, np.arange(truncation))
+                           for p in ens.probes])
+    ref_tail = np.maximum(0.0, 1.0 - ref.sum(axis=0))
+    ref[-1] += ref_tail
+    assert np.array_equal(q, ref)
+    assert np.array_equal(tail, ref_tail)
+    assert q[0, 0] == 1.0 and tail[0] == 0.0
+
+
 @pytest.mark.parametrize("mu", [0.5, 6.5, 31.0, 87.0])
 def test_predict_distribution_matches_closed_form(mu):
     povm = tp.binomial_povm(0.051, 12, 140)
