@@ -802,11 +802,15 @@ def counts_by_area(fit: GaussianMixtureFit, n_outcomes: int, n_events: int) -> n
 
     Count class ``i`` receives the fitted weight of component ``i``
     (components beyond the top class fold into it), scaled to ``n_events``
-    with total-preserving rounding.
+    with total-preserving rounding. A fit whose weights are all 0 has no
+    shares to give and raises ValueError.
     """
     _check_number("n_outcomes", n_outcomes, "[2, inf)", integer=True)
+    _check_number("n_events", n_events, "[0, inf)", integer=True)
     folded = np.zeros(n_outcomes)
     for i, comp in enumerate(fit.components):
         folded[min(i, n_outcomes - 1)] += comp.weight
+    if not folded.any():
+        raise ValueError("every component weight is 0: the fit shares no events")
     probs = folded / folded.sum()
     return _round_preserving_total(probs * n_events, n_events)

@@ -1,7 +1,6 @@
 """Tests for peak fitting, threshold placement and count binning."""
 
 import math
-import re
 
 import numpy as np
 import pytest
@@ -14,9 +13,12 @@ import tespovm as tp
 from tespovm import calibration
 from tespovm.calibration import _CombSolve, _maximize, _ndtr, _nnls, _peak_search, _Spectrum
 
+import scenarios
+
 # Density minimum between Gaussians of weight 9:1 at 0 and 13 mV, both
 # sigma 2 (root of the mixture-density derivative, scipy brentq).
 VALLEY_9_TO_1 = 7.247115959047495
+_FOUR_PROBES = tp.geometric_ensemble(n_probes=4, n_pulses=20_000)
 
 
 def _trace(amps, probe_id=0):
@@ -46,12 +48,6 @@ def test_fit_peaks_respects_max_peaks():
     assert fit.n_components <= 5
 
 
-def _area_tv(trace, fit, n_outcomes=12):
-    area = tp.bin_counts_by_area(trace, fit, n_outcomes)
-    truth = np.bincount(np.minimum(trace.truth_counts, n_outcomes - 1), minlength=n_outcomes)
-    return 0.5 * float(np.abs(area - truth).sum()) / trace.n_pulses
-
-
 def test_fit_peaks_weak_zero_peak_is_tooth_zero():
     # At mu = 130 the zero peak holds 24 of 2e4 events: too few for the
     # peak search, which starts at the one-photon peak. The comb reaches
@@ -66,7 +62,7 @@ def test_fit_peaks_weak_zero_peak_is_tooth_zero():
     amps = trace.amplitudes_mv
     assert amps.min() - 1.3 <= fit.means[0]
     assert fit.means[-1] <= amps.max() + 1.3
-    assert _area_tv(trace, fit) < 0.01
+    assert scenarios.area_tv(trace, fit) < 0.01
 
 
 @pytest.mark.parametrize(("gamma", "seed"),
@@ -100,13 +96,6 @@ def test_fit_peaks_raises_on_unresolved_peaks():
         tp.fit_peaks(trace)
 
 
-def _fit_ensemble(detector, seed, n_pulses=100_000):
-    ensemble = tp.geometric_ensemble(n_pulses=n_pulses)
-    traces = tp.simulate_ensemble(detector, ensemble, seed=seed, jobs=2)
-    fits, failures = tp.fit_run(traces)
-    return traces, fits, failures
-
-
 def test_fit_run_streams_a_generator_as_it_does_a_list():
     detector = tp.DetectorPhysicalConfig()
     ensemble = tp.geometric_ensemble(n_probes=6, n_pulses=20_000)
@@ -130,26 +119,22 @@ def _worst_scale(fits):
 
 def test_comb_labels_widening_peaks():
     detector = tp.DetectorPhysicalConfig(sigma_slope_mv=0.5)
-    traces, fits, failures = _fit_ensemble(detector, seed=3)
-    assert failures == {}
-    zero, spacing = _worst_scale(fits)
+    run = scenarios.calibrate(detector, tp.geometric_ensemble(), seed=3, jobs=2)
+    assert run.failures == {}
+    zero, spacing = _worst_scale(run.fits)
     assert zero < 0.5 and spacing < 0.13
-    for trace in traces:
-        assert _area_tv(trace, fits[trace.probe_id]) <= 0.01
+    assert scenarios.mislabelled(run, 0.01) == []
 
 
 def test_comb_low_resolution_fails_loudly_or_labels_right():
-    # Spacing/sigma0 = 2.9: every probe raises or is right, and the run's
-    # comb labels them all. Threshold binning is not bounded here:
-    # overlapping peaks, not wrong labels, put it at TV 0.01-0.07.
+    # Spacing/sigma0 = 2.9: the run's comb labels every probe right, none
+    # failing. Threshold binning is not bounded here: overlapping peaks,
+    # not wrong labels, put it at TV 0.01-0.07.
     detector = tp.DetectorPhysicalConfig(sigma0_mv=13.0 / 2.9)
-    traces, fits, failures = _fit_ensemble(detector, seed=3)
-    zero, spacing = _worst_scale(fits)
+    run = scenarios.calibrate(detector, tp.geometric_ensemble(), seed=3, jobs=2)
+    zero, spacing = _worst_scale(run.fits)
     assert zero < 0.5 and spacing < 0.13
-    right = [trace.probe_id for trace in traces if trace.probe_id in fits
-             and _area_tv(trace, fits[trace.probe_id]) <= 0.01]
-    assert sorted(right + list(failures)) == list(range(20))
-    assert len(right) == 20
+    assert run.failures == {} and scenarios.mislabelled(run, 0.01) == []
 
 
 def test_fit_run_zero_tooth_ignores_tail_teeth():
@@ -159,12 +144,11 @@ def test_fit_run_zero_tooth_ignores_tail_teeth():
     # light cannot put 593 one-count events beside 17 zero-count ones,
     # nor probe 0's 14130 beside 2, so none of these teeth is the zero.
     detector = tp.DetectorPhysicalConfig(sigma0_mv=13.0 / 2.9)
-    traces, fits, failures = _fit_ensemble(detector, seed=3, n_pulses=20_000)
-    assert failures == {}
-    zero, _ = _worst_scale(fits)
+    run = scenarios.calibrate(detector, tp.geometric_ensemble(n_pulses=20_000), 3, jobs=2)
+    assert run.failures == {}
+    zero, _ = _worst_scale(run.fits)
     assert zero < 0.5
-    for trace in traces:
-        assert _area_tv(trace, fits[trace.probe_id]) <= 0.02, trace.probe_id
+    assert scenarios.mislabelled(run, 0.02) == []
 
 
 def test_fit_run_bright_run_keeps_its_labels():
@@ -172,22 +156,20 @@ def test_fit_run_bright_run_keeps_its_labels():
     # more zero-count events. Every other probe takes its zero from them:
     # fitted alone, a trace without a zero peak calls its lowest peak zero.
     detector = tp.DetectorPhysicalConfig(eta=0.9, gamma=0.2)
-    traces, fits, failures = _fit_ensemble(detector, seed=2, n_pulses=20_000)
-    assert failures == {}
-    zero, spacing = _worst_scale(fits)
+    run = scenarios.calibrate(detector, tp.geometric_ensemble(n_pulses=20_000), 2, jobs=2)
+    assert run.failures == {}
+    zero, spacing = _worst_scale(run.fits)
     assert zero < 0.5 and spacing < 0.05
-    for trace in traces:
-        fit = fits[trace.probe_id]
-        assert _area_tv(trace, fit) <= 0.02, trace.probe_id
+    assert scenarios.mislabelled(run, 0.02) == []
+    for trace in run.traces:
+        fit = run.fits[trace.probe_id]
         if trace.amplitudes_mv.min() > fit.means[0] + fit.spacing_mv / 2.0:
             # No event near the zero tooth: it holds none.
             assert fit.components[0].weight == 0.0
 
 
 def test_fit_run_failures_stay_out_of_the_scale():
-    ensemble = tp.geometric_ensemble(n_probes=4, n_pulses=20_000)
-    traces = tp.simulate_ensemble(tp.DetectorPhysicalConfig(), ensemble, seed=5)
-    fits, failures = tp.fit_run(traces)
+    _, traces, fits, failures = scenarios.calibrate(tp.DetectorPhysicalConfig(), _FOUR_PROBES, 5)
     assert failures == {} and sorted(fits) == [0, 1, 2, 3]
     tiny = _trace(np.linspace(-50.0, 50.0, 50), probe_id=7)
     # A trace too sparse to fit stays out of the pool: beside it, a lone
@@ -206,8 +188,7 @@ def test_fit_run_failures_stay_out_of_the_scale():
 
 def test_fit_run_is_the_same_for_any_trace_order():
     ensemble = tp.geometric_ensemble(n_probes=6, n_pulses=20_000)
-    traces = tp.simulate_ensemble(tp.DetectorPhysicalConfig(), ensemble, seed=4)
-    fits, failures = tp.fit_run(traces)
+    _, traces, fits, failures = scenarios.calibrate(tp.DetectorPhysicalConfig(), ensemble, 4)
     reversed_fits, reversed_failures = tp.fit_run(traces[::-1])
     assert failures == reversed_failures == {} and sorted(fits) == sorted(reversed_fits)
     for pid, fit in fits.items():
@@ -223,32 +204,22 @@ def test_run_fits_fold_once_when_counted(n_outcomes):
     # library default folded the fits at 16 the brightest probe put 6458
     # events in class 15 and none in classes 16-19, and eta_hat read
     # 0.095377, 24 standard errors low.
-    ensemble = tp.geometric_ensemble(n_probes=4, n_pulses=20_000)
-    traces = tp.simulate_ensemble(tp.DetectorPhysicalConfig(eta=0.1), ensemble, seed=1)
-    fits, failures = tp.fit_run(traces)
-    assert failures == {}
-    for trace in traces:
-        assert fits[trace.probe_id].components[-1].weight >= calibration.WEIGHT_FLOOR_EVENTS
-        assert _area_tv(trace, fits[trace.probe_id], n_outcomes) <= 0.01, trace.probe_id
-    brightest = traces[-1]
-    assert fits[brightest.probe_id].n_components > n_outcomes
-    assert np.all(tp.bin_counts_by_area(brightest, fits[brightest.probe_id],
-                                        n_outcomes)[16:] > 0)
-    table = tp.CountTable.from_counts(
-        np.column_stack([tp.bin_counts_by_area(t, fits[t.probe_id], n_outcomes)
-                         for t in traces]),
-        probe_ids=ensemble.ids,
-    )
-    est = tp.estimate_eta_gamma(table, ensemble)
+    run = scenarios.calibrate(tp.DetectorPhysicalConfig(eta=0.1), _FOUR_PROBES, seed=1)
+    assert run.failures == {}
+    assert min(fit.components[-1].weight for fit in run.fits.values()) >= (
+        calibration.WEIGHT_FLOOR_EVENTS)
+    assert scenarios.mislabelled(run, 0.01, n_outcomes) == []
+    assert run.fits[3].n_components > n_outcomes
+    assert np.all(tp.bin_counts_by_area(run.traces[3], run.fits[3], n_outcomes)[16:] > 0)
+    est = run.estimate(n_outcomes)
     assert abs(est.eta_hat - 0.1) < 5.0 * est.eta_se, (est.eta_hat, est.eta_se)
 
 
 def test_fits_of_one_run_share_its_teeth():
     # One comb per run: every probe's teeth are a prefix of the longest
     # fit's, whatever its brightness.
-    ensemble = tp.geometric_ensemble(n_probes=4, n_pulses=20_000)
-    traces = tp.simulate_ensemble(tp.DetectorPhysicalConfig(gamma=0.2), ensemble, seed=7)
-    fits, failures = tp.fit_run(traces)
+    _, _, fits, failures = scenarios.calibrate(tp.DetectorPhysicalConfig(gamma=0.2),
+                                               _FOUR_PROBES, 7)
     assert failures == {}
     longest = max(fits.values(), key=lambda fit: fit.n_components)
     assert len({fit.n_components for fit in fits.values()}) > 1
@@ -263,8 +234,7 @@ def test_fits_of_one_run_share_its_teeth():
 def test_fit_run_trace_off_the_comb_fails_its_goodness_gate():
     # A trace of another detector, spacing 19 mV, sits on no tooth of the
     # run's 13 mV comb: it fails alone, and the run keeps its scale.
-    ensemble = tp.geometric_ensemble(n_probes=4, n_pulses=20_000)
-    traces = tp.simulate_ensemble(tp.DetectorPhysicalConfig(), ensemble, seed=5)
+    traces = tp.simulate_ensemble(tp.DetectorPhysicalConfig(), _FOUR_PROBES, seed=5)
     odd = tp.simulate_trace(tp.DetectorPhysicalConfig(eta=0.3, peak_spacing_mv=19.0),
                             6.5, 20_000, seed=5)
     fits, failures = tp.fit_run([*traces, _trace(odd.amplitudes_mv, probe_id=9)])
@@ -272,7 +242,7 @@ def test_fit_run_trace_off_the_comb_fails_its_goodness_gate():
     zero, spacing = _worst_scale(fits)
     assert zero < 0.5 and spacing < 0.05
     for trace in traces:
-        assert _area_tv(trace, fits[trace.probe_id]) <= 0.01
+        assert scenarios.area_tv(trace, fits[trace.probe_id]) <= 0.01
 
 
 @settings(max_examples=20)
@@ -290,39 +260,22 @@ def test_fit_run_labels_right_or_raises(eta, gamma, sigma0, sigma_slope, baselin
     wrong silently."""
     detector = tp.DetectorPhysicalConfig(eta=eta, gamma=gamma, baseline_mv=baseline,
                                          sigma0_mv=sigma0, sigma_slope_mv=sigma_slope)
-    ensemble = tp.geometric_ensemble(n_probes=4, n_pulses=20_000)
-    traces = tp.simulate_ensemble(detector, ensemble, seed=seed)
     try:
-        fits, failures = tp.fit_run(traces)
+        run = scenarios.calibrate(detector, _FOUR_PROBES, seed)
     except tp.CalibrationError as exc:
-        assert re.search("comb fit did not converge|no photon-number scale", str(exc))
+        assert scenarios.raised_known(exc), exc
         return
-    for trace in traces:
-        if trace.probe_id not in failures:
-            assert _area_tv(trace, fits[trace.probe_id]) <= 0.02, trace.probe_id
+    assert scenarios.mislabelled(run, 0.02) == []
 
 
 def test_tooth_weight_counts_keep_the_estimates_honest():
     """simulate -> fit_run -> tooth-weight counts -> estimate_eta_gamma
     over detectors whose teeth overlap: eta_hat and gamma_hat scatter by
     their own standard errors, though events cross between teeth."""
-    rng = np.random.default_rng(2026)
     ensemble = tp.geometric_ensemble(n_probes=4, n_pulses=10_000)
-    z = []
-    for _ in range(200):
-        eta, sigma0, sigma_slope, gamma = (rng.uniform(0.01, 0.3), rng.uniform(1.0, 4.0),
-                                           rng.uniform(0.0, 0.3), rng.uniform(0.0, 0.5))
-        detector = tp.DetectorPhysicalConfig(eta=eta, gamma=gamma, sigma0_mv=sigma0,
-                                             sigma_slope_mv=sigma_slope)
-        traces = tp.simulate_ensemble(detector, ensemble, seed=int(rng.integers(2**32)))
-        fits, _ = tp.fit_run(traces)
-        ids = sorted(fits)
-        table = tp.CountTable.from_counts(
-            np.column_stack([tp.bin_counts_by_area(traces[i], fits[i], 12) for i in ids]),
-            probe_ids=ids,
-        )
-        est = tp.estimate_eta_gamma(table, ensemble)
-        z.append([(est.eta_hat - eta) / est.eta_se, (est.gamma_hat - gamma) / est.gamma_se])
+    z = [scenarios.z_scores(scenarios.calibrate(detector, ensemble, seed).estimate(),
+                            detector.eta, detector.gamma)
+         for detector, seed in scenarios.detector_draws(np.random.default_rng(2026), 200)]
     rms_eta, rms_gamma = np.sqrt(np.mean(np.square(z), axis=0))
     assert 0.8 <= rms_eta <= 1.25 and 0.8 <= rms_gamma <= 1.25, (rms_eta, rms_gamma)
 
@@ -695,6 +648,21 @@ def test_bin_counts_by_area_largest_remainder():
         tp.bin_counts_by_area(_trace(np.zeros(100)), fit, 1)
 
 
+@pytest.mark.parametrize(("weights", "n_events", "match"), [
+    ((0.0, 0.0, 0.0), 100, "every component weight is 0"),
+    ((1.0, 2.0, 3.0), -5, r"n_events must lie in \[0, inf\)"),
+], ids=["zero_weights", "negative_events"])
+def test_counts_by_area_refuses_an_empty_fit_or_negative_events(weights, n_events, match):
+    # Both once returned counts: -2**63 in every class, or negative ones.
+    fit = tp.GaussianMixtureFit(
+        [tp.GaussianComponent(w, 13.0 * i, 2.0) for i, w in enumerate(weights)], goodness=1.0)
+    with pytest.raises(ValueError, match=match):
+        calibration.counts_by_area(fit, 3, n_events)
+    if n_events >= 0:
+        with pytest.raises(ValueError, match=match):
+            tp.bin_counts_by_area(_trace(np.zeros(n_events)), fit, 3)
+
+
 def test_threshold_and_area_binning_agree():
     trace = tp.simulate_trace(tp.DetectorPhysicalConfig(eta=0.051), 31.0, 100_000, seed=9)
     fit = tp.fit_peaks(trace)
@@ -775,8 +743,7 @@ def test_fit_run_stray_cluster_below_zero_moves_no_label(probe):
     # probe 0, beside its 14 000 zero-count events, or of probe 3 (mu =
     # 130), whose zero tooth holds about 30. Either way the other probes'
     # zero peaks rule the cluster out as the zero, and no label moves.
-    ensemble = tp.geometric_ensemble(n_probes=4, n_pulses=20_000)
-    traces = tp.simulate_ensemble(tp.DetectorPhysicalConfig(), ensemble, seed=5)
+    traces = tp.simulate_ensemble(tp.DetectorPhysicalConfig(), _FOUR_PROBES, seed=5)
     stray = np.random.default_rng(0).normal(-13.0, 2.0, 300)
     traces[probe] = _trace(np.append(traces[probe].amplitudes_mv, stray), probe_id=probe)
     fits, failures = tp.fit_run(traces)
@@ -785,16 +752,15 @@ def test_fit_run_stray_cluster_below_zero_moves_no_label(probe):
         fit = fits[trace.probe_id]
         assert abs(fit.means[0]) < 0.5, trace.probe_id
         if trace.truth_counts is not None:
-            assert _area_tv(trace, fit) <= 0.01, trace.probe_id
+            assert scenarios.area_tv(trace, fit) <= 0.01, trace.probe_id
 
 
 def test_fit_peaks_counts_as_fit_run_does():
     # Every probe of a run sits on the run's one comb, and a trace fitted
     # alone gets its own comb: its tooth-weight counts differ by at most
     # an event per class.
-    ensemble = tp.geometric_ensemble(n_probes=4, n_pulses=20_000)
-    traces = tp.simulate_ensemble(tp.DetectorPhysicalConfig(gamma=0.2), ensemble, seed=5)
-    fits, failures = tp.fit_run(traces)
+    _, traces, fits, failures = scenarios.calibrate(tp.DetectorPhysicalConfig(gamma=0.2),
+                                                    _FOUR_PROBES, 5)
     assert failures == {}
     assert len({fit.means[0] for fit in fits.values()}) == 1
     assert len({fit.spacing_mv for fit in fits.values()}) == 1

@@ -9,10 +9,7 @@ import pytest
 import tespovm as tp
 from tespovm import estimation, photon_stats
 
-
-def _poisson_column(lam, n_outcomes):
-    body = tp.poisson_pmf(lam, np.arange(n_outcomes - 1))
-    return np.append(body, 1.0 - body.sum())
+from scenarios import model_draws, poisson_column, z_scores
 
 
 @pytest.mark.parametrize("mu", [6.5, 31.0, 130.0])
@@ -49,7 +46,7 @@ def test_loglik_eta_zero_probability_outcome():
 
 def test_estimate_eta_exact_probs():
     ens = tp.geometric_ensemble(n_probes=5, mu_min=5.0, mu_max=60.0)
-    cols = [_poisson_column(0.051 * p.mean_photons, 12) for p in ens.probes]
+    cols = [poisson_column(0.051 * p.mean_photons, 12) for p in ens.probes]
     table = tp.CountTable.from_probs(np.column_stack(cols), probe_ids=ens.ids)
     est = tp.estimate_eta(table, ens)
     assert np.abs(est.per_probe_etas - 0.051).max() < 1e-5
@@ -63,7 +60,7 @@ def test_estimate_eta_noisy_recovery():
     ens = tp.geometric_ensemble(n_probes=5, mu_min=5.0, mu_max=60.0, n_pulses=50_000)
     rng = np.random.default_rng(14)
     cols = [
-        rng.multinomial(50_000, _poisson_column(0.051 * p.mean_photons, 12))
+        rng.multinomial(50_000, poisson_column(0.051 * p.mean_photons, 12))
         for p in ens.probes
     ]
     table = tp.CountTable.from_counts(np.column_stack(cols).astype(np.int64),
@@ -77,7 +74,7 @@ def test_estimate_eta_gamma_zero_bound_reduces_to_plain():
     """On dark-count-free data the joint fit sits at gamma = 0 and agrees
     with the plain fit."""
     ens = tp.geometric_ensemble(n_probes=4, mu_min=5.0, mu_max=40.0)
-    cols = [_poisson_column(0.051 * p.mean_photons, 12) for p in ens.probes]
+    cols = [poisson_column(0.051 * p.mean_photons, 12) for p in ens.probes]
     table = tp.CountTable.from_probs(np.column_stack(cols), probe_ids=ens.ids)
     plain = tp.estimate_eta(table, ens)
     joint = tp.estimate_eta_gamma(table, ens)
@@ -93,7 +90,7 @@ def test_estimate_eta_gamma_joint_recovery():
     ens = tp.ProbeEnsemble(
         tuple(tp.Probe(id=i, mean_photons=m) for i, m in enumerate(mus))
     )
-    cols = [_poisson_column(0.05 * m + 0.3, 12) for m in mus]
+    cols = [poisson_column(0.05 * m + 0.3, 12) for m in mus]
     table = tp.CountTable.from_probs(np.column_stack(cols), probe_ids=ens.ids)
     est = tp.estimate_eta_gamma(table, ens)
     assert abs(est.eta_hat - 0.05) < 1e-4
@@ -108,23 +105,11 @@ def test_estimate_eta_gamma_validation():
     same_mu = tp.ProbeEnsemble(
         tuple(tp.Probe(id=i, mean_photons=8.0) for i in range(3))
     )
-    cols = [_poisson_column(0.1 * 8.0, 6)] * 3
+    cols = [poisson_column(0.1 * 8.0, 6)] * 3
     table = tp.CountTable.from_probs(np.column_stack(cols), probe_ids=same_mu.ids)
     with pytest.raises(tp.EstimationError, match="distinct"):
         tp.estimate_eta_gamma(table, same_mu)
     assert abs(tp.estimate_eta(table, same_mu).eta_hat - 0.1) < 1e-6
-
-
-def _model_draws(eta, gamma, n_draws, seed):
-    """Count tables drawn straight from the linear model on the default design."""
-    ens = tp.geometric_ensemble()
-    probs = np.column_stack(
-        [_poisson_column(eta * p.mean_photons + gamma, 12) for p in ens.probes]
-    )
-    rng = np.random.default_rng(seed)
-    for _ in range(n_draws):
-        counts = rng.multinomial(100_000, probs.T).T
-        yield ens, tp.CountTable.from_counts(counts, probe_ids=ens.ids)
 
 
 def _rms(z):
@@ -134,12 +119,12 @@ def _rms(z):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_joint_standard_errors_cover_over_model_draws():
     """z-scores of eta_hat and gamma_hat have unit spread over 200 draws."""
-    z_eta, z_gamma = [], []
-    for ens, table in _model_draws(0.051, 0.2, 200, seed=2024):
+    z = []
+    for ens, table in model_draws(0.051, 0.2, 200, seed=2024):
         est = tp.estimate_eta_gamma(table, ens)
         assert est.gamma_upper >= est.gamma_hat
-        z_eta.append((est.eta_hat - 0.051) / est.eta_se)
-        z_gamma.append((est.gamma_hat - 0.2) / est.gamma_se)
+        z.append(z_scores(est, 0.051, 0.2))
+    z_eta, z_gamma = np.transpose(z)
     assert 0.85 <= _rms(z_eta) <= 1.15
     assert 0.85 <= _rms(z_gamma) <= 1.15
 
@@ -149,11 +134,10 @@ def test_dark_count_free_draws_rarely_detect_dark_counts():
     """At gamma = 0 the one-sided 95 percent test fires in at most 10 percent
     of the draws, and the plain fit's z-scores have unit spread."""
     false_detections, z_eta = 0, []
-    for ens, table in _model_draws(0.051, 0.0, 200, seed=7):
+    for ens, table in model_draws(0.051, 0.0, 200, seed=7):
         joint = tp.estimate_eta_gamma(table, ens)
         false_detections += joint.gamma_hat - 1.645 * joint.gamma_se > 0
-        plain = tp.estimate_eta(table, ens)
-        z_eta.append((plain.eta_hat - 0.051) / plain.eta_se)
+        z_eta += z_scores(tp.estimate_eta(table, ens), 0.051)
     assert false_detections <= 20
     assert 0.85 <= _rms(z_eta) <= 1.15
 
@@ -193,8 +177,8 @@ def test_estimate_eta_skips_degenerate_probes():
         tp.Probe(id=1, mean_photons=10.0),
     ))
     cols = np.column_stack([
-        _poisson_column(0.0, 6),
-        _poisson_column(0.5, 6),
+        poisson_column(0.0, 6),
+        poisson_column(0.5, 6),
     ])
     table = tp.CountTable.from_probs(cols, probe_ids=(0, 1))
     # The mu 0 probe is skipped without a warning; its eta is NaN.
@@ -306,13 +290,13 @@ def test_estimate_alignment_validation():
     ens = tp.geometric_ensemble(n_probes=3, mu_min=2.0, mu_max=10.0)
     # Two of the three probes, out of order: columns pair with probes by id.
     mus = ens.mean_photons
-    cols = [_poisson_column(0.1 * mus[j], 6) for j in (1, 0)]
+    cols = [poisson_column(0.1 * mus[j], 6) for j in (1, 0)]
     table = tp.CountTable.from_probs(np.column_stack(cols), probe_ids=(1, 0))
     est = tp.estimate_eta(table, ens)
     assert abs(est.eta_hat - 0.1) < 1e-6
     np.testing.assert_allclose(est.per_probe_etas, 0.1, atol=1e-6)
     bad_ids = tp.CountTable.from_probs(
-        np.column_stack([_poisson_column(0.2, 6)] * 3), probe_ids=(0, 6, 7)
+        np.column_stack([poisson_column(0.2, 6)] * 3), probe_ids=(0, 6, 7)
     )
     with pytest.raises(ValueError, match=r"probes with probe ids \[6, 7\]"):
         tp.estimate_eta(bad_ids, ens)
